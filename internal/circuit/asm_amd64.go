@@ -110,7 +110,7 @@ var (
 // coordinates adjacent in memory, so the kernel loads and stores them
 // as single 256-bit vectors with no gather/scatter; per SIMD slot the
 // arithmetic is romStepKernel's exactly, so each lane stays
-// bit-identical to a serial ROMState replay.
+// bit-identical to a one-lane replay.
 func (rb *ROMBatch) stepLanes4AVX2(l int, dst, src [][]float64, mul, div []float64, n int) {
 	r := rb.rom
 	a := romStep4Args{

@@ -201,6 +201,12 @@ func dropCol(a []float64, L, l int) []float64 {
 // arithmetic replicates Transient.StepTrace exactly (same addends,
 // same order, shared precomputed constants), so each lane's output and
 // end state are bit-identical to a serial StepTrace of that lane.
+//
+// A single lane runs Transient.StepTrace itself: at one lane the
+// lane-minor layout is the scalar layout, so a Transient view over the
+// batch arrays needs no copy, and a one-lane replay (or the last
+// survivor of a pass) costs what the serial kernel costs instead of
+// paying the lane loops' overhead.
 func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64, mul, div, add []float64, n int) {
 	cp := tb.cp
 	L := tb.lanes
@@ -214,6 +220,13 @@ func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64,
 		if len(src[l]) < n || len(dst[l]) < n {
 			panic("circuit: StepTraceBatch lane buffer shorter than n")
 		}
+	}
+	if L == 1 {
+		t := Transient{cp: cp, rhs: tb.rhs, x: tb.x, sources: tb.sources,
+			capV: tb.capV, capI: tb.capI, indI: tb.indI, time: tb.time[0]}
+		t.StepTrace(nd, ref, dst[0], src[0][:n], mul[0], div[0], add[0])
+		tb.time[0] = t.time
+		return
 	}
 	ops, capOps, indOps := cp.stepOps, cp.capOps, cp.indOps
 	b, x := tb.rhs, tb.x

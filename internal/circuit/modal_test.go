@@ -103,8 +103,8 @@ func TestSectionContractions(t *testing.T) {
 }
 
 // TestROMModalRoundTrip pins the modal accessors: saving and restoring
-// (μ, vstar) resumes a serial replay bit-identically, and batch lanes
-// loaded via SetLaneModal step bit-identically to the serial kernel.
+// (μ, vstar) resumes a one-lane replay bit-identically, and wider batch
+// lanes loaded via SetLaneModal step bit-identically to it.
 func TestROMModalRoundTrip(t *testing.T) {
 	cp, rom, _, _ := romFixture(t, pdnLadder3)
 	m := rom.Order()
@@ -118,23 +118,23 @@ func TestROMModalRoundTrip(t *testing.T) {
 	}
 	const steps = 400
 	src := batchDrive(1, 2*steps)[0]
-	rs := rom.NewState(cp.NewState(), 0.3)
+	rs := romLane(rom, cp.NewState(), 0.3)
 	buf := make([]float64, steps)
-	rs.StepTrace(buf, src[:steps], 1e-12, 1e-10)
+	stepLane(rs, buf, src[:steps], 1e-12, 1e-10)
 	mu := make([]float64, m)
-	vstar := rs.Modal(mu)
+	vstar := rs.LaneModal(0, mu)
 
 	want := make([]float64, steps)
-	rs.StepTrace(want, src[steps:], 1e-12, 1e-10)
+	stepLane(rs, want, src[steps:], 1e-12, 1e-10)
 
-	// Serial restore.
-	rs2 := rom.NewState(cp.NewState(), 0)
-	rs2.SetModal(mu, vstar)
+	// One-lane restore.
+	rs2 := romLane(rom, cp.NewState(), 0)
+	rs2.SetLaneModal(0, mu, vstar)
 	got := make([]float64, steps)
-	rs2.StepTrace(got, src[steps:], 1e-12, 1e-10)
+	stepLane(rs2, got, src[steps:], 1e-12, 1e-10)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("serial restore step %d: %v != %v", i, got[i], want[i])
+			t.Fatalf("one-lane restore step %d: %v != %v", i, got[i], want[i])
 		}
 	}
 

@@ -23,7 +23,7 @@ package circuit
 // modal sections, so one replay cycle costs a handful of FMAs per mode
 // instead of a dense triangular substitution, and the per-lane state
 // is small enough to live entirely in registers — the batch kernel
-// streams each lane through the serial kernel with two memory streams,
+// streams each lane through the modal recursion with two memory streams,
 // keeping per-lane cost flat to arbitrary widths. Per-lane equilibrium
 // folding absorbs the constant drive terms (supply, leakage) once per
 // lane-load.
@@ -70,7 +70,7 @@ type romSingle struct {
 // ROM is a compiled reduced-order replay system for one (output node,
 // driven source) pair over a Compiled transient system. It is
 // immutable after CompileROM and safe for concurrent use by any number
-// of ROMState/ROMBatch instances.
+// of ROMBatch instances.
 type ROM struct {
 	cp  *Compiled
 	nd  Node
@@ -500,12 +500,14 @@ func (r *ROM) calibrate() {
 
 	dstE := make([]float64, h)
 	dstR := make([]float64, h)
+	one := []float64{1}
 	worst := 0.0
 	for _, drive := range drives {
 		te := r.cp.NewState()
 		te.StepTrace(r.nd, r.ref, dstE, drive, 1, 1, 0)
-		rs := r.NewState(r.cp.NewState(), 0)
-		rs.StepTrace(dstR, drive, 1, 1)
+		rb := r.NewBatch(1)
+		rb.LoadLane(0, r.cp.NewState(), 0)
+		rb.StepTraceBatch([][]float64{dstR}, [][]float64{drive}, one, one, h)
 		for i := range dstE {
 			if d := math.Abs(dstE[i] - dstR[i]); d > worst {
 				worst = d
@@ -549,78 +551,16 @@ func (r *ROM) fold(t *Transient, add float64, mu, y, rhs, ystar []float64) float
 	return vstar
 }
 
-// ROMState is a live serial reduced-order replay: modal deviation
-// state μ plus the folded equilibrium output. Its StepTrace performs
-// per step exactly the floating-point operations of one ROMBatch lane,
-// so serial and batch ROM replays are bit-identical.
-type ROMState struct {
-	rom   *ROM
-	mu    []float64
-	vstar float64
-}
-
-// NewState folds t's current state (and the constant drive add on the
-// driven source) into a fresh serial ROM replay state. t is not
-// modified and is free for other use afterwards.
-func (r *ROM) NewState(t *Transient, add float64) *ROMState {
-	m := r.m
-	st := &ROMState{rom: r, mu: make([]float64, m)}
-	y := make([]float64, m)
-	rhs := make([]float64, m)
-	ystar := make([]float64, m)
-	st.vstar = r.fold(t, add, st.mu, y, rhs, ystar)
-	return st
-}
-
-// Order returns the reduced state dimension m.
-func (st *ROMState) Order() int { return st.rom.m }
-
-// Sections returns the modal section sizes (see ROM.Sections).
-func (st *ROMState) Sections() []int { return st.rom.Sections() }
-
-// Modal copies the modal deviation state μ into dst (length ≥ m) and
-// returns the folded constant output term vstar. Together they are the
-// replay's complete dynamic state, so a Modal/SetModal round trip
-// resumes a replay bit-identically.
-func (st *ROMState) Modal(dst []float64) float64 {
-	copy(dst[:st.rom.m], st.mu)
-	return st.vstar
-}
-
-// SetModal overwrites the modal deviation state and folded constant
-// output term, e.g. to jump a periodic replay to an analytically
-// computed boundary.
-func (st *ROMState) SetModal(src []float64, vstar float64) {
-	if len(src) < st.rom.m {
-		panic("circuit: ROM modal state shorter than order")
-	}
-	copy(st.mu, src[:st.rom.m])
-	st.vstar = vstar
-}
-
-// StepTrace advances the reduced model len(src) steps: step s drives
-// the compiled source with src[s]*(mul/div) above the folded constant
-// level and records the output node's voltage into dst[s]. Unlike the
-// exact kernel there is no add term — the constant drive was folded
-// into the equilibrium at NewState time — and the mul/div scale is
-// collapsed to one reciprocal factor up front (the ROM has no bitwise
-// contract with the exact kernel, only with its own batch form, which
-// runs this same kernel per lane).
-func (st *ROMState) StepTrace(dst, src []float64, mul, div float64) {
-	n := len(src)
-	if len(dst) < n {
-		panic("circuit: ROM StepTrace dst shorter than src")
-	}
-	romStepKernel(st.rom, st.mu, st.vstar, dst[:n], src, mul, div, n)
-}
-
-// romStepKernel is the modal recursion shared verbatim by the serial
-// and batch replay paths — one code path means serial and batch ROM
-// replays are bit-identical by construction. The modal state (a few
-// coordinates) and section coefficients all fit in registers, so the
-// per-step cost is a handful of FMAs per mode plus one streaming load
-// (src) and store (dst): the loop is bound by the independent
-// per-section dependency chains, not memory.
+// romStepKernel is the modal recursion every ROM lane runs (the AVX2
+// 4-lane kernel replays its exact operation order), so a lane's output
+// is the same at any batch width. Unlike the exact kernel there is no
+// add term — the constant drive was folded into the equilibrium at lane
+// load — and the mul/div scale is collapsed to one reciprocal factor up
+// front (the ROM has no bitwise contract with the exact kernel). The
+// modal state (a few coordinates) and section coefficients all fit in
+// registers, so the per-step cost is a handful of FMAs per mode plus
+// one streaming load (src) and store (dst): the loop is bound by the
+// independent per-section dependency chains, not memory.
 func romStepKernel(r *ROM, mu []float64, vstar float64, dst, src []float64, mul, div float64, n int) {
 	pairs, singles := r.pairs, r.singles
 	du := r.du
@@ -698,7 +638,7 @@ func (rb *ROMBatch) checkLane(l int) {
 }
 
 // LoadLane folds t's current state into lane l, with constant drive
-// add on the driven source (see ROM.NewState).
+// add on the driven source; t is not modified.
 func (rb *ROMBatch) LoadLane(l int, t *Transient, add float64) {
 	rb.checkLane(l)
 	muCol := rb.ystar // reused as μ destination after the fold's last solve
@@ -742,10 +682,9 @@ func (rb *ROMBatch) DropLane(l int) {
 // the compiled source with src[l][s]*mul[l]/div[l] above its folded
 // constant level and records the output voltage into dst[l][s]. Each
 // lane's modal column is gathered out of the SoA store, streamed
-// through romStepKernel — the identical code path ROMState.StepTrace
-// runs, so every lane is bit-identical to a serial ROM replay at any
-// batch width — and scattered back. The gather/scatter costs O(m) per
-// lane per call, amortized over the n-step chunk.
+// through romStepKernel — so every lane is bit-identical to a one-lane
+// replay at any batch width — and scattered back. The gather/scatter
+// costs O(m) per lane per call, amortized over the n-step chunk.
 func (rb *ROMBatch) StepTraceBatch(dst, src [][]float64, mul, div []float64, n int) {
 	r := rb.rom
 	L := rb.lanes

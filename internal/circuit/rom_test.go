@@ -134,6 +134,19 @@ func romFixture(t testing.TB, build func() (*Circuit, Node)) (*Compiled, *ROM, N
 	return cp, rom, out, ref
 }
 
+// romLane folds t (with constant drive add) into a one-lane ROM batch:
+// the serial reduced-order replay.
+func romLane(rom *ROM, t *Transient, add float64) *ROMBatch {
+	rb := rom.NewBatch(1)
+	rb.LoadLane(0, t, add)
+	return rb
+}
+
+// stepLane advances a one-lane ROM batch over all of src.
+func stepLane(rb *ROMBatch, dst, src []float64, mul, div float64) {
+	rb.StepTraceBatch([][]float64{dst}, [][]float64{src}, []float64{mul}, []float64{div}, len(src))
+}
+
 func TestROMMatchesExactKernel(t *testing.T) {
 	for name, build := range map[string]func() (*Circuit, Node){
 		"rlc":  rlcLadder,
@@ -158,8 +171,7 @@ func TestROMMatchesExactKernel(t *testing.T) {
 				te.StepTrace(out, ref, wantV, src, 1, 1, add)
 
 				gotV := make([]float64, steps)
-				rs := rom.NewState(cp.NewState(), add)
-				rs.StepTrace(gotV, src, 1, 1)
+				stepLane(romLane(rom, cp.NewState(), add), gotV, src, 1, 1)
 
 				bound := rom.ErrPerAmpV() * (amp + add)
 				worst := 0.0
@@ -192,8 +204,7 @@ func TestROMEquilibriumFolding(t *testing.T) {
 	te := cp.NewState()
 	te.StepTrace(out, ref, wantV, src, 1, 1, add)
 	gotV := make([]float64, steps)
-	rs := rom.NewState(cp.NewState(), add)
-	rs.StepTrace(gotV, src, 1, 1)
+	stepLane(romLane(rom, cp.NewState(), add), gotV, src, 1, 1)
 	if d := math.Abs(wantV[steps-1] - gotV[steps-1]); d > 1e-9 {
 		t.Fatalf("settled value drifted by %g", d)
 	}
@@ -219,11 +230,10 @@ func TestROMBatchBitIdenticalToSerial(t *testing.T) {
 		rb.StepTraceBatch(dst, src, mul, div, steps)
 		for l := 0; l < lanes; l++ {
 			want := make([]float64, steps)
-			rs := rom.NewState(cp.NewState(), adds[l])
-			rs.StepTrace(want, src[l], mul[l], div[l])
+			stepLane(romLane(rom, cp.NewState(), adds[l]), want, src[l], mul[l], div[l])
 			for i := range want {
 				if dst[l][i] != want[i] {
-					t.Fatalf("lanes=%d lane %d step %d: batch %v != serial %v", lanes, l, i, dst[l][i], want[i])
+					t.Fatalf("lanes=%d lane %d step %d: batch %v != one-lane %v", lanes, l, i, dst[l][i], want[i])
 				}
 			}
 		}
@@ -255,8 +265,7 @@ func TestROMBatchDropLaneMidStream(t *testing.T) {
 	rb.StepTraceBatch(rest, restSrc, ones, ones, steps-half)
 	for _, l := range []int{0, 2, 3} {
 		want := make([]float64, steps)
-		rs := rom.NewState(cp.NewState(), 0)
-		rs.StepTrace(want, src[l], 1, 1)
+		stepLane(romLane(rom, cp.NewState(), 0), want, src[l], 1, 1)
 		for i := range want {
 			if dst[l][i] != want[i] {
 				t.Fatalf("lane %d step %d after DropLane: %v != %v", l, i, dst[l][i], want[i])
@@ -286,9 +295,8 @@ func TestROMMidStreamLoad(t *testing.T) {
 	cont := te.Clone()
 	cont.StepTrace(out, ref, want, src[pre:], 1, 1, 0.3)
 
-	rs := rom.NewState(te, 0.3)
 	got := make([]float64, post)
-	rs.StepTrace(got, src[pre:], 1, 1)
+	stepLane(romLane(rom, te, 0.3), got, src[pre:], 1, 1)
 	bound := rom.ErrPerAmpV() * 10.3 * 2 // drive plus the folded history
 	for i := range want {
 		if d := math.Abs(want[i] - got[i]); d > bound && d > 1e-6 {

@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Compiled is the immutable, shareable part of a fixed-step trapezoidal
 // transient simulation: the circuit topology with branch unknowns
@@ -573,35 +570,6 @@ func (t *Transient) SetStateVec(src []float64) {
 		t.indI[cp.indOps[oi].ei] = src[i]
 		i++
 	}
-}
-
-// MaxStateDelta returns the largest elementwise difference between this
-// state and o across the solution vector, companion history and live
-// sources, scaled relative for magnitudes above 1. Both states must
-// share one Compiled. The trace-replay early exit uses it to decide
-// when the PDN response over one drive period has converged.
-func (t *Transient) MaxStateDelta(o *Transient) float64 {
-	if t.cp != o.cp {
-		panic("circuit: MaxStateDelta across different compiled systems")
-	}
-	var d float64
-	acc := func(a, b []float64) {
-		for i := range a {
-			diff := math.Abs(a[i] - b[i])
-			if s := math.Max(math.Abs(a[i]), math.Abs(b[i])); s > 1 {
-				diff /= s
-			}
-			if diff > d {
-				d = diff
-			}
-		}
-	}
-	acc(t.x, o.x)
-	acc(t.capV, o.capV)
-	acc(t.capI, o.capI)
-	acc(t.indI, o.indI)
-	acc(t.sources, o.sources)
-	return d
 }
 
 // BranchCurrent returns the most recent current through a named V

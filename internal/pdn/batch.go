@@ -5,10 +5,11 @@ import "repro/internal/circuit"
 // Batch is the multi-lane PDN replay kernel: up to Lanes independent
 // network states advancing in lockstep over one Compiled system, each
 // lane bit-identical to a serial PDN.StepTrace of the same state (see
-// circuit.TransientBatch). The testbed uses it to replay a whole
-// generation's candidate traces per pass over the shared
-// factorization, and to run the periodic-replay affine probes — which
-// all share one drive period — as lanes instead of sequential runs.
+// circuit.TransientBatch). Every testbed replay runs as a lane of one:
+// a whole generation's candidate traces per pass over the shared
+// factorization, a single Run as a one-lane pass (which runs the
+// serial kernel), and the periodic-replay affine probes — which all
+// share one drive period — as the lanes of one probe pass.
 type Batch struct {
 	cp *Compiled
 	tb *circuit.TransientBatch

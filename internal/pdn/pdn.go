@@ -283,34 +283,17 @@ func (p *PDN) StepTrace(dst, src []float64, mul, div, add float64) {
 	p.tr.StepTrace(p.die, p.sinkRef, dst, src, mul, div, add)
 }
 
-// MaxStateDelta returns the largest (relative above 1) elementwise
-// difference between two states over one Compiled — the trace-replay
-// convergence metric.
-func (p *PDN) MaxStateDelta(o *PDN) float64 { return p.tr.MaxStateDelta(o.tr) }
-
-// StateDim, StateVec and SetStateVec expose the network's dynamic
-// state as a flat vector (see circuit.Transient.StateVec). The network
-// is linear, so one drive period is an affine map over this vector —
-// the replay engine samples that map once and then advances period
-// boundaries with dense mat-vecs instead of per-cycle MNA solves.
-func (p *PDN) StateDim() int             { return p.tr.StateDim() }
-func (p *PDN) StateVec(dst []float64)    { p.tr.StateVec(dst) }
-func (p *PDN) SetStateVec(src []float64) { p.tr.SetStateVec(src) }
+// StateDim and StateVec expose the network's dynamic state as a flat
+// vector (see circuit.Transient.StateVec). The network is linear, so
+// one drive period is an affine map over this vector — the replay
+// engine samples that map once and then advances period boundaries
+// with dense mat-vecs instead of per-cycle MNA solves.
+func (p *PDN) StateDim() int          { return p.tr.StateDim() }
+func (p *PDN) StateVec(dst []float64) { p.tr.StateVec(dst) }
 
 // SetSupply changes the regulator set-point (used by the
 // voltage-at-failure procedure, which lowers Vdd in 12.5 mV steps).
 func (p *PDN) SetSupply(volts float64) { p.tr.SetSourceRef(p.vrmRef, volts) }
-
-// StepTrace runs a full current trace (amps) through a pooled state
-// from the network's DC operating point and writes the die-voltage
-// waveform into dst. This is the batched measurement kernel: one call
-// replaces len(src) Step/VDie round trips with a flattened,
-// allocation-free inner loop over the precompiled element records.
-func (cp *Compiled) StepTrace(dst, src []float64) {
-	p := cp.Get()
-	p.StepTrace(dst, src, 1, 1, 0)
-	cp.Put(p)
-}
 
 // SimulateTrace runs a full current trace through a fresh PDN instance
 // and returns the die-voltage waveform. Both slices share index i ↔

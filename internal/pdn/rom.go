@@ -23,57 +23,11 @@ func (cp *Compiled) ROM() (*circuit.ROM, error) {
 	return cp.rom, cp.romErr
 }
 
-// ROMState is a live serial reduced-order replay of one PDN state.
-type ROMState struct {
-	cp *Compiled
-	st *circuit.ROMState
-}
-
-// NewROMState folds p's current state — including its live regulator
-// set-point — plus a constant `add` amps on the sink into a fresh
-// serial ROM replay. p is not modified.
-func (cp *Compiled) NewROMState(p *PDN, add float64) (*ROMState, error) {
-	r, err := cp.ROM()
-	if err != nil {
-		return nil, err
-	}
-	if p.cp != cp {
-		panic("pdn: ROM state across different compiled networks")
-	}
-	return &ROMState{cp: cp, st: r.NewState(p.tr, add)}, nil
-}
-
-// StepTrace advances len(src) steps: step i draws sink current
-// src[i]*(mul/div) amps above the folded constant level and records
-// the die voltage into dst[i]. Bit-identical to one ROMBatch lane with
-// the same parameters (not to the exact kernel — see ROM.ErrPerAmpV).
-func (s *ROMState) StepTrace(dst, src []float64, mul, div float64) {
-	s.st.StepTrace(dst, src, mul, div)
-}
-
-// Order returns the reduced state dimension m.
-func (s *ROMState) Order() int { return s.st.Order() }
-
-// Sections returns the modal section sizes in state order (one 2 per
-// complex eigenvalue pair, then one 1 per real mode) — the block
-// partition of any period map probed out of one-period ROM runs. See
-// circuit.ROM.Sections.
-func (s *ROMState) Sections() []int { return s.st.Sections() }
-
-// Modal copies the modal deviation state μ into dst (length ≥ Order)
-// and returns the folded constant output term vstar — together the
-// replay's complete dynamic state.
-func (s *ROMState) Modal(dst []float64) float64 { return s.st.Modal(dst) }
-
-// SetModal overwrites the modal deviation state and folded constant
-// term, e.g. to jump a periodic replay to an analytically computed
-// boundary. A Modal/SetModal round trip resumes bit-identically.
-func (s *ROMState) SetModal(src []float64, vstar float64) { s.st.SetModal(src, vstar) }
-
 // ROMBatch advances several independent reduced-order replays in
 // lockstep over one network, mirroring Batch's lane discipline
-// (LoadLane / swap-remove DropLane) so the testbed's lane scheduler
-// drives either kernel through the same bookkeeping.
+// (LoadLane / swap-remove DropLane) so the testbed's lane driver runs
+// either kernel through the same bookkeeping. A one-lane batch is the
+// serial ROM replay.
 type ROMBatch struct {
 	cp *Compiled
 	rb *circuit.ROMBatch
@@ -109,7 +63,9 @@ func (b *ROMBatch) SetLaneModal(l int, mu []float64, vstar float64) {
 }
 
 // LaneModal copies lane l's modal deviation state into dst (length ≥
-// order) and returns the lane's folded constant term.
+// ROM().Order()) and returns the lane's folded constant term —
+// together the lane's complete dynamic state, so a LaneModal /
+// SetLaneModal round trip resumes a replay bit-identically.
 func (b *ROMBatch) LaneModal(l int, dst []float64) float64 {
 	return b.rb.LaneModal(l, dst)
 }
@@ -121,14 +77,15 @@ func (b *ROMBatch) DropLane(l int) { b.rb.DropLane(l) }
 // StepTraceBatch advances every lane n steps: at step s, lane l draws
 // sink current src[l][s]*mul[l]/div[l] amps above its folded constant
 // level and records its die voltage into dst[l][s]. Each lane is
-// bit-identical to a serial ROMState.StepTrace at any batch width.
+// bit-identical to a one-lane replay at any batch width (not to the
+// exact kernel — see ROM.ErrPerAmpV).
 func (b *ROMBatch) StepTraceBatch(dst, src [][]float64, mul, div []float64, n int) {
 	b.rb.StepTraceBatch(dst, src, mul, div, n)
 }
 
 // PeriodicSteadyState solves (I − A)·x = b in closed form per modal
 // section, for a block-diagonal period map with column k at a[k*m:]
-// and sections per ROMState.Sections. See circuit.PeriodicSteadyState.
+// and sections per ROM().Sections(). See circuit.PeriodicSteadyState.
 func PeriodicSteadyState(sections []int, a, b, x []float64) error {
 	return circuit.PeriodicSteadyState(sections, a, b, x)
 }

@@ -15,6 +15,18 @@ func romNoise(dst []float64, amp float64, seed uint64) {
 	}
 }
 
+// romReplay folds p (plus add amps on the sink) into a one-lane ROM
+// batch — the serial reduced-order replay — and streams src through it.
+func romReplay(t *testing.T, cp *Compiled, p *PDN, add float64, dst, src []float64, mul, div float64) {
+	t.Helper()
+	rb, err := cp.NewROMBatch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb.LoadLane(0, p, add)
+	rb.StepTraceBatch([][]float64{dst}, [][]float64{src}, []float64{mul}, []float64{div}, len(src))
+}
+
 // TestROMCompilesForAllPresets requires every shipped network to admit
 // a reduced-order model with a usable calibrated error bound — if a
 // preset's modal decomposition degrades, replay silently loses its
@@ -76,12 +88,8 @@ func TestROMWithinToleranceAcrossPresets(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				p.Step(add)
 			}
-			rs, err := cp.NewROMState(p, add)
-			if err != nil {
-				t.Fatal(err)
-			}
+			romReplay(t, cp, p, add, dstR, src, mul, div)
 			p.StepTrace(dstE, src, mul, div, add)
-			rs.StepTrace(dstR, src, mul, div)
 
 			bound := r.ErrPerAmpV() * (amp*mul/div + add)
 			worst := 0.0
@@ -103,7 +111,7 @@ func TestROMWithinToleranceAcrossPresets(t *testing.T) {
 // TestROMBatchMatchesSerialWideLanes pins the serial↔batch bit-identity
 // contract at the pdn layer for lane widths past the exact kernel's
 // old practical limit (16, 32), with distinct per-lane drives, scales
-// and folded offsets.
+// and folded offsets; the serial reference is a one-lane batch.
 func TestROMBatchMatchesSerialWideLanes(t *testing.T) {
 	const n = 2500
 	cp, err := Compile(Bulldozer(), romTestDt)
@@ -120,7 +128,7 @@ func TestROMBatchMatchesSerialWideLanes(t *testing.T) {
 		mul := make([]float64, lanes)
 		div := make([]float64, lanes)
 		adds := make([]float64, lanes)
-		states := make([]*ROMState, lanes)
+		states := make([]*PDN, lanes)
 		serial := make([]float64, n)
 		for l := 0; l < lanes; l++ {
 			src[l] = make([]float64, n)
@@ -134,15 +142,11 @@ func TestROMBatchMatchesSerialWideLanes(t *testing.T) {
 				p.Step(adds[l])
 			}
 			rb.LoadLane(l, p, adds[l])
-			st, err := cp.NewROMState(p, adds[l])
-			if err != nil {
-				t.Fatal(err)
-			}
-			states[l] = st
+			states[l] = p
 		}
 		rb.StepTraceBatch(dst, src, mul, div, n)
 		for l := 0; l < lanes; l++ {
-			states[l].StepTrace(serial, src[l], mul[l], div[l])
+			romReplay(t, cp, states[l], adds[l], serial, src[l], mul[l], div[l])
 			for i := range serial {
 				if dst[l][i] != serial[i] {
 					t.Fatalf("lanes=%d lane %d step %d: batch %v != serial %v", lanes, l, i, dst[l][i], serial[i])
@@ -173,12 +177,8 @@ func TestROMBenchDrive(t *testing.T) {
 	dstE := make([]float64, n)
 	dstR := make([]float64, n)
 	p := cp.New()
-	rs, err := cp.NewROMState(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	romReplay(t, cp, p, 0, dstR, src, 1, 1)
 	p.StepTrace(dstE, src, 1, 1, 0)
-	rs.StepTrace(dstR, src, 1, 1)
 	bound := r.ErrPerAmpV() * 40
 	for i := range dstE {
 		if d := math.Abs(dstE[i] - dstR[i]); d > bound {

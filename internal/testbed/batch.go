@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/pdn"
 )
 
 // This file is the generation-batched evaluation pipeline: the GA hands
@@ -18,16 +16,17 @@ import (
 // cannot see. Stage 1 dedupes the configs down to distinct chip traces
 // and captures the missing ones on a worker pool (the expensive chip
 // simulation runs once per distinct program, not once per candidate).
-// Stage 2 replays the ready traces through the multi-lane PDN kernel —
-// pdn.Batch advances up to `lanes` candidate networks per pass over the
-// shared factorization — with runs that need the serial machinery
-// (sample consumers, periodic affine replays, exact-loop configs)
-// dispatched as solo jobs on the same pool.
+// Stage 2 turns every ready replay — periodic and sample-consumer runs
+// included — into a lane of the replay driver (replay.go) and packs
+// the lanes into multi-lane passes per kernel, so one pass advances up
+// to `lanes` candidate networks over the shared factorization (or the
+// ROM); only exact-loop configs run outside the driver, on the same
+// pool.
 //
 // Every measurement is bit-identical to CompiledPlatform.Run of the
-// same config: lane replays fold through the same replayFold in the
-// same per-cycle order over bit-identical kernel output, and everything
-// else literally calls the serial path.
+// same config, at any ROM tolerance: Run is a one-lane pass of the same
+// driver, each lane picks its kernel by the same per-lane rule, and a
+// lane's output never depends on its pass-mates.
 
 // DefaultBatchLanes is the fixed lane width callers may pass when they
 // want to bypass automatic selection. Eight lanes is where the blocked
@@ -112,15 +111,6 @@ func runParallelCtx(ctx context.Context, workers, n int, job func(int)) {
 	wg.Wait()
 }
 
-// laneJob is one candidate replay eligible for the multi-lane kernel:
-// a ready non-periodic trace with no sample consumers attached.
-type laneJob struct {
-	slot    int
-	rc      RunConfig
-	tr      *chipTrace
-	memoKey string
-}
-
 // MeasureBatch measures a generation of run configs through the
 // two-stage pipeline. See the file comment for the stages; per-slot
 // results are bit-identical to cp.Run(rcs[i]) run in isolation, and the
@@ -167,13 +157,12 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 			exact = append(exact, i)
 			continue
 		}
-		key, ok := traceKey(rc)
+		key, mk, ok := replayKeys(rc)
 		if !ok {
 			exact = append(exact, i)
 			continue
 		}
-		if memoable := !rc.RecordWaveform && rc.TriggerThreshold <= 0 && rc.Histogram == nil; memoable {
-			mk := replayMemoKey(key, rc)
+		if mk != "" {
 			memoKeys[i] = mk
 			if m, ok := cp.traces.getResult(mk); ok {
 				ms[i] = &m
@@ -227,56 +216,55 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 		}
 	})
 
-	// Stage 2: schedule replays. Non-periodic traces with no sample
-	// consumers ride the multi-lane kernel; periodic traces (served by
-	// the affine early exit), consumer runs, and post-build unsupported
-	// traces take the serial paths. Lane jobs are sorted longest-first
-	// and chunked at the lane width so each kernel pass stays wide.
-	var laneJobs []laneJob
-	var solo []int // slots replayed serially
+	// Stage 2: every ready slot becomes a lane (post-build unsupported
+	// traces go to the exact loop). Lanes are packed per kernel — exact,
+	// then ROM — longest stream first, and cut at the lane width so each
+	// kernel pass stays wide; the pool runs the passes and the exact-loop
+	// slots.
+	var byKernel [2][]*replayLane
 	for _, key := range keys {
 		tr := ready[key]
 		if tr == nil {
 			continue // capture failed; members already hold the error
 		}
 		for _, i := range groups[key] {
-			switch {
-			case tr.unsupported:
+			if tr.unsupported {
 				exact = append(exact, i)
-			case tr.periodic || memoKeys[i] == "":
-				solo = append(solo, i)
-			default:
-				laneJobs = append(laneJobs, laneJob{slot: i, rc: rcs[i], tr: tr, memoKey: memoKeys[i]})
+				continue
 			}
+			ln, err := cp.newLane(i, tr, rcs[i], memoKeys[i])
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			k := 0
+			if ln.rom {
+				k = 1
+			}
+			byKernel[k] = append(byKernel[k], ln)
 		}
 	}
-	sort.SliceStable(laneJobs, func(a, b int) bool {
-		return len(laneJobs[a].tr.energy) > len(laneJobs[b].tr.energy)
-	})
 	if autoWidth {
-		lanes = cp.autoLanes(len(laneJobs), workers)
+		lanes = cp.autoLanes(len(byKernel[0])+len(byKernel[1]), workers)
 	}
-	nGroups := (len(laneJobs) + lanes - 1) / lanes
-	tasks := nGroups + len(solo) + len(exact)
-	runParallelCtx(ctx, workers, tasks, func(t int) {
-		switch {
-		case t < nGroups:
-			lo := t * lanes
-			hi := lo + lanes
-			if hi > len(laneJobs) {
-				hi = len(laneJobs)
-			}
-			cp.replayLanes(laneJobs[lo:hi], ms, errs)
-		case t < nGroups+len(solo):
-			i := solo[t-nGroups]
-			m, err := cp.replay(ready[mustTraceKey(rcs[i])], rcs[i])
-			if err == nil && memoKeys[i] != "" {
-				cp.traces.putResult(memoKeys[i], *m)
-			}
-			ms[i], errs[i] = m, err
-		default:
-			i := exact[t-nGroups-len(solo)]
+	var passes [][]*replayLane
+	for _, kl := range byKernel {
+		sort.SliceStable(kl, func(a, b int) bool { return kl[a].end > kl[b].end })
+		for lo := 0; lo < len(kl); lo += lanes {
+			passes = append(passes, kl[lo:min(lo+lanes, len(kl))])
+		}
+	}
+	runParallelCtx(ctx, workers, len(passes)+len(exact), func(t int) {
+		if t >= len(passes) {
+			i := exact[t-len(passes)]
 			ms[i], errs[i] = cp.runExact(rcs[i])
+			return
+		}
+		pass := passes[t]
+		cp.traces.noteLaneBatch(len(pass))
+		cp.replayPass(pass)
+		for _, ln := range pass {
+			ms[ln.slot] = ln.fold.m
 		}
 	})
 
@@ -309,158 +297,6 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 		ms[i] = &m
 	}
 	return ms, errs
-}
-
-// mustTraceKey re-derives the trace key for a slot already classified
-// as replay-eligible with a supported key.
-func mustTraceKey(rc RunConfig) string {
-	key, ok := traceKey(rc)
-	if !ok {
-		panic("testbed: trace key vanished between classification and replay")
-	}
-	return key
-}
-
-// replayLanes replays up to maxBatchLanes candidate traces in lockstep
-// through the multi-lane PDN kernel — the exact kernel by default, the
-// reduced-order kernel when the platform tolerance admits the whole
-// batch — writing slot results into ms/errs. Each lane folds the
-// kernel's voltage stream through the same replayFold as the serial
-// replay; on the exact kernel a lane result matches cp.replay of the
-// same job bit for bit, and on the ROM it matches the serial ROM
-// replay bit for bit (one lane's over-tolerance trace can demote a
-// batch to exact while the serial path would have taken the ROM, so
-// with ROMTolV enabled batch-vs-serial agreement is to the declared
-// tolerance, not bitwise — exactly the contract ROMTolV states).
-// Lanes retire independently as their traces run out (swap-remove,
-// mirroring pdn.Batch.DropLane). A single-job group falls back to the
-// serial replay: a one-lane kernel pass costs more than the tuned
-// single-lane StepTrace.
-func (cp *CompiledPlatform) replayLanes(jobs []laneJob, ms []*Measurement, errs []error) {
-	L := len(jobs)
-	if L == 0 {
-		return
-	}
-	cp.traces.noteLaneBatch(L)
-	if L == 1 {
-		j := jobs[0]
-		m, err := cp.replay(j.tr, j.rc)
-		if err == nil {
-			cp.traces.putResult(j.memoKey, *m)
-		}
-		ms[j.slot], errs[j.slot] = m, err
-		return
-	}
-	defer cp.traces.addReplayNS(time.Now())
-	p := cp.p
-	dt := p.Chip.CycleSeconds()
-	vNom := p.PDN.VNom
-
-	type lane struct {
-		job  laneJob
-		fold *replayFold
-		N    uint64
-		cyc  uint64
-		vbuf []float64
-	}
-	states := make([]*lane, L)
-	muls := make([]float64, L)
-	divs := make([]float64, L)
-	adds := make([]float64, L)
-	dsts := make([][]float64, L)
-	srcs := make([][]float64, L)
-	for l, j := range jobs {
-		supply := vNom
-		if j.rc.SupplyVolts > 0 {
-			supply = j.rc.SupplyVolts
-		}
-		m := &Measurement{MinV: supply}
-		states[l] = &lane{
-			job:  j,
-			fold: &replayFold{p: p, m: m, vNom: vNom, warm: j.rc.WarmupCycles},
-			N:    uint64(len(j.tr.energy)),
-			vbuf: cp.getVBuf(replayChunk),
-		}
-		muls[l], divs[l], adds[l] = 1e-12, dt*supply, p.Power.LeakageAmps(p.Chip.Modules, supply)
-	}
-	// Kernel choice is batch-level, all-or-nothing: every lane job is a
-	// non-periodic full stream (periodic traces went solo), so the batch
-	// rides the reduced-order kernel only when the platform tolerance
-	// admits every lane's peak drive. Mixing kernels per lane would
-	// complicate retirement for no gain — a single over-tolerance lane
-	// is rare (it implies an outlier trace amplitude).
-	var pb *pdn.Batch
-	var rb *pdn.ROMBatch
-	useROM := cp.p.ROMTolV > 0
-	for l, j := range jobs {
-		if !useROM {
-			break
-		}
-		useROM = cp.romOK(j.tr, divs[l], adds[l])
-	}
-	if useROM {
-		rb, _ = cp.net.NewROMBatch(L) // romOK verified the ROM compiles
-	} else {
-		pb = cp.net.NewBatch(L)
-	}
-	cp.traces.noteReplays(L, useROM)
-	for l, j := range jobs {
-		net := cp.getNet(j.rc.SupplyVolts)
-		if rb != nil {
-			rb.LoadLane(l, net, adds[l])
-		} else {
-			pb.LoadLane(l, net)
-		}
-		cp.net.Put(net)
-	}
-	finish := func(st *lane) {
-		st.fold.finish(st.job.tr, st.N, dt)
-		cp.traces.putResult(st.job.memoKey, *st.fold.m)
-		ms[st.job.slot] = st.fold.m
-		cp.vbufs.Put(st.vbuf[:0])
-	}
-	for len(states) > 0 {
-		// Retire finished lanes (high to low so swap-ins are already
-		// checked survivors).
-		for l := len(states) - 1; l >= 0; l-- {
-			if states[l].cyc < states[l].N {
-				continue
-			}
-			finish(states[l])
-			if rb != nil {
-				rb.DropLane(l)
-			} else {
-				pb.DropLane(l)
-			}
-			last := len(states) - 1
-			states[l] = states[last]
-			muls[l], divs[l], adds[l] = muls[last], divs[last], adds[last]
-			states = states[:last]
-		}
-		if len(states) == 0 {
-			break
-		}
-		w := len(states)
-		n := uint64(replayChunk)
-		for _, st := range states {
-			if rem := st.N - st.cyc; rem < n {
-				n = rem
-			}
-		}
-		for l, st := range states {
-			dsts[l] = st.vbuf[:n]
-			srcs[l] = st.job.tr.energy[st.cyc : st.cyc+n]
-		}
-		if rb != nil {
-			rb.StepTraceBatch(dsts[:w], srcs[:w], muls[:w], divs[:w], int(n))
-		} else {
-			pb.StepTraceBatch(dsts[:w], srcs[:w], muls[:w], divs[:w], adds[:w], int(n))
-		}
-		for l, st := range states {
-			st.fold.scan(st.cyc, srcs[l], st.job.tr.issues[st.cyc:st.cyc+n], dsts[l])
-			st.cyc += n
-		}
-	}
 }
 
 // autoLanes picks the multi-lane kernel width for a generation of

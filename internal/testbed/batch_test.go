@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -11,10 +12,11 @@ import (
 
 // batchSlate builds a mixed generation exercising every MeasureBatch
 // path: distinct non-periodic traces (lane kernel), a shared trace at
-// two supplies, a periodic trace (affine solo replay), a waveform
-// consumer (serial replay), an exact-loop config, a MaxInstrs-bounded
-// run (full trace, bit-exact replay), exact duplicates (memo dedup)
-// and one invalid config (per-slot error).
+// two supplies, a periodic trace (a lane that retires into the period
+// map), a waveform consumer (a lane re-streaming period tiles), an
+// exact-loop config, a MaxInstrs-bounded run (full trace, bit-exact
+// replay), exact duplicates (memo dedup) and one invalid config
+// (per-slot error).
 func batchSlate(t *testing.T, p Platform) []RunConfig {
 	t.Helper()
 	base := resonancePeriodCycles(p)
@@ -41,9 +43,9 @@ func batchSlate(t *testing.T, p Platform) []RunConfig {
 		// Same trace, two supplies: one capture, two lane replays.
 		RunConfig{Threads: shared, MaxCycles: 9000, WarmupCycles: 500},
 		RunConfig{Threads: shared, MaxCycles: 9000, WarmupCycles: 500, SupplyVolts: p.Nominal() - 0.12},
-		// Periodic: solo replay through the affine early-exit path.
+		// Periodic: head on the lane kernel, then the period map.
 		RunConfig{Threads: place(jmpLoop("periodicB", base)), MaxCycles: 60000, WarmupCycles: 2000, SupplyVolts: p.Nominal() - 0.10},
-		// Sample consumer: serial replay, full stream.
+		// Sample consumer: a lane streaming every period tile.
 		RunConfig{Threads: place(jmpLoop("wave", base)), MaxCycles: 15000, WarmupCycles: 1000, RecordWaveform: true},
 		// Reference cycle loop.
 		RunConfig{Threads: place(mulLoop("exact", base)), MaxCycles: 6000, WarmupCycles: 500, ExactCycleLoop: true},
@@ -64,8 +66,87 @@ func batchSlate(t *testing.T, p Platform) []RunConfig {
 // of the same config bit for bit. Run under -race in CI.
 func TestMeasureBatchMatchesRun(t *testing.T) {
 	p := Bulldozer()
-	rcs := batchSlate(t, p)
+	st := checkBatchMatchesRun(t, p, batchSlate(t, p))
+	if st.BatchRuns == 0 {
+		t.Error("TraceStats.BatchRuns = 0 after MeasureBatch calls")
+	}
+	if st.LaneBatches == 0 || st.LaneRuns < st.LaneBatches {
+		t.Errorf("lane counters %d runs / %d batches: kernel never engaged", st.LaneRuns, st.LaneBatches)
+	}
 
+	// Every replayed slot rides a lane, the periodic and waveform slots
+	// (both jmp-closed, so both periodic replays) included: 5 staggered
+	// + 2 shared-trace + periodic + waveform + MaxInstrs-bounded. The
+	// exact-loop slot, the two memo duplicates and the invalid slot
+	// never reach the kernel.
+	cp, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.MeasureBatch(batchSlate(t, p), 0, 1)
+	if st := cp.TraceStats(); st.LaneRuns != 10 || st.PeriodicReplays != 2 {
+		t.Errorf("one slate batch: lane runs %d, periodic replays %d, want 10 and 2", st.LaneRuns, st.PeriodicReplays)
+	}
+}
+
+// TestMeasureBatchMatchesRunMixedROM is the same property on a ROM
+// platform whose tolerance lies between the slate's trace error bounds
+// (ErrPerAmpV × peak drive amps): the ROM admits some lanes and refuses
+// others, yet every slot must still equal Run bit for bit, because a
+// lane's kernel — and so its output — never depends on which lanes
+// share its pass.
+func TestMeasureBatchMatchesRunMixedROM(t *testing.T) {
+	p := Bulldozer()
+	rcs := batchSlate(t, p)
+	p.ROMTolV = mixedROMTol(t, p, rcs)
+	st := checkBatchMatchesRun(t, p, rcs)
+	if st.ROMReplays == 0 || st.ExactReplays == 0 {
+		t.Errorf("replay counters (rom %d, exact %d): tolerance %g did not split the slate", st.ROMReplays, st.ExactReplays, p.ROMTolV)
+	}
+}
+
+// mixedROMTol returns a ROM tolerance at the median of the slate's
+// distinct ROM error bounds, so the ROM admits the traces below it and
+// refuses those above.
+func mixedROMTol(t *testing.T, p Platform, rcs []RunConfig) float64 {
+	t.Helper()
+	cp, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.MeasureBatch(rcs, 0, 1) // capture every trace
+	r, err := cp.net.ROM()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bounds []float64
+	for _, rc := range rcs {
+		key, ok := traceKey(rc)
+		tr := cp.traces.get(key)
+		if !ok || tr == nil || !cp.replayEligible(rc) {
+			continue
+		}
+		supply := p.Nominal()
+		if rc.SupplyVolts > 0 {
+			supply = rc.SupplyVolts
+		}
+		amps := tr.maxEnergy*1e-12/(p.Chip.CycleSeconds()*supply) + p.Power.LeakageAmps(p.Chip.Modules, supply)
+		bounds = append(bounds, r.ErrPerAmpV()*amps)
+	}
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	k := len(bounds) / 2
+	if k == 0 {
+		t.Fatalf("slate error bounds %v cannot be split", bounds)
+	}
+	return (bounds[k-1] + bounds[k]) / 2
+}
+
+// checkBatchMatchesRun asserts MeasureBatch equals Run slot for slot on
+// p across lane widths, worker counts and population orders, and
+// returns the batch platform's counters.
+func checkBatchMatchesRun(t *testing.T, p Platform, rcs []RunConfig) TraceStats {
+	t.Helper()
 	ref, err := p.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +170,12 @@ func TestMeasureBatchMatchesRun(t *testing.T) {
 				for to, from := range perm {
 					shuffled[to] = rcs[from]
 				}
+				// Forget finished measurements (traces stay cached), so
+				// every call replays every slot at this width instead of
+				// serving the first call's results from the memo.
+				cp.traces.mu.Lock()
+				cp.traces.results, cp.traces.resultFifo = nil, nil
+				cp.traces.mu.Unlock()
 				ms, errs := cp.MeasureBatch(shuffled, lanes, workers)
 				for to, from := range perm {
 					tag := fmt.Sprintf("lanes=%d workers=%d pass=%d slot=%d(rc %d)", lanes, workers, pass, to, from)
@@ -105,13 +192,7 @@ func TestMeasureBatchMatchesRun(t *testing.T) {
 			}
 		}
 	}
-	st := cp.TraceStats()
-	if st.BatchRuns == 0 {
-		t.Error("TraceStats.BatchRuns = 0 after MeasureBatch calls")
-	}
-	if st.LaneBatches == 0 || st.LaneRuns < st.LaneBatches {
-		t.Errorf("lane counters %d runs / %d batches: kernel never engaged", st.LaneRuns, st.LaneBatches)
-	}
+	return cp.TraceStats()
 }
 
 // TestMeasureBatchSharesCaptures: N candidates over K distinct programs

@@ -158,29 +158,40 @@ func (cp *CompiledPlatform) replayEligible(rc RunConfig) bool {
 	return !rc.ExactCycleLoop && rc.OS == nil && rc.MaxCycles > 0 && rc.MaxCycles <= traceMaxCycles
 }
 
-// replayMemoKey extends a trace key with the replay-side parameters
-// (supply, warmup) that a finished no-consumer Measurement depends on.
-func replayMemoKey(key string, rc RunConfig) string {
-	var w [16]byte
-	binary.LittleEndian.PutUint64(w[:8], math.Float64bits(rc.SupplyVolts))
-	binary.LittleEndian.PutUint64(w[8:], rc.WarmupCycles)
-	return key + string(w[:])
+// sampleConsumers reports whether rc attaches a scope, trigger or
+// histogram. Those consume every post-warmup voltage, which rules out
+// the finished-measurement memo and the PDN early exit.
+func (rc RunConfig) sampleConsumers() bool {
+	return rc.RecordWaveform || rc.TriggerThreshold > 0 || rc.Histogram != nil
 }
 
-// runReplay executes rc through the trace pipeline, building and
-// caching the chip trace on first sight of this configuration. Runs
-// with no sample consumers are memoized outright: the simulator is
-// deterministic, so a repeated (trace, supply, warmup) run — the GA's
-// median-of-K scoring, a fault-injected retry — returns a copy of the
-// finished Measurement without touching the PDN.
+// replayKeys returns rc's trace key and, for a run with no sample
+// consumers, its finished-measurement memo key: the trace key extended
+// with the replay-side parameters (supply, warmup) such a Measurement
+// depends on. memoKey is "" when the run is not memoable; ok is false
+// when the run has no trace key.
+func replayKeys(rc RunConfig) (key, memoKey string, ok bool) {
+	if key, ok = traceKey(rc); ok && !rc.sampleConsumers() {
+		var w [16]byte
+		binary.LittleEndian.PutUint64(w[:8], math.Float64bits(rc.SupplyVolts))
+		binary.LittleEndian.PutUint64(w[8:], rc.WarmupCycles)
+		memoKey = key + string(w[:])
+	}
+	return key, memoKey, ok
+}
+
+// runReplay executes rc through the trace pipeline as a one-lane pass,
+// building and caching the chip trace on first sight of this
+// configuration. Runs with no sample consumers are memoized outright:
+// the simulator is deterministic, so a repeated (trace, supply, warmup)
+// run — the GA's median-of-K scoring, a fault-injected retry — returns
+// a copy of the finished Measurement without touching the PDN.
 func (cp *CompiledPlatform) runReplay(rc RunConfig) (*Measurement, error) {
-	key, ok := traceKey(rc)
+	key, memoKey, ok := replayKeys(rc)
 	if !ok {
 		return nil, errTraceUnsupported
 	}
-	var memoKey string
-	if memoable := !rc.RecordWaveform && rc.TriggerThreshold <= 0 && rc.Histogram == nil; memoable {
-		memoKey = replayMemoKey(key, rc)
+	if memoKey != "" {
 		if m, ok := cp.traces.getResult(memoKey); ok {
 			return &m, nil
 		}
@@ -196,11 +207,12 @@ func (cp *CompiledPlatform) runReplay(rc RunConfig) (*Measurement, error) {
 	if tr.unsupported {
 		return nil, errTraceUnsupported
 	}
-	m, err := cp.replay(tr, rc)
-	if err == nil && memoKey != "" {
-		cp.traces.putResult(memoKey, *m)
+	ln, err := cp.newLane(0, tr, rc, memoKey)
+	if err != nil {
+		return nil, err
 	}
-	return m, err
+	cp.replayPass([]*replayLane{ln})
+	return ln.fold.m, nil
 }
 
 // TraceStats reports the platform's trace-cache and fast-path counters.

@@ -9,30 +9,31 @@ import (
 	"repro/internal/scope"
 )
 
-// This file is phase 2 of the two-phase measurement pipeline: stream a
-// recorded chip trace (trace.go) through the batched PDN kernel and
-// reproduce Platform.measure's statistics. For the cycles it actually
-// steps, the arithmetic is bit-identical to the exact loop — the kernel
-// computes power.Amps(e, dt, supply) + leakage as e*mul/div + add with
-// mul = 1e-12 and div = dt*supply, the same operation sequence — so a
-// full-length replay returns the same Measurement bit for bit.
+// This file is phase 2 of the two-phase measurement pipeline: stream
+// recorded chip traces (trace.go) through the PDN kernel and reproduce
+// Platform.measure's statistics. Every replay is a lane of one driver,
+// replayPass: CompiledPlatform.Run is a one-lane pass and MeasureBatch
+// packs a generation into multi-lane passes (batch.go). For the cycles
+// it actually steps, a lane's arithmetic is bit-identical to the exact
+// loop — the kernel computes power.Amps(e, dt, supply) + leakage as
+// e*mul/div + add with mul = 1e-12 and div = dt*supply, the same
+// operation sequence — and to itself at any lane width, so a
+// full-length replay returns the same Measurement bit for bit whichever
+// pass carries it.
 //
 // Two independent early exits make replays cheap:
 //   - chip side: a verified-periodic trace stores only head + one
 //     period; the remaining cycles re-stream the period slice.
-//   - PDN side: once the network's state at consecutive period
-//     boundaries stops moving (relative delta ≤ convergeEps), every
-//     later period produces the same voltage response, so the remaining
-//     MinV/MeanV/EnergyPJ/UnitTotals are extrapolated in closed form
-//     from the converged period. This is skipped when a scope, trigger
-//     or histogram consumes every sample.
-//
-// The per-cycle statistics fold lives in replayFold, shared with the
-// multi-lane generation pipeline (batch.go) so a lane replay folds in
-// the exact loop's order too.
+//   - PDN side: a periodic lane with no sample consumer leaves its pass
+//     at the head boundary for the period map (periodMap), which steps
+//     whole periods in closed form; once the response stops moving
+//     (projected drift under convergeTailV), the remaining
+//     MinV/MeanV/EnergyPJ/UnitTotals are extrapolated from the
+//     converged period. A scope, trigger or histogram consumes every
+//     sample, so its periodic lane re-streams period tiles instead.
 
 const (
-	// replayChunk is the batch size for streaming non-periodic spans.
+	// replayChunk is the pass length, in cycles, of one kernel call.
 	replayChunk = 4096
 	// convergeTailV bounds the projected remaining die-voltage drift
 	// (volts) below which the periodic response is declared converged.
@@ -62,10 +63,9 @@ func (cp *CompiledPlatform) getVBuf(n int) []float64 {
 }
 
 // replayFold accumulates Platform.measure's per-cycle statistics over
-// streamed voltage spans. Both the single-lane replay and the
-// multi-lane generation pipeline fold through it, in the exact loop's
-// per-cycle order, so the two paths produce bit-identical statistics
-// for the same voltage stream.
+// streamed voltage spans, in the exact loop's per-cycle order, so every
+// lane produces the exact loop's statistics for the same voltage
+// stream.
 type replayFold struct {
 	p    Platform
 	m    *Measurement
@@ -162,333 +162,503 @@ func (f *replayFold) finish(tr *chipTrace, N uint64, dt float64) {
 	}
 }
 
-// replay reconstructs the Measurement for rc from a recorded trace.
-func (cp *CompiledPlatform) replay(tr *chipTrace, rc RunConfig) (*Measurement, error) {
-	defer cp.traces.addReplayNS(time.Now())
+// replayLane is one replay riding a kernel pass: the statistics fold
+// it feeds (scope, trigger and histogram included), its memo key and
+// result slot, and a cursor over its source trace.
+type replayLane struct {
+	slot    int    // MeasureBatch result slot
+	memoKey string // "" when sample consumers rule out the memo
+	tr      *chipTrace
+	fold    replayFold
+	rom     bool    // rides the reduced-order kernel
+	supply  float64 // RunConfig.SupplyVolts (0 = nominal)
+	div     float64 // amps conversion: dt·supply
+	add     float64 // leakage amps
+	n       uint64  // cycles the exact loop would simulate
+	end     uint64  // cycle at which the lane leaves its pass
+	cyc     uint64  // next cycle to stream
+	vbuf    []float64
+}
+
+// newLane prepares rc's replay of tr. The lane's kernel follows one
+// rule: the reduced-order kernel whenever the platform tolerance admits
+// the trace, except that a periodic trace with sample consumers keeps
+// the exact kernel for every sample.
+func (cp *CompiledPlatform) newLane(slot int, tr *chipTrace, rc RunConfig, memoKey string) (*replayLane, error) {
 	p := cp.p
-	dt := p.Chip.CycleSeconds()
-	vNom := p.PDN.VNom
-	supply := vNom
+	supply := p.PDN.VNom
 	if rc.SupplyVolts > 0 {
 		supply = rc.SupplyVolts
 	}
-	net := cp.getNet(rc.SupplyVolts)
-
-	var scopeBuf []float64
-	var sc *scope.Scope
+	ln := &replayLane{slot: slot, memoKey: memoKey, tr: tr, supply: rc.SupplyVolts,
+		div: p.Chip.CycleSeconds() * supply, add: p.Power.LeakageAmps(p.Chip.Modules, supply)}
+	ln.fold = replayFold{p: p, m: &Measurement{MinV: supply}, vNom: p.PDN.VNom,
+		warm: rc.WarmupCycles, hist: rc.Histogram}
 	if rc.RecordWaveform {
+		var buf []float64
 		if b, ok := cp.scopeBufs.Get().([]float64); ok {
-			scopeBuf = b
+			buf = b
 		}
 		rate := rc.ScopeSampleHz
 		if rate <= 0 {
 			rate = p.Chip.ClockHz
 		}
-		s, err := scope.NewInto(p.Chip.ClockHz, rate, true, scopeBuf)
+		sc, err := scope.NewInto(p.Chip.ClockHz, rate, true, buf)
 		if err != nil {
 			return nil, err
 		}
-		sc = s
+		ln.fold.sc = sc
 	}
-	var trig *scope.Trigger
 	if rc.TriggerThreshold > 0 {
-		trig = scope.NewTrigger(rc.TriggerThreshold, 0.002)
+		ln.fold.trig = scope.NewTrigger(rc.TriggerThreshold, 0.002)
 	}
-	// Sample consumers need every post-warmup voltage, which rules out
-	// the PDN early exit (but not the chip-side period reuse).
-	consumers := sc != nil || trig != nil || rc.Histogram != nil
-
-	leakage := p.Power.LeakageAmps(p.Chip.Modules, supply)
-	div := dt * supply
-	warm := rc.WarmupCycles
-
-	m := &Measurement{MinV: supply}
-	fold := &replayFold{p: p, m: m, vNom: vNom, warm: warm, sc: sc, trig: trig, hist: rc.Histogram}
-
-	// Total cycles the exact loop would simulate: a periodic trace runs
-	// to MaxCycles; a full trace already holds every cycle (it is
-	// shorter than MaxCycles only when the program finished).
-	N := uint64(len(tr.energy))
+	// A periodic trace runs to MaxCycles; a full trace already holds
+	// every cycle (it is shorter than MaxCycles only when the program
+	// finished). Without sample consumers a periodic lane leaves its
+	// pass at the head boundary for the period map.
+	consumers := rc.sampleConsumers()
+	stored := uint64(len(tr.energy))
+	ln.n, ln.end = stored, stored
 	if tr.periodic {
-		N = rc.MaxCycles
-	}
-	head := uint64(len(tr.energy)) // stored span (headLen+periodLen when periodic)
-	pLen := uint64(tr.periodLen)
-	pStart := uint64(tr.headLen)
-
-	bufLen := uint64(replayChunk)
-	if tr.periodic && pLen > bufLen {
-		bufLen = pLen
-	}
-	if bufLen > N {
-		bufLen = N
-	}
-	vbuf := cp.getVBuf(int(bufLen))
-
-	// Full (non-periodic) traces are one straight stream with no state
-	// handoff, so they ride the reduced-order kernel whenever the
-	// platform's tolerance admits the trace. Periodic replays without
-	// sample consumers ride it too: the head streams through the ROM
-	// and the affine period map is then built in the ROM's own modal
-	// coordinates (periodicModal) — m+1 probe lanes instead of
-	// StateDim+1 and O(m²+pLen·m) per boundary. Periodic replays with
-	// consumers keep the exact kernel for every sample, and with
-	// ROMTolV unset (zero) everything below is bit-identical to the
-	// exact loop as before.
-	var rom *pdn.ROMState
-	if (!tr.periodic || !consumers) && cp.romOK(tr, div, leakage) {
-		rom, _ = cp.net.NewROMState(net, leakage)
-	}
-	cp.traces.noteReplays(1, rom != nil)
-	if tr.periodic {
-		cp.traces.notePeriodicReplay(rom != nil)
-	}
-
-	// Stored entries, streamed straight through.
-	cyc := uint64(0)
-	directEnd := head
-	if directEnd > N {
-		directEnd = N
-	}
-	for cyc < directEnd {
-		n := uint64(len(vbuf))
-		if n > directEnd-cyc {
-			n = directEnd - cyc
+		ln.n, ln.end = rc.MaxCycles, rc.MaxCycles
+		if !consumers {
+			ln.end = min(stored, ln.n)
 		}
-		es := tr.energy[cyc : cyc+n]
-		qs := tr.issues[cyc : cyc+n]
-		if rom != nil {
-			rom.StepTrace(vbuf[:n], es, 1e-12, div)
+	}
+	ln.rom = (!tr.periodic || !consumers) && cp.romOK(tr, ln.div, ln.add)
+	return ln, nil
+}
+
+// span returns where the lane's next cycle sits in the stored trace and
+// how many cycles from there stay contiguous: the stored span first,
+// then (for a periodic lane with consumers) period tiles, each chunk
+// ending at the nearest segment end or the lane's end.
+func (ln *replayLane) span() (off, n uint64) {
+	stored := uint64(len(ln.tr.energy))
+	if ln.cyc < stored {
+		return ln.cyc, min(stored, ln.end) - ln.cyc
+	}
+	pLen := uint64(ln.tr.periodLen)
+	k := (ln.cyc - stored) % pLen
+	return uint64(ln.tr.headLen) + k, min(pLen-k, ln.end-ln.cyc)
+}
+
+// replayPass is the replay driver: it streams lanes — all on the ROM
+// or all on the exact kernel, per their rom flags — through one
+// multi-lane kernel pass, folds every sample in the exact loop's order,
+// and finishes each lane's Measurement (memoized when the lane has a
+// memo key). Lanes retire independently as their streams end
+// (swap-remove, mirroring the kernel's DropLane); a periodic lane
+// without sample consumers retires at its head boundary into the period
+// map. At one lane both kernels run their scalar code, so a one-lane
+// pass is the serial replay.
+func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
+	defer cp.traces.addReplayNS(time.Now())
+	L := len(lanes)
+	rom := lanes[0].rom
+	cp.traces.noteReplays(L, rom)
+	var pb *pdn.Batch
+	var rb *pdn.ROMBatch
+	if rom {
+		rb, _ = cp.net.NewROMBatch(L) // romOK verified the ROM compiles
+	} else {
+		pb = cp.net.NewBatch(L)
+	}
+	live := append([]*replayLane(nil), lanes...)
+	muls := make([]float64, L)
+	divs := make([]float64, L)
+	adds := make([]float64, L)
+	offs := make([]uint64, L)
+	dsts := make([][]float64, L)
+	srcs := make([][]float64, L)
+	for l, ln := range live {
+		if ln.tr.periodic {
+			cp.traces.notePeriodicReplay(rom)
+		}
+		net := cp.getNet(ln.supply)
+		if rom {
+			rb.LoadLane(l, net, ln.add)
 		} else {
-			net.StepTrace(vbuf[:n], es, 1e-12, div, leakage)
+			pb.LoadLane(l, net)
 		}
-		fold.scan(cyc, es, qs, vbuf[:n])
-		cyc += n
+		cp.net.Put(net)
+		muls[l] = 1e-12
+		ln.vbuf = cp.getVBuf(replayChunk)
 	}
-
-	// Periodic region: re-stream the stored period, watching the
-	// period-boundary die-voltage waveform for convergence. The full
-	// PDN state is the wrong gauge here — board-stage L/R and C·ESR
-	// time constants run to milliseconds, so internal states keep
-	// drifting long after the die-voltage response (the only thing the
-	// extrapolated statistics consume) has settled.
-	if tr.periodic && cyc < N && consumers {
-		// Sample consumers need every post-warmup voltage, so period
-		// tiles stream through the full kernel with no early exit.
-		period := tr.energy[pStart:head]
-		periodQ := tr.issues[pStart:head]
-		for cyc < N {
-			n := pLen
-			if n > N-cyc {
-				n = N - cyc
+	for {
+		// Retire finished lanes (high to low so swap-ins are already
+		// checked survivors).
+		for l := len(live) - 1; l >= 0; l-- {
+			ln := live[l]
+			if ln.cyc < ln.end {
+				continue
 			}
-			es := period[:n]
-			qs := periodQ[:n]
-			net.StepTrace(vbuf[:n], es, 1e-12, div, leakage)
-			fold.scan(cyc, es, qs, vbuf[:n])
-			cyc += n
+			if ln.cyc < ln.n {
+				cp.enterPeriodMap(ln, pb, rb, l)
+			}
+			cp.finishLane(ln)
+			if rom {
+				rb.DropLane(l)
+			} else {
+				pb.DropLane(l)
+			}
+			last := len(live) - 1
+			live[l] = live[last]
+			live = live[:last]
 		}
-	} else if tr.periodic && cyc < N {
-		period := tr.energy[pStart:head]
-		periodQ := tr.issues[pStart:head]
-		var converged uint64
-		if rom != nil {
-			cyc, converged = cp.periodicModal(rom, fold, vbuf, period, periodQ, cyc, N, pLen, warm, div)
+		w := len(live)
+		if w == 0 {
+			return
+		}
+		n := uint64(replayChunk)
+		for l, ln := range live {
+			off, s := ln.span()
+			offs[l], n = off, min(n, s)
+		}
+		for l, ln := range live {
+			dsts[l] = ln.vbuf[:n]
+			srcs[l] = ln.tr.energy[offs[l] : offs[l]+n]
+			divs[l], adds[l] = ln.div, ln.add
+		}
+		if rom {
+			rb.StepTraceBatch(dsts[:w], srcs[:w], muls[:w], divs[:w], int(n))
 		} else {
-			cyc, converged = cp.periodicAffine(net, fold, vbuf, period, periodQ, cyc, N, pLen, warm, div, leakage)
+			pb.StepTraceBatch(dsts[:w], srcs[:w], muls[:w], divs[:w], adds[:w], int(n))
 		}
-		if converged > 0 {
-			cp.traces.noteEarlyExit()
-			extrapolatePeriodic(fold, tr, vbuf, period, periodQ, N, converged, pLen)
+		for l, ln := range live {
+			ln.fold.scan(ln.cyc, srcs[l], ln.tr.issues[offs[l]:offs[l]+n], dsts[l])
+			ln.cyc += n
 		}
 	}
+}
 
-	fold.finish(tr, N, dt)
-	if sc != nil {
-		w := sc.Waveform()
+// finishLane completes a retired lane's Measurement — chip counters,
+// mean voltage and power, the scope waveform and droop events — and
+// memoizes it.
+func (cp *CompiledPlatform) finishLane(ln *replayLane) {
+	f := &ln.fold
+	f.finish(ln.tr, ln.n, cp.p.Chip.CycleSeconds())
+	m := f.m
+	if f.sc != nil {
+		w := f.sc.Waveform()
 		m.Waveform = append([]float64(nil), w...)
 		cp.scopeBufs.Put(w[:0])
 	}
-	if trig != nil {
-		m.DroopEvents = trig.EventCount()
+	if f.trig != nil {
+		m.DroopEvents = f.trig.EventCount()
 	}
-	cp.vbufs.Put(vbuf[:0])
-	cp.net.Put(net)
-	return m, nil
+	if ln.memoKey != "" {
+		cp.traces.putResult(ln.memoKey, *m)
+	}
+	cp.vbufs.Put(ln.vbuf[:0])
 }
 
-// periodicAffine scans the periodic region with the exact kernel's
-// affine period map, returning the cycle reached and, when the PDN
-// early exit fired, the boundary cycle at which the response converged
-// (0 otherwise). Pure code motion from replay: the floating-point
-// operation sequence is exactly the pre-refactor inline loop's, which
-// is what keeps ROMTolV=0 replays bit-identical across releases.
-func (cp *CompiledPlatform) periodicAffine(net *pdn.PDN, fold *replayFold, vbuf, period []float64, periodQ []uint64, cyc, N, pLen, warm uint64, div, leakage float64) (uint64, uint64) {
-	// Affine period model. The network is linear and every tile
-	// drives it with the same current sequence, so one period is an
-	// affine map of the boundary state s: the end state is
-	// E(s) = eRef + A·(s−sRef) and the in-period die voltages are
-	// v_c(s) = vRef[c] + W_c·(s−sRef). Sampling the map is exact —
-	// no small-perturbation approximation, linearity makes the
-	// finite difference the true derivative — and costs dim+1
-	// kernel runs of one period each: the reference run plus dim
-	// unit-perturbed probes. The probes all share one drive period,
-	// so they run as lanes of a single multi-lane kernel pass (each
-	// lane bit-identical to the sequential probe it replaces)
-	// instead of dim sequential runs. After that, each boundary
-	// advances with O(dim² + pLen·dim) arithmetic instead of pLen
-	// dense MNA solves, which is where a long periodic replay's
-	// time would otherwise go. The first tile has ds = 0, so its
-	// voltages are the kernel's own output bit for bit; later
-	// tiles pick up ~1e-13 V of float reordering noise, far inside
-	// the convergence tolerances.
-	dim := net.StateDim()
-	sRef := make([]float64, dim)
-	net.StateVec(sRef)
-	vRef := cp.getVBuf(int(pLen))
-	net.StepTrace(vRef[:pLen], period, 1e-12, div, leakage)
-	eRef := make([]float64, dim)
-	net.StateVec(eRef)
-	A := make([]float64, dim*dim)       // column k at A[k*dim:]
-	W := make([]float64, int(pLen)*dim) // row c at W[c*dim:]
-	scratch := make([]float64, dim)
-	{
-		pb := cp.net.NewBatch(dim)
-		probeV := make([]float64, dim*int(pLen))
-		dsts := make([][]float64, dim)
-		srcs := make([][]float64, dim)
-		muls := make([]float64, dim)
-		divs := make([]float64, dim)
-		adds := make([]float64, dim)
-		for k := 0; k < dim; k++ {
-			// Sources (the lane's supply set-point and last sink
-			// value) come from the live state; only the dynamic
-			// state is perturbed.
-			pb.LoadLane(k, net)
-			copy(scratch, sRef)
-			scratch[k]++
-			pb.SetLaneStateVec(k, scratch)
-			dsts[k] = probeV[k*int(pLen) : (k+1)*int(pLen)]
-			srcs[k] = period
-			muls[k], divs[k], adds[k] = 1e-12, div, leakage
+// enterPeriodMap hands lane l's state at its head boundary to the
+// period map in the coordinates of the kernel it streamed on: the exact
+// kernel's full network state (StateDim+1 probe lanes, empirical
+// convergence window), or the ROM's modal coordinates (m+1 probe lanes,
+// analytic convergence bound).
+func (cp *CompiledPlatform) enterPeriodMap(ln *replayLane, pb *pdn.Batch, rb *pdn.ROMBatch, l int) {
+	if rb != nil {
+		r, _ := cp.net.ROM()
+		mu := make([]float64, r.Order())
+		vstar := rb.LaneModal(l, mu)
+		cp.periodMap(ln, mu, func(dsts, srcs, states [][]float64, muls, divs, _ []float64) {
+			probe, _ := cp.net.NewROMBatch(len(states))
+			for k, s := range states {
+				probe.SetLaneModal(k, s, vstar)
+			}
+			probe.StepTraceBatch(dsts, srcs, muls, divs, len(dsts[0]))
+			for k, s := range states {
+				probe.LaneModal(k, s)
+			}
+		}, modalConvergence(r.Sections(), ln.fold.warm))
+		return
+	}
+	net := cp.net.Get()
+	pb.StoreLane(l, net)
+	s0 := make([]float64, net.StateDim())
+	net.StateVec(s0)
+	cp.periodMap(ln, s0, func(dsts, srcs, states [][]float64, muls, divs, adds []float64) {
+		probe := cp.net.NewBatch(len(states))
+		for k, s := range states {
+			// Sources (the lane's supply set-point and last sink value)
+			// come from the live state; only the dynamic state differs.
+			probe.LoadLane(k, net)
+			probe.SetLaneStateVec(k, s)
 		}
-		pb.StepTraceBatch(dsts, srcs, muls, divs, adds, int(pLen))
-		cp.traces.noteProbeLanes(dim + 1) // reference run + dim probes
-		for k := 0; k < dim; k++ {
-			pb.LaneStateVec(k, scratch)
-			col := A[k*dim : k*dim+dim]
-			for i := range col {
-				col[i] = scratch[i] - eRef[i]
-			}
-			vk := dsts[k]
-			for c := 0; c < int(pLen); c++ {
-				W[c*dim+k] = vk[c] - vRef[c]
-			}
+		probe.StepTraceBatch(dsts, srcs, muls, divs, adds, len(dsts[0]))
+		for k, s := range states {
+			probe.LaneStateVec(k, s)
+		}
+	}, affineConvergence(ln.fold.warm))
+	cp.net.Put(net)
+}
+
+// periodModel is one drive period as an exact affine map of the
+// boundary state s (dimension d). The network is linear and every tile
+// drives it with the same current sequence, so the end state is
+// E(s) = eRef + A·(s−sRef) and the in-period die voltages are
+// v_c(s) = vRef[c] + W_c·(s−sRef).
+type periodModel struct {
+	d, pLen int
+	sRef    []float64
+	eRef    []float64
+	vRef    []float64
+	a       []float64 // column k at a[k*d:]
+	w       []float64 // row c at w[c*d:]
+}
+
+// volts writes the in-period die voltages for boundary deviation ds.
+func (pm *periodModel) volts(dst, ds []float64) {
+	d := pm.d
+	for c := range dst {
+		v := pm.vRef[c]
+		for i, w := range pm.w[c*d : c*d+d] {
+			v += w * ds[i]
+		}
+		dst[c] = v
+	}
+}
+
+// probePass runs one period from each start state as the lanes of one
+// kernel pass, writing each lane's die voltages into dsts and replacing
+// each start state with the lane's end state.
+type probePass func(dsts, srcs, states [][]float64, muls, divs, adds []float64)
+
+// convergenceTest reports, after each scanned period, whether every
+// later period repeats its voltages v to within convergeTailV; s is the
+// boundary state the period started from and boundary the cycle reached.
+type convergenceTest func(v, s []float64, boundary uint64) bool
+
+// periodMap replays a periodic lane from its head boundary (state s0)
+// to the end of its run. Sampling the period map is exact — no
+// small-perturbation approximation, linearity makes the finite
+// difference the true derivative — and costs one probe pass of d+1
+// one-period lanes: lane 0 is the reference from s0, lane k+1 starts
+// from s0 with coordinate k perturbed by +1. Each boundary then
+// advances with O(d² + pLen·d) arithmetic instead of pLen kernel
+// steps. The first tile has ds = 0, so its voltages are the kernel's
+// own output bit for bit; later tiles pick up ~1e-13 V of float
+// reordering noise, far inside the convergence tolerances. Once the
+// lane's convergence test fires, the remaining periods are
+// extrapolated; otherwise a non-aligned tail is finished from the next
+// period's prefix.
+func (cp *CompiledPlatform) periodMap(ln *replayLane, s0 []float64, probe probePass, newTest func(*periodModel) convergenceTest) {
+	tr, f := ln.tr, &ln.fold
+	d, pLen := len(s0), tr.periodLen
+	period, periodQ := tr.energy[tr.headLen:], tr.issues[tr.headLen:]
+
+	probeV := make([]float64, (d+1)*pLen)
+	dsts := make([][]float64, d+1)
+	srcs := make([][]float64, d+1)
+	states := make([][]float64, d+1)
+	muls := make([]float64, d+1)
+	divs := make([]float64, d+1)
+	adds := make([]float64, d+1)
+	for k := range states {
+		dsts[k] = probeV[k*pLen : (k+1)*pLen]
+		srcs[k] = period
+		states[k] = append([]float64(nil), s0...)
+		if k > 0 {
+			states[k][k-1]++
+		}
+		muls[k], divs[k], adds[k] = 1e-12, ln.div, ln.add
+	}
+	probe(dsts, srcs, states, muls, divs, adds)
+	cp.traces.noteProbeLanes(d + 1)
+	pm := &periodModel{d: d, pLen: pLen, sRef: s0, eRef: states[0], vRef: dsts[0],
+		a: make([]float64, d*d), w: make([]float64, pLen*d)}
+	for k := 1; k <= d; k++ {
+		col := pm.a[(k-1)*d : k*d]
+		for i := range col {
+			col[i] = states[k][i] - pm.eRef[i]
+		}
+		for c := 0; c < pLen; c++ {
+			pm.w[c*d+k-1] = dsts[k][c] - pm.vRef[c]
 		}
 	}
+	converged := newTest(pm)
 
-	volts := func(dst []float64, ds []float64) {
-		for c := range dst {
-			v := vRef[c]
-			row := W[c*dim : c*dim+dim]
-			for i, w := range row {
-				v += w * ds[i]
-			}
-			dst[c] = v
-		}
-	}
-
-	sCur := append([]float64(nil), sRef...)
-	sNext := make([]float64, dim)
-	ds := make([]float64, dim)
-	prevV := cp.getVBuf(int(pLen))
-	converged := uint64(0)
-	havePrev := false
-	var dHist [convergeWindow]float64
-	nHist := 0
-	runs := 0
-	for cyc+pLen <= N {
+	N, cyc, P := ln.n, ln.cyc, uint64(pLen)
+	vbuf := cp.getVBuf(pLen)
+	s := append([]float64(nil), s0...)
+	sNext := make([]float64, d)
+	ds := make([]float64, d)
+	exitAt := uint64(0)
+	for cyc+P <= N {
 		for i := range ds {
-			ds[i] = sCur[i] - sRef[i]
+			ds[i] = s[i] - s0[i]
 		}
-		volts(vbuf[:pLen], ds)
-		fold.scan(cyc, period, periodQ, vbuf[:pLen])
-		cyc += pLen
-		if cyc < N {
-			if !havePrev {
-				copy(prevV, vbuf[:pLen])
-				havePrev = true
-			} else {
-				var d float64
-				for i := uint64(0); i < pLen; i++ {
-					if dd := math.Abs(vbuf[i] - prevV[i]); dd > d {
-						d = dd
-					}
-				}
-				if nHist < convergeWindow {
-					dHist[nHist] = d
-					nHist++
-				} else {
-					copy(dHist[:], dHist[1:])
-					dHist[convergeWindow-1] = d
-				}
-				// Qualify when the geometric projection of all
-				// future movement is under convergeTailV (d == 0
-				// means the response already hit a floating-point
-				// fixed cycle).
-				ok := false
-				if d == 0 {
-					ok = true
-				} else if nHist == convergeWindow {
-					rho := 0.0
-					for j := 1; j < convergeWindow; j++ {
-						if r := dHist[j] / dHist[j-1]; r > rho {
-							rho = r
-						}
-					}
-					if rho < 1 && d*rho/(1-rho) < convergeTailV {
-						ok = true
-					}
-				}
-				// Only trust a converged period whose samples all
-				// counted toward statistics (fully past warmup).
-				if ok && cyc-pLen >= warm {
-					if runs++; runs >= convergeRuns {
-						converged = cyc
-						break
-					}
-				} else {
-					runs = 0
-				}
-				copy(prevV, vbuf[:pLen])
-			}
+		pm.volts(vbuf, ds)
+		f.scan(cyc, period, periodQ, vbuf)
+		cyc += P
+		if cyc < N && converged(vbuf, s, cyc) {
+			exitAt = cyc
+			break
 		}
-		// Advance the boundary state: sNext = eRef + A·ds.
-		copy(sNext, eRef)
-		for k := 0; k < dim; k++ {
-			if d := ds[k]; d != 0 {
-				col := A[k*dim : k*dim+dim]
-				for i, a := range col {
-					sNext[i] += a * d
+		// Advance the boundary state: s' = eRef + A·ds.
+		copy(sNext, pm.eRef)
+		for k, dk := range ds {
+			if dk != 0 {
+				for i, a := range pm.a[k*d : k*d+d] {
+					sNext[i] += a * dk
 				}
 			}
 		}
-		sCur, sNext = sNext, sCur
+		s, sNext = sNext, s
 	}
-	cp.vbufs.Put(prevV[:0])
-	if converged == 0 && cyc < N {
+	if exitAt > 0 {
+		cp.traces.noteEarlyExit()
+		extrapolatePeriodic(f, tr, vbuf, period, periodQ, N, exitAt, P)
+	} else if cyc < N {
 		// MaxCycles is not period-aligned: finish the partial tail
 		// from the next period's prefix.
 		rem := N - cyc
 		for i := range ds {
-			ds[i] = sCur[i] - sRef[i]
+			ds[i] = s[i] - s0[i]
 		}
-		volts(vbuf[:rem], ds)
-		fold.scan(cyc, period[:rem], periodQ[:rem], vbuf[:rem])
-		cyc += rem
+		pm.volts(vbuf[:rem], ds)
+		f.scan(cyc, period[:rem], periodQ[:rem], vbuf[:rem])
 	}
-	cp.vbufs.Put(vRef[:0])
-	return cyc, converged
+	cp.vbufs.Put(vbuf[:0])
+	ln.cyc = N
+}
+
+// affineConvergence is the exact kernel's test: it watches the
+// period-boundary die-voltage waveform. The full PDN state is the wrong
+// gauge — board-stage L/R and C·ESR time constants run to milliseconds,
+// so internal states keep drifting long after the die-voltage response
+// (the only thing the extrapolated statistics consume) has settled. A
+// boundary qualifies when the geometric projection of all future
+// movement, from the worst consecutive ratio ρ of the last
+// convergeWindow deltas, is under convergeTailV (a zero delta means the
+// response hit a floating-point fixed cycle); the exit needs
+// convergeRuns consecutive qualifying boundaries.
+func affineConvergence(warm uint64) func(*periodModel) convergenceTest {
+	return func(pm *periodModel) convergenceTest {
+		pLen := uint64(pm.pLen)
+		prevV := make([]float64, pm.pLen)
+		havePrev := false
+		var dHist [convergeWindow]float64
+		nHist, runs := 0, 0
+		return func(v, _ []float64, boundary uint64) bool {
+			if !havePrev {
+				copy(prevV, v)
+				havePrev = true
+				return false
+			}
+			var d float64
+			for i := range v {
+				if dd := math.Abs(v[i] - prevV[i]); dd > d {
+					d = dd
+				}
+			}
+			if nHist < convergeWindow {
+				dHist[nHist] = d
+				nHist++
+			} else {
+				copy(dHist[:], dHist[1:])
+				dHist[convergeWindow-1] = d
+			}
+			ok := d == 0
+			if !ok && nHist == convergeWindow {
+				rho := 0.0
+				for j := 1; j < convergeWindow; j++ {
+					if r := dHist[j] / dHist[j-1]; r > rho {
+						rho = r
+					}
+				}
+				ok = rho < 1 && d*rho/(1-rho) < convergeTailV
+			}
+			// Only trust a converged period whose samples all counted
+			// toward statistics (fully past warmup).
+			if ok && boundary-pLen >= warm {
+				if runs++; runs >= convergeRuns {
+					return true
+				}
+			} else {
+				runs = 0
+			}
+			copy(prevV, v)
+			return false
+		}
+	}
+}
+
+// modalConvergence is the ROM's analytic test. romStepKernel never
+// couples modal sections, so the probed period map A is exactly
+// block-diagonal over secs — which makes the steady-state boundary
+// μ* = μRef + (I−A)⁻¹(eRef−μRef) and the per-section contraction
+// factors σ_i = ‖A_i‖₂ cheap and exact. For a boundary μ with
+// per-section deviation δ_i = (μ−μ*)_i, every sample of every future
+// period differs from the just-scanned one by at most
+//
+//	|W_c·(A^j−I)δ| ≤ Σ_i (σ_i^j + 1)·Wmax_i·‖δ_i‖ ≤ Σ_i (1+σ_i)·Wmax_i·‖δ_i‖
+//
+// (σ_i ≤ 1, j ≥ 1), with Wmax_i = max_c ‖W_c section-i part‖₂. The
+// test fires at the first boundary past warmup where that bound clears
+// convergeTailV — no empirical window. If the steady-state solve is
+// singular or any σ_i > 1 it never fires: every period is scanned,
+// still within the admitted ROM tolerance.
+func modalConvergence(secs []int, warm uint64) func(*periodModel) convergenceTest {
+	never := func([]float64, []float64, uint64) bool { return false }
+	return func(pm *periodModel) convergenceTest {
+		m := pm.d
+		muStar := make([]float64, m)
+		rhs := make([]float64, m)
+		for i := range rhs {
+			rhs[i] = pm.eRef[i] - pm.sRef[i]
+		}
+		if pdn.PeriodicSteadyState(secs, pm.a, rhs, muStar) != nil {
+			return never
+		}
+		for i := range muStar {
+			muStar[i] += pm.sRef[i]
+		}
+		sig := pdn.SectionContractions(secs, pm.a)
+		for _, s := range sig {
+			if !(s <= 1) {
+				return never
+			}
+		}
+		wmax := make([]float64, len(secs))
+		for c := 0; c < pm.pLen; c++ {
+			row := pm.w[c*m : c*m+m]
+			o := 0
+			for si, sz := range secs {
+				var n2 float64
+				for j := 0; j < sz; j++ {
+					n2 += row[o+j] * row[o+j]
+				}
+				if n2 > wmax[si] {
+					wmax[si] = n2
+				}
+				o += sz
+			}
+		}
+		for si := range wmax {
+			wmax[si] = math.Sqrt(wmax[si])
+		}
+		pLen := uint64(pm.pLen)
+		return func(_, mu []float64, boundary uint64) bool {
+			if boundary-pLen < warm {
+				return false // same warmup gate as the affine test
+			}
+			bound := 0.0
+			o := 0
+			for si, sz := range secs {
+				var n2 float64
+				for j := 0; j < sz; j++ {
+					d := mu[o+j] - muStar[o+j]
+					n2 += d * d
+				}
+				bound += (1 + sig[si]) * wmax[si] * math.Sqrt(n2)
+				o += sz
+			}
+			return bound <= convergeTailV
+		}
+	}
 }
 
 // extrapolatePeriodic folds the remaining N−converged cycles in closed
@@ -496,8 +666,7 @@ func (cp *CompiledPlatform) periodicAffine(net *pdn.PDN, fold *replayFold, vbuf,
 // remaining period repeats that response, so MinV/MeanV/EnergyPJ/
 // UnitTotals follow from one pass over the period. No new failure can
 // appear: the converged period was scanned and its repeats are
-// identical to within convergeTailV. Shared by the exact-state and
-// modal periodic paths, verbatim from the pre-refactor inline block.
+// identical to within convergeTailV.
 func extrapolatePeriodic(fold *replayFold, tr *chipTrace, vbuf, period []float64, periodQ []uint64, N, converged, pLen uint64) {
 	m := fold.m
 	vNom := fold.vNom
@@ -551,183 +720,4 @@ func extrapolatePeriodic(fold *replayFold, tr *chipTrace, vbuf, period []float64
 			m.UnitTotals[u] += (q >> (8 * uint(u))) & 0xff
 		}
 	}
-}
-
-// periodicModal is the reduced-order fast path for the periodic region:
-// the same affine-period construction as periodicAffine, but in the
-// ROM's modal coordinates. The probe pass costs m+1 one-period lanes
-// (reference + one per modal coordinate) instead of StateDim+1, and
-// each boundary advances with O(m² + pLen·m) arithmetic. Because
-// romStepKernel never couples modal sections, the probed period map A
-// is exactly block-diagonal over rom.Sections() — which makes the
-// steady-state boundary μ* = μRef + (I−A)⁻¹(eRef−μRef) and the
-// per-section contraction factors σ_i = ‖A_i‖₂ cheap and exact. Those
-// turn convergence detection into a sound analytic bound: for a
-// boundary μ with per-section deviation δ_i = (μ−μ*)_i, every sample of
-// every future period differs from the just-scanned one by at most
-//
-//	|W_c·(A^j−I)δ| ≤ Σ_i (σ_i^j + 1)·Wmax_i·‖δ_i‖ ≤ Σ_i (1+σ_i)·Wmax_i·‖δ_i‖
-//
-// (σ_i ≤ 1, j ≥ 1), with Wmax_i = max_c ‖W_c section-i part‖₂. When
-// that bound clears convergeTailV the run jumps straight to its
-// converged tail at the first qualifying boundary — no empirical delta
-// window or ρ-ramp. If the steady-state solve is singular or any
-// σ_i > 1, the loop degrades to scanning every period (no early exit),
-// still within the admitted ROM tolerance.
-func (cp *CompiledPlatform) periodicModal(rom *pdn.ROMState, fold *replayFold, vbuf, period []float64, periodQ []uint64, cyc, N, pLen, warm uint64, div float64) (uint64, uint64) {
-	m := rom.Order()
-	secs := rom.Sections()
-	muRef := make([]float64, m)
-	vstar := rom.Modal(muRef)
-
-	// Probe pass: lane 0 replays the reference period from the live
-	// boundary; lane k+1 starts from the same boundary with modal
-	// coordinate k perturbed by +1. The kernel is linear in μ, so the
-	// lane differences are the period map's columns (A) and the
-	// in-period voltage sensitivities (W) exactly.
-	rb, _ := cp.net.NewROMBatch(m + 1)
-	probeV := make([]float64, (m+1)*int(pLen))
-	dsts := make([][]float64, m+1)
-	srcs := make([][]float64, m+1)
-	muls := make([]float64, m+1)
-	divs := make([]float64, m+1)
-	scratch := make([]float64, m)
-	for k := 0; k <= m; k++ {
-		copy(scratch, muRef)
-		if k > 0 {
-			scratch[k-1]++
-		}
-		rb.SetLaneModal(k, scratch, vstar)
-		dsts[k] = probeV[k*int(pLen) : (k+1)*int(pLen)]
-		srcs[k] = period
-		muls[k], divs[k] = 1e-12, div
-	}
-	rb.StepTraceBatch(dsts, srcs, muls, divs, int(pLen))
-	cp.traces.noteProbeLanes(m + 1)
-
-	vRef := dsts[0]
-	eRef := make([]float64, m)
-	rb.LaneModal(0, eRef)
-	A := make([]float64, m*m)         // column k at A[k*m:]
-	W := make([]float64, int(pLen)*m) // row c at W[c*m:]
-	for k := 1; k <= m; k++ {
-		rb.LaneModal(k, scratch)
-		col := A[(k-1)*m : (k-1)*m+m]
-		for i := range col {
-			col[i] = scratch[i] - eRef[i]
-		}
-		vk := dsts[k]
-		for c := 0; c < int(pLen); c++ {
-			W[c*m+k-1] = vk[c] - vRef[c]
-		}
-	}
-
-	// Analytic convergence machinery. A failed solve or an expanding
-	// section just disables the early exit; scanning stays correct.
-	muStar := make([]float64, m)
-	rhs := make([]float64, m)
-	for i := 0; i < m; i++ {
-		rhs[i] = eRef[i] - muRef[i]
-	}
-	analytic := pdn.PeriodicSteadyState(secs, A, rhs, muStar) == nil
-	var sig []float64
-	if analytic {
-		for i := 0; i < m; i++ {
-			muStar[i] += muRef[i]
-		}
-		sig = pdn.SectionContractions(secs, A)
-		for _, s := range sig {
-			if !(s <= 1) {
-				analytic = false
-				break
-			}
-		}
-	}
-	var wmax []float64
-	if analytic {
-		wmax = make([]float64, len(secs))
-		for c := 0; c < int(pLen); c++ {
-			row := W[c*m : c*m+m]
-			o := 0
-			for si, sz := range secs {
-				var n2 float64
-				for j := 0; j < sz; j++ {
-					n2 += row[o+j] * row[o+j]
-				}
-				if n2 > wmax[si] {
-					wmax[si] = n2
-				}
-				o += sz
-			}
-		}
-		for si := range wmax {
-			wmax[si] = math.Sqrt(wmax[si])
-		}
-	}
-
-	mu := append([]float64(nil), muRef...)
-	muNext := make([]float64, m)
-	ds := make([]float64, m)
-	volts := func(dst []float64, ds []float64) {
-		for c := range dst {
-			v := vRef[c]
-			row := W[c*m : c*m+m]
-			for i, w := range row {
-				v += w * ds[i]
-			}
-			dst[c] = v
-		}
-	}
-	converged := uint64(0)
-	for cyc+pLen <= N {
-		for i := range ds {
-			ds[i] = mu[i] - muRef[i]
-		}
-		volts(vbuf[:pLen], ds)
-		fold.scan(cyc, period, periodQ, vbuf[:pLen])
-		cyc += pLen
-		// Only trust a converged period whose samples all counted
-		// toward statistics (fully past warmup) — same gate as the
-		// exact path.
-		if analytic && cyc < N && cyc-pLen >= warm {
-			bound := 0.0
-			o := 0
-			for si, sz := range secs {
-				var n2 float64
-				for j := 0; j < sz; j++ {
-					d := mu[o+j] - muStar[o+j]
-					n2 += d * d
-				}
-				bound += (1 + sig[si]) * wmax[si] * math.Sqrt(n2)
-				o += sz
-			}
-			if bound <= convergeTailV {
-				converged = cyc
-				break
-			}
-		}
-		// Advance the boundary: μ' = eRef + A·(μ − μRef).
-		copy(muNext, eRef)
-		for k := 0; k < m; k++ {
-			if d := ds[k]; d != 0 {
-				col := A[k*m : k*m+m]
-				for i, a := range col {
-					muNext[i] += a * d
-				}
-			}
-		}
-		mu, muNext = muNext, mu
-	}
-	if converged == 0 && cyc < N {
-		// MaxCycles is not period-aligned: finish the partial tail
-		// from the next period's prefix.
-		rem := N - cyc
-		for i := range ds {
-			ds[i] = mu[i] - muRef[i]
-		}
-		volts(vbuf[:rem], ds)
-		fold.scan(cyc, period[:rem], periodQ[:rem], vbuf[:rem])
-		cyc = N
-	}
-	return cyc, converged
 }

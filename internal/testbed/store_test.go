@@ -285,6 +285,49 @@ func TestStoreCorruptRecordRecaptured(t *testing.T) {
 	}
 }
 
+// TestStoreMismatchedRecordRecaptured rewrites the stored record as a
+// well-formed, checksummed blob whose 3000 energy values carry only 10
+// issue words — the shape one bad /v1/trace upload would serve to every
+// worker. The store must read it as a miss, so the replay recaptures
+// instead of indexing past the issues.
+func TestStoreMismatchedRecordRecaptured(t *testing.T) {
+	p := Bulldozer()
+	dir := t.TempDir()
+	rc := storeRunConfig(t, p, "mismatched", 96)
+	want, err := compiledWithStore(t, p, dir).Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("store holds %d entries (err %v), want 1 record", len(ents), err)
+	}
+	path := filepath.Join(dir, ents[0].Name())
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := tracestore.Decode(blob)
+	if !ok || len(rec.Issues) <= 10 {
+		t.Fatalf("stored record unusable for the test (ok %v, %d issues)", ok, len(rec.Issues))
+	}
+	rec.Issues = rec.Issues[:10]
+	if err := os.WriteFile(path, tracestore.Encode(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	warm := compiledWithStore(t, p, dir)
+	got, err := warm.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := warm.TraceStats(); ts.StoreHits != 0 || ts.Captures != 1 {
+		t.Errorf("mismatched record: store hits %d, captures %d, want 0 and 1", ts.StoreHits, ts.Captures)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("recaptured measurement differs from original")
+	}
+}
+
 // TestBatchUsesStore drives the generation-batched pipeline over a
 // warm store: stage 1 must load its traces from disk instead of
 // capturing.

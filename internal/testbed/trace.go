@@ -432,9 +432,10 @@ type TraceStats struct {
 	// BatchRuns counts run configs that entered MeasureBatch's
 	// generation pipeline (whatever stage ultimately served them).
 	BatchRuns uint64
-	// LaneRuns counts replays executed inside a multi-lane kernel pass,
-	// and LaneBatches the passes themselves, so LaneRuns/LaneBatches is
-	// the mean lane occupancy the pipeline achieved.
+	// LaneRuns counts the replays MeasureBatch ran as lanes of kernel
+	// passes, and LaneBatches those passes (a Run is a one-lane pass
+	// but is not counted), so LaneRuns/LaneBatches is the mean lane
+	// occupancy the pipeline achieved.
 	LaneRuns, LaneBatches uint64
 	// ROMReplays and ExactReplays split phase-2 PDN replays by kernel:
 	// the reduced-order modal kernel (admitted when Platform.ROMTolV

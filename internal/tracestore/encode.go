@@ -149,9 +149,11 @@ func decodePayload(p []byte) (*Record, bool) {
 	rec.EndRetired = next()
 	rec.RefRetired = next()
 	rec.PerRetired = next()
-	n := next()
-	nIssues := next()
-	if !ok || n > maxPayloadBytes/8 || nIssues > maxPayloadBytes/8 {
+	n, nIssues := next(), next()
+	// Replay indexes both arrays by cycle, so their lengths must agree;
+	// and every cycle costs at least one byte of issue varints, which
+	// bounds what a short blob can make the decoder allocate.
+	if !ok || nIssues != n || n > uint64(len(p)) || n > maxPayloadBytes/8 {
 		return nil, false
 	}
 	var energy []float64
@@ -159,7 +161,7 @@ func decodePayload(p []byte) (*Record, bool) {
 		return nil, false
 	}
 	rec.Energy = energy
-	rec.Issues = make([]uint64, nIssues)
+	rec.Issues = make([]uint64, n)
 	prev := uint64(0)
 	for i := range rec.Issues {
 		x := next()

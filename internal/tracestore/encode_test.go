@@ -10,8 +10,9 @@ import (
 // shapeRecords enumerates every Record shape the codec must carry
 // exactly: empty, unsupported, aperiodic, periodic with and without a
 // head, adversarial float patterns (NaN payloads, infinities, negative
-// zero, denormals), issue words exercising every varint width, and
-// mismatched Energy/Issues lengths.
+// zero, denormals) and issue words exercising every varint width.
+// Mismatched Energy/Issues lengths are not a shape but a corruption
+// (mismatchedRecords).
 func shapeRecords() map[string]*Record {
 	nan := math.Float64frombits(0x7ff8_dead_beef_0001) // NaN with payload
 	shapes := map[string]*Record{
@@ -38,14 +39,6 @@ func shapeRecords() map[string]*Record {
 			},
 			Issues: make([]uint64, 13),
 		},
-		"issues-longer-than-energy": {
-			Energy: []float64{1},
-			Issues: []uint64{1, 2, 3, 4},
-		},
-		"energy-longer-than-issues": {
-			Energy: []float64{1, 2, 3, 4},
-			Issues: []uint64{9},
-		},
 		"capture-ns": {
 			Energy:    []float64{1, 1},
 			Issues:    []uint64{1, 1},
@@ -58,6 +51,22 @@ func shapeRecords() map[string]*Record {
 	withHead.HeadLen, withHead.PeriodLen = 13, 83
 	shapes["periodic-with-head"] = withHead
 	return shapes
+}
+
+// mismatchedRecords are records whose Energy and Issues lengths
+// disagree. Encode still writes them, but replay indexes both arrays by
+// cycle, so Decode must refuse them: accepted, one upload through the
+// trace tier would crash every worker's replay.
+func mismatchedRecords() map[string]*Record {
+	return map[string]*Record{
+		"issues-longer-than-energy": {Energy: []float64{1}, Issues: []uint64{1, 2, 3, 4}},
+		"energy-longer-than-issues": {Energy: []float64{1, 2, 3, 4}, Issues: []uint64{9}},
+		"issues-missing":            {Energy: []float64{2, 2.5}},
+		"periodic-short-issues": {
+			Energy: make([]float64, 5000), Issues: make([]uint64, 10),
+			Periodic: true, HeadLen: 904, PeriodLen: 4096,
+		},
+	}
 }
 
 func recordsIdentical(t *testing.T, name string, got, want *Record) {
@@ -222,6 +231,13 @@ func TestRawBlobAPI(t *testing.T) {
 	}
 	if err := s2.PutRaw(addr, blob[:len(blob)/2]); err == nil {
 		t.Error("PutRaw accepted a truncated blob")
+	}
+	// PutRaw is the only check on a /v1/trace upload: a well-formed
+	// record whose Energy and Issues lengths disagree must not pass it.
+	for name, rec := range mismatchedRecords() {
+		if err := s2.PutRaw(addr, Encode(rec)); err == nil {
+			t.Errorf("PutRaw accepted mismatched record %s", name)
+		}
 	}
 	if err := s2.PutRaw(addr, nil); err == nil {
 		t.Error("PutRaw accepted an empty blob")

@@ -51,9 +51,11 @@ const fixedCounters = 3*statsWords + 3
 // statsWords is the per-block width of the chip-counter triples.
 const statsWords = 8
 
-// Record is the portable form of one phase-1 trace. The stats blocks
-// are flat uint64 words so the store stays decoupled from the cpu
-// package's struct layout; callers own the mapping.
+// Record is the portable form of one phase-1 trace. Energy and Issues
+// are per-cycle and equally long — Decode rejects a blob that says
+// otherwise. The stats blocks are flat uint64 words so the store stays
+// decoupled from the cpu package's struct layout; callers own the
+// mapping.
 type Record struct {
 	Energy []float64
 	Issues []uint64

@@ -119,6 +119,11 @@ func TestCorruptionIsAMiss(t *testing.T) {
 		"empty":            func(b []byte) []byte { return nil },
 		"wrong-magic":      func(b []byte) []byte { copy(b, "BADMAGIC"); return b },
 		"future-version":   func(b []byte) []byte { b[len(magic)-2] = '9'; return b },
+		// Well-formed and checksummed, but 5000 cycles of energy carry
+		// only 10 issue words: replay would index past the issues.
+		"mismatched-lengths": func([]byte) []byte {
+			return Encode(&Record{Energy: make([]float64, 5000), Issues: make([]uint64, 10)})
+		},
 	}
 	for name, mutate := range mutations {
 		restore()

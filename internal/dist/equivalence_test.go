@@ -133,6 +133,15 @@ func (p *workerPool) spawn() {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case <-p.stop:
+		// close has cancelled every worker it could see; one started
+		// now (the reaper's replacement racing the end of the search)
+		// would never be cancelled, and close would wait on it forever.
+		return
+	default:
+	}
 	id := fmt.Sprintf("pw%d", p.nextID)
 	p.nextID++
 	w, err := NewWorker(WorkerConfig{
@@ -140,14 +149,12 @@ func (p *workerPool) spawn() {
 		Poll: 5 * time.Millisecond,
 	})
 	if err != nil {
-		p.mu.Unlock()
 		p.t.Error(err)
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p.cancels[id] = cancel
-	p.mu.Unlock()
-	p.wg.Add(1)
+	p.wg.Add(1) // under mu, so close's Wait cannot start before it
 	go func() {
 		defer p.wg.Done()
 		w.Run(ctx)

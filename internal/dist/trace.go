@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,6 +28,8 @@ import (
 //	                after Retry-After-Ms milliseconds
 //	PUT /v1/trace?addr=<hex>&worker=<id>  body=blob
 //	  200         — accepted (and the claim, if any, released)
+//	  400         — not a valid record
+//	  413         — longer than any record (tracestore.MaxBlobBytes)
 //
 // Correctness never depends on the tier: every reply, including an
 // unreachable coordinator, leaves the worker free to capture locally.
@@ -142,7 +145,11 @@ func (c *Coordinator) flightOwnerLiveLocked(f *flight, now time.Time) bool {
 }
 
 func (c *Coordinator) tracePut(w http.ResponseWriter, r *http.Request, addr string) {
-	blob, err := io.ReadAll(io.LimitReader(r.Body, 1<<30+1))
+	blob, err := readTraceBlob(r.Body, r.ContentLength)
+	if errors.Is(err, errTraceTooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -157,6 +164,28 @@ func (c *Coordinator) tracePut(w http.ResponseWriter, r *http.Request, addr stri
 	delete(c.flights, addr)
 	c.mu.Unlock()
 	w.WriteHeader(http.StatusOK)
+}
+
+// errTraceTooLarge refuses a /v1/trace body longer than any encoded
+// record can be.
+var errTraceTooLarge = fmt.Errorf("dist: trace blob exceeds %d bytes", tracestore.MaxBlobBytes)
+
+// readTraceBlob reads a /v1/trace body of at most
+// tracestore.MaxBlobBytes. size is the declared Content-Length (-1 if
+// unknown): a body declared longer is refused unread, and one found
+// longer is refused after reading one byte past the bound.
+func readTraceBlob(body io.Reader, size int64) ([]byte, error) {
+	if size > tracestore.MaxBlobBytes {
+		return nil, errTraceTooLarge
+	}
+	blob, err := io.ReadAll(io.LimitReader(body, tracestore.MaxBlobBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(blob) > tracestore.MaxBlobBytes {
+		return nil, errTraceTooLarge
+	}
+	return blob, nil
 }
 
 // TraceTierConfig configures a worker-side trace tier client.
@@ -292,7 +321,7 @@ func (tc *TraceTierClient) fetchOnce(addr string) (*tracestore.Record, int, tier
 	}()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		blob, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30+1))
+		blob, err := readTraceBlob(resp.Body, resp.ContentLength)
 		if err != nil {
 			return nil, 0, tierError
 		}
@@ -373,7 +402,7 @@ func (tc *TraceTierClient) Publish(key []byte, rec *tracestore.Record) int {
 			return len(blob)
 		}
 		tc.logf("dist: trace publish %.12s: HTTP %d", addr, resp.StatusCode)
-		if resp.StatusCode == http.StatusBadRequest {
+		if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusRequestEntityTooLarge {
 			return 0 // permanent: re-sending the same bytes cannot help
 		}
 	}

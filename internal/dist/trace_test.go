@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -129,6 +130,23 @@ func TestTraceEndpointProtocol(t *testing.T) {
 	if resp := traceHTTP(t, http.MethodPut, srv.URL, addr, "a", blob[:len(blob)/2]); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("truncated PUT: HTTP %d, want 400", resp.StatusCode)
 	}
+	// A body longer than any record is refused before it is read: with
+	// Expect: 100-continue the client never sends it.
+	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/trace?addr="+addr+"&worker=a",
+		io.LimitReader(zeroReader{}, tracestore.MaxBlobBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = tracestore.MaxBlobBytes + 1
+	req.Header.Set("Expect", "100-continue")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize PUT: HTTP %d, want 413", resp.StatusCode)
+	}
 	if resp := traceHTTP(t, http.MethodPost, srv.URL, addr, "a", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST: HTTP %d, want 405", resp.StatusCode)
 	}
@@ -140,6 +158,14 @@ func TestTraceEndpointProtocol(t *testing.T) {
 	if st.WireBytes != uint64(2*len(blob)) {
 		t.Errorf("WireBytes = %d, want %d (one PUT + one GET)", st.WireBytes, 2*len(blob))
 	}
+}
+
+// zeroReader reads an endless run of zero bytes.
+type zeroReader struct{}
+
+func (zeroReader) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 // TestTraceClaimStolenFromDeadOwner advances the coordinator clock past

@@ -10,6 +10,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cpu"
 	"repro/internal/isa"
+	"repro/internal/tracestore"
 )
 
 // This file is phase 1 of the two-phase measurement pipeline: run the
@@ -34,9 +35,9 @@ import (
 // head + 3 periods.
 
 const (
-	// traceMaxCycles bounds replay-eligible runs: 16 bytes/cycle keeps
-	// the largest single trace at 64 MiB.
-	traceMaxCycles = 4 << 20
+	// traceMaxCycles bounds replay-eligible runs: the longest trace the
+	// persistent store will hold (16 bytes/cycle keeps it at 64 MiB).
+	traceMaxCycles = tracestore.MaxCycles
 	// defaultTraceCacheBytes bounds the per-platform trace cache.
 	defaultTraceCacheBytes = 128 << 20
 	// detectInitLimit is Brent's initial search window (doubled until

@@ -19,6 +19,11 @@ package tracestore
 // store directory written by an older binary keeps serving hits; only
 // fresh Puts are written as v2. Corrupt or truncated blobs of either
 // version fail the checksum or a structural check and read as misses.
+//
+// The codec runs at memory speed: bits move a 64-bit word at a time,
+// and the DEFLATE state (about 1 MB per writer) and the payload
+// buffers come from pools instead of being rebuilt per record. Neither
+// changes a byte of the format.
 
 import (
 	"bytes"
@@ -27,38 +32,123 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // magic2 identifies the v2 compressed record format.
 const magic2 = "AUDTRC2\n"
 
-// maxPayloadBytes bounds the inflated payload a decoder will buffer —
-// comfortably above the largest legal trace (16 B/cycle × 4 Mi cycles)
-// while stopping a corrupt length field from ballooning memory.
-const maxPayloadBytes = 1 << 30
+// MaxCycles is the longest trace a record may hold; Decode refuses a
+// longer one and Put will not write it. It is the testbed's replay
+// limit (16 bytes per cycle keeps the largest trace at 64 MiB), and
+// the bounds below, which stop an outside blob from ballooning memory,
+// derive from it.
+const MaxCycles = 4 << 20
+
+// headerFields is the number of varints in a v2 payload header:
+// flags, head and period lengths, capture time, three stats blocks,
+// three retired counters, and the two array lengths.
+const headerFields = 4 + 3*statsWords + 3 + 2
+
+// maxPayloadBytes is payloadBound(MaxCycles), 78.5 MiB: the most
+// inflated payload any decoder will buffer.
+const maxPayloadBytes = headerFields*binary.MaxVarintLen64 + (64+77*(MaxCycles-1)+7)/8 + binary.MaxVarintLen64*MaxCycles
+
+// MaxBlobBytes bounds an encoded record of at most MaxCycles cycles,
+// in either version: a v2 frame around a payload DEFLATE could not
+// shrink (its stored blocks add 5 bytes per 64 KiB; the margin here is
+// generous) is the worst case, and a v1 record of MaxCycles cycles is
+// smaller. Nothing longer can be a record, so readers of store files
+// and trace-tier bodies stop there.
+const MaxBlobBytes = 8 /* magic */ + maxPayloadBytes + maxPayloadBytes/1024 + 64 + 8 /* checksum */
+
+// payloadBound is the longest v2 payload a record of n cycles can
+// have: the header, 64 bits for the first energy value and at most 77
+// for each later one (control and window bits, the 5+6-bit window
+// header, up to 64 meaningful bits), and one varint of at most 10
+// bytes per issue word.
+func payloadBound(n uint64) uint64 {
+	b := uint64(headerFields*binary.MaxVarintLen64) + binary.MaxVarintLen64*n
+	if n > 0 {
+		b += (64 + 77*(n-1) + 7) / 8
+	}
+	return b
+}
+
+// poolMaxBytes caps what a pooled buffer may hold on to. Search traces
+// are a few hundred KB at most; a rare long trace allocates its own
+// buffers and leaves them to the collector rather than pinning them.
+const poolMaxBytes = 4 << 20
+
+// encoder is one pooled set of Encode state.
+type encoder struct {
+	zw      *flate.Writer
+	payload []byte
+	out     bytes.Buffer
+}
+
+var encoders = sync.Pool{New: func() any {
+	zw, _ := flate.NewWriter(nil, flate.DefaultCompression) // the level is valid
+	return &encoder{zw: zw}
+}}
 
 // Encode serialises rec in the canonical (v2) format. The returned
 // blob is what Put writes to disk and what the distributed trace tier
 // ships over the wire.
 func Encode(rec *Record) []byte {
-	payload := encodePayload(rec)
-	var buf bytes.Buffer
-	buf.Grow(len(magic2) + len(payload)/2 + 16)
-	buf.WriteString(magic2)
-	zw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
-	zw.Write(payload)
-	zw.Close()
-	return appendU64(buf.Bytes(), fnv1a(buf.Bytes()))
+	e := encoders.Get().(*encoder)
+	e.payload = encodePayload(e.payload[:0], rec)
+	e.out.Reset()
+	e.out.WriteString(magic2)
+	// Reset makes the pooled writer equivalent to a fresh NewWriter at
+	// the same level, so the bytes are those a new writer would emit.
+	e.zw.Reset(&e.out)
+	e.zw.Write(e.payload) // writes to a bytes.Buffer cannot fail
+	e.zw.Close()
+	blob := make([]byte, e.out.Len(), e.out.Len()+8)
+	copy(blob, e.out.Bytes())
+	if cap(e.payload) > poolMaxBytes {
+		e.payload = nil
+	}
+	if e.out.Cap() > poolMaxBytes {
+		e.out = bytes.Buffer{}
+	}
+	encoders.Put(e)
+	return appendU64(blob, fnv1a(blob))
 }
 
 // Decode is the version-dispatching inverse of the store's encoders:
 // it reads v2 (Encode) and v1 blobs alike. ok is false on any
 // structural or checksum mismatch, for any version.
 func Decode(blob []byte) (*Record, bool) {
-	if len(blob) >= len(magic2) && string(blob[:len(magic2)]) == magic2 {
-		return decodeV2(blob)
+	if !isV2(blob) {
+		return decodeV1(blob)
 	}
-	return decodeV1(blob)
+	d := decoders.Get().(*decoder)
+	defer d.release()
+	rec := &Record{}
+	if !d.decode(blob, rec, false) {
+		return nil, false
+	}
+	return rec, true
+}
+
+// valid reports whether blob decodes, for callers that keep the bytes
+// and not the record (PutRaw, GetRaw): a v2 blob decodes into pooled
+// scratch arrays instead of a fresh record.
+func valid(blob []byte) bool {
+	if !isV2(blob) {
+		_, ok := decodeV1(blob)
+		return ok
+	}
+	d := decoders.Get().(*decoder)
+	defer d.release()
+	var rec Record
+	return d.decode(blob, &rec, true)
+}
+
+func isV2(blob []byte) bool {
+	return len(blob) >= len(magic2) && string(blob[:len(magic2)]) == magic2
 }
 
 // EncodedSizeV1 reports how many bytes rec would occupy in the v1
@@ -69,26 +159,113 @@ func EncodedSizeV1(rec *Record) int {
 	return len(magic) + 8*(3+fixedCounters) + 8 + 16*len(rec.Energy) + 8
 }
 
-func decodeV2(blob []byte) (*Record, bool) {
+// decoder is one pooled set of v2 decode state: the DEFLATE reader and
+// its source, the inflated payload, and the arrays a validate-only
+// decode fills.
+type decoder struct {
+	src     bytes.Reader
+	zr      io.ReadCloser // implements flate.Resetter
+	payload []byte
+	energy  []float64
+	issues  []uint64
+}
+
+var decoders = sync.Pool{New: func() any {
+	d := &decoder{}
+	d.zr = flate.NewReader(&d.src)
+	return d
+}}
+
+// release returns d to the pool without the caller's blob and without
+// any buffer above poolMaxBytes.
+func (d *decoder) release() {
+	d.src.Reset(nil)
+	if cap(d.payload) > poolMaxBytes {
+		d.payload = nil
+	}
+	if cap(d.energy) > poolMaxBytes/8 {
+		d.energy, d.issues = nil, nil
+	}
+	decoders.Put(d)
+}
+
+// decode parses a v2 blob into rec. With scratch set, Energy and
+// Issues alias d's reusable arrays and are only good until release.
+func (d *decoder) decode(blob []byte, rec *Record, scratch bool) bool {
 	if len(blob) < len(magic2)+8 {
-		return nil, false
+		return false
 	}
 	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])
 	if fnv1a(body) != sum {
-		return nil, false
+		return false
 	}
-	zr := flate.NewReader(bytes.NewReader(body[len(magic2):]))
-	payload, err := io.ReadAll(io.LimitReader(zr, maxPayloadBytes+1))
-	zr.Close()
-	if err != nil || len(payload) > maxPayloadBytes {
-		return nil, false
+	payload, ok := d.inflate(body[len(magic2):])
+	if !ok {
+		return false
 	}
-	return decodePayload(payload)
+	return d.decodePayload(payload, rec, scratch)
 }
 
-// encodePayload builds the uncompressed v2 payload.
-func encodePayload(rec *Record) []byte {
-	b := make([]byte, 0, 64+len(rec.Energy)*3)
+// inflate decompresses a DEFLATE stream into d.payload. Once the
+// payload header is in, reading stops as soon as the payload outgrows
+// payloadBound of its declared cycle count, so a DEFLATE bomb costs a
+// short read, not its inflated size; the buffer, doubling as it fills,
+// never grows past that bound (or maxPayloadBytes before the header)
+// by more than a byte.
+func (d *decoder) inflate(z []byte) ([]byte, bool) {
+	d.src.Reset(z)
+	if d.zr.(flate.Resetter).Reset(&d.src, nil) != nil {
+		return nil, false
+	}
+	buf, limit, sized := d.payload[:0], uint64(maxPayloadBytes), false
+	for {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(max(2*cap(buf), 4096), int(limit)+1))
+			copy(grown, buf)
+			buf, d.payload = grown, grown
+		}
+		k, err := d.zr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if !sized {
+			n, state := headerCycles(buf)
+			if state < 0 || n > MaxCycles {
+				return nil, false
+			}
+			if state > 0 {
+				limit, sized = payloadBound(n), true
+			}
+		}
+		if uint64(len(buf)) > limit {
+			return nil, false
+		}
+		if err == io.EOF {
+			return buf, true
+		}
+		if err != nil {
+			return nil, false
+		}
+	}
+}
+
+// headerCycles reads the declared cycle count from the start of a
+// payload. state is 1 once the header is complete, 0 while p may
+// still be a prefix of one, and -1 if no header starts this way.
+func headerCycles(p []byte) (n uint64, state int) {
+	for i := 0; i < headerFields-1; i++ {
+		v, k := binary.Uvarint(p)
+		switch {
+		case k < 0:
+			return 0, -1
+		case k == 0:
+			return 0, 0
+		}
+		n, p = v, p[k:]
+	}
+	return n, 1
+}
+
+// encodePayload appends the uncompressed v2 payload to b.
+func encodePayload(b []byte, rec *Record) []byte {
 	var flags uint64
 	if rec.Done {
 		flags |= 1 << 0
@@ -122,8 +299,7 @@ func encodePayload(rec *Record) []byte {
 	return b
 }
 
-func decodePayload(p []byte) (*Record, bool) {
-	rec := &Record{}
+func (d *decoder) decodePayload(p []byte, rec *Record, scratch bool) bool {
 	ok := true
 	next := func() uint64 {
 		v, n := binary.Uvarint(p)
@@ -153,29 +329,64 @@ func decodePayload(p []byte) (*Record, bool) {
 	// Replay indexes both arrays by cycle, so their lengths must agree;
 	// and every cycle costs at least one byte of issue varints, which
 	// bounds what a short blob can make the decoder allocate.
-	if !ok || nIssues != n || n > uint64(len(p)) || n > maxPayloadBytes/8 {
-		return nil, false
+	if !ok || nIssues != n || n > uint64(len(p)) || n > MaxCycles {
+		return false
 	}
-	var energy []float64
-	if energy, p, ok = decodeEnergyXOR(p, int(n)); !ok {
-		return nil, false
+	if scratch {
+		if uint64(cap(d.energy)) < n {
+			d.energy, d.issues = make([]float64, n), make([]uint64, n)
+		}
+		rec.Energy, rec.Issues = d.energy[:n], d.issues[:n]
+	} else {
+		rec.Energy, rec.Issues = make([]float64, n), make([]uint64, n)
 	}
-	rec.Energy = energy
-	rec.Issues = make([]uint64, n)
-	prev := uint64(0)
-	for i := range rec.Issues {
-		x := next()
-		rec.Issues[i] = x ^ prev
-		prev = rec.Issues[i]
+	if p, ok = decodeEnergyXOR(p, rec.Energy); !ok {
+		return false
 	}
-	if !ok || len(p) != 0 {
-		return nil, false // short or trailing garbage
+	if p, ok = decodeIssues(p, rec.Issues); !ok {
+		return false
+	}
+	if len(p) != 0 {
+		return false // short or trailing garbage
 	}
 	if rec.Periodic && (rec.HeadLen < 0 || rec.PeriodLen <= 0 ||
 		rec.HeadLen+rec.PeriodLen != len(rec.Energy)) {
-		return nil, false // inconsistent periodic decomposition
+		return false // inconsistent periodic decomposition
 	}
-	return rec, true
+	return true
+}
+
+// decodeIssues is the inverse of the issue-word loop in
+// encodePayload: it fills issues from their varint XOR deltas and
+// returns the rest of p. With 8 bytes readable, a varint of up to 8
+// bytes decodes without branching on its length: the first byte with
+// its top bit clear ends it, and the 7-bit groups below it are
+// squeezed together in three steps. binary.Uvarint takes the rest.
+func decodeIssues(p []byte, issues []uint64) ([]byte, bool) {
+	prev := uint64(0)
+	for i := range issues {
+		if len(p) >= 8 {
+			w := binary.LittleEndian.Uint64(p)
+			if stops := ^w & 0x8080808080808080; stops != 0 {
+				w &= (stops ^ (stops - 1)) & 0x7f7f7f7f7f7f7f7f // up to the first stop
+				w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+				w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+				w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+				prev ^= w
+				issues[i] = prev
+				p = p[(bits.TrailingZeros64(stops)+1)/8:]
+				continue
+			}
+		}
+		v, k := binary.Uvarint(p)
+		if k <= 0 {
+			return nil, false
+		}
+		prev ^= v
+		issues[i] = prev
+		p = p[k:]
+	}
+	return p, true
 }
 
 // appendEnergyXOR writes the float64 stream Gorilla-style: the first
@@ -199,22 +410,19 @@ func appendEnergyXOR(b []byte, vals []float64) []byte {
 			w.writeBits(0, 1)
 			continue
 		}
-		w.writeBits(1, 1)
 		lz := bits.LeadingZeros64(x)
 		if lz > 31 {
 			lz = 31 // 5-bit header field
 		}
 		tz := bits.TrailingZeros64(x)
 		if prevLZ >= 0 && lz >= prevLZ && tz >= prevTZ {
-			// The XOR fits the previous window: reuse it.
-			w.writeBits(0, 1)
+			// The XOR fits the previous window: reuse it ('1', '0').
+			w.writeBits(0b10, 2)
 			w.writeBits(x>>uint(prevTZ), uint(64-prevLZ-prevTZ))
 			continue
 		}
 		mlen := 64 - lz - tz
-		w.writeBits(1, 1)
-		w.writeBits(uint64(lz), 5)
-		w.writeBits(uint64(mlen-1), 6)
+		w.writeBits(0b11<<11|uint64(lz)<<6|uint64(mlen-1), 2+5+6)
 		w.writeBits(x>>uint(tz), uint(mlen))
 		prevLZ, prevTZ = lz, tz
 	}
@@ -222,111 +430,109 @@ func appendEnergyXOR(b []byte, vals []float64) []byte {
 	return w.buf
 }
 
-// decodeEnergyXOR is appendEnergyXOR's inverse; it returns the decoded
-// values and the remaining byte-aligned tail of p.
-func decodeEnergyXOR(p []byte, n int) ([]float64, []byte, bool) {
-	vals := make([]float64, n)
-	if n == 0 {
-		return vals, p, true
+// decodeEnergyXOR is appendEnergyXOR's inverse: it fills vals and
+// returns the remaining byte-aligned tail of p.
+//
+// Fields are read as 64-bit big-endian words at any bit offset, and a
+// value spans at most 77 bits, so while 11 bytes lie ahead no read can
+// leave p. The last few values are decoded from a zero-padded copy of
+// p's tail; if that run ends past the tail's last bit, some value read
+// padding, and the stream was truncated.
+func decodeEnergyXOR(p []byte, vals []float64) ([]byte, bool) {
+	if len(vals) == 0 {
+		return p, true
 	}
-	r := bitReader{buf: p}
-	prev, ok := r.readBits(64)
+	if len(p) < 8 {
+		return nil, false
+	}
+	st := xorState{prev: binary.BigEndian.Uint64(p)}
+	vals[0] = math.Float64frombits(st.prev)
+	i, at, ok := st.run(p, vals, 1, 64)
+	if ok && i < len(vals) {
+		var pad [24]byte
+		base := at / 8
+		n := copy(pad[:], p[base:])
+		i, at, ok = st.run(pad[:], vals, i, at%8)
+		ok = ok && i == len(vals) && at <= 8*uint(n)
+		at += 8 * base
+	}
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
-	vals[0] = math.Float64frombits(prev)
-	prevLZ, prevTZ := -1, -1
-	for i := 1; i < n; i++ {
-		ctrl, ok := r.readBits(1)
-		if !ok {
-			return nil, nil, false
-		}
-		if ctrl == 0 {
-			vals[i] = math.Float64frombits(prev)
-			continue
-		}
-		fresh, ok := r.readBits(1)
-		if !ok {
-			return nil, nil, false
-		}
-		lz, tz := prevLZ, prevTZ
-		if fresh == 1 {
-			h1, ok1 := r.readBits(5)
-			h2, ok2 := r.readBits(6)
-			if !ok1 || !ok2 {
-				return nil, nil, false
+	return p[(at+7)/8:], true
+}
+
+// xorState carries the decoder from one value to the next: the last
+// value's bits and the current window (width 0 until the first).
+type xorState struct {
+	prev      uint64
+	tz, width uint
+}
+
+// run decodes vals[i:] from buf, starting at bit at, until fewer than
+// 11 bytes of buf lie ahead; ok is false if a value is malformed.
+func (st *xorState) run(buf []byte, vals []float64, i int, at uint) (int, uint, bool) {
+	prev, tz, width := st.prev, st.tz, st.width
+	for ; i < len(vals) && at/8+11 <= uint(len(buf)); i++ {
+		if w := peek64(buf, at); w>>62 == 0b11 { // '11': a fresh window
+			lz := uint(w >> 57 & 31)
+			width = uint(w>>51&63) + 1
+			if lz+width > 64 {
+				return i, at, false
 			}
-			lz = int(h1)
-			tz = 64 - lz - (int(h2) + 1)
+			tz = 64 - lz - width
+			prev ^= peek64(buf, at+2+5+6) >> (64 - width) << tz
+			at += 2 + 5 + 6 + width
+		} else {
+			// '0' repeats the value, '10' reuses the window. Half the
+			// values take each, unpredictably, so both are computed and
+			// the control bit picks without a branch.
+			c := w >> 63
+			if width == 0 && c == 1 {
+				return i, at, false // no window yet
+			}
+			prev ^= peek64(buf, at+2) >> (64 - width) << tz & -c
+			at += 1 + (1+width)&-uint(c)
 		}
-		if lz < 0 || tz < 0 || 64-lz-tz <= 0 {
-			return nil, nil, false
-		}
-		m, ok := r.readBits(uint(64 - lz - tz))
-		if !ok {
-			return nil, nil, false
-		}
-		prev ^= m << uint(tz)
 		vals[i] = math.Float64frombits(prev)
-		prevLZ, prevTZ = lz, tz
 	}
-	return vals, r.alignedTail(), true
+	st.prev, st.tz, st.width = prev, tz, width
+	return i, at, true
 }
 
-// bitWriter packs MSB-first bits onto a byte slice.
+// peek64 returns the 64 bits of b that start at bit `at`, MSB-first;
+// b must hold 9 bytes from byte at/8.
+func peek64(b []byte, at uint) uint64 {
+	q, s := b[at/8:at/8+9], at%8
+	return binary.BigEndian.Uint64(q)<<s | uint64(q[8])>>(8-s)
+}
+
+// bitWriter packs MSB-first bits onto a byte slice a word at a time:
+// acc holds the n < 64 pending bits in its low end (bits above them
+// are stale and shifted out before use), flushed as 8 big-endian bytes
+// whenever a write fills the word.
 type bitWriter struct {
-	buf   []byte
-	cur   uint8
-	nbits uint
+	buf []byte
+	acc uint64
+	n   uint
 }
 
-func (w *bitWriter) writeBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.cur = w.cur<<1 | uint8((v>>uint(i))&1)
-		w.nbits++
-		if w.nbits == 8 {
-			w.buf = append(w.buf, w.cur)
-			w.cur, w.nbits = 0, 0
-		}
+// writeBits appends the low k bits of v, 1 ≤ k ≤ 64; v must be zero
+// above them.
+func (w *bitWriter) writeBits(v uint64, k uint) {
+	if w.n+k < 64 {
+		w.acc = w.acc<<k | v
+		w.n += k
+		return
 	}
+	rest := w.n + k - 64 // bits of v left over once the word is full
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<(64-w.n)|v>>rest)
+	w.acc, w.n = v, rest
 }
 
-// align flushes the partial byte, zero-padded.
+// align flushes the pending bits, zero-padded to a whole byte.
 func (w *bitWriter) align() {
-	if w.nbits > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.nbits))
-		w.cur, w.nbits = 0, 0
-	}
-}
-
-// bitReader consumes MSB-first bits from a byte slice.
-type bitReader struct {
-	buf   []byte
-	pos   int
-	cur   uint8
-	nbits uint
-}
-
-func (r *bitReader) readBits(n uint) (uint64, bool) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		if r.nbits == 0 {
-			if r.pos >= len(r.buf) {
-				return 0, false
-			}
-			r.cur = r.buf[r.pos]
-			r.pos++
-			r.nbits = 8
-		}
-		v = v<<1 | uint64(r.cur>>7)
-		r.cur <<= 1
-		r.nbits--
-	}
-	return v, true
-}
-
-// alignedTail discards the rest of the current byte and returns the
-// remaining whole bytes.
-func (r *bitReader) alignedTail() []byte {
-	return r.buf[r.pos:]
+	n := len(w.buf) + int(w.n+7)/8
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<(64-w.n))[:n]
+	w.acc, w.n = 0, 0
 }

@@ -1,6 +1,11 @@
 package tracestore
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"testing"
+)
 
 // FuzzDecode feeds arbitrary bytes to the record decoder — the bytes a
 // store file or a /v1/trace upload can hold. Decode must never panic,
@@ -35,5 +40,34 @@ func FuzzDecode(f *testing.F) {
 		if !recordsEqual(again, rec) || again.CaptureNS != rec.CaptureNS {
 			t.Fatal("record changed across Encode/Decode")
 		}
+	})
+}
+
+// FuzzEnergyXOR holds the word-level energy codec to the bit-at-a-time
+// reference. The input is read two ways: as a float64 stream, which
+// must encode to identical bytes and decode back, also from a
+// truncated encoding; and as an arbitrary bit stream, from which both
+// decoders must return the same values, tail and verdict.
+func FuzzEnergyXOR(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint16(0))
+	f.Add(appendEnergyXOR(nil, []float64{1.5, 1.5, 2.25, -0.0, 3, 3}), uint16(9), uint16(6))
+	for _, rec := range shapeRecords() {
+		enc := appendEnergyXOR(nil, rec.Energy)
+		f.Add(enc, uint16(len(enc)/2), uint16(len(rec.Energy)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut, count uint16) {
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		enc := appendEnergyXOR(nil, vals)
+		if !bytes.Equal(enc, refAppendEnergyXOR(nil, vals)) {
+			t.Fatalf("encoding of %d values differs from the reference", len(vals))
+		}
+		checkDecodeEnergy(t, "round trip", enc, len(vals))
+		checkDecodeEnergy(t, "truncated", enc[:int(cut)%(len(enc)+1)], len(vals))
+		// Each value takes at least one bit, so counts past 8·len(data)+1
+		// fail alike and only cost allocation.
+		checkDecodeEnergy(t, "arbitrary", data, int(count)%(8*len(data)+2))
 	})
 }

@@ -151,7 +151,11 @@ func (s *Store) addrPath(addr string) string {
 // caller rebuilds and overwrites. A hit refreshes the file's mtime so
 // byte-budget eviction approximates LRU.
 func (s *Store) Get(key []byte) (*Record, bool) {
-	rec, _, ok := s.load(s.path(key))
+	var rec *Record
+	ok := s.load(s.path(key), func(blob []byte) (ok bool) {
+		rec, ok = Decode(blob)
+		return ok
+	})
 	return rec, ok
 }
 
@@ -163,33 +167,63 @@ func (s *Store) GetRaw(addr string) ([]byte, bool) {
 	if !ValidAddr(addr) {
 		return nil, false
 	}
-	_, blob, ok := s.load(s.addrPath(addr))
+	var blob []byte
+	ok := s.load(s.addrPath(addr), func(b []byte) bool {
+		blob = b
+		return valid(b)
+	})
 	return blob, ok
 }
 
-// load reads and validates one record file, refreshing its mtime on
-// success and unlinking it on corruption.
-func (s *Store) load(p string) (*Record, []byte, bool) {
-	blob, err := os.ReadFile(p)
+// load reads one record file and hands it to accept, refreshing the
+// file's mtime if accept takes it and unlinking it if accept refuses
+// it or it is longer than any record can be.
+func (s *Store) load(p string, accept func(blob []byte) bool) bool {
+	blob, err := readRecordFile(p)
 	if err != nil {
-		return nil, nil, false
+		return false
 	}
-	rec, ok := Decode(blob)
-	if !ok {
+	if blob == nil || !accept(blob) {
 		// A corrupt record will never read successfully again; drop it
 		// so it stops charging the byte budget.
 		os.Remove(p)
-		return nil, nil, false
+		return false
 	}
 	now := time.Now()
 	os.Chtimes(p, now, now) // best-effort; eviction order only
-	return rec, blob, true
+	return true
+}
+
+// readRecordFile reads a record file whole; a nil blob with a nil
+// error means the file is longer than MaxBlobBytes, which no record
+// is, and was not read.
+func readRecordFile(p string) ([]byte, error) {
+	f, err := os.Open(p)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if info.Size() > MaxBlobBytes {
+		return nil, nil
+	}
+	blob := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, blob); err != nil {
+		return nil, err
+	}
+	return blob, nil
 }
 
 // Put stores rec under key, atomically, then enforces the byte budget.
 // Failures leave the store no worse than before; callers treating the
 // store as a cache may ignore the error.
 func (s *Store) Put(key []byte, rec *Record) error {
+	if len(rec.Energy) > MaxCycles {
+		return fmt.Errorf("tracestore: record of %d cycles exceeds MaxCycles", len(rec.Energy))
+	}
 	return s.write(s.path(key), Encode(rec))
 }
 
@@ -200,7 +234,7 @@ func (s *Store) PutRaw(addr string, blob []byte) error {
 	if !ValidAddr(addr) {
 		return fmt.Errorf("tracestore: invalid record address %q", addr)
 	}
-	if _, ok := Decode(blob); !ok {
+	if !valid(blob) {
 		return fmt.Errorf("tracestore: refusing to store undecodable record")
 	}
 	return s.write(s.addrPath(addr), blob)
@@ -383,8 +417,8 @@ func decodeV1(blob []byte) (*Record, bool) {
 	rec.RefRetired = next()
 	rec.PerRetired = next()
 	n := next()
-	if n > uint64(len(r))/16 {
-		return nil, false // truncated arrays
+	if n > uint64(len(r))/16 || n > MaxCycles {
+		return nil, false // truncated arrays or an impossible length
 	}
 	if len(r) != int(16*n) {
 		return nil, false // trailing garbage

@@ -37,6 +37,7 @@ gated=(
   BenchmarkStepTrace
   BenchmarkStepTraceBatch
   BenchmarkStepTraceBatchROM
+  BenchmarkTraceDecodeV2
   BenchmarkTraceEncodeV2
   BenchmarkTraceStoreWarmVsCold
   BenchmarkTraceTierWarmVsCold

@@ -19,9 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -31,36 +32,66 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "ls":
-		err = cmdLs(os.Args[2:])
-	case "add":
-		err = cmdAdd(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "redux":
-		err = cmdRedux(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "corpus: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "corpus:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// run is the whole command: it dispatches on args[0] and returns the
+// exit code — 2 for a usage error, 1 for a failed command or a corpus
+// that does not pass.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
+	}
+	var cmd func(*flag.FlagSet, []string, io.Writer) error
+	switch args[0] {
+	case "ls":
+		cmd = cmdLs
+	case "add":
+		cmd = cmdAdd
+	case "run":
+		cmd = cmdRun
+	case "redux":
+		cmd = cmdRedux
+	case "-h", "-help", "--help", "help":
+		usage(stdout)
+		return 0
+	default:
+		fmt.Fprintf(stderr, "corpus: unknown command %q\n", args[0])
+		usage(stderr)
+		return 2
+	}
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	err := cmd(fs, args[1:], stdout)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2 // the flag package already said why
+	case err != nil:
+		fmt.Fprintln(stderr, "corpus:", err)
+		return 1
+	}
+	return 0
+}
+
+// errUsage marks a flag-parse failure the FlagSet has already reported.
+var errUsage = errors.New("usage")
+
+// parse parses a subcommand's flags, mapping a parse error to errUsage.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	return nil
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   corpus ls    -db <dir>                                 list entries
   corpus add   -db <dir> -platform <name> <sm.json>...   harvest saved stressmarks
   corpus run   -db <dir> [-skip-failure] [-v]            replay and verify
@@ -74,10 +105,11 @@ func openDB(dir string) (*corpus.DB, error) {
 	return corpus.Open(dir)
 }
 
-func cmdLs(args []string) error {
-	fs := flag.NewFlagSet("ls", flag.ExitOnError)
+func cmdLs(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	dir := fs.String("db", "", "corpus directory")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	db, err := openDB(*dir)
 	if err != nil {
 		return err
@@ -87,7 +119,7 @@ func cmdLs(args []string) error {
 		return err
 	}
 	if len(entries) == 0 {
-		fmt.Println("corpus is empty")
+		fmt.Fprintln(stdout, "corpus is empty")
 		return nil
 	}
 	tbl := &report.Table{
@@ -110,12 +142,11 @@ func cmdLs(args []string) error {
 		tbl.AddRow(e.ID, e.Name, e.Platform, fmt.Sprint(e.Threads), fmt.Sprint(e.LoopCycles),
 			report.F(e.Expected.DroopV*1e3, 2), tol, fail, e.PlatformDigest[:12])
 	}
-	fmt.Println(tbl)
+	fmt.Fprintln(stdout, tbl)
 	return nil
 }
 
-func cmdAdd(args []string) error {
-	fs := flag.NewFlagSet("add", flag.ExitOnError)
+func cmdAdd(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	dir := fs.String("db", "", "corpus directory")
 	platform := fs.String("platform", "bulldozer", "platform the stressmarks were trained on")
 	name := fs.String("name", "", "entry name override (single input only)")
@@ -123,7 +154,9 @@ func cmdAdd(args []string) error {
 	warmup := fs.Uint64("warmup", 0, "baseline warmup cycles (0 = default)")
 	tol := fs.Float64("tol", 0, "droop tolerance in volts (0 = bit-exact)")
 	failFloor := fs.Float64("fail-floor", 0, "also baseline the failure ladder down to this supply (0 = off)")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("add: no stressmark files given")
 	}
@@ -134,11 +167,7 @@ func cmdAdd(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, err := corpus.ResolvePlatform(*platform)
-	if err != nil {
-		return err
-	}
-	cp, err := p.Compile()
+	cp, err := compilePlatform(*platform, 0)
 	if err != nil {
 		return err
 	}
@@ -166,9 +195,20 @@ func cmdAdd(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("added %s: droop %s -> %s\n", e.Name, report.MilliVolts(e.Expected.DroopV), dst)
+		fmt.Fprintf(stdout, "added %s: droop %s -> %s\n", e.Name, report.MilliVolts(e.Expected.DroopV), dst)
 	}
 	return nil
+}
+
+// compilePlatform compiles the named platform at a ROM tolerance;
+// Compile refuses a negative or NaN one.
+func compilePlatform(name string, romTolV float64) (*testbed.CompiledPlatform, error) {
+	p, err := testbed.PlatformByName(name)
+	if err != nil {
+		return nil, err
+	}
+	p.ROMTolV = romTolV
+	return p.Compile()
 }
 
 // byPlatform groups entries so each platform is compiled (and its
@@ -181,19 +221,15 @@ func byPlatform(entries []*corpus.Entry) map[string][]*corpus.Entry {
 	return out
 }
 
-func cmdRun(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func cmdRun(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	dir := fs.String("db", "", "corpus directory")
 	lanes := fs.Int("lanes", 0, "replay lanes per batch (0 = default)")
 	workers := fs.Int("workers", 0, "batch workers (0 = default)")
 	skipFailure := fs.Bool("skip-failure", false, "skip voltage-at-failure ladders")
 	romTol := fs.Float64("rom-tol", 0, "replay with the reduced-order PDN kernel at this tolerance (volts); entries baselined on the exact platform then report platform-skew")
 	verbose := fs.Bool("v", false, "print per-entry results even when all pass")
-	fs.Parse(args)
-	// A negative (or NaN) tolerance would otherwise mint a meaningless
-	// "rom:-…" platform digest and misclassify every entry.
-	if *romTol < 0 || math.IsNaN(*romTol) {
-		return fmt.Errorf("-rom-tol must be a non-negative voltage, got %v", *romTol)
+	if err := parse(fs, args); err != nil {
+		return err
 	}
 	db, err := openDB(*dir)
 	if err != nil {
@@ -210,12 +246,7 @@ func cmdRun(args []string) error {
 
 	bad := 0
 	for platform, group := range byPlatform(entries) {
-		p, err := corpus.ResolvePlatform(platform)
-		if err != nil {
-			return err
-		}
-		p.ROMTolV = *romTol
-		cp, err := p.Compile()
+		cp, err := compilePlatform(platform, *romTol)
 		if err != nil {
 			return err
 		}
@@ -224,7 +255,7 @@ func cmdRun(args []string) error {
 				bad++
 			}
 			if r.Verdict != corpus.Pass || *verbose {
-				printResult(r)
+				printResult(stdout, r)
 			}
 		}
 	}
@@ -232,11 +263,11 @@ func cmdRun(args []string) error {
 		return fmt.Errorf("%d/%d entries did not pass (platform-skew from an intentional change? re-baseline with `corpus redux`)",
 			bad, len(entries))
 	}
-	fmt.Printf("corpus: %d entries replayed, all pass\n", len(entries))
+	fmt.Fprintf(stdout, "corpus: %d entries replayed, all pass\n", len(entries))
 	return nil
 }
 
-func printResult(r corpus.Result) {
+func printResult(w io.Writer, r corpus.Result) {
 	line := fmt.Sprintf("%-14s %-24s %-9s", r.Verdict, r.Entry.Name, r.Entry.Platform)
 	if r.Measured != nil {
 		line += fmt.Sprintf(" droop %s (baseline %s)",
@@ -245,7 +276,7 @@ func printResult(r corpus.Result) {
 	if r.Detail != "" {
 		line += ": " + r.Detail
 	}
-	fmt.Println(line)
+	fmt.Fprintln(w, line)
 }
 
 // cmdRedux re-baselines every entry on its platform's current
@@ -253,11 +284,12 @@ func printResult(r corpus.Result) {
 // expectations and platform digest. Run it only after an intentional
 // platform or simulator change, and commit the diff for review — the
 // point of the corpus is that re-baselining is visible, not automatic.
-func cmdRedux(args []string) error {
-	fs := flag.NewFlagSet("redux", flag.ExitOnError)
+func cmdRedux(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	dir := fs.String("db", "", "corpus directory")
 	skipFailure := fs.Bool("skip-failure", false, "drop failure-ladder baselines instead of re-running them")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	db, err := openDB(*dir)
 	if err != nil {
 		return err
@@ -270,15 +302,11 @@ func cmdRedux(args []string) error {
 		return fmt.Errorf("corpus %s is empty", db.Dir())
 	}
 	for platform, group := range byPlatform(entries) {
-		p, err := corpus.ResolvePlatform(platform)
+		cp, err := compilePlatform(platform, 0)
 		if err != nil {
 			return err
 		}
-		cp, err := p.Compile()
-		if err != nil {
-			return err
-		}
-		digest := testbed.PlatformDigest(p)
+		digest := testbed.PlatformDigest(cp.Platform())
 		for _, e := range group {
 			old := e.Expected
 			if err := rebaseline(cp, e, *skipFailure); err != nil {
@@ -288,7 +316,7 @@ func cmdRedux(args []string) error {
 			if _, err := db.Add(e); err != nil {
 				return err
 			}
-			fmt.Printf("redux %-24s droop %s -> %s\n", e.Name,
+			fmt.Fprintf(stdout, "redux %-24s droop %s -> %s\n", e.Name,
 				report.MilliVolts(old.DroopV), report.MilliVolts(e.Expected.DroopV))
 		}
 	}

@@ -75,14 +75,9 @@ func resolve(name, file string) (*audit.Program, error) {
 }
 
 func run(platform string, threads int, cycles uint64, file string, failure bool, throttle int, stats bool, name string) error {
-	var plat audit.Platform
-	switch platform {
-	case "bulldozer":
-		plat = audit.BulldozerPlatform()
-	case "phenom":
-		plat = audit.PhenomPlatform()
-	default:
-		return fmt.Errorf("unknown platform %q", platform)
+	plat, err := testbed.PlatformByName(platform)
+	if err != nil {
+		return err
 	}
 	prog, err := resolve(name, file)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"repro/audit"
 	"repro/internal/pdn"
 	"repro/internal/report"
+	"repro/internal/testbed"
 )
 
 func main() {
@@ -31,14 +32,9 @@ func main() {
 }
 
 func run(platform string, doSweep bool) error {
-	var plat audit.Platform
-	switch platform {
-	case "bulldozer":
-		plat = audit.BulldozerPlatform()
-	case "phenom":
-		plat = audit.PhenomPlatform()
-	default:
-		return fmt.Errorf("unknown platform %q", platform)
+	plat, err := testbed.PlatformByName(platform)
+	if err != nil {
+		return err
 	}
 
 	peaks, err := pdn.FindResonances(plat.PDN, 3e3, 1e9, 1200)

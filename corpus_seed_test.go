@@ -50,7 +50,7 @@ func TestSeedCorpusReplay(t *testing.T) {
 		byPlatform[e.Platform] = append(byPlatform[e.Platform], e)
 	}
 	for platform, group := range byPlatform {
-		p, err := corpus.ResolvePlatform(platform)
+		p, err := testbed.PlatformByName(platform)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,8 +82,8 @@ type Entry struct {
 	Name string `json:"name"`
 
 	// Platform names the test system ("bulldozer", "phenom" — see
-	// ResolvePlatform); PlatformDigest pins the exact description the
-	// expectations were baselined on.
+	// testbed.PlatformByName); PlatformDigest pins the exact
+	// description the expectations were baselined on.
 	Platform       string `json:"platform"`
 	PlatformDigest string `json:"platform_digest"`
 
@@ -332,17 +332,6 @@ func (db *DB) Len() int {
 		}
 	}
 	return n
-}
-
-// ResolvePlatform maps an entry's platform name to its description.
-func ResolvePlatform(name string) (testbed.Platform, error) {
-	switch name {
-	case "bulldozer":
-		return testbed.Bulldozer(), nil
-	case "phenom":
-		return testbed.Phenom(), nil
-	}
-	return testbed.Platform{}, fmt.Errorf("corpus: unknown platform %q", name)
 }
 
 // fnv1a is the 64-bit FNV-1a hash, matching the repo's other content

@@ -292,17 +292,6 @@ func TestAddValidatesEntries(t *testing.T) {
 	}
 }
 
-func TestResolvePlatform(t *testing.T) {
-	for _, name := range []string{"bulldozer", "phenom"} {
-		if _, err := ResolvePlatform(name); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if _, err := ResolvePlatform("sandy-bridge"); err == nil {
-		t.Error("unknown platform resolved")
-	}
-}
-
 func TestSanitize(t *testing.T) {
 	cases := map[string]string{
 		"A-Res 4T":    "a-res-4t",

@@ -42,14 +42,14 @@ type HarvestConfig struct {
 // Harvest measures a trained stressmark on cp and returns a sealed-
 // ready entry carrying the genome, program image, measurement config,
 // platform digest and expected results. The caller deposits it with
-// DB.Add. platformName must be a ResolvePlatform name describing cp —
-// it is recorded so replays can rebuild the platform, and cross-checked
-// against cp's digest at replay time, not here.
+// DB.Add. platformName must be a testbed.PlatformByName name
+// describing cp — it is recorded so replays can rebuild the platform,
+// and cross-checked against cp's digest at replay time, not here.
 func Harvest(cp *testbed.CompiledPlatform, platformName string, sm *core.Stressmark, cfg HarvestConfig) (*Entry, error) {
 	if sm == nil || sm.Program == nil {
 		return nil, fmt.Errorf("corpus: harvest: stressmark has no program")
 	}
-	if _, err := ResolvePlatform(platformName); err != nil {
+	if _, err := testbed.PlatformByName(platformName); err != nil {
 		return nil, fmt.Errorf("corpus: harvest: %w", err)
 	}
 	blob, err := asm.Encode(sm.Program)

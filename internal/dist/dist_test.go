@@ -331,7 +331,11 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 // retransmission) merges once; the duplicate is acknowledged and
 // dropped.
 func TestResultAtMostOnce(t *testing.T) {
-	co, srv := fastCoordinator(t, compiled(t), nil)
+	// The manual worker below never heartbeats, and under -race its
+	// MeasureBatch can outlive a short lease; the unit would then be
+	// requeued, run again locally, and its first result counted as a
+	// second duplicate. A lease it cannot outlive keeps the count exact.
+	co, srv := fastCoordinator(t, compiled(t), func(c *Config) { c.LeaseTTL = time.Minute })
 	var reg registerReply
 	rpcJSON(t, srv.URL, "/v1/register", &registerRequest{WorkerID: "manual"}, &reg)
 
@@ -371,8 +375,12 @@ func TestResultAtMostOnce(t *testing.T) {
 	}
 	o := <-res
 	checkMatchesLocal(t, rcs, o.ms, o.errs)
-	if st := co.Stats(); st.DuplicateResults != 1 {
+	st := co.Stats()
+	if st.DuplicateResults != 1 {
 		t.Errorf("DuplicateResults = %d, want 1: %+v", st.DuplicateResults, st)
+	}
+	if st.LeaseExpiries != 0 {
+		t.Errorf("LeaseExpiries = %d, want 0: %+v", st.LeaseExpiries, st)
 	}
 }
 

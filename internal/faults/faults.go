@@ -120,12 +120,12 @@ func (c Config) Validate() error {
 		{"dropout rate", c.DropoutRate},
 		{"throttle rate", c.ThrottleRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("faults: %s %g outside [0,1]", r.name, r.v)
 		}
 	}
-	if c.ScopeNoiseV < 0 || c.DriftMaxV < 0 {
-		return fmt.Errorf("faults: negative noise amplitude")
+	if !(c.ScopeNoiseV >= 0 && c.DriftMaxV >= 0) {
+		return fmt.Errorf("faults: negative or NaN noise amplitude")
 	}
 	if c.ThrottleLimit < 0 {
 		return fmt.Errorf("faults: negative throttle limit")

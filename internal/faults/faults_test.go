@@ -262,6 +262,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{ScopeNoiseV: -0.001},
 		{DriftMaxV: -0.001},
 		{ThrottleLimit: -1},
+		{TransientRate: math.NaN()},
+		{DropoutRate: math.NaN()},
+		{ThrottleRate: math.NaN()},
+		{ScopeNoiseV: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -75,8 +75,14 @@ func (cp *CompiledPlatform) romOK(tr *chipTrace, div, add float64) bool {
 }
 
 // Compile validates the platform once and builds the shared immutable
-// state behind the fast path.
+// state behind the fast path. Every compiled path (search, worker,
+// coordinator, corpus replay, library) passes through here, so this is
+// the one place a ROM tolerance is checked: a negative or NaN value
+// would otherwise mint a meaningless "rom:-…" platform digest.
 func (p Platform) Compile() (*CompiledPlatform, error) {
+	if !(p.ROMTolV >= 0) {
+		return nil, fmt.Errorf("testbed: ROM tolerance must be a non-negative voltage, got %v", p.ROMTolV)
+	}
 	net, err := pdn.Compile(p.PDN, p.Chip.CycleSeconds())
 	if err != nil {
 		return nil, err

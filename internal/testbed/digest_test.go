@@ -22,10 +22,11 @@ var goldenPlatformDigests = map[string]string{
 
 func TestPlatformDigestGolden(t *testing.T) {
 	regen := os.Getenv("AUDIT_GOLDEN_REGEN") != ""
-	for name, p := range map[string]Platform{
-		"bulldozer": Bulldozer(),
-		"phenom":    Phenom(),
-	} {
+	for name := range goldenPlatformDigests {
+		p, err := PlatformByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := PlatformDigest(p)
 		if regen {
 			fmt.Printf("\t%q: %q,\n", name, got)
@@ -34,6 +35,26 @@ func TestPlatformDigestGolden(t *testing.T) {
 		if want := goldenPlatformDigests[name]; got != want {
 			t.Errorf("%s: PlatformDigest = %s, want %s (platform description drifted — review and re-baseline corpora)",
 				name, got, want)
+		}
+	}
+}
+
+// TestPlatformByName pins the resolver every command and the corpus
+// share: each preset name maps to its constructor, anything else is an
+// error.
+func TestPlatformByName(t *testing.T) {
+	for name, want := range map[string]Platform{"bulldozer": Bulldozer(), "phenom": Phenom()} {
+		got, err := PlatformByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if PlatformDigest(got) != PlatformDigest(want) {
+			t.Errorf("%s resolved to a different platform", name)
+		}
+	}
+	for _, name := range []string{"", "Bulldozer", "sandy-bridge"} {
+		if _, err := PlatformByName(name); err == nil {
+			t.Errorf("unknown platform %q resolved", name)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package testbed
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -313,5 +315,21 @@ func TestPlatformDigestROMSensitivity(t *testing.T) {
 	zero.ROMTolV = 0
 	if PlatformDigest(zero) != d0 {
 		t.Error("explicit ROMTolV = 0 changed the digest (must stay the exact-platform digest)")
+	}
+}
+
+// TestCompileRejectsBadROMTol: a negative or NaN tolerance is refused
+// where every compiled path starts, before it can name a platform
+// digest.
+func TestCompileRejectsBadROMTol(t *testing.T) {
+	for _, tol := range []float64{-1, -1e-9, math.NaN()} {
+		p := Bulldozer()
+		p.ROMTolV = tol
+		if _, err := p.Compile(); err == nil || !strings.Contains(err.Error(), "ROM tolerance must be a non-negative voltage") {
+			t.Errorf("ROMTolV %v: Compile error = %v", tol, err)
+		}
+	}
+	if _, err := romPlatform().Compile(); err != nil {
+		t.Fatal(err)
 	}
 }

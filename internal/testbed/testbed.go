@@ -63,6 +63,19 @@ func Phenom() Platform {
 	}
 }
 
+// PlatformByName returns the preset test system a command line, a
+// corpus entry or a saved configuration names: "bulldozer" or
+// "phenom".
+func PlatformByName(name string) (Platform, error) {
+	switch name {
+	case "bulldozer":
+		return Bulldozer(), nil
+	case "phenom":
+		return Phenom(), nil
+	}
+	return Platform{}, fmt.Errorf("unknown platform %q (want bulldozer or phenom)", name)
+}
+
 // ThreadSpec places one software thread on a hardware core.
 type ThreadSpec struct {
 	Program *asm.Program

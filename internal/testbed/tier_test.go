@@ -1,9 +1,11 @@
 package testbed
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -174,10 +176,13 @@ func TestBatchUsesTier(t *testing.T) {
 	}
 }
 
-// TestCrossVersionWarmStart downgrades a warm store directory to the
-// legacy v1 record format in place — the directory an older binary
-// would have left behind — and checks the warm start still serves it,
-// DeepEqual to the v2-warm run.
+// TestCrossVersionWarmStart replaces a warm store's records with the
+// flat v1 files an older binary would have left behind (fabricated as
+// the v1 magic plus arbitrary bytes: no v1 writer survives). The store
+// no longer reads v1, so each is a miss — in Decode, in Get, and for
+// PutRaw — and the directory is a cold start: the trace is recaptured,
+// stored as v2, and the measurement is DeepEqual to the original. The
+// run after that is warm again.
 func TestCrossVersionWarmStart(t *testing.T) {
 	p := Bulldozer()
 	dir := t.TempDir()
@@ -189,47 +194,51 @@ func TestCrossVersionWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite every record as v1, as if an old binary had written it.
-	ents, err := os.ReadDir(dir)
+	st, err := tracestore.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	downgraded := 0
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".trace" {
-			continue
+	records, err := filepath.Glob(filepath.Join(dir, "*.trace"))
+	if err != nil || len(records) == 0 {
+		t.Fatalf("cold run stored no records (%v)", err)
+	}
+	v1 := append([]byte("AUDTRC1\n"), bytes.Repeat([]byte{0x5a}, 4096)...)
+	for _, path := range records {
+		if _, ok := tracestore.Decode(v1); ok {
+			t.Fatal("Decode accepted a v1 record")
 		}
-		path := filepath.Join(dir, e.Name())
+		if err := st.PutRaw(strings.TrimSuffix(filepath.Base(path), ".trace"), v1); err == nil {
+			t.Fatal("PutRaw stored a v1 record")
+		}
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	run := func(label string, hits, captures uint64) {
+		t.Helper()
+		cp := compiledWithStore(t, p, dir)
+		got, err := cp.Run(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts := cp.TraceStats(); ts.StoreHits != hits || ts.Captures != captures {
+			t.Fatalf("%s run store hits/captures = %d/%d, want %d/%d",
+				label, ts.StoreHits, ts.Captures, hits, captures)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s measurement differs from the original cold run", label)
+		}
+	}
+	run("v1-store", 0, 1)
+	for _, path := range records {
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, ok := tracestore.Decode(blob)
-		if !ok {
-			t.Fatalf("stored record %s does not decode", e.Name())
+		if !bytes.HasPrefix(blob, []byte("AUDTRC2\n")) {
+			t.Errorf("%s was not rewritten as v2", filepath.Base(path))
 		}
-		if err := os.WriteFile(path, tracestore.EncodeV1(rec), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		downgraded++
 	}
-	if downgraded == 0 {
-		t.Fatal("no records to downgrade")
-	}
-
-	warm := compiledWithStore(t, p, dir)
-	got, err := warm.Run(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := warm.TraceStats()
-	if ts.StoreHits != 1 || ts.Captures != 0 {
-		t.Fatalf("v1-warm run store hits/captures = %d/%d, want 1/0", ts.StoreHits, ts.Captures)
-	}
-	if ts.CaptureNSSaved != 0 {
-		t.Error("v1 record claimed capture-ns-saved it cannot carry")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("v1-warm measurement differs from v2-cold measurement")
-	}
+	run("rewarmed", 1, 0)
 }

@@ -5,20 +5,21 @@ package tracestore
 // live on disk and travel over /v1/trace, so compressing them shrinks
 // both the store's footprint and the coordinator↔worker wire traffic.
 //
-// Layout: magic, then a DEFLATE stream over a compact payload, then the
-// same trailing FNV-1a checksum discipline as v1 (over everything
-// before it). The payload packs the per-cycle Energy float64 stream
-// with Gorilla-style XOR compression (periodic stressmark traces
-// repeat values cycle to cycle, so most XORs are zero or narrow) and
-// the packed Issues words as varint XOR deltas; headers and counters
-// are varints. The outer flate layer then squeezes the cross-cycle
-// structure the per-value stages cannot see (a loop body's XOR pattern
-// recurring every period).
+// Layout: magic, then a DEFLATE stream over a compact payload, then a
+// trailing FNV-1a checksum over everything before it. The payload
+// packs the per-cycle Energy float64 stream with Gorilla-style XOR
+// compression (periodic stressmark traces repeat values cycle to
+// cycle, so most XORs are zero or narrow) and the packed Issues words
+// as varint XOR deltas; headers and counters are varints. The outer
+// flate layer then squeezes the cross-cycle structure the per-value
+// stages cannot see (a loop body's XOR pattern recurring every
+// period).
 //
-// v1 records still decode — Decode dispatches on the magic — so a
-// store directory written by an older binary keeps serving hits; only
-// fresh Puts are written as v2. Corrupt or truncated blobs of either
-// version fail the checksum or a structural check and read as misses.
+// v2 is the only format read. A blob under any other magic — the flat
+// v1 records older binaries wrote, or a future version — is a miss, as
+// is a corrupt or truncated blob (it fails the checksum or a
+// structural check): the store is a cache, so a stale record costs one
+// recapture.
 //
 // The codec runs at memory speed: bits move a 64-bit word at a time,
 // and the DEFLATE state (about 1 MB per writer) and the payload
@@ -54,11 +55,10 @@ const headerFields = 4 + 3*statsWords + 3 + 2
 // inflated payload any decoder will buffer.
 const maxPayloadBytes = headerFields*binary.MaxVarintLen64 + (64+77*(MaxCycles-1)+7)/8 + binary.MaxVarintLen64*MaxCycles
 
-// MaxBlobBytes bounds an encoded record of at most MaxCycles cycles,
-// in either version: a v2 frame around a payload DEFLATE could not
-// shrink (its stored blocks add 5 bytes per 64 KiB; the margin here is
-// generous) is the worst case, and a v1 record of MaxCycles cycles is
-// smaller. Nothing longer can be a record, so readers of store files
+// MaxBlobBytes bounds an encoded record of at most MaxCycles cycles: a
+// v2 frame around a payload DEFLATE could not shrink (its stored
+// blocks add 5 bytes per 64 KiB; the margin here is generous) is the
+// worst case. Nothing longer can be a record, so readers of store files
 // and trace-tier bodies stop there.
 const MaxBlobBytes = 8 /* magic */ + maxPayloadBytes + maxPayloadBytes/1024 + 64 + 8 /* checksum */
 
@@ -117,13 +117,9 @@ func Encode(rec *Record) []byte {
 	return appendU64(blob, fnv1a(blob))
 }
 
-// Decode is the version-dispatching inverse of the store's encoders:
-// it reads v2 (Encode) and v1 blobs alike. ok is false on any
-// structural or checksum mismatch, for any version.
+// Decode is Encode's inverse. ok is false on any magic, structural or
+// checksum mismatch.
 func Decode(blob []byte) (*Record, bool) {
-	if !isV2(blob) {
-		return decodeV1(blob)
-	}
 	d := decoders.Get().(*decoder)
 	defer d.release()
 	rec := &Record{}
@@ -134,29 +130,13 @@ func Decode(blob []byte) (*Record, bool) {
 }
 
 // valid reports whether blob decodes, for callers that keep the bytes
-// and not the record (PutRaw, GetRaw): a v2 blob decodes into pooled
-// scratch arrays instead of a fresh record.
+// and not the record (PutRaw, GetRaw): it decodes into pooled scratch
+// arrays instead of a fresh record.
 func valid(blob []byte) bool {
-	if !isV2(blob) {
-		_, ok := decodeV1(blob)
-		return ok
-	}
 	d := decoders.Get().(*decoder)
 	defer d.release()
 	var rec Record
 	return d.decode(blob, &rec, true)
-}
-
-func isV2(blob []byte) bool {
-	return len(blob) >= len(magic2) && string(blob[:len(magic2)]) == magic2
-}
-
-// EncodedSizeV1 reports how many bytes rec would occupy in the v1
-// flat fixed-width encoding — the baseline the v2 compression ratio is
-// measured against (v1 spends 16 bytes per cycle plus a 264-byte
-// frame).
-func EncodedSizeV1(rec *Record) int {
-	return len(magic) + 8*(3+fixedCounters) + 8 + 16*len(rec.Energy) + 8
 }
 
 // decoder is one pooled set of v2 decode state: the DEFLATE reader and
@@ -192,7 +172,7 @@ func (d *decoder) release() {
 // decode parses a v2 blob into rec. With scratch set, Energy and
 // Issues alias d's reusable arrays and are only good until release.
 func (d *decoder) decode(blob []byte, rec *Record, scratch bool) bool {
-	if len(blob) < len(magic2)+8 {
+	if len(blob) < len(magic2)+8 || string(blob[:len(magic2)]) != magic2 {
 		return false
 	}
 	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])

@@ -298,40 +298,62 @@ func TestDecodeIssuesMatchesUvarint(t *testing.T) {
 	}
 }
 
-// TestV1StillDecodes proves coexistence: a directory written by an old
-// binary keeps serving hits after the upgrade, via both the codec-level
-// Decode dispatch and a Store handle.
-func TestV1StillDecodes(t *testing.T) {
-	want := sampleRecord(64, 5)
-	got, ok := Decode(EncodeV1(want))
-	if !ok {
-		t.Fatal("v1 blob failed to decode through the dispatching Decode")
-	}
-	recordsIdentical(t, "v1", got, want)
+// v1Magic heads the flat record format older binaries wrote. No
+// writer for it survives; tests fabricate such files as this magic
+// plus arbitrary bytes.
+const v1Magic = "AUDTRC1\n"
 
-	s, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := []byte("old key")
-	if err := os.WriteFile(s.path(key), EncodeV1(want), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok = s.Get(key)
-	if !ok {
-		t.Fatal("v1 file on disk read as a miss")
-	}
-	recordsIdentical(t, "v1-store", got, want)
-	// Overwriting rewrites as v2; the record is unchanged.
-	if err := s.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(s.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(blob, []byte(magic2)) {
-		t.Fatal("Put left a v1 record on disk")
+// legacyBlob fabricates a file an older binary could have left: the v1
+// magic, body, and a checksum that holds, so nothing but the magic
+// tells it from a v2 record.
+func legacyBlob(body []byte) []byte {
+	blob := append([]byte(v1Magic), body...)
+	return appendU64(blob, fnv1a(blob))
+}
+
+// TestV1RecordIsAMiss: the v1 format is no longer read, so a store an
+// older binary left is a cold start. Each v1 file is a miss in Decode,
+// a miss in Get (which unlinks it) and refused by PutRaw; the
+// recaptured record is then stored, and served, as v2.
+func TestV1RecordIsAMiss(t *testing.T) {
+	want := sampleRecord(64, 5)
+	v2 := Encode(want)
+	for name, blob := range map[string][]byte{
+		"arbitrary":        append([]byte(v1Magic), bytes.Repeat([]byte{0xa5}, 300)...),
+		"v2-body-v1-magic": legacyBlob(v2[len(magic2) : len(v2)-8]),
+	} {
+		if _, ok := Decode(blob); ok {
+			t.Errorf("%s: Decode accepted a v1 blob", name)
+		}
+		s, err := Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := []byte("old key")
+		p := s.path(key)
+		if err := os.WriteFile(p, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(key); ok {
+			t.Errorf("%s: v1 file on disk served as a hit", name)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s: Get left the v1 file on disk (stat: %v)", name, err)
+		}
+		if err := s.PutRaw(Addr(key), blob); err == nil {
+			t.Errorf("%s: PutRaw stored a v1 blob", name)
+		}
+		if err := s.Put(key, want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(key)
+		if !ok {
+			t.Fatalf("%s: miss after the recapture's Put", name)
+		}
+		recordsIdentical(t, name, got, want)
+		if disk, err := os.ReadFile(p); err != nil || !bytes.Equal(disk, v2) {
+			t.Fatalf("%s: recaptured record not stored as v2 (err %v)", name, err)
+		}
 	}
 }
 
@@ -409,14 +431,6 @@ func TestRawBlobAPI(t *testing.T) {
 	}
 	recordsIdentical(t, "raw", got, rec)
 
-	// v1 blobs serve over the raw path too.
-	if err := s2.PutRaw(addr, EncodeV1(rec)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s2.GetRaw(addr); !ok {
-		t.Fatal("v1 blob not served via GetRaw")
-	}
-
 	// Hostile inputs: bad addresses and undecodable blobs are rejected
 	// before touching the filesystem.
 	for _, bad := range []string{
@@ -462,10 +476,10 @@ func TestV2CompressionOnPeriodicTrace(t *testing.T) {
 		rec.Issues[i] = uint64(0b1011 << (i % 3))
 	}
 	v2 := len(Encode(rec))
-	v1 := EncodedSizeV1(rec)
-	if ratio := float64(v1) / float64(v2); ratio < 4 {
-		t.Errorf("v2 compression ratio %.2f× on periodic trace (v1=%dB v2=%dB), want ≥4×",
-			ratio, v1, v2)
+	flat := 16 * n // the flat 16 B/cycle encoding v2 replaced
+	if ratio := float64(flat) / float64(v2); ratio < 4 {
+		t.Errorf("v2 compression ratio %.2f× on periodic trace (flat=%dB v2=%dB), want ≥4×",
+			ratio, flat, v2)
 	}
 }
 
@@ -481,7 +495,7 @@ func BenchmarkTraceEncodeV2(b *testing.B) {
 		rec.Issues[i] = uint64(i % 5)
 	}
 	blob := Encode(rec)
-	b.SetBytes(int64(16 * n)) // v1 payload bytes processed per op
+	b.SetBytes(int64(16 * n)) // flat 16 B/cycle bytes processed per op
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -490,7 +504,7 @@ func BenchmarkTraceEncodeV2(b *testing.B) {
 			b.Fatal("round trip failed")
 		}
 	}
-	b.ReportMetric(float64(EncodedSizeV1(rec))/float64(len(blob)), "ratio")
+	b.ReportMetric(float64(16*n)/float64(len(blob)), "ratio")
 }
 
 // BenchmarkTraceDecodeV2 times the warm read path: one stored search
@@ -652,9 +666,6 @@ func TestBoundsDeriveFromMaxCycles(t *testing.T) {
 	}
 	if blob := Encode(rec); len(blob) > len(magic2)+len(payload)+len(payload)/1024+64+8 {
 		t.Fatalf("DEFLATE grew a %d-byte payload to a %d-byte blob, past MaxBlobBytes' margin", len(payload), len(blob))
-	}
-	if v1 := EncodedSizeV1(&Record{Energy: make([]float64, MaxCycles)}); v1 > MaxBlobBytes {
-		t.Fatalf("a MaxCycles v1 record takes %d bytes, above MaxBlobBytes %d", v1, MaxBlobBytes)
 	}
 
 	var header []byte

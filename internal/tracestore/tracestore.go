@@ -1,9 +1,10 @@
 // Package tracestore is a persistent, content-addressed store for
 // phase-1 chip traces. Each record lives in its own file named by the
-// SHA-256 of the caller's key bytes, serialized in a checksummed flat
-// binary format and written atomically, so concurrent processes can
-// share one store directory: writers race benignly (same key ⇒ same
-// bytes; last rename wins) and readers only ever see complete files.
+// SHA-256 of the caller's key bytes, serialized in a checksummed
+// compressed format (encode.go) and written atomically, so concurrent
+// processes can share one store directory: writers race benignly (same
+// key ⇒ same bytes; last rename wins) and readers only ever see
+// complete files.
 //
 // The store is an optimisation layer, never a source of truth: any
 // file that is missing, truncated, version-skewed or checksum-corrupt
@@ -19,7 +20,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,21 +32,11 @@ import (
 // DefaultMaxBytes bounds a store opened with maxBytes <= 0.
 const DefaultMaxBytes = 256 << 20
 
-// magic identifies the legacy v1 flat format. v1 files still decode
-// (Decode dispatches on the magic); fresh writes use the v2 compressed
-// format in encode.go. An unknown future version degrades to a miss.
-const magic = "AUDTRC1\n"
-
-// recordExt suffixes every record file, v1 and v2 alike: the two
-// versions share one namespace (same content address, same extension),
-// so the byte-budget eviction scan and its just-written spare file
-// treat them identically and a mixed-version directory behaves as one
-// store.
+// recordExt suffixes every record file, whatever its format version:
+// a file an older binary wrote (the flat v1 format) shares the content
+// address of its replacement, reads as a miss, and is unlinked on
+// first touch, so a directory left by an older binary is a cold start.
 const recordExt = ".trace"
-
-// fixedCounters is the number of uint64 counter slots in a record's
-// fixed section: 3 stats blocks of 8 plus 3 retired counters.
-const fixedCounters = 3*statsWords + 3
 
 // statsWords is the per-block width of the chip-counter triples.
 const statsWords = 8
@@ -76,10 +66,10 @@ type Record struct {
 	PerRetired uint64
 
 	// CaptureNS is how long phase-1 capture of this trace took, in
-	// nanoseconds (v2 records only; zero on v1 records and unknown
-	// captures). Telemetry, not identity: it feeds the "capture time
-	// saved" counter when a store or tier hit skips a recapture, and
-	// never participates in any deterministic output.
+	// nanoseconds (zero when unknown). Telemetry, not identity: it
+	// feeds the "capture time saved" counter when a store or tier hit
+	// skips a recapture, and never participates in any deterministic
+	// output.
 	CaptureNS uint64
 }
 
@@ -159,8 +149,8 @@ func (s *Store) Get(key []byte) (*Record, bool) {
 	return rec, ok
 }
 
-// GetRaw returns the validated encoded blob stored under addr (either
-// record version), for serving over the wire without a re-encode. Same
+// GetRaw returns the validated encoded blob stored under addr, for
+// serving over the wire without a re-encode. Same
 // failure semantics as Get: anything unreadable is a miss, corrupt
 // files are unlinked.
 func (s *Store) GetRaw(addr string) ([]byte, bool) {
@@ -339,103 +329,6 @@ func (s *Store) evict(spare string) {
 			total -= f.size
 		}
 	}
-}
-
-// EncodeV1 serialises rec in the legacy v1 flat format: magic,
-// fixed-width header, the two per-cycle arrays, and a trailing FNV-1a
-// checksum over everything before it. Exported only so coexistence
-// tests (here and in higher layers) can fabricate the directories an
-// older binary would have written; production writes are v2 (Encode).
-// v1 cannot carry CaptureNS or unequal Energy/Issues lengths.
-func EncodeV1(rec *Record) []byte {
-	n := len(rec.Energy)
-	size := len(magic) + 8 /*flags*/ + 8 + 8 /*head,period*/ +
-		8*fixedCounters + 8 /*n*/ + 16*n + 8 /*checksum*/
-	b := make([]byte, 0, size)
-	b = append(b, magic...)
-	var flags uint64
-	if rec.Done {
-		flags |= 1 << 0
-	}
-	if rec.Unsupported {
-		flags |= 1 << 1
-	}
-	if rec.Periodic {
-		flags |= 1 << 2
-	}
-	b = appendU64(b, flags)
-	b = appendU64(b, uint64(rec.HeadLen))
-	b = appendU64(b, uint64(rec.PeriodLen))
-	for _, blk := range [][statsWords]uint64{rec.EndStats, rec.RefStats, rec.PerStats} {
-		for _, v := range blk {
-			b = appendU64(b, v)
-		}
-	}
-	b = appendU64(b, rec.EndRetired)
-	b = appendU64(b, rec.RefRetired)
-	b = appendU64(b, rec.PerRetired)
-	b = appendU64(b, uint64(n))
-	for _, e := range rec.Energy {
-		b = appendU64(b, math.Float64bits(e))
-	}
-	for _, q := range rec.Issues {
-		b = appendU64(b, q)
-	}
-	return appendU64(b, fnv1a(b))
-}
-
-// decodeV1 is encodeV1's inverse; ok is false on any structural or
-// checksum mismatch.
-func decodeV1(blob []byte) (*Record, bool) {
-	minLen := len(magic) + 8*(3+fixedCounters) + 8 + 8
-	if len(blob) < minLen || string(blob[:len(magic)]) != magic {
-		return nil, false
-	}
-	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])
-	if fnv1a(body) != sum {
-		return nil, false
-	}
-	r := body[len(magic):]
-	next := func() uint64 {
-		v := binary.LittleEndian.Uint64(r)
-		r = r[8:]
-		return v
-	}
-	rec := &Record{}
-	flags := next()
-	rec.Done = flags&(1<<0) != 0
-	rec.Unsupported = flags&(1<<1) != 0
-	rec.Periodic = flags&(1<<2) != 0
-	rec.HeadLen = int(next())
-	rec.PeriodLen = int(next())
-	for _, blk := range []*[statsWords]uint64{&rec.EndStats, &rec.RefStats, &rec.PerStats} {
-		for i := range blk {
-			blk[i] = next()
-		}
-	}
-	rec.EndRetired = next()
-	rec.RefRetired = next()
-	rec.PerRetired = next()
-	n := next()
-	if n > uint64(len(r))/16 || n > MaxCycles {
-		return nil, false // truncated arrays or an impossible length
-	}
-	if len(r) != int(16*n) {
-		return nil, false // trailing garbage
-	}
-	rec.Energy = make([]float64, n)
-	rec.Issues = make([]uint64, n)
-	for i := range rec.Energy {
-		rec.Energy[i] = math.Float64frombits(next())
-	}
-	for i := range rec.Issues {
-		rec.Issues[i] = next()
-	}
-	if rec.Periodic && (rec.HeadLen < 0 || rec.PeriodLen <= 0 ||
-		rec.HeadLen+rec.PeriodLen != len(rec.Energy)) {
-		return nil, false // inconsistent periodic decomposition
-	}
-	return rec, true
 }
 
 func appendU64(b []byte, v uint64) []byte {

@@ -112,13 +112,13 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	restore := func() { os.WriteFile(p, pristine, 0o644) }
 
 	mutations := map[string]func([]byte) []byte{
-		"bit-flip-header":  func(b []byte) []byte { b[len(magic)+3] ^= 0x40; return b },
+		"bit-flip-header":  func(b []byte) []byte { b[len(magic2)+3] ^= 0x40; return b },
 		"bit-flip-payload": func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
 		"bit-flip-cksum":   func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
 		"truncated":        func(b []byte) []byte { return b[:len(b)/2] },
 		"empty":            func(b []byte) []byte { return nil },
 		"wrong-magic":      func(b []byte) []byte { copy(b, "BADMAGIC"); return b },
-		"future-version":   func(b []byte) []byte { b[len(magic)-2] = '9'; return b },
+		"future-version":   func(b []byte) []byte { b[len(magic2)-2] = '9'; return b },
 		// Well-formed and checksummed, but 5000 cycles of energy carry
 		// only 10 issue words: replay would index past the issues.
 		"mismatched-lengths": func([]byte) []byte {
@@ -312,9 +312,9 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 // ENOENT tolerance: two byte-starved stores on one directory, both
 // evicting under each other's feet while Gets race the unlinks. Every
 // failure mode must surface as a miss, never an error or a panic. The
-// directory starts mixed-version — half the keys pre-seeded as legacy
-// v1 files — so eviction, budget accounting and the spare-file skip are
-// proven version-blind. Run under -race.
+// directory starts with half the keys pre-seeded as files an older
+// binary left (v1 magic, arbitrary bytes), which Gets must unlink as
+// misses while eviction counts them like any record. Run under -race.
 func TestTwoStoresRacingOnOneDir(t *testing.T) {
 	dir := t.TempDir()
 	one := sampleRecord(64, 1)
@@ -331,7 +331,7 @@ func TestTwoStoresRacingOnOneDir(t *testing.T) {
 	const keys = 12
 	for n := 0; n < keys; n += 2 {
 		k := []byte(fmt.Sprintf("key-%d", n))
-		blob := EncodeV1(sampleRecord(64, uint64(n)))
+		blob := append([]byte(v1Magic), bytes.Repeat([]byte{byte(n)}, 1500)...)
 		if err := os.WriteFile(s1.path(k), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}

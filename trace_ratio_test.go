@@ -6,15 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/testbed"
 	"repro/internal/tracestore"
 )
 
 // TestTraceCompressionOnCorpus is the acceptance bar for the v2 trace
 // record format: captured on the committed regression corpus — real
 // stressmark traces, not synthetic streams — the compressed records
-// must be at least 4× smaller than the legacy v1 flat encoding they
-// replace. The ratio is measured on the actual store files a warm
-// distributed search would move over /v1/trace.
+// must be at least 4× smaller than the flat 16 B/cycle encoding (one
+// float64 of energy and one issue word per cycle) they replaced. The
+// ratio is measured on the actual store files a warm distributed
+// search would move over /v1/trace.
 func TestTraceCompressionOnCorpus(t *testing.T) {
 	db, err := corpus.Open(seedCorpusDir)
 	if err != nil {
@@ -38,7 +40,7 @@ func TestTraceCompressionOnCorpus(t *testing.T) {
 		byPlatform[e.Platform] = append(byPlatform[e.Platform], e)
 	}
 	for platform, group := range byPlatform {
-		p, err := corpus.ResolvePlatform(platform)
+		p, err := testbed.PlatformByName(platform)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +67,7 @@ func TestTraceCompressionOnCorpus(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("corpus replay captured no trace records")
 	}
-	var v1Total, v2Total int64
+	var flatTotal, v2Total int64
 	for _, f := range files {
 		blob, err := os.ReadFile(f)
 		if err != nil {
@@ -76,11 +78,11 @@ func TestTraceCompressionOnCorpus(t *testing.T) {
 			t.Fatalf("%s: stored record does not decode", filepath.Base(f))
 		}
 		v2Total += int64(len(blob))
-		v1Total += int64(tracestore.EncodedSizeV1(rec))
+		flatTotal += int64(16 * len(rec.Energy))
 	}
-	ratio := float64(v1Total) / float64(v2Total)
-	t.Logf("corpus traces: %d records, v1 %d B → v2 %d B (%.1f×)",
-		len(files), v1Total, v2Total, ratio)
+	ratio := float64(flatTotal) / float64(v2Total)
+	t.Logf("corpus traces: %d records, flat %d B → v2 %d B (%.1f×)",
+		len(files), flatTotal, v2Total, ratio)
 	if ratio < 4 {
 		t.Errorf("v2 compression on corpus traces is %.2f×, want ≥ 4×", ratio)
 	}

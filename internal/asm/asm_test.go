@@ -348,7 +348,7 @@ func FuzzDecode(f *testing.F) {
 		NewBuilder("barrier").Barrier(0).Barrier(63).MustBuild(),
 		NewBuilder("negimm").
 			RI("movimm", isa.GPR(3), -1).
-			RI("movimm", isa.GPR(4), -(1 << 40)).
+			RI("movimm", isa.GPR(4), -(1<<40)).
 			RI("shl", isa.GPR(3), 63).
 			MustBuild(),
 		NewBuilder("memx").SetMem(4096).

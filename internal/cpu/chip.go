@@ -2,14 +2,11 @@ package cpu
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/isa"
 	"repro/internal/power"
 	"repro/internal/uarch"
 )
-
-const pendingCycle = math.MaxUint64
 
 // CycleResult reports what one clock cycle did, for power conversion
 // and for failure-path analysis.
@@ -67,24 +64,37 @@ type module struct {
 	fpIssued  bool // any FP issue this cycle (for FP idle energy)
 }
 
-// ringK is the completion-table size. It must exceed the maximum
-// dynamic-instruction distance over which a producer can still be
-// incomplete: queues hold <100 uops and the longest latency is
-// MemLat+bus ≈ 250 cycles ≈ 1000 instructions at IPC 4, so 4096 tags
-// give a comfortable margin. A tag evicted from the ring is therefore
-// always complete.
-const ringK = 4096
-
-// depSet holds the producer tags (thread seq+1; 0 = architecturally
-// ready) of a uop's register sources.
-type depSet struct {
-	d [4]uint64
+// entry is one queued uop in a core's issue-queue slab: what issue and
+// execute read of the decoded uop, plus its readiness and wakeup links.
+type entry struct {
+	tpl          *uopTemplate
+	srcA, result isa.Value
+	addr         uint64
+	seq          uint64 // dynamic instruction number: the entry's age
+	// readyAt is the cycle by which every issued producer's result is
+	// available; pending counts producers that have not issued yet.
+	// The entry may issue once pending is 0 and readyAt ≤ now.
+	readyAt uint64
+	pending uint8
+	// memLevel is the level that serviced a memory access, probed (and
+	// filled) once, the first time the access could issue; a blocked
+	// access keeps charging that level on retry. 0 until probed.
+	memLevel memLevel
+	// prev and next link the entry into its unit's ready list once
+	// pending reaches 0; next also threads the core's free list. -1
+	// ends a list.
+	prev, next int32
+	// waiters heads the consumers to wake when this entry issues, each
+	// coded consumer<<2 | source slot; a consumer's nextWaiter[slot]
+	// continues the list.
+	waiters    int32
+	nextWaiter [4]int32
 }
 
-type queued struct {
-	u    Uop
-	deps depSet
-}
+// readyList is one execution unit's queued entries whose producers
+// have all issued, oldest first. An entry joins when its last producer
+// issues and leaves when it issues, without moving any other entry.
+type readyList struct{ head, tail int32 }
 
 type core struct {
 	mod  *module
@@ -93,18 +103,24 @@ type core struct {
 	th   *Thread
 	l1   *Cache
 
-	intQ []queued
-	fpQ  []queued
-	lsq  int // mem ops currently queued
+	// ents is the slab both issue queues draw from (IntQueue+FPQueue
+	// entries, so decode's per-queue bounds keep a free one); freeEnt
+	// heads its free list. intN and fpN are the queue occupancies;
+	// ready[u] lists unit u's entries with no unissued producer.
+	ents    []entry
+	freeEnt int32
+	intN    int
+	fpN     int
+	ready   [isa.NumUnits]readyList
+	picks   []int32 // issueInt's per-cycle selection
+	lsq     int     // mem ops currently queued
 
-	// regWriterTag maps architectural register → tag of its last
-	// decoded writer (0 = no in-flight writer).
-	regWriterTag [isa.TotalRegs]uint64
-	// Completion table: ringTag[s] identifies which writer owns slot s;
-	// readyRing[s] is the cycle its result is available (pendingCycle
-	// until it issues).
-	ringTag   [ringK]uint64
-	readyRing [ringK]uint64
+	// Readiness is pushed, not polled. regWriter[r] is the queued entry
+	// that last renamed r as its destination, while that entry has not
+	// issued (-1 otherwise); regReadyAt[r] is the cycle the issued last
+	// writer's result is available (0: architecturally ready).
+	regWriter  [isa.TotalRegs]int32
+	regReadyAt [isa.TotalRegs]uint64
 
 	stallUntil    uint64
 	idivBusyUntil uint64
@@ -169,13 +185,14 @@ func NewChip(cfg uarch.ChipConfig, pm power.Model) (*Chip, error) {
 				idx:         ci,
 				gidx:        g,
 				l1:          l1,
-				intQ:        make([]queued, 0, cfg.IntQueue),
-				fpQ:         make([]queued, 0, cfg.FPQueue),
+				ents:        make([]entry, cfg.IntQueue+cfg.FPQueue),
+				picks:       make([]int32, 0, cfg.NumALU+cfg.NumAGU+cfg.LSUPorts+2),
 				mshr:        make([]uint64, cfg.MSHRs),
 				busUsed:     make([]uint8, horizon),
 				busCycle:    make([]uint64, horizon),
 				waitBarrier: -1,
 			}
+			c.resetQueues()
 			if cfg.Predictor == "gshare" {
 				c.btable = make([]uint8, 4096)
 				for i := range c.btable {
@@ -195,8 +212,7 @@ func NewChip(cfg uarch.ChipConfig, pm power.Model) (*Chip, error) {
 // state cleared. A reset chip behaves bit-identically to a fresh
 // NewChip with the same config and power model — that property is what
 // lets the compiled testbed pool chip instances across runs instead of
-// reallocating the multi-megabyte cache and completion-table arrays
-// every evaluation.
+// reallocating the multi-megabyte cache arrays every evaluation.
 func (ch *Chip) Reset() {
 	ch.cycle = 0
 	ch.throttle = ch.cfg.FPThrottleLimit
@@ -217,12 +233,8 @@ func (ch *Chip) Reset() {
 		for _, c := range m.cores {
 			c.th = nil
 			c.l1.Reset()
-			c.intQ = c.intQ[:0]
-			c.fpQ = c.fpQ[:0]
+			c.resetQueues()
 			c.lsq = 0
-			c.regWriterTag = [isa.TotalRegs]uint64{}
-			c.ringTag = [ringK]uint64{}
-			c.readyRing = [ringK]uint64{}
 			c.stallUntil = 0
 			c.idivBusyUntil = 0
 			for i := range c.mshr {
@@ -331,7 +343,7 @@ func (ch *Chip) coreByGlobal(g int) (*core, error) {
 // waits, predictor history and FP arbitration tokens. In the steady
 // state of a loop this value recurs with the loop, which is what the
 // testbed's trace-periodicity detector keys on. It is deliberately
-// approximate — register file contents and completion-table details
+// approximate — register file contents and issue-queue readiness details
 // are excluded for speed — so equal fingerprints are a candidate
 // period, not a proof; the detector verifies candidates against the
 // recorded trace bit-for-bit before trusting them.
@@ -360,7 +372,7 @@ func (ch *Chip) StateFingerprint() uint64 {
 			} else {
 				mix(^uint64(0))
 			}
-			mix(uint64(len(c.intQ))<<32 | uint64(len(c.fpQ))<<16 | uint64(uint16(c.lsq)))
+			mix(uint64(c.intN)<<32 | uint64(c.fpN)<<16 | uint64(uint16(c.lsq)))
 			mix(rel(c.stallUntil))
 			mix(rel(c.idivBusyUntil))
 			mix(uint64(c.waitBarrier + 1))
@@ -430,7 +442,7 @@ func (ch *Chip) Done() bool {
 			if c.th == nil {
 				continue
 			}
-			if !c.th.Done() || len(c.intQ) > 0 || len(c.fpQ) > 0 || c.waitBarrier >= 0 {
+			if !c.th.Done() || c.intN > 0 || c.fpN > 0 || c.waitBarrier >= 0 {
 				return false
 			}
 		}
@@ -486,14 +498,17 @@ func (ch *Chip) Step() CycleResult {
 // ---- front end ----
 
 func (m *module) decode(now uint64) {
-	cfg := m.chip.cfg
+	cfg := &m.chip.cfg
 	if cfg.SharedFrontEnd && len(m.cores) > 1 {
 		// Sibling threads alternate decode cycles; if the scheduled
 		// thread cannot use the slot at all, the partner takes it.
 		n := len(m.cores)
-		first := int(now) % n
+		first := int(now % uint64(n))
 		for k := 0; k < n; k++ {
-			ci := (first + k) % n
+			ci := first + k
+			if ci >= n {
+				ci -= n
+			}
 			if m.cores[ci].decodeReady(now) {
 				m.cores[ci].decode(now, cfg.DecodeWidth)
 				return
@@ -519,8 +534,8 @@ func (c *core) decodeReady(now uint64) bool {
 
 func (c *core) decode(now uint64, width int) {
 	ch := c.mod.chip
-	cfg := ch.cfg
-	pm := ch.pm
+	cfg := &ch.cfg
+	pm := &ch.pm
 	decoded := 0
 	intDisp, fpDisp := cfg.IntDispatch, cfg.FPDispatch
 	for decoded < width {
@@ -531,11 +546,16 @@ func (c *core) decode(now uint64, width int) {
 		tpl := u.tpl
 		switch {
 		case tpl.class == isa.ClassNOP:
-			// Fetch/decode only: no queue entry, no unit, no result.
-			ch.res.EnergyPJ += pm.FrontEndPJPerOp + tpl.energyPJ
-			c.th.Consume()
-			c.retired++
-			decoded++
+			// Fetch/decode only: no queue entry, no unit, no result. The
+			// same-opcode NOPs behind this one retire with it straight
+			// from the templates; energy still accrues one NOP at a time.
+			n := c.th.ConsumeNops(width - decoded)
+			e := pm.FrontEndPJPerOp + tpl.energyPJ
+			for i := 0; i < n; i++ {
+				ch.res.EnergyPJ += e
+			}
+			c.retired += uint64(n)
+			decoded += n
 		case tpl.class == isa.ClassBarrier:
 			c.waitBarrier = u.BarrierID
 			b := &ch.barriers[tpl.barrierSlot]
@@ -572,13 +592,14 @@ func (c *core) decode(now uint64, width int) {
 				return
 			}
 		case tpl.isFP:
-			if fpDisp == 0 || len(c.fpQ) >= cfg.FPQueue {
+			if fpDisp == 0 || c.fpN >= cfg.FPQueue {
 				c.markDecoded(decoded)
 				return
 			}
 			fpDisp--
 			ch.res.EnergyPJ += pm.FrontEndPJPerOp
-			c.fpQ = append(c.fpQ, queued{u: *u, deps: c.rename(u)})
+			c.fpN++
+			c.enqueue(u)
 			c.th.Consume()
 			decoded++
 		default:
@@ -590,7 +611,7 @@ func (c *core) decode(now uint64, width int) {
 				c.markDecoded(decoded)
 				return
 			}
-			if len(c.intQ) >= cfg.IntQueue {
+			if c.intN >= cfg.IntQueue {
 				c.markDecoded(decoded)
 				return
 			}
@@ -599,7 +620,8 @@ func (c *core) decode(now uint64, width int) {
 			if tpl.isMem {
 				c.lsq++
 			}
-			c.intQ = append(c.intQ, queued{u: *u, deps: c.rename(u)})
+			c.intN++
+			c.enqueue(u)
 			c.th.Consume()
 			decoded++
 		}
@@ -654,109 +676,199 @@ func (c *core) recordBranch(u *Uop, taken, predicted bool) {
 	}
 }
 
-// rename captures the uop's register dependencies as producer tags and
-// registers the uop as the new writer of its destination. It must be
-// called in program order (at decode).
-func (c *core) rename(u *Uop) depSet {
+// resetQueues empties both issue queues, threads the whole slab onto
+// the free list and forgets every register writer.
+func (c *core) resetQueues() {
+	c.intN, c.fpN = 0, 0
+	for u := range c.ready {
+		c.ready[u] = readyList{head: -1, tail: -1}
+	}
+	for i := range c.ents {
+		c.ents[i].next = int32(i + 1)
+	}
+	c.ents[len(c.ents)-1].next = -1
+	c.freeEnt = 0
+	for r := range c.regWriter {
+		c.regWriter[r] = -1
+	}
+	c.regReadyAt = [isa.TotalRegs]uint64{}
+}
+
+// enqueue copies the decoded uop into a free slab entry and renames it:
+// each source either waits on its register's unissued writer or takes
+// that writer's result cycle, and the uop becomes the pending writer of
+// its destination. It must be called in program order (at decode).
+func (c *core) enqueue(u *Uop) {
+	id := c.freeEnt
+	e := &c.ents[id]
+	c.freeEnt = e.next
 	tpl := u.tpl
-	var deps depSet
-	for i := uint8(0); i < tpl.nsrc; i++ {
-		deps.d[i] = c.regWriterTag[tpl.srcRegs[i]]
+	e.tpl, e.srcA, e.result, e.addr, e.seq = tpl, u.SrcA, u.Result, u.Addr, u.Seq
+	e.readyAt, e.pending, e.memLevel, e.waiters = 0, 0, 0, -1
+	for k := uint8(0); k < tpl.nsrc; k++ {
+		r := tpl.srcRegs[k]
+		if w := c.regWriter[r]; w >= 0 {
+			p := &c.ents[w]
+			e.nextWaiter[k] = p.waiters
+			p.waiters = id<<2 | int32(k)
+			e.pending++
+		} else if t := c.regReadyAt[r]; t > e.readyAt {
+			e.readyAt = t
+		}
 	}
 	if tpl.dstIdx >= 0 {
-		tag := u.Seq + 1
-		c.regWriterTag[tpl.dstIdx] = tag
-		s := tag % ringK
-		c.ringTag[s] = tag
-		c.readyRing[s] = pendingCycle
+		c.regWriter[tpl.dstIdx] = id
 	}
-	return deps
+	if e.pending == 0 {
+		c.joinReady(id)
+	}
+}
+
+// joinReady inserts entry id into its unit's ready list by age. Decode
+// appends; a woken consumer is usually among the youngest, so the
+// search walks back from the tail.
+func (c *core) joinReady(id int32) {
+	e := &c.ents[id]
+	l := &c.ready[e.tpl.unit]
+	p := l.tail
+	for p >= 0 && c.ents[p].seq > e.seq {
+		p = c.ents[p].prev
+	}
+	e.prev = p
+	if p >= 0 {
+		e.next = c.ents[p].next
+		c.ents[p].next = id
+	} else {
+		e.next = l.head
+		l.head = id
+	}
+	if e.next >= 0 {
+		c.ents[e.next].prev = id
+	} else {
+		l.tail = id
+	}
+}
+
+// leaveReady takes issuing entry id out of its unit's ready list.
+func (c *core) leaveReady(id int32) {
+	e := &c.ents[id]
+	l := &c.ready[e.tpl.unit]
+	if e.prev >= 0 {
+		c.ents[e.prev].next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next >= 0 {
+		c.ents[e.next].prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+}
+
+// free returns an executed entry to the slab.
+func (c *core) free(id int32) {
+	c.ents[id].next = c.freeEnt
+	c.freeEnt = id
+}
+
+// wake publishes an issued writer's result cycle cc: each consumer
+// queued behind it has one unissued producer fewer and cannot issue
+// before cc (joining its ready list after the last one), and later
+// readers of the register see cc directly. A consumer thus waits for
+// the data however long the latency and however many younger writers
+// decode meanwhile.
+func (c *core) wake(id int32, cc uint64) {
+	e := &c.ents[id]
+	if d := e.tpl.dstIdx; c.regWriter[d] == id {
+		c.regWriter[d] = -1
+		c.regReadyAt[d] = cc
+	}
+	for w := e.waiters; w >= 0; {
+		ci := w >> 2
+		cons := &c.ents[ci]
+		w = cons.nextWaiter[w&3]
+		if cc > cons.readyAt {
+			cons.readyAt = cc
+		}
+		if cons.pending--; cons.pending == 0 {
+			c.joinReady(ci)
+		}
+	}
 }
 
 // ---- integer cluster ----
 
-func (c *core) depsReady(deps *depSet, now uint64) bool {
-	for _, tag := range deps.d {
-		if tag == 0 {
-			continue
-		}
-		s := tag % ringK
-		if c.ringTag[s] != tag {
-			// Evicted from the ring: old enough to be complete.
-			continue
-		}
-		if c.readyRing[s] > now {
-			return false
+// issueInt issues the integer cluster's ready uops. Each unit takes its
+// oldest ready entries up to its budget this cycle. Units never compete
+// for an entry and a claim only touches its own unit's state (the
+// divider, the MSHRs and caches for the LSU), so these are exactly the
+// entries one oldest-first scan of the whole queue would issue; they
+// then execute oldest first, as that scan would have executed them
+// (result buses and energy are booked in that order). Choosing all
+// before executing any is safe because no result is available in the
+// cycle its producer issues (isa validates Latency ≥ 1).
+func (c *core) issueInt(now uint64) {
+	if c.intN == 0 {
+		return
+	}
+	cfg := &c.mod.chip.cfg
+	var budget [isa.NumUnits]int
+	budget[isa.UnitALU] = cfg.NumALU
+	budget[isa.UnitAGU] = cfg.NumAGU
+	budget[isa.UnitIMul] = 1
+	budget[isa.UnitLSU] = cfg.LSUPorts
+	if now >= c.idivBusyUntil {
+		// A free divider takes one uop, then stays busy for at least
+		// a cycle (isa validates RecipThroughput ≥ 1).
+		budget[isa.UnitIDiv] = 1
+	}
+	picks := c.picks[:0]
+	for unit, n := range budget {
+		for id := c.ready[unit].head; id >= 0 && n > 0; {
+			e := &c.ents[id]
+			next := e.next
+			if e.readyAt <= now && c.claim(e, now) {
+				c.leaveReady(id)
+				picks = append(picks, id)
+				n--
+			}
+			id = next
 		}
 	}
-	return true
+	for i := 1; i < len(picks); i++ {
+		for j := i; j > 0 && c.ents[picks[j]].seq < c.ents[picks[j-1]].seq; j-- {
+			picks[j], picks[j-1] = picks[j-1], picks[j]
+		}
+	}
+	for _, id := range picks {
+		c.execute(id, now)
+		c.free(id)
+	}
+	c.intN -= len(picks)
+	c.picks = picks[:0]
 }
 
-func (c *core) issueInt(now uint64) {
-	cfg := c.mod.chip.cfg
-	alu, agu, lsu := cfg.NumALU, cfg.NumAGU, cfg.LSUPorts
-	imul := 1
-	for i := 0; i < len(c.intQ); {
-		u := &c.intQ[i].u
-		if !c.depsReady(&c.intQ[i].deps, now) {
-			i++
-			continue
+// claim applies the unit-specific issue conditions beyond the budget:
+// the divider turns busy for its reciprocal throughput, and a miss
+// needs a free MSHR. The hierarchy is probed (and filled) once; see
+// entry.memLevel.
+func (c *core) claim(e *entry, now uint64) bool {
+	switch e.tpl.unit {
+	case isa.UnitIDiv:
+		c.idivBusyUntil = now + e.tpl.recipTP
+	case isa.UnitLSU:
+		if e.memLevel == 0 {
+			e.memLevel = c.mod.chip.memAccess(c, e.addr)
 		}
-		unit := u.tpl.unit
-		switch unit {
-		case isa.UnitALU:
-			if alu == 0 {
-				i++
-				continue
-			}
-			alu--
-		case isa.UnitAGU:
-			if agu == 0 {
-				i++
-				continue
-			}
-			agu--
-		case isa.UnitIMul:
-			if imul == 0 {
-				i++
-				continue
-			}
-			imul--
-		case isa.UnitIDiv:
-			if now < c.idivBusyUntil {
-				i++
-				continue
-			}
-			c.idivBusyUntil = now + u.tpl.recipTP
-		case isa.UnitLSU:
-			if lsu == 0 {
-				i++
-				continue
-			}
-			// A miss needs a free MSHR. The hierarchy is probed (and
-			// filled) once; the level is remembered so a blocked access
-			// keeps charging its original miss level on retry.
-			if u.memLevel == 0 {
-				u.memLevel = c.mod.chip.memAccess(c, u.Addr)
-			}
-			if u.memLevel > levelL1 && !c.takeMSHR(now, u.memLevel) {
-				i++
-				continue
-			}
-			lsu--
-		default:
-			i++
-			continue
-		}
-		c.execute(u, now, unit)
-		c.intQ = append(c.intQ[:i], c.intQ[i+1:]...)
+		return e.memLevel == levelL1 || c.takeMSHR(now, e.memLevel)
 	}
+	return true
 }
 
 // takeMSHR claims a miss-status register until the fill completes;
 // false when all are busy (the access must retry next cycle).
 func (c *core) takeMSHR(now uint64, level memLevel) bool {
-	lat, _ := level.latencyEnergy(c.mod.chip.cfg)
+	lat, _ := level.latencyEnergy(&c.mod.chip.cfg)
 	for i := range c.mshr {
 		if c.mshr[i] <= now {
 			c.mshr[i] = now + lat
@@ -766,29 +878,31 @@ func (c *core) takeMSHR(now uint64, level memLevel) bool {
 	return false
 }
 
-// execute finishes an issued uop: latency, result bus, register
-// readiness, energy and activity accounting.
-func (c *core) execute(u *Uop, now uint64, unit isa.Unit) {
+// execute finishes an issued integer-cluster uop: latency, result
+// bus, consumer wakeup, energy and activity accounting.
+func (c *core) execute(id int32, now uint64) {
 	ch := c.mod.chip
-	tpl := u.tpl
+	e := &c.ents[id]
+	tpl := e.tpl
+	unit := tpl.unit
 	lat := tpl.latency
 	var extraPJ float64
 	if tpl.isMem {
 		c.lsq--
-		lat, extraPJ = u.memLevel.latencyEnergy(ch.cfg)
+		lat, extraPJ = e.memLevel.latencyEnergy(&ch.cfg)
 	}
 	cc := now + lat
 	if tpl.dstIdx >= 0 {
 		cc = c.busSlot(cc)
-		c.complete(u.Seq+1, cc)
+		c.wake(id, cc)
 	}
 	// Toggle-scaled execution energy. The expression keeps the
 	// interpreter's exact shape — only 1-ToggleFraction is folded at
 	// template compile, which is the same subtraction on the same
 	// operands.
-	frac := 0.7*isa.ToggleFractionOf(c.lastSrc[unit], u.SrcA) +
-		0.3*isa.ToggleFractionOf(c.lastRes[unit], u.Result)
-	c.lastSrc[unit], c.lastRes[unit] = u.SrcA, u.Result
+	frac := 0.7*isa.ToggleFractionOf(c.lastSrc[unit], e.srcA) +
+		0.3*isa.ToggleFractionOf(c.lastRes[unit], e.result)
+	c.lastSrc[unit], c.lastRes[unit] = e.srcA, e.result
 	eff := tpl.energyPJ * (tpl.oneMinusTF + tpl.toggleTF*frac)
 	ch.res.EnergyPJ += eff + ch.pm.SchedPJPerIssue + extraPJ
 	ch.res.UnitIssues[unit]++
@@ -817,7 +931,7 @@ func (c *core) busSlot(cc uint64) uint64 {
 // ---- floating-point cluster ----
 
 func (m *module) issueFP(now uint64) {
-	cfg := m.chip.cfg
+	cfg := &m.chip.cfg
 	if cfg.SharedFPU {
 		budget := cfg.NumFPPipes
 		if t := m.chip.throttle; t > 0 && t < budget {
@@ -829,14 +943,19 @@ func (m *module) issueFP(now uint64) {
 		for issued := true; budget > 0 && issued; {
 			issued = false
 			for k := 0; k < n && budget > 0; k++ {
-				c := m.cores[(m.fpToken+k)%n]
-				if c.issueOneFP(now) {
+				ci := m.fpToken + k
+				if ci >= n {
+					ci -= n
+				}
+				if c := m.cores[ci]; c.fpN > 0 && c.issueOneFP(now) {
 					budget--
 					issued = true
 				}
 			}
 		}
-		m.fpToken = (m.fpToken + 1) % n
+		if m.fpToken++; m.fpToken == n {
+			m.fpToken = 0
+		}
 		return
 	}
 	// Private FPUs: per-core budget, per-core throttle.
@@ -853,39 +972,31 @@ func (m *module) issueFP(now uint64) {
 
 // issueOneFP issues the oldest ready FP uop on the core, if any.
 func (c *core) issueOneFP(now uint64) bool {
-	for i := 0; i < len(c.fpQ); i++ {
-		u := &c.fpQ[i].u
-		if !c.depsReady(&c.fpQ[i].deps, now) {
-			continue
+	for id := c.ready[isa.UnitFPU].head; id >= 0; id = c.ents[id].next {
+		if c.ents[id].readyAt <= now {
+			c.leaveReady(id)
+			c.executeFP(id, now)
+			c.free(id)
+			c.fpN--
+			return true
 		}
-		c.executeFP(u, now)
-		c.fpQ = append(c.fpQ[:i], c.fpQ[i+1:]...)
-		return true
 	}
 	return false
 }
 
-// complete records a writer's result-available cycle, unless its ring
-// slot was reclaimed by a newer writer.
-func (c *core) complete(tag, cc uint64) {
-	s := tag % ringK
-	if c.ringTag[s] == tag {
-		c.readyRing[s] = cc
-	}
-}
-
-func (c *core) executeFP(u *Uop, now uint64) {
+func (c *core) executeFP(id int32, now uint64) {
 	ch := c.mod.chip
 	m := c.mod
-	tpl := u.tpl
+	e := &c.ents[id]
+	tpl := e.tpl
 	cc := now + tpl.latency
 	if tpl.dstIdx >= 0 {
 		cc = c.busSlot(cc)
-		c.complete(u.Seq+1, cc)
+		c.wake(id, cc)
 	}
-	frac := 0.7*isa.ToggleFractionOf(m.fpLastSrc, u.SrcA) +
-		0.3*isa.ToggleFractionOf(m.fpLastRes, u.Result)
-	m.fpLastSrc, m.fpLastRes = u.SrcA, u.Result
+	frac := 0.7*isa.ToggleFractionOf(m.fpLastSrc, e.srcA) +
+		0.3*isa.ToggleFractionOf(m.fpLastRes, e.result)
+	m.fpLastSrc, m.fpLastRes = e.srcA, e.result
 	eff := tpl.energyPJ * (tpl.oneMinusTF + tpl.toggleTF*frac)
 	ch.res.EnergyPJ += eff + ch.pm.SchedPJPerIssue
 	ch.res.UnitIssues[isa.UnitFPU]++
@@ -896,7 +1007,7 @@ func (c *core) executeFP(u *Uop, now uint64) {
 
 // ---- memory hierarchy ----
 
-type memLevel int
+type memLevel uint8
 
 const (
 	levelL1 memLevel = iota + 1
@@ -905,7 +1016,7 @@ const (
 	levelMem
 )
 
-func (l memLevel) latencyEnergy(cfg uarch.ChipConfig) (uint64, float64) {
+func (l memLevel) latencyEnergy(cfg *uarch.ChipConfig) (uint64, float64) {
 	switch l {
 	case levelL1:
 		return uint64(cfg.L1Lat), 0
@@ -948,7 +1059,7 @@ func (ch *Chip) releaseBarriers(now uint64) {
 	participants := ch.partsScratch[:0]
 	for _, m := range ch.modules {
 		for _, c := range m.cores {
-			if c.th != nil && (c.waitBarrier >= 0 || !c.th.Done() || len(c.intQ) > 0 || len(c.fpQ) > 0) {
+			if c.th != nil && (c.waitBarrier >= 0 || !c.th.Done() || c.intN > 0 || c.fpN > 0) {
 				participants = append(participants, c)
 			}
 		}

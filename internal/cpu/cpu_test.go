@@ -674,6 +674,53 @@ func TestStatsCountCaches(t *testing.T) {
 	}
 }
 
+// TestConsumerWaitsForSlowProducer: a consumer may not issue before
+// its producer's result exists, however many younger instructions have
+// been renamed in between. With MemLat 5000 the load's data arrives
+// thousands of cycles after the 4096 instructions behind it, the last
+// of them a writer, have decoded.
+func TestConsumerWaitsForSlowProducer(t *testing.T) {
+	cfg := uarch.Bulldozer()
+	cfg.MemLat = 5000
+	b := asm.NewBuilder("slow-producer")
+	b.Load("load", isa.GPR(8), isa.RBP, 0)
+	b.Nop(4095)
+	b.RR("add", isa.GPR(10), isa.GPR(11))
+	b.RR("add", isa.GPR(9), isa.GPR(8)) // consumes the load
+	ch, err := NewChip(cfg, power.BulldozerModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := NewThread(b.MustBuild(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Attach(0, 0, th); err != nil {
+		t.Fatal(err)
+	}
+	loadAt, consumerAt := int64(-1), int64(-1)
+	for !ch.Done() && ch.Cycle() < 20000 {
+		cyc := int64(ch.Cycle())
+		r := ch.Step()
+		if r.UnitIssues[isa.UnitLSU] > 0 {
+			loadAt = cyc
+		}
+		if r.UnitIssues[isa.UnitALU] > 0 {
+			consumerAt = cyc // the last ALU issue is the consumer's
+		}
+	}
+	if !ch.Done() || loadAt < 0 || consumerAt < 0 {
+		t.Fatalf("run incomplete: done=%v load@%d consumer@%d", ch.Done(), loadAt, consumerAt)
+	}
+	// The first touch of the line misses to memory.
+	if ready := loadAt + int64(cfg.MemLat); consumerAt < ready {
+		t.Errorf("consumer issued at cycle %d, before the load's data at %d", consumerAt, ready)
+	}
+	if ch.Cycle() <= uint64(loadAt)+uint64(cfg.MemLat) {
+		t.Errorf("chip done at cycle %d, before the load's data exists", ch.Cycle())
+	}
+}
+
 func TestBadPredictorRejected(t *testing.T) {
 	cfg := uarch.Bulldozer()
 	cfg.Predictor = "oracle"

@@ -233,11 +233,85 @@ func equivScenarios() []equivScenario {
 			attachAll(t, ch, prog, 0)
 			return ch
 		}},
+		{name: "search-shape", cycles: 4000, setup: func(t *testing.T) *Chip {
+			// The shape of a GA candidate: sub-block slots with NOP
+			// holes replicated into the high-power region, a low-power
+			// run of 68 NOPs, then dec/jnz — four threads spread one
+			// per module, as SpreadPlacement puts them. Every thread's
+			// MaxInstrs bound ends inside a low-power NOP run at a
+			// different offset within a decode group.
+			prog := mustProgram(t, "search", searchShapeBody)
+			ch, err := NewChip(uarch.Bulldozer(), power.BulldozerModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			const perIter = searchShapeHP + searchShapeLP + 2
+			for m, lpOffset := range []uint64{13, 30, 47, 66} {
+				bound := 2 + uint64(40+5*m)*perIter + searchShapeHP + lpOffset
+				th, err := NewThread(prog, bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ch.Attach(m, 0, th); err != nil {
+					t.Fatal(err)
+				}
+				// Start skew, as RunConfig.StartSkew applies it.
+				if err := ch.InjectStall(m*2, uint64(5*m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return ch
+		}},
 	}
 }
 
+// Layout of searchShapeBody's loop: high-power slots, then the
+// low-power NOP run.
+const (
+	searchShapeHP = 3 * 6 * 4
+	searchShapeLP = 68
+)
+
+// searchShapeBody emits a search-shaped loop: S=3 copies of a 6-cycle
+// by 4-slot sub-block mixing FP, integer and memory ops with NOP slots,
+// a 68-NOP low-power run, and the dec/jnz closer.
+func searchShapeBody(b *asm.Builder) {
+	b.SetMem(4096)
+	b.InitToggle(16, 8)
+	b.RI("movimm", isa.RCX, 1<<30)
+	b.RI("movimm", isa.RBP, 0)
+	b.Label("loop")
+	slot := 0
+	for rep := 0; rep < 3; rep++ {
+		for row := 0; row < 6; row++ {
+			for w := 0; w < 4; w++ {
+				switch (row*4 + w) % 8 {
+				case 0:
+					b.RRR("vfmadd132pd", isa.XMM(row%12), isa.XMM(12+w%4), isa.XMM(13))
+				case 1:
+					b.RRR("mulpd", isa.XMM((row+3)%12), isa.XMM(14), isa.XMM(15))
+				case 3:
+					b.RR("imul", isa.GPR(8+row%8), isa.RSI)
+				case 4:
+					b.Load("load", isa.GPR(9+row%6), isa.RBP, int32(slot*64%4096))
+				case 6:
+					b.Store("store", isa.RBP, int32(slot*64%4096), isa.GPR(8+w))
+				default:
+					b.Nop(1)
+				}
+				slot++
+			}
+		}
+	}
+	b.Nop(searchShapeLP)
+	b.RR("dec", isa.RCX, isa.RCX)
+	b.Branch("jnz", "loop")
+}
+
 // goldenCaptureHashes holds the recorded hashes of the pre-template
-// interpreter. See the file comment for how to regenerate.
+// interpreter; "search-shape" was recorded from the per-uop decode and
+// rescanning issue loop that predate NOP-run retirement and wakeup
+// readiness. See the file comment for how to regenerate.
 var goldenCaptureHashes = map[string]uint64{
 	"fma-loop":         0x2B330E2AC8843023,
 	"int-mix":          0x607D83EFFEEC4531,
@@ -245,6 +319,7 @@ var goldenCaptureHashes = map[string]uint64{
 	"barrier-sync":     0xE736DCA0FEACB251,
 	"throttled-skewed": 0x7783EBDD33681FF1,
 	"phenom-mixed":     0x2FFD049FC3961C39,
+	"search-shape":     0x4E45B0D48095F263,
 }
 
 func TestGoldenCaptureEquivalence(t *testing.T) {
@@ -408,7 +483,8 @@ func (t *refThread) step() (refUop, bool) {
 // randomLoopProgram builds a terminating random program: counter setup,
 // a body of random-shaped ops over every opcode class (rcx reserved for
 // the loop counter), then dec/jnz. Bodies may include barriers, which
-// at the functional layer just emit barrier uops.
+// at the functional layer just emit barrier uops, and runs of 1–64
+// NOPs, as GA candidates hold in their NOP slots and low-power regions.
 func randomLoopProgram(t *testing.T, rng *rand.Rand) *asm.Program {
 	t.Helper()
 	b := asm.NewBuilder(fmt.Sprintf("rand%d", rng.Int63()))
@@ -433,6 +509,9 @@ func randomLoopProgram(t *testing.T, rng *rand.Rand) *asm.Program {
 	b.RI("movimm", isa.RCX, int64(2+rng.Intn(40)))
 	b.Label("loop")
 	for n := 2 + rng.Intn(24); n > 0; n-- {
+		if rng.Intn(3) == 0 {
+			b.Nop(1 + rng.Intn(64))
+		}
 		op := ops[rng.Intn(len(ops))]
 		imm := rng.Int63n(1 << 16)
 		if rng.Intn(3) == 0 {
@@ -440,7 +519,7 @@ func randomLoopProgram(t *testing.T, rng *rand.Rand) *asm.Program {
 		}
 		switch op.Shape {
 		case isa.ShapeNone:
-			b.Nop(1)
+			b.Nop(1 + rng.Intn(64))
 		case isa.ShapeRR:
 			b.RR(op.Name, reg(op.RegKind), reg(op.RegKind))
 		case isa.ShapeRRR:
@@ -470,19 +549,26 @@ func randomLoopProgram(t *testing.T, rng *rand.Rand) *asm.Program {
 // the reference interpreter over the same random programs and requires
 // bit-identical uop streams: instruction identity, operand and result
 // values, addresses, branch behaviour, barrier ids and sequence
-// numbers.
+// numbers. At a NOP the thread often retires a run through
+// ConsumeNops, as decode does; the reference steps each NOP of the run
+// one at a time, and the run must stop exactly where the reference's
+// NOPs or its MaxInstrs bound (random, so it often lands inside a run)
+// do.
 func TestRandomizedStepEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
-	for trial := 0; trial < 60; trial++ {
+	endsInRun := 0
+	for trial := 0; trial < 80; trial++ {
 		p := randomLoopProgram(t, rng)
-		th, err := NewThread(p, 3000)
+		maxInstrs := uint64(1 + rng.Intn(3000))
+		th, err := NewThread(p, maxInstrs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base := uint64(rng.Intn(8)+1) << 32
 		th.SetGlobalBase(base)
-		ref := newRefThread(p, 3000)
+		ref := newRefThread(p, maxInstrs)
 		ref.globalBase = base
+		inRun := false
 		for n := 0; ; n++ {
 			u, ok := th.Peek()
 			ru, rok := ref.step()
@@ -490,6 +576,9 @@ func TestRandomizedStepEquivalence(t *testing.T) {
 				t.Fatalf("trial %d uop %d: template ok=%v, reference ok=%v", trial, n, ok, rok)
 			}
 			if !ok {
+				if pc := th.PC(); inRun && pc < len(p.Code) && p.Code[pc].Op.Class == isa.ClassNOP {
+					endsInRun++
+				}
 				break
 			}
 			if u.In != ru.in || u.SrcA != ru.srcA || u.Result != ru.result ||
@@ -497,7 +586,33 @@ func TestRandomizedStepEquivalence(t *testing.T) {
 				u.BarrierID != ru.barrierID || u.Seq != ru.seq {
 				t.Fatalf("trial %d uop %d (%v): template %+v vs reference %+v", trial, n, u.In, u, ru)
 			}
-			th.Consume()
+			inRun = u.In.Op.Class == isa.ClassNOP
+			if !inRun || rng.Intn(4) == 0 {
+				th.Consume()
+				continue
+			}
+			max := 1 + rng.Intn(80)
+			got := th.ConsumeNops(max)
+			if got < 1 || got > max {
+				t.Fatalf("trial %d uop %d: ConsumeNops(%d) = %d", trial, n, max, got)
+			}
+			for i := 1; i < got; i++ {
+				ru, rok := ref.step()
+				if !rok || ru.in.Op != u.In.Op || ru.seq != u.Seq+uint64(i) {
+					t.Fatalf("trial %d uop %d: ConsumeNops retired %d, but reference uop %d is %v (ok=%v)", trial, n, got, i, ru.in, rok)
+				}
+			}
+			n += got - 1
+			if pc := th.PC(); got < max && pc < len(p.Code) && p.Code[pc].Op == u.In.Op && ref.seq < maxInstrs {
+				t.Fatalf("trial %d uop %d: ConsumeNops(%d) stopped at %d before another NOP", trial, n, max, got)
+			}
 		}
+		if th.Retired() != ref.seq {
+			t.Fatalf("trial %d: retired %d, reference %d", trial, th.Retired(), ref.seq)
+		}
+	}
+	t.Logf("%d of 80 trials hit MaxInstrs inside a NOP run", endsInRun)
+	if endsInRun < 5 {
+		t.Errorf("only %d trials hit MaxInstrs inside a NOP run; the generator no longer covers it", endsInRun)
 	}
 }

@@ -71,6 +71,11 @@ type uopTemplate struct {
 	barrierID   int64
 	barrierSlot int32 // chip barrier-registry slot, filled at Attach
 
+	// nopRun is, for a NOP, the length of the run of same-opcode NOPs
+	// starting here (0 for other classes): Thread.ConsumeNops retires
+	// up to that many in one call.
+	nopRun int32
+
 	energyPJ   float64
 	oneMinusTF float64 // 1 - ToggleFraction, folded once at compile
 	toggleTF   float64
@@ -169,6 +174,16 @@ func compileTemplates(p *asm.Program) []uopTemplate {
 			t.btHash = h
 		case isa.ClassBarrier:
 			t.barrierID = in.Imm
+		}
+	}
+	for pc := len(tmpl) - 1; pc >= 0; pc-- {
+		t := &tmpl[pc]
+		if t.class != isa.ClassNOP {
+			continue
+		}
+		t.nopRun = 1
+		if pc+1 < len(tmpl) && tmpl[pc+1].in.Op == t.in.Op {
+			t.nopRun += tmpl[pc+1].nopRun
 		}
 	}
 	return tmpl

@@ -30,10 +30,6 @@ type Uop struct {
 	// tpl is the pre-decoded template of the static instruction; the
 	// timing model reads opcode metadata from it instead of In.Op.
 	tpl *uopTemplate
-
-	// memLevel is filled in by the timing model when the access is
-	// issued (which cache level serviced it).
-	memLevel memLevel
 }
 
 const defaultMemBytes = 4096
@@ -57,7 +53,8 @@ type Thread struct {
 	maxInstrs  uint64 // 0 = unbounded
 	done       bool
 
-	// buffered lookahead for the decoder
+	// The decoder's lookahead: step fills cur in place, so a uop is
+	// built once and read through a pointer until it is consumed.
 	cur    Uop
 	curOK  bool
 	primed bool
@@ -110,11 +107,33 @@ func (t *Thread) Consume() {
 	t.primed = false
 }
 
+// ConsumeNops retires the NOP returned by Peek together with up to
+// max-1 NOPs of the same opcode that directly follow it, and returns
+// how many it retired (1 ≤ n ≤ max; max must be at least 1). The
+// followers come straight from the templates: a NOP reads no register,
+// writes nothing and yields a zero uop, so retiring them only advances
+// pc and the dynamic count. The MaxInstrs bound holds exactly as for
+// Peek/Consume, and the thread is left unprimed, as after Consume: the
+// next Peek executes the instruction behind the last NOP retired. The
+// caller must have seen a NOP from Peek.
+func (t *Thread) ConsumeNops(max int) int {
+	t.primed = false
+	// A NOP falls through, so the primed one sits at pc-1; its run
+	// counts it and the same-opcode NOPs behind it.
+	n := min(max, int(t.tmpl[t.pc-1].nopRun))
+	if t.maxInstrs > 0 && uint64(n-1) > t.maxInstrs-t.seq {
+		n = int(t.maxInstrs-t.seq) + 1
+	}
+	t.pc += n - 1
+	t.seq += uint64(n - 1)
+	return n
+}
+
 func (t *Thread) prime() {
 	if t.primed {
 		return
 	}
-	t.cur, t.curOK = t.step()
+	t.curOK = t.step()
 	t.primed = true
 }
 
@@ -144,20 +163,25 @@ func (t *Thread) stateFP() uint64 {
 	return fp
 }
 
-// step executes one instruction functionally, driven entirely by the
-// pre-decoded template of the static instruction at pc.
-func (t *Thread) step() (Uop, bool) {
+// step executes one instruction functionally into the lookahead
+// t.cur, driven entirely by the pre-decoded template of the static
+// instruction at pc; false when the stream is exhausted.
+func (t *Thread) step() bool {
 	if t.done || t.pc < 0 || t.pc >= len(t.tmpl) ||
 		(t.maxInstrs > 0 && t.seq >= t.maxInstrs) {
 		t.done = true
-		return Uop{}, false
+		t.cur = Uop{}
+		return false
 	}
 	tpl := &t.tmpl[t.pc]
-	u := Uop{In: tpl.in, tpl: tpl, BarrierID: -1, Seq: t.seq}
+	u := &t.cur
+	u.In, u.tpl, u.Seq = tpl.in, tpl, t.seq
+	u.BarrierID = -1
 	t.seq++
 
 	// Resolve address for memory-shaped ops.
 	var localAddr uint64
+	u.Addr = 0
 	if tpl.baseIdx >= 0 {
 		localAddr = (t.regs[tpl.baseIdx].Lo + tpl.disp) % uint64(len(t.mem))
 		localAddr &^= 15
@@ -193,19 +217,23 @@ func (t *Thread) step() (Uop, bool) {
 		u.SrcA = dstOld
 	case srcAMem:
 		u.SrcA = memv
+	default:
+		u.SrcA = isa.Value{}
 	}
 
 	if tpl.branchKind != brNone {
 		u.Taken = tpl.branchKind != brCond || !t.zeroFlag
 		u.BackBranch = tpl.backBranch
+		u.Result = isa.Value{}
 		if u.Taken {
 			t.pc = tpl.target
 		} else {
 			t.pc++
 		}
-		return u, true
+		return true
 	}
 
+	u.Taken, u.BackBranch = false, false
 	res := tpl.exec(dstOld, src1, src2, t.globalBase+localAddr, memv)
 	u.Result = res
 	if tpl.dstIdx >= 0 {
@@ -215,7 +243,7 @@ func (t *Thread) step() (Uop, bool) {
 		}
 	}
 	t.pc++
-	return u, true
+	return true
 }
 
 // flagWriting reports whether the class updates the zero flag, matching

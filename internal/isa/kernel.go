@@ -78,7 +78,7 @@ func KernelOf(in *Instruction) ExecFn {
 	return execZero
 }
 
-func execZero(_, _, _ Value, _ uint64, _ Value) Value { return Value{} }
+func execZero(_, _, _ Value, _ uint64, _ Value) Value  { return Value{} }
 func execSrc1(_, s1, _ Value, _ uint64, _ Value) Value { return s1 }
 
 func execAdd(d, s1, _ Value, _ uint64, _ Value) Value { return Value{Lo: d.Lo + s1.Lo} }

@@ -11,7 +11,7 @@ const romTestDt = 1 / 3.3e9
 func romNoise(dst []float64, amp float64, seed uint64) {
 	for i := range dst {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		dst[i] = amp * float64(seed>>11) / float64(1 << 53)
+		dst[i] = amp * float64(seed>>11) / float64(1<<53)
 	}
 }
 

@@ -2,8 +2,11 @@ package testbed
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/asm"
+	"repro/internal/isa"
 	"repro/internal/tracestore"
 )
 
@@ -328,4 +331,117 @@ func BenchmarkTraceStoreWarmVsCold(b *testing.B) {
 			b.Fatalf("store hits %d < iterations %d: warm path not exercised", ts.StoreHits, b.N)
 		}
 	})
+}
+
+// searchShapeProgram builds a candidate the way core.CodeGen does for
+// the benchmark search on Bulldozer at its 36-cycle resonance loop: a
+// 6-cycle by 4-slot sub-block of random opcodes with a quarter of the
+// slots left as NOPs, replicated 3 times into the high-power region,
+// a 68-NOP low-power run and the dec/jnz closer. Register pools and
+// memory displacements follow CodeGen.instr.
+func searchShapeProgram() *asm.Program {
+	var ops []*isa.Opcode
+	for _, op := range isa.AllOpcodes() {
+		switch op.Class {
+		case isa.ClassBranch, isa.ClassBarrier, isa.ClassNOP:
+			continue
+		}
+		ops = append(ops, op)
+	}
+	rng := rand.New(rand.NewSource(1))
+	slots := make([]*isa.Instruction, 6*4)
+	for i := range slots {
+		if rng.Float64() < 0.25 {
+			continue
+		}
+		op := ops[rng.Intn(len(ops))]
+		a, bb, c := rng.Intn(256), rng.Intn(256), rng.Intn(256)
+		xacc, xsrc := isa.XMM(a%12), isa.XMM(12+bb%4)
+		gacc, gsrc := isa.GPR(8+a%8), isa.GPR(6+bb%2)
+		in := &isa.Instruction{Op: op}
+		switch op.Shape {
+		case isa.ShapeRR:
+			in.Dst, in.Src1 = xacc, xsrc
+			if op.RegKind == isa.RegGPR {
+				in.Dst, in.Src1 = gacc, gsrc
+			}
+		case isa.ShapeRRR:
+			in.Dst, in.Src1, in.Src2 = xacc, xsrc, isa.XMM(12+c%4)
+		case isa.ShapeRI:
+			in.Dst, in.Imm = gacc, int64(bb)
+		case isa.ShapeLoad, isa.ShapeStore:
+			reg := xacc
+			if op.RegKind == isa.RegGPR {
+				reg = gacc
+			}
+			if op.Shape == isa.ShapeLoad {
+				in.Dst = reg
+			} else {
+				in.Src1 = reg
+			}
+			in.MemBase = isa.RBP
+		default:
+			continue
+		}
+		slots[i] = in
+	}
+	b := asm.NewBuilder("search-shape")
+	b.SetMem(4096)
+	b.InitToggle(16, 8)
+	b.RI("movimm", isa.RCX, 1<<40)
+	b.RI("movimm", isa.RBP, 0)
+	b.Label("loop")
+	for rep, idx := 0, 0; rep < 3; rep++ {
+		for _, in := range slots {
+			if in == nil {
+				b.Nop(1)
+			} else {
+				raw := *in
+				if raw.MemBase.Valid() {
+					raw.MemDisp = int32(idx * 64 % 4096)
+				}
+				b.Raw(raw)
+			}
+			idx++
+		}
+	}
+	b.Nop(68)
+	b.RR("dec", isa.RCX, isa.RCX)
+	b.Branch("jnz", "loop")
+	return b.MustBuild()
+}
+
+// BenchmarkCaptureSearchShape times phase-1 capture (buildTrace, period
+// detector included) of one search candidate: four threads spread one
+// per module, 23,000 cycles (the benchmark search's warmup plus
+// measured window). The dec/jnz closer keeps the trace aperiodic, so
+// every op captures the full window, as a search-cold capture does.
+func BenchmarkCaptureSearchShape(b *testing.B) {
+	p := Bulldozer()
+	cp, err := p.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	threads, err := SpreadPlacement(p.Chip, searchShapeProgram(), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rc := RunConfig{Threads: threads, MaxCycles: 23000, WarmupCycles: 3000, SupplyVolts: p.Nominal()}
+	if _, err := cp.buildTrace(rc); err != nil { // fill the chip pool
+		b.Fatal(err)
+	}
+	cycles := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := cp.buildTrace(rc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tr.periodic || len(tr.energy) != 23000 {
+			b.Fatalf("capture periodic=%v over %d cycles, want a full aperiodic window", tr.periodic, len(tr.energy))
+		}
+		cycles += len(tr.energy)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 }

@@ -146,6 +146,13 @@ func TestReplayPeriodicMatchesExact(t *testing.T) {
 	if st.Periodic != 1 {
 		t.Errorf("periodic traces = %d, want 1 (detector missed the jmp loop)", st.Periodic)
 	}
+	// The detector's decomposition is pinned: a faster fingerprint
+	// schedule must find the same head and period.
+	for _, tr := range cp.traces.m {
+		if tr.headLen != 1985 || tr.periodLen != 1088 {
+			t.Errorf("head/period = %d/%d, want 1985/1088", tr.headLen, tr.periodLen)
+		}
+	}
 	if st.PDNEarlyExits < 1 {
 		t.Errorf("PDN early exits = %d, want ≥1", st.PDNEarlyExits)
 	}

@@ -55,22 +55,22 @@ func TestROMReplayWithinTolerance(t *testing.T) {
 			rc: RunConfig{
 				Threads:   []ThreadSpec{{Program: progA, Module: 0, Core: 0}},
 				MaxCycles: 12000, WarmupCycles: 2000,
-				Dither:    []DitherSpec{{Core: 0, PeriodCycles: 64, PadCycles: 2}},
+				Dither: []DitherSpec{{Core: 0, PeriodCycles: 64, PadCycles: 2}},
 			},
 		},
 		{
 			name: "throttled",
 			rc: RunConfig{
-				Threads:    []ThreadSpec{{Program: progA, Module: 0, Core: 0}},
-				MaxCycles:  12000, WarmupCycles: 2000,
+				Threads:   []ThreadSpec{{Program: progA, Module: 0, Core: 0}},
+				MaxCycles: 12000, WarmupCycles: 2000,
 				FPThrottle: 1,
 			},
 		},
 		{
 			name: "ladder-rung",
 			rc: RunConfig{
-				Threads:     []ThreadSpec{{Program: progA, Module: 0, Core: 0}},
-				MaxCycles:   12000, WarmupCycles: 2000,
+				Threads:   []ThreadSpec{{Program: progA, Module: 0, Core: 0}},
+				MaxCycles: 12000, WarmupCycles: 2000,
 				SupplyVolts: Bulldozer().Nominal() - 0.1125,
 			},
 		},

@@ -19,14 +19,17 @@ import (
 // everything the chip side of a run depends on. Phase 2 (replay.go)
 // streams the trace through the batched PDN kernel.
 //
-// Periodicity detection is two-tier. A cheap per-cycle fingerprint
+// Periodicity detection is two-tier. A per-boundary key
 // (cpu.Chip.StateFingerprint mixed with the cycle's energy/issue record
 // and the dither phases) feeds Brent's cycle-detection algorithm, which
-// proposes a candidate period in O(1) memory. A candidate is trusted
-// only after the recorded trace repeats it bit-for-bit over two further
-// periods AND the chip's retired/branch/cache counters advance by
-// identical per-period deltas — the cycles are being recorded anyway,
-// so verification costs nothing beyond running 2 extra periods.
+// proposes a candidate period in O(1) memory. The key is computed only
+// where Brent needs it: at anchors, and at boundaries whose record and
+// phases already equal the anchor's (DESIGN.md §11, "Cycle cost"). A
+// candidate is trusted only after the recorded trace repeats it
+// bit-for-bit over two further periods AND the chip's
+// retired/branch/cache counters advance by identical per-period deltas
+// — the cycles are being recorded anyway, so verification costs nothing
+// beyond running 2 extra periods.
 // Programs whose energy is not exactly periodic (the generated dec/jnz
 // loop closers toggle a monotone counter, making dec's toggle energy
 // follow the binary ruler sequence) fail verification and fall back to
@@ -175,19 +178,27 @@ func statsSub(a, b cpu.Stats) cpu.Stats {
 	}
 }
 
-// periodDetector runs Brent's cycle detection over the per-cycle
-// fingerprint stream and verifies candidates against the trace.
-// Boundary index b is the number of recorded entries (the state after
-// cycle b-1).
+// periodDetector runs Brent's cycle detection over the per-boundary
+// keys and verifies candidates against the trace. Boundary index b is
+// the number of recorded entries (the state after cycle b-1).
 type periodDetector struct {
 	maxCycles uint64
 	disabled  bool
 	attempts  int
 
-	hasAnchor bool
-	anchorFP  uint64
-	anchorAt  int
-	limit     int
+	// phase holds the observed boundary's dither phases (cycles to each
+	// core's next pad), filled by the caller before observe.
+	phase []uint64
+
+	// The anchor: its boundary, key, and the parts of the key that are
+	// compared exactly before the key itself is computed.
+	hasAnchor   bool
+	anchorFP    uint64
+	anchorE     uint64
+	anchorQ     uint64
+	anchorPhase []uint64
+	anchorAt    int
+	limit       int
 
 	// Armed candidate: period pendP first matched at boundary pendB2,
 	// so the hypothesis is that entries [pendB2-pendP, ...) repeat.
@@ -197,9 +208,55 @@ type periodDetector struct {
 	r0, r1 uint64
 }
 
-// observe feeds boundary b's fingerprint; returns true once a period
-// has been verified and recorded into tr (the caller stops the chip).
-func (d *periodDetector) observe(b int, fp uint64, tr *chipTrace, chip *cpu.Chip) bool {
+func newPeriodDetector(maxCycles uint64, dithers int) *periodDetector {
+	return &periodDetector{
+		maxCycles:   maxCycles,
+		phase:       make([]uint64, dithers),
+		anchorPhase: make([]uint64, dithers),
+	}
+}
+
+// key is the boundary's full detector key: the approximate control state
+// mixed with the cycle's exact trace record e (energy bits) and q
+// (packed issues), capturing data-toggle activity compactly, and the
+// dither phases — so a detected period is automatically a common
+// multiple of every dither period (LCM folding).
+func (d *periodDetector) key(e, q uint64, chip *cpu.Chip) uint64 {
+	fp := mix64(chip.StateFingerprint(), e)
+	fp = mix64(fp, q)
+	for _, ph := range d.phase {
+		fp = mix64(fp, ph)
+	}
+	return fp
+}
+
+// anchor makes boundary b, with record (e, q) and the current phases,
+// Brent's anchor.
+func (d *periodDetector) anchor(b int, e, q uint64, chip *cpu.Chip) {
+	d.anchorFP, d.anchorE, d.anchorQ, d.anchorAt = d.key(e, q, chip), e, q, b
+	copy(d.anchorPhase, d.phase)
+}
+
+// matchesAnchor reports whether boundary (e, q) has the anchor's key.
+// The key is a bijection of the chip fingerprint once the record and
+// phases are fixed, so it is computed only when those equal the
+// anchor's; otherwise the keys could agree only by a 64-bit collision.
+func (d *periodDetector) matchesAnchor(e, q uint64, chip *cpu.Chip) bool {
+	if e != d.anchorE || q != d.anchorQ {
+		return false
+	}
+	for i, ph := range d.phase {
+		if ph != d.anchorPhase[i] {
+			return false
+		}
+	}
+	return d.key(e, q, chip) == d.anchorFP
+}
+
+// observe feeds boundary b, whose cycle recorded energy bits e and
+// packed issues q; returns true once a period has been verified and
+// recorded into tr (the caller stops the chip).
+func (d *periodDetector) observe(b int, e, q uint64, tr *chipTrace, chip *cpu.Chip) bool {
 	if d.disabled {
 		return false
 	}
@@ -228,10 +285,11 @@ func (d *periodDetector) observe(b int, fp uint64, tr *chipTrace, chip *cpu.Chip
 		}
 	}
 	if !d.hasAnchor {
-		d.hasAnchor, d.anchorFP, d.anchorAt, d.limit = true, fp, b, detectInitLimit
+		d.hasAnchor, d.limit = true, detectInitLimit
+		d.anchor(b, e, q, chip)
 		return false
 	}
-	if fp == d.anchorFP && b > d.anchorAt && d.pendP == 0 && d.attempts < detectMaxAttempts {
+	if b > d.anchorAt && d.pendP == 0 && d.attempts < detectMaxAttempts && d.matchesAnchor(e, q, chip) {
 		// Candidate period: distance back to the anchor. Only arm if
 		// the two verification periods fit inside the run.
 		if p := b - d.anchorAt; uint64(b)+2*uint64(p) <= d.maxCycles {
@@ -243,7 +301,7 @@ func (d *periodDetector) observe(b int, fp uint64, tr *chipTrace, chip *cpu.Chip
 		// Brent window doubling: re-anchor so the window eventually
 		// exceeds the (unknown) period and the anchor lands in the
 		// steady state.
-		d.anchorFP, d.anchorAt = fp, b
+		d.anchor(b, e, q, chip)
 		d.limit *= 2
 	}
 	return false
@@ -318,7 +376,7 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 	}
 	var det *periodDetector
 	if detect {
-		det = &periodDetector{maxCycles: maxCycles}
+		det = newPeriodDetector(maxCycles, len(rc.Dither))
 	}
 
 	for cyc := uint64(0); cyc < maxCycles; cyc++ {
@@ -344,17 +402,10 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 		tr.energy = append(tr.energy, res.EnergyPJ)
 		tr.issues = append(tr.issues, packed)
 		if det != nil {
-			// The fingerprint mixes the approximate control state with
-			// this cycle's exact trace record (capturing data-toggle
-			// activity compactly) and the dither phases — so a detected
-			// period is automatically a common multiple of every dither
-			// period (LCM folding).
-			fp := mix64(chip.StateFingerprint(), math.Float64bits(res.EnergyPJ))
-			fp = mix64(fp, packed)
 			for i := range nextPad {
-				fp = mix64(fp, nextPad[i]-(cyc+1))
+				det.phase[i] = nextPad[i] - (cyc + 1)
 			}
-			if det.observe(len(tr.energy), fp, tr, chip) {
+			if det.observe(len(tr.energy), math.Float64bits(res.EnergyPJ), packed, tr, chip) {
 				break
 			}
 		}

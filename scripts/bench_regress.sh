@@ -26,6 +26,7 @@ fi
 # here as a hard failure, not silently shrink the gate.
 gated=(
   BenchmarkCaptureHotLoop
+  BenchmarkCaptureSearchShape
   BenchmarkEvalColdVsCompiled
   BenchmarkGARunMemoized
   BenchmarkGenerationBatch

@@ -5,7 +5,7 @@ package circuit
 import "unsafe"
 
 // AVX2 assembly fast paths for the two replay hot kernels: the
-// register-blocked LU substitution lanes (solveBatch) and the ROM
+// register-blocked sparse LU substitution (solveBatch) and the ROM
 // modal step (romStepKernel) in 4-lane groups. Both map lanes to SIMD
 // slots so each lane performs exactly the scalar kernel's
 // floating-point operation sequence — multiply then subtract as two
@@ -21,10 +21,7 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func fwdRowAVX2(row []float64, x []float64, i, L int)
-
-//go:noescape
-func backRowAVX2(row []float64, d float64, x []float64, i, base, L int)
+func solveAVX2(b, x *float64, L int, perm *int, lower, upper *[]luEntry, diag *float64, n int)
 
 //go:noescape
 func romStep4AVX2(a *romStep4Args)
@@ -51,26 +48,28 @@ func detectAVX2() bool {
 	return b&(1<<5) != 0
 }
 
-// solveBatchAVX2 runs the substitution sweeps through the AVX2 row
-// kernels: per row, the shared coefficients broadcast across SIMD
+// solveBatchAVX2 runs the whole solve as one call into the AVX2
+// kernel: per row, each nonzero coefficient broadcasts across SIMD
 // slots holding adjacent lanes (contiguous in the lane-minor layout),
 // exactly the amortization the Go register blocks perform — but with
-// 4 lanes per arithmetic instruction. The lane remainder (L mod 4) is
-// handled inside the row kernels with VEX scalar ops in the same
-// operation order.
+// 4 lanes per arithmetic instruction. Lanes past the last 4-lane block
+// run as one 2-lane xmm block and one VEX scalar lane, in the same
+// operation order. It beats the Go kernel from two lanes up.
 func (f *luReal) solveBatchAVX2(b, x []float64, L int) {
 	n := f.n
-	lu := f.lu
-	for i := 0; i < n; i++ {
-		copy(x[i*L:i*L+L], b[f.perm[i]*L:f.perm[i]*L+L])
+	if len(b) < n*L || len(x) < n*L {
+		panic("circuit: solveBatch buffer shorter than n×L")
 	}
-	for i := 1; i < n; i++ {
-		fwdRowAVX2(lu[i*n:i*n+i], x, i, L)
-	}
-	for i := n - 1; i >= 0; i-- {
-		backRowAVX2(lu[i*n+i+1:i*n+n], lu[i*n+i], x, i, (i+1)*L, L)
-	}
+	solveAVX2(&b[0], &x[0], L, &f.perm[0], &f.lower[0], &f.upper[0], &f.diag[0], n)
 }
+
+// The assembly reads luReal's row lists as 24-byte slice headers of
+// 16-byte {col, val} records.
+var (
+	_ = [1]struct{}{}[unsafe.Sizeof([]luEntry{})-24]
+	_ = [1]struct{}{}[unsafe.Sizeof(luEntry{})-16]
+	_ = [1]struct{}{}[unsafe.Offsetof(luEntry{}.val)-8]
+)
 
 // romStep4Args is the argument block for romStep4AVX2. Every field is
 // 8 bytes, so the assembly's fixed offsets follow the declaration

@@ -28,210 +28,193 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fwdRowAVX2(row []float64, x []float64, i, L int)
+// func solveAVX2(b, x *float64, L int, perm *int, lower, upper *[]luEntry, diag *float64, n int)
 //
-// Forward-substitution row i over all L lanes of the lane-minor
-// solution array x: for each lane l,
+// One whole LU solve over all L lanes of the lane-minor arrays b and x
+// (luReal.solveBatch): forward substitution for rows 0..n−1, then back
+// substitution for rows n−1..0, each row walking only its nonzero
+// entries: lower[i] and upper[i] are slice headers over 16-byte
+// {col, val} records, ascending col. For each lane l of row i:
 //
-//	x[i*L+l] -= Σ_j row[j] * x[j*L+l]   (j ascending)
+//	forward: x[i*L+l] = b[perm[i]*L+l] − Σ_e val·x[col*L+l]
+//	back:    x[i*L+l] = (x[i*L+l] − Σ_e val·x[col*L+l]) / diag[i]
 //
-// 8-lane blocks (two ymm accumulators), then a 4-lane block, then VEX
-// scalar remainder — the same tiling solveBatchGo uses.
-TEXT ·fwdRowAVX2(SB), NOSPLIT, $0-64
-	MOVQ  row_base+0(FP), SI
-	MOVQ  row_len+8(FP), R8
-	MOVQ  x_base+24(FP), DI
-	MOVQ  i+48(FP), R9
-	MOVQ  L+56(FP), R10
+// Each row sweeps its lanes in 8-lane blocks (two ymm accumulators),
+// then a 4-lane block, a 2-lane xmm block and a VEX scalar lane, so
+// any width costs at most three sweeps past its 8-lane blocks. Every
+// block loads a lane group with the width it was stored with, which
+// keeps store-to-load forwarding intact between dependent rows. One
+// sweep body serves both passes: R10 selects the pass (0 forward,
+// 1 back), i.e. whether the sweep divides and where it returns.
+//
+// Registers: DI x, R11 row stride L*8, R8 row i, DX source row, R13
+// destination row, SI the row's first entry, R9 its entry count, R12
+// lane byte offset, BX/CX entry cursor and countdown, AX address
+// scratch, Y5 the broadcast diagonal.
+TEXT ·solveAVX2(SB), NOSPLIT, $0-64
+	MOVQ  x+8(FP), DI
+	MOVQ  L+16(FP), R11
+	SHLQ  $3, R11         // SoA row stride in bytes
+	XORQ  R10, R10        // forward pass
+	XORQ  R8, R8          // i = 0
+fwdrow:
+	CMPQ  R8, n+56(FP)
+	JGE   backstart
+	MOVQ  perm+24(FP), AX
+	MOVQ  (AX)(R8*8), DX
+	IMULQ R11, DX
+	ADDQ  b+0(FP), DX     // DX = &b[perm[i]*L]
+	MOVQ  R8, R13
+	IMULQ R11, R13
+	ADDQ  DI, R13         // R13 = &x[i*L]
+	LEAQ  (R8)(R8*2), AX
+	SHLQ  $3, AX          // AX = i*24: row i's slice header
+	ADDQ  lower+32(FP), AX
+	MOVQ  (AX), SI
+	MOVQ  8(AX), R9
+	JMP   sweep
+fwdnext:
+	INCQ  R8
+	JMP   fwdrow
 
-	IMULQ R10, R9
-	LEAQ  (DI)(R9*8), DX  // DX = &x[i*L]
-	MOVQ  R10, R11
-	SHLQ  $3, R11         // R11 = L*8: SoA row stride in bytes
+backstart:
+	MOVQ  $1, R10         // back pass
+	MOVQ  n+56(FP), R8
+backrow:
+	DECQ  R8
+	JLT   done
+	MOVQ  R8, R13
+	IMULQ R11, R13
+	ADDQ  DI, R13         // R13 = &x[i*L]
+	MOVQ  R13, DX         // rows update in place
+	MOVQ  diag+48(FP), AX
+	VBROADCASTSD (AX)(R8*8), Y5
+	LEAQ  (R8)(R8*2), AX
+	SHLQ  $3, AX
+	ADDQ  upper+40(FP), AX
+	MOVQ  (AX), SI
+	MOVQ  8(AX), R9
+	JMP   sweep
 
-	XORQ  R12, R12        // l = 0
-fwd8:
-	MOVQ  R10, AX
+// One row over every lane: DX source row, R13 destination row, SI/R9
+// the entries, Y5 the divisor when R10 = 1.
+sweep:
+	XORQ  R12, R12        // lane byte offset
+sweep8:
+	MOVQ  R11, AX
 	SUBQ  R12, AX
-	CMPQ  AX, $8
-	JLT   fwd4
-	LEAQ  (DX)(R12*8), R13
-	VMOVUPD (R13), Y0
-	VMOVUPD 32(R13), Y1
-	LEAQ  (DI)(R12*8), AX // column pointer: &x[0*L+l]
+	CMPQ  AX, $64
+	JLT   sweep4
+	VMOVUPD (DX)(R12*1), Y0
+	VMOVUPD 32(DX)(R12*1), Y1
 	MOVQ  SI, BX
-	MOVQ  R8, CX
+	MOVQ  R9, CX
 	TESTQ CX, CX
-	JE    fwd8store
-fwd8j:
-	VBROADCASTSD (BX), Y2
-	VMULPD (AX), Y2, Y3
-	VMULPD 32(AX), Y2, Y4
+	JE    sweep8out
+sweep8e:
+	MOVQ  (BX), AX
+	IMULQ R11, AX
+	ADDQ  R12, AX         // AX = col*L*8 + l*8
+	VBROADCASTSD 8(BX), Y2
+	VMULPD (DI)(AX*1), Y2, Y3
+	VMULPD 32(DI)(AX*1), Y2, Y4
 	VSUBPD Y3, Y0, Y0
 	VSUBPD Y4, Y1, Y1
-	ADDQ  $8, BX
-	ADDQ  R11, AX
+	ADDQ  $16, BX
 	DECQ  CX
-	JNE   fwd8j
-fwd8store:
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, 32(R13)
-	ADDQ  $8, R12
-	JMP   fwd8
-fwd4:
-	MOVQ  R10, AX
-	SUBQ  R12, AX
-	CMPQ  AX, $4
-	JLT   fwd1
-	LEAQ  (DX)(R12*8), R13
-	VMOVUPD (R13), Y0
-	LEAQ  (DI)(R12*8), AX
-	MOVQ  SI, BX
-	MOVQ  R8, CX
-	TESTQ CX, CX
-	JE    fwd4store
-fwd4j:
-	VBROADCASTSD (BX), Y2
-	VMULPD (AX), Y2, Y3
-	VSUBPD Y3, Y0, Y0
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   fwd4j
-fwd4store:
-	VMOVUPD Y0, (R13)
-	ADDQ  $4, R12
-	JMP   fwd4
-fwd1:
-	CMPQ  R12, R10
-	JGE   fwddone
-	LEAQ  (DX)(R12*8), R13
-	VMOVSD (R13), X0
-	LEAQ  (DI)(R12*8), AX
-	MOVQ  SI, BX
-	MOVQ  R8, CX
-	TESTQ CX, CX
-	JE    fwd1store
-fwd1j:
-	VMOVSD (BX), X2
-	VMULSD (AX), X2, X3
-	VSUBSD X3, X0, X0
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   fwd1j
-fwd1store:
-	VMOVSD X0, (R13)
-	INCQ  R12
-	JMP   fwd1
-fwddone:
-	VZEROUPPER
-	RET
-
-// func backRowAVX2(row []float64, d float64, x []float64, i, base, L int)
-//
-// Back-substitution row i over all L lanes: for each lane l,
-//
-//	s = x[i*L+l] − Σ_j row[j] * x[base + j*L + l]   (j ascending)
-//	x[i*L+l] = s / d
-//
-// The division is per-slot VDIVPD/VDIVSD, matching the scalar
-// kernel's one final divide.
-TEXT ·backRowAVX2(SB), NOSPLIT, $0-80
-	MOVQ  row_base+0(FP), SI
-	MOVQ  row_len+8(FP), R8
-	VBROADCASTSD d+24(FP), Y5
-	MOVQ  x_base+32(FP), DI
-	MOVQ  i+56(FP), R9
-	MOVQ  base+64(FP), BX
-	MOVQ  L+72(FP), R10
-
-	IMULQ R10, R9
-	LEAQ  (DI)(R9*8), DX  // DX = &x[i*L]
-	LEAQ  (DI)(BX*8), R9  // R9 = &x[base]
-	MOVQ  R10, R11
-	SHLQ  $3, R11
-
-	XORQ  R12, R12
-back8:
-	MOVQ  R10, AX
-	SUBQ  R12, AX
-	CMPQ  AX, $8
-	JLT   back4
-	LEAQ  (DX)(R12*8), R13
-	VMOVUPD (R13), Y0
-	VMOVUPD 32(R13), Y1
-	LEAQ  (R9)(R12*8), AX
-	MOVQ  SI, BX
-	MOVQ  R8, CX
-	TESTQ CX, CX
-	JE    back8div
-back8j:
-	VBROADCASTSD (BX), Y2
-	VMULPD (AX), Y2, Y3
-	VMULPD 32(AX), Y2, Y4
-	VSUBPD Y3, Y0, Y0
-	VSUBPD Y4, Y1, Y1
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   back8j
-back8div:
+	JNE   sweep8e
+sweep8out:
+	TESTQ R10, R10
+	JE    sweep8st
 	VDIVPD Y5, Y0, Y0
 	VDIVPD Y5, Y1, Y1
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, 32(R13)
-	ADDQ  $8, R12
-	JMP   back8
-back4:
-	MOVQ  R10, AX
-	SUBQ  R12, AX
-	CMPQ  AX, $4
-	JLT   back1
-	LEAQ  (DX)(R12*8), R13
-	VMOVUPD (R13), Y0
-	LEAQ  (R9)(R12*8), AX
+sweep8st:
+	VMOVUPD Y0, (R13)(R12*1)
+	VMOVUPD Y1, 32(R13)(R12*1)
+	ADDQ  $64, R12
+	JMP   sweep8
+sweep4:
+	CMPQ  AX, $32
+	JLT   sweep2
+	VMOVUPD (DX)(R12*1), Y0
 	MOVQ  SI, BX
-	MOVQ  R8, CX
+	MOVQ  R9, CX
 	TESTQ CX, CX
-	JE    back4div
-back4j:
-	VBROADCASTSD (BX), Y2
-	VMULPD (AX), Y2, Y3
+	JE    sweep4out
+sweep4e:
+	MOVQ  (BX), AX
+	IMULQ R11, AX
+	ADDQ  R12, AX
+	VBROADCASTSD 8(BX), Y2
+	VMULPD (DI)(AX*1), Y2, Y3
 	VSUBPD Y3, Y0, Y0
-	ADDQ  $8, BX
-	ADDQ  R11, AX
+	ADDQ  $16, BX
 	DECQ  CX
-	JNE   back4j
-back4div:
+	JNE   sweep4e
+sweep4out:
+	TESTQ R10, R10
+	JE    sweep4st
 	VDIVPD Y5, Y0, Y0
-	VMOVUPD Y0, (R13)
-	ADDQ  $4, R12
-	JMP   back4
-back1:
-	CMPQ  R12, R10
-	JGE   backdone
-	LEAQ  (DX)(R12*8), R13
-	VMOVSD (R13), X0
-	LEAQ  (R9)(R12*8), AX
+sweep4st:
+	VMOVUPD Y0, (R13)(R12*1)
+	ADDQ  $32, R12
+sweep2:
+	MOVQ  R11, AX
+	SUBQ  R12, AX
+	CMPQ  AX, $16
+	JLT   sweep1
+	VMOVUPD (DX)(R12*1), X0
 	MOVQ  SI, BX
-	MOVQ  R8, CX
+	MOVQ  R9, CX
 	TESTQ CX, CX
-	JE    back1div
-back1j:
-	VMOVSD (BX), X2
-	VMULSD (AX), X2, X3
-	VSUBSD X3, X0, X0
-	ADDQ  $8, BX
-	ADDQ  R11, AX
+	JE    sweep2out
+sweep2e:
+	MOVQ  (BX), AX
+	IMULQ R11, AX
+	ADDQ  R12, AX
+	VMOVDDUP 8(BX), X2
+	VMULPD (DI)(AX*1), X2, X3
+	VSUBPD X3, X0, X0
+	ADDQ  $16, BX
 	DECQ  CX
-	JNE   back1j
-back1div:
+	JNE   sweep2e
+sweep2out:
+	TESTQ R10, R10
+	JE    sweep2st
+	VDIVPD X5, X0, X0
+sweep2st:
+	VMOVUPD X0, (R13)(R12*1)
+	ADDQ  $16, R12
+sweep1:
+	CMPQ  R12, R11
+	JGE   sweepdone
+	VMOVSD (DX)(R12*1), X0
+	MOVQ  SI, BX
+	MOVQ  R9, CX
+	TESTQ CX, CX
+	JE    sweep1out
+sweep1e:
+	MOVQ  (BX), AX
+	IMULQ R11, AX
+	ADDQ  R12, AX
+	VMOVSD 8(BX), X2
+	VMULSD (DI)(AX*1), X2, X3
+	VSUBSD X3, X0, X0
+	ADDQ  $16, BX
+	DECQ  CX
+	JNE   sweep1e
+sweep1out:
+	TESTQ R10, R10
+	JE    sweep1st
 	VDIVSD X5, X0, X0
-	VMOVSD X0, (R13)
-	INCQ  R12
-	JMP   back1
-backdone:
+sweep1st:
+	VMOVSD X0, (R13)(R12*1)
+sweepdone:
+	TESTQ R10, R10
+	JE    fwdnext
+	JMP   backrow
+
+done:
 	VZEROUPPER
 	RET
 

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -14,12 +15,22 @@ import (
 
 // testLU factors a random diagonally dominant n×n system.
 func testLU(t testing.TB, n int, seed int64) *luReal {
+	return testLUZeros(t, n, seed, 0)
+}
+
+// testLUZeros factors a random diagonally dominant n×n system whose
+// off-diagonal entries are forced to exact zeros with probability
+// zeroFrac, so the factor has structural zeros for the sparse
+// substitution to skip.
+func testLUZeros(t testing.TB, n int, seed int64, zeroFrac float64) *luReal {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	a := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			a[i*n+j] = rng.NormFloat64()
+			if i == j || zeroFrac == 0 || rng.Float64() >= zeroFrac {
+				a[i*n+j] = rng.NormFloat64()
+			}
 		}
 		a[i*n+i] += float64(n) + 1
 	}
@@ -28,6 +39,86 @@ func testLU(t testing.TB, n int, seed int64) *luReal {
 		t.Fatal(err)
 	}
 	return lu
+}
+
+// ladderLU is the factor of the pdnLadder3 transient system: 38 of its
+// 56 off-diagonal entries are nonzero.
+func ladderLU(t testing.TB) *luReal {
+	cp, _, _, _ := romFixture(t, pdnLadder3)
+	return cp.lu
+}
+
+// guardWords is how many sentinel words follow a guarded buffer.
+const guardWords = 8
+
+// guarded returns a length-n buffer whose capacity holds guardWords
+// sentinels past its end, so a kernel that writes beyond its lanes is
+// caught.
+func guarded(n int) []float64 {
+	buf := make([]float64, n+guardWords)
+	for i := n; i < len(buf); i++ {
+		buf[i] = math.Float64frombits(0x7ff8dead0000beef)
+	}
+	return buf[:n]
+}
+
+func checkGuard(t *testing.T, x []float64, what string, L int) {
+	t.Helper()
+	for i, v := range x[len(x) : len(x)+guardWords] {
+		if math.Float64bits(v) != 0x7ff8dead0000beef {
+			t.Fatalf("%s L=%d: wrote past the last lane (guard word %d)", what, L, i)
+		}
+	}
+}
+
+// offDiagNonzeros counts the entries the sparse kernels walk.
+func offDiagNonzeros(f *luReal) int {
+	nz := 0
+	for i := range f.lower {
+		nz += len(f.lower[i]) + len(f.upper[i])
+	}
+	return nz
+}
+
+// solveDense is the dense serial substitution — every coefficient of
+// the packed factor, zeros included. The sparse kernels must equal it
+// by value on finite input; only the sign of an exact zero may differ.
+func solveDense(f *luReal, b, x []float64) {
+	n := f.n
+	for i := 0; i < n; i++ {
+		x[i] = b[f.perm[i]]
+	}
+	for i := 1; i < n; i++ {
+		s := x[i]
+		for j := 0; j < i; j++ {
+			s -= f.lu[i*n+j] * x[j]
+		}
+		x[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= f.lu[i*n+j] * x[j]
+		}
+		x[i] = s / f.lu[i*n+i]
+	}
+}
+
+// signedRHS fills an n×L lane-minor right-hand side with a mix of
+// normal draws (half of them negative), exact +0 and exact −0.
+func signedRHS(rng *rand.Rand, n, L int) []float64 {
+	b := make([]float64, n*L)
+	for i := range b {
+		switch r := rng.Float64(); {
+		case r < 0.2:
+			b[i] = 0
+		case r < 0.4:
+			b[i] = math.Copysign(0, -1)
+		default:
+			b[i] = rng.NormFloat64()
+		}
+	}
+	return b
 }
 
 // romStepBatchGo is the pure-Go lane-major batch loop — the reference
@@ -44,33 +135,121 @@ func romStepBatchGo(rb *ROMBatch, dst, src [][]float64, mul, div []float64, n in
 
 func TestSolveBatchDispatchBitIdentical(t *testing.T) {
 	t.Logf("haveAVX2 = %v", haveAVX2)
-	for _, n := range []int{1, 3, 15, 24} {
-		lu := testLU(t, n, int64(100+n))
-		rng := rand.New(rand.NewSource(int64(n)))
-		for _, L := range []int{1, 2, 4, 8, 16, 32, 7, 13} {
-			b := make([]float64, n*L)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			got := make([]float64, n*L)
+	factors := []struct {
+		name string
+		lu   *luReal
+	}{
+		{"dense1", testLU(t, 1, 101)},
+		{"dense3", testLU(t, 3, 103)},
+		{"dense15", testLU(t, 15, 115)},
+		{"dense24", testLU(t, 24, 124)},
+		{"ladder", ladderLU(t)},
+		{"zeros15", testLUZeros(t, 15, 215, 0.7)},
+		{"zeros24", testLUZeros(t, 24, 224, 0.85)},
+	}
+	totalFlips := 0
+	for fi, fx := range factors {
+		lu, n := fx.lu, fx.lu.n
+		t.Logf("%s: %d of %d off-diagonal entries nonzero", fx.name, offDiagNonzeros(lu), n*n-n)
+		rng := rand.New(rand.NewSource(int64(fi)))
+		flips := 0
+		for _, L := range []int{1, 2, 3, 4, 5, 6, 7, 8, 11, 13, 16, 32} {
+			b := signedRHS(rng, n, L)
+			got := guarded(n * L)
 			want := make([]float64, n*L)
 			lu.solveBatch(b, got, L)
 			lu.solveBatchGo(b, want, L)
+			checkGuard(t, got, fx.name+" dispatch", L)
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d L=%d: dispatch[%d] = %v, pure Go %v", n, L, i, got[i], want[i])
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s L=%d: dispatch[%d] = %v, pure Go %v", fx.name, L, i, got[i], want[i])
 				}
 			}
-			// And per lane against the serial solver — the original
-			// bit-identity oracle.
+			if haveAVX2 {
+				asm := guarded(n * L)
+				lu.solveBatchAVX2(b, asm, L)
+				checkGuard(t, asm, fx.name+" AVX2", L)
+				for i := range want {
+					if math.Float64bits(asm[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s L=%d: AVX2[%d] = %v, pure Go %v", fx.name, L, i, asm[i], want[i])
+					}
+				}
+			}
+			// Per lane: bitwise against the serial solver, by value
+			// against the dense reference.
 			bl := make([]float64, n)
 			xl := make([]float64, n)
+			xd := make([]float64, n)
 			for l := 0; l < L; l++ {
 				gather(bl, b, L, l)
 				lu.solve(bl, xl)
+				solveDense(lu, bl, xd)
 				for i := 0; i < n; i++ {
-					if got[i*L+l] != xl[i] {
-						t.Fatalf("n=%d L=%d lane %d row %d: batch %v != serial %v", n, L, l, i, got[i*L+l], xl[i])
+					if math.Float64bits(got[i*L+l]) != math.Float64bits(xl[i]) {
+						t.Fatalf("%s L=%d lane %d row %d: batch %v != serial %v", fx.name, L, l, i, got[i*L+l], xl[i])
+					}
+					if xl[i] == 0 && math.Signbit(xl[i]) != math.Signbit(xd[i]) {
+						flips++
+					}
+					if xl[i] != xd[i] {
+						t.Fatalf("%s L=%d lane %d row %d: sparse %v != dense %v", fx.name, L, l, i, xl[i], xd[i])
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d results differ from dense only in the sign of zero", fx.name, flips)
+		totalFlips += flips
+	}
+	if totalFlips == 0 {
+		t.Error("no result exercised the sign-of-zero clause")
+	}
+}
+
+// TestSparseSolveZeroContract pins the two ways skipping a zero
+// coefficient can show, on a factor with structural zeros (a diagonal
+// system, whose L and U are all zero off the diagonal): a −0 the
+// dense substitution turns into +0 stays −0, and an infinity does not
+// become NaN through a 0·∞ term. Every other value is bit-identical.
+func TestSparseSolveZeroContract(t *testing.T) {
+	lu, err := factorReal([]float64{2, 0, 0, 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nz := offDiagNonzeros(lu); nz != 0 {
+		t.Fatalf("diagonal factor kept %d off-diagonal entries", nz)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name          string
+		b             [2]float64
+		sparse, dense [2]float64
+	}{
+		// Dense row 1: −0 − 0·(−1) = −0 − (−0) = +0.
+		{"sign of zero", [2]float64{-1, negZero}, [2]float64{-0.5, negZero}, [2]float64{-0.5, 0}},
+		// Dense row 1: 1 − 0·∞ = NaN, which row 0 then picks up.
+		{"no NaN from 0·inf", [2]float64{math.Inf(1), 1}, [2]float64{math.Inf(1), 1.0 / 3}, [2]float64{math.NaN(), math.NaN()}},
+	} {
+		xd := make([]float64, 2)
+		solveDense(lu, tc.b[:], xd)
+		for i := range xd {
+			if math.Float64bits(xd[i]) != math.Float64bits(tc.dense[i]) && !(math.IsNaN(xd[i]) && math.IsNaN(tc.dense[i])) {
+				t.Fatalf("%s: dense x[%d] = %v, want %v", tc.name, i, xd[i], tc.dense[i])
+			}
+		}
+		for _, L := range []int{1, 2, 3, 4, 8, 13} {
+			b := make([]float64, 2*L)
+			for l := 0; l < L; l++ {
+				scatter(b, tc.b[:], L, l)
+			}
+			for _, k := range []struct {
+				name  string
+				solve func(b, x []float64, L int)
+			}{{"dispatch", lu.solveBatch}, {"go", lu.solveBatchGo}} {
+				x := make([]float64, 2*L)
+				k.solve(b, x, L)
+				for i := 0; i < 2*L; i++ {
+					if want := tc.sparse[i/L]; math.Float64bits(x[i]) != math.Float64bits(want) {
+						t.Fatalf("%s %s L=%d: x[%d] = %v, want %v", tc.name, k.name, L, i, x[i], want)
 					}
 				}
 			}
@@ -126,31 +305,38 @@ func TestROMStepBatchDispatchBitIdentical(t *testing.T) {
 }
 
 // BenchmarkSolveBatchKernel compares the pure-Go register-blocked
-// substitution against the AVX2 row kernels at replay-realistic sizes
-// (n=15 is the shipped PDN's MNA dimension).
+// substitution against the single-call AVX2 kernel at replay-realistic
+// sizes. The dense random factor (n=15, the shipped PDN's MNA
+// dimension, no zeros) shows what walking row lists costs when nothing
+// is skipped; pdn3 is the pdnLadder3 transient factor, whose zeros the
+// kernels skip.
 func BenchmarkSolveBatchKernel(b *testing.B) {
-	const n = 15
-	lu := testLU(b, n, 42)
-	for _, L := range []int{8, 32} {
-		rhs := make([]float64, n*L)
-		x := make([]float64, n*L)
-		rng := rand.New(rand.NewSource(9))
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
+	for _, fx := range []struct {
+		name string
+		lu   *luReal
+	}{{"", testLU(b, 15, 42)}, {"pdn3/", ladderLU(b)}} {
+		lu, n := fx.lu, fx.lu.n
+		for _, L := range []int{2, 3, 8, 32} {
+			rhs := make([]float64, n*L)
+			x := make([]float64, n*L)
+			rng := rand.New(rand.NewSource(9))
+			for i := range rhs {
+				rhs[i] = rng.NormFloat64()
+			}
+			b.Run(fmt.Sprintf("%sgo/Lanes%d", fx.name, L), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					lu.solveBatchGo(rhs, x, L)
+				}
+			})
+			b.Run(fmt.Sprintf("%sasm/Lanes%d", fx.name, L), func(b *testing.B) {
+				if !haveAVX2 {
+					b.Skip("AVX2 kernels unavailable in this build")
+				}
+				for i := 0; i < b.N; i++ {
+					lu.solveBatchAVX2(rhs, x, L)
+				}
+			})
 		}
-		b.Run(fmt.Sprintf("go/Lanes%d", L), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lu.solveBatchGo(rhs, x, L)
-			}
-		})
-		b.Run(fmt.Sprintf("asm/Lanes%d", L), func(b *testing.B) {
-			if !haveAVX2 {
-				b.Skip("AVX2 kernels unavailable in this build")
-			}
-			for i := 0; i < b.N; i++ {
-				lu.solveBatchAVX2(rhs, x, L)
-			}
-		})
 	}
 }
 

@@ -18,14 +18,37 @@ import (
 // ideal sources.
 var ErrSingular = errors.New("circuit: singular matrix")
 
-// luReal is a dense LU factorisation with partial pivoting for the
+// luReal is an LU factorisation with partial pivoting for the
 // real-valued transient system. The matrix is factored once per time
 // step size and reused for every step, which is what makes million-step
 // transients cheap.
+//
+// Factorisation is dense, but substitution walks only the factor's
+// nonzeros: factorReal records, per row, the strictly-lower and
+// strictly-upper entries that are not exactly zero (ascending column)
+// plus U's diagonal. A shipped PDN factors to 15×15 with 64 of its 210
+// off-diagonal entries nonzero, so every solve skips about 70% of the
+// dense multiply-subtracts. Per lane the floating-point operation
+// sequence is the dense one minus its s −= 0·x[j] terms; for finite x
+// such a term changes s only when s is an exact zero, and then only
+// its sign, so every nonzero result is bit-identical to the dense
+// substitution (DESIGN.md §16).
 type luReal struct {
 	n    int
-	lu   []float64 // n×n, row-major, L (unit diagonal) and U packed
+	lu   []float64 // n×n, row-major, L (unit diagonal) and U packed, zeros included
 	perm []int
+
+	// lower[i] and upper[i] are row i's nonzero strictly-lower and
+	// strictly-upper entries, ascending column, all slicing one backing
+	// array; diag is U's diagonal.
+	lower, upper [][]luEntry
+	diag         []float64
+}
+
+// luEntry is one nonzero off-diagonal coefficient of the factor.
+type luEntry struct {
+	col int
+	val float64
 }
 
 func factorReal(a []float64, n int) (*luReal, error) {
@@ -60,53 +83,76 @@ func factorReal(a []float64, n int) (*luReal, error) {
 			}
 		}
 	}
-	return &luReal{n: n, lu: lu, perm: perm}, nil
+	// Record each row's nonzero off-diagonal entries. The backing array
+	// is sized up front so the row slices taken while filling it stay
+	// valid.
+	nz := 0
+	for i, v := range lu {
+		if i/n != i%n && v != 0 {
+			nz++
+		}
+	}
+	ents := make([]luEntry, 0, nz)
+	nonzeros := func(i, j0, j1 int) []luEntry {
+		start := len(ents)
+		for j := j0; j < j1; j++ {
+			if v := lu[i*n+j]; v != 0 {
+				ents = append(ents, luEntry{col: j, val: v})
+			}
+		}
+		return ents[start:len(ents):len(ents)]
+	}
+	f := &luReal{n: n, lu: lu, perm: perm,
+		lower: make([][]luEntry, n), upper: make([][]luEntry, n), diag: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		f.lower[i] = nonzeros(i, 0, i)
+		f.upper[i] = nonzeros(i, i+1, n)
+		f.diag[i] = lu[i*n+i]
+	}
+	return f, nil
 }
 
-// solve solves LUx = Pb into x (may alias a scratch buffer).
+// solve solves LUx = Pb into x; x must not alias b.
 func (f *luReal) solve(b, x []float64) {
-	n := f.n
-	for i := 0; i < n; i++ {
-		x[i] = b[f.perm[i]]
-	}
-	// Forward substitution (unit lower).
-	for i := 1; i < n; i++ {
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= f.lu[i*n+j] * x[j]
+	// Forward substitution (unit lower), reading the permuted b in place.
+	for i, row := range f.lower {
+		s := b[f.perm[i]]
+		for _, e := range row {
+			s -= e.val * x[e.col]
 		}
 		x[i] = s
 	}
 	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
+	for i := f.n - 1; i >= 0; i-- {
 		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= f.lu[i*n+j] * x[j]
+		for _, e := range f.upper[i] {
+			s -= e.val * x[e.col]
 		}
-		x[i] = s / f.lu[i*n+i]
+		x[i] = s / f.diag[i]
 	}
 }
 
 // solveBatch solves LUx = Pb for L right-hand sides held lane-minor
-// (b[i*L + l] is row i of lane l), writing x in the same layout. Per
-// lane the floating-point operation sequence is exactly solve's —
-// row-oriented substitution, j ascending, one final division — so
-// every lane's solution is bit-identical to a serial solve. Lanes are
-// tiled into register blocks of 8 and 4 whose accumulators live
-// across a row's whole coefficient sweep: each lu[i,j] is loaded once
-// per block instead of once per lane, and the block's independent
+// (b[i*L + l] is row i of lane l), writing x in the same layout; x
+// must not alias b. Per lane the floating-point operation sequence is
+// exactly solve's — row-oriented substitution over the same nonzero
+// entries, column ascending, one final division — so every lane's
+// solution is bit-identical to a serial solve. Lanes are tiled into
+// register blocks of 8 and 4 whose accumulators live across a row's
+// whole coefficient sweep: each coefficient is loaded once per block
+// instead of once per lane, and the block's independent
 // multiply-subtract chains keep the FP units busy where the serial
 // solve's single chain stalls on latency. That blocking — not thread
 // parallelism — is the multi-lane replay kernel's speedup.
 //
-// On amd64 with AVX2 (and without the `noasm` tag), the substitution
-// sweeps run through hand-written vector kernels (asm_amd64.s) that
-// keep this exact per-lane operation order — multiply then subtract as
-// two rounded ops, no FMA contraction — so the dispatch below never
+// On amd64 with AVX2 (and without the `noasm` tag), the whole solve is
+// one call into a hand-written vector kernel (asm_amd64.s) that keeps
+// this exact per-lane operation order — multiply then subtract as two
+// rounded ops, no FMA contraction — so the dispatch below never
 // changes a single output bit, only how many lanes each instruction
 // carries.
 func (f *luReal) solveBatch(b, x []float64, L int) {
-	if haveAVX2 && L >= 4 {
+	if haveAVX2 && L >= 2 {
 		f.solveBatchAVX2(b, x, L)
 		return
 	}
@@ -115,98 +161,72 @@ func (f *luReal) solveBatch(b, x []float64, L int) {
 
 // solveBatchGo is the pure-Go register-blocked kernel — the reference
 // the assembly path is verified bit-identical against, and the path
-// taken on non-amd64, noasm, pre-AVX2 hardware, and narrow batches.
+// taken on non-amd64, noasm, pre-AVX2 hardware, and one-lane batches.
 func (f *luReal) solveBatchGo(b, x []float64, L int) {
-	n := f.n
-	lu := f.lu
-	for i := 0; i < n; i++ {
-		copy(x[i*L:i*L+L], b[f.perm[i]*L:f.perm[i]*L+L])
+	// Forward substitution (unit lower): row i starts from row perm[i]
+	// of b.
+	for i, p := range f.perm {
+		sweepRow(f.lower[i], x, b[p*L:p*L+L], x[i*L:i*L+L], L)
 	}
-	// Forward substitution (unit lower).
-	for i := 1; i < n; i++ {
-		row := lu[i*n : i*n+i]
-		l := 0
-		for ; l+8 <= L; l += 8 {
-			o := i*L + l
-			s0, s1, s2, s3 := x[o], x[o+1], x[o+2], x[o+3]
-			s4, s5, s6, s7 := x[o+4], x[o+5], x[o+6], x[o+7]
-			for j, m := range row {
-				xq := x[j*L+l : j*L+l+8 : j*L+l+8]
-				s0 -= m * xq[0]
-				s1 -= m * xq[1]
-				s2 -= m * xq[2]
-				s3 -= m * xq[3]
-				s4 -= m * xq[4]
-				s5 -= m * xq[5]
-				s6 -= m * xq[6]
-				s7 -= m * xq[7]
-			}
-			x[o], x[o+1], x[o+2], x[o+3] = s0, s1, s2, s3
-			x[o+4], x[o+5], x[o+6], x[o+7] = s4, s5, s6, s7
-		}
-		for ; l+4 <= L; l += 4 {
-			o := i*L + l
-			s0, s1, s2, s3 := x[o], x[o+1], x[o+2], x[o+3]
-			for j, m := range row {
-				xq := x[j*L+l : j*L+l+4 : j*L+l+4]
-				s0 -= m * xq[0]
-				s1 -= m * xq[1]
-				s2 -= m * xq[2]
-				s3 -= m * xq[3]
-			}
-			x[o], x[o+1], x[o+2], x[o+3] = s0, s1, s2, s3
-		}
-		for ; l < L; l++ {
-			s := x[i*L+l]
-			for j, m := range row {
-				s -= m * x[j*L+l]
-			}
-			x[i*L+l] = s
+	// Back substitution. Dividing after the sweep's store is the same
+	// rounded op on the same value as dividing the accumulator.
+	for i := f.n - 1; i >= 0; i-- {
+		xi := x[i*L : i*L+L]
+		sweepRow(f.upper[i], x, xi, xi, L)
+		d := f.diag[i]
+		for l := range xi {
+			xi[l] /= d
 		}
 	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		row := lu[i*n+i+1 : i*n+n]
-		d := lu[i*n+i]
-		base := (i + 1) * L
-		l := 0
-		for ; l+8 <= L; l += 8 {
-			o := i*L + l
-			s0, s1, s2, s3 := x[o], x[o+1], x[o+2], x[o+3]
-			s4, s5, s6, s7 := x[o+4], x[o+5], x[o+6], x[o+7]
-			for j, m := range row {
-				xq := x[base+j*L+l : base+j*L+l+8 : base+j*L+l+8]
-				s0 -= m * xq[0]
-				s1 -= m * xq[1]
-				s2 -= m * xq[2]
-				s3 -= m * xq[3]
-				s4 -= m * xq[4]
-				s5 -= m * xq[5]
-				s6 -= m * xq[6]
-				s7 -= m * xq[7]
-			}
-			x[o], x[o+1], x[o+2], x[o+3] = s0/d, s1/d, s2/d, s3/d
-			x[o+4], x[o+5], x[o+6], x[o+7] = s4/d, s5/d, s6/d, s7/d
+}
+
+// sweepRow computes, for every lane l of one substitution row,
+// dst[l] = src[l] − Σ_e e.val·x[e.col*L+l] with the entries in order.
+// src and dst may be the same row.
+func sweepRow(row []luEntry, x, src, dst []float64, L int) {
+	l := 0
+	for ; l+8 <= L; l += 8 {
+		sq := src[l : l+8 : l+8]
+		s0, s1, s2, s3 := sq[0], sq[1], sq[2], sq[3]
+		s4, s5, s6, s7 := sq[4], sq[5], sq[6], sq[7]
+		for _, e := range row {
+			o := e.col*L + l
+			xq := x[o : o+8 : o+8]
+			m := e.val
+			s0 -= m * xq[0]
+			s1 -= m * xq[1]
+			s2 -= m * xq[2]
+			s3 -= m * xq[3]
+			s4 -= m * xq[4]
+			s5 -= m * xq[5]
+			s6 -= m * xq[6]
+			s7 -= m * xq[7]
 		}
-		for ; l+4 <= L; l += 4 {
-			o := i*L + l
-			s0, s1, s2, s3 := x[o], x[o+1], x[o+2], x[o+3]
-			for j, m := range row {
-				xq := x[base+j*L+l : base+j*L+l+4 : base+j*L+l+4]
-				s0 -= m * xq[0]
-				s1 -= m * xq[1]
-				s2 -= m * xq[2]
-				s3 -= m * xq[3]
-			}
-			x[o], x[o+1], x[o+2], x[o+3] = s0/d, s1/d, s2/d, s3/d
+		dq := dst[l : l+8 : l+8]
+		dq[0], dq[1], dq[2], dq[3] = s0, s1, s2, s3
+		dq[4], dq[5], dq[6], dq[7] = s4, s5, s6, s7
+	}
+	for ; l+4 <= L; l += 4 {
+		sq := src[l : l+4 : l+4]
+		s0, s1, s2, s3 := sq[0], sq[1], sq[2], sq[3]
+		for _, e := range row {
+			o := e.col*L + l
+			xq := x[o : o+4 : o+4]
+			m := e.val
+			s0 -= m * xq[0]
+			s1 -= m * xq[1]
+			s2 -= m * xq[2]
+			s3 -= m * xq[3]
 		}
-		for ; l < L; l++ {
-			s := x[i*L+l]
-			for j, m := range row {
-				s -= m * x[base+j*L+l]
-			}
-			x[i*L+l] = s / d
+		dq := dst[l : l+4 : l+4]
+		dq[0], dq[1], dq[2], dq[3] = s0, s1, s2, s3
+	}
+	for ; l < L; l++ {
+		s := src[l]
+		for _, e := range row {
+			s -= e.val * x[e.col*L+l]
 		}
+		dst[l] = s
 	}
 }
 

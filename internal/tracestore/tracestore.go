@@ -12,6 +12,8 @@
 // ignore. Total size is byte-bounded; when a write pushes the
 // directory over budget, the records with the oldest mtimes are
 // evicted (Get refreshes mtime, making eviction approximately LRU).
+// A store tracks its size from one directory scan plus the bytes it
+// writes, so a write far under budget does not list the directory.
 package tracestore
 
 import (
@@ -31,6 +33,13 @@ import (
 
 // DefaultMaxBytes bounds a store opened with maxBytes <= 0.
 const DefaultMaxBytes = 256 << 20
+
+// rescanDivisor sets how stale a store's size estimate may get: after
+// writing maxBytes/rescanDivisor bytes since its last directory scan,
+// a store scans again even while its estimate is under budget. That
+// bounds how late records written by other processes sharing the
+// directory are counted.
+const rescanDivisor = 16
 
 // recordExt suffixes every record file, whatever its format version:
 // a file an older binary wrote (the flat v1 format) shares the content
@@ -80,9 +89,13 @@ type Store struct {
 	dir      string
 	maxBytes int64
 
-	// evictMu serialises the eviction scan so concurrent Puts don't
-	// double-delete; cross-process races just make os.Remove a no-op.
-	evictMu sync.Mutex
+	// evictMu guards the size estimate and serialises the eviction
+	// scan so concurrent Puts don't double-delete; cross-process races
+	// just make os.Remove a no-op.
+	evictMu   sync.Mutex
+	scanned   bool  // estBytes has been set by a scan
+	estBytes  int64 // bytes resident at the last scan plus bytes written since
+	sinceScan int64 // bytes this store wrote since the last scan
 }
 
 // Open creates (if needed) and returns the store rooted at dir.
@@ -241,7 +254,7 @@ func (s *Store) write(p string, blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
-	s.evict(p)
+	s.evict(p, int64(len(blob)))
 	return nil
 }
 
@@ -283,12 +296,30 @@ func (s *Store) SizeBytes() int64 {
 // moment another process unlinks a record mid-eviction.
 var removeRecord = os.Remove
 
-// evict removes oldest-mtime records until the store fits its budget,
-// sparing the just-written file so a Put can never evict itself.
-func (s *Store) evict(spare string) {
+// scanDir is the eviction scan's directory listing behind a seam, so
+// tests can count scans.
+var scanDir = os.ReadDir
+
+// evict accounts for a just-written blob of size wrote and, when the
+// store may be over budget, scans the directory and removes
+// oldest-mtime records until it fits, sparing the just-written file so
+// a Put can never evict itself. The first write scans; after that a
+// write scans only when the estimate passes the budget or this store
+// has written maxBytes/rescanDivisor bytes since its last scan. The
+// estimate never counts another process's writes until the next scan,
+// and over-counts a key rewritten in place, which only brings the scan
+// forward.
+func (s *Store) evict(spare string, wrote int64) {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
-	ents, err := os.ReadDir(s.dir)
+	if s.scanned {
+		s.estBytes += wrote
+		s.sinceScan += wrote
+		if s.estBytes <= s.maxBytes && s.sinceScan < s.maxBytes/rescanDivisor {
+			return
+		}
+	}
+	ents, err := scanDir(s.dir)
 	if err != nil {
 		return
 	}
@@ -310,25 +341,25 @@ func (s *Store) evict(spare string) {
 		files = append(files, rf{filepath.Join(s.dir, e.Name()), info.Size(), info.ModTime()})
 		total += info.Size()
 	}
-	if total <= s.maxBytes {
-		return
+	if total > s.maxBytes {
+		sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
+		for _, f := range files {
+			if total <= s.maxBytes {
+				break
+			}
+			if f.path == spare {
+				continue
+			}
+			// Another process sharing the directory may have removed the
+			// file since ReadDir: its bytes are gone either way, so ENOENT
+			// counts as space freed — treating it as a failure would make
+			// the scan evict younger records to cover phantom bytes.
+			if err := removeRecord(f.path); err == nil || os.IsNotExist(err) {
+				total -= f.size
+			}
+		}
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	for _, f := range files {
-		if total <= s.maxBytes {
-			break
-		}
-		if f.path == spare {
-			continue
-		}
-		// Another process sharing the directory may have removed the
-		// file since ReadDir: its bytes are gone either way, so ENOENT
-		// counts as space freed — treating it as a failure would make
-		// the scan evict younger records to cover phantom bytes.
-		if err := removeRecord(f.path); err == nil || os.IsNotExist(err) {
-			total -= f.size
-		}
-	}
+	s.scanned, s.estBytes, s.sinceScan = true, total, 0
 }
 
 func appendU64(b []byte, v uint64) []byte {

@@ -308,6 +308,98 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 	}
 }
 
+// countScans counts eviction scans until the test ends.
+func countScans(t *testing.T) *int {
+	n := new(int)
+	scanDir = func(dir string) ([]os.DirEntry, error) {
+		*n++
+		return os.ReadDir(dir)
+	}
+	t.Cleanup(func() { scanDir = os.ReadDir })
+	return n
+}
+
+// TestPutScansOnlyNearBudget pins the eviction scan's schedule: the
+// first write scans, and under budget a store rescans only after
+// writing maxBytes/rescanDivisor bytes; once its estimate passes the
+// budget, every write scans and evicts.
+func TestPutScansOnlyNearBudget(t *testing.T) {
+	one := sampleRecord(64, 1) // same record per key: exact budget math
+	oneSize := int64(len(Encode(one)))
+	const perRescan = 4 // records per maxBytes/rescanDivisor
+	budget := perRescan * rescanDivisor * oneSize
+	s, err := Open(t.TempDir(), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scans := countScans(t)
+	put := func(i int) {
+		t.Helper()
+		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), one); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const under = 20
+	for i := 0; i < under; i++ {
+		put(i)
+	}
+	if want := 1 + (under-1)/perRescan; *scans != want {
+		t.Fatalf("%d puts under budget scanned %d times, want %d", under, *scans, want)
+	}
+	// Fill to the budget, then every put goes over it and must scan.
+	full := int(budget / oneSize)
+	for i := under; i < full; i++ {
+		put(i)
+	}
+	before := *scans
+	const over = 5
+	for i := full; i < full+over; i++ {
+		put(i)
+	}
+	if got := *scans - before; got != over {
+		t.Fatalf("%d puts at capacity scanned %d times, want %d", over, got, over)
+	}
+	if sz := s.SizeBytes(); sz > budget {
+		t.Fatalf("store over budget: %d > %d", sz, budget)
+	}
+}
+
+// TestRescanCountsOtherWriters checks the staleness bound: records
+// another process writes are invisible to a store's estimate, but the
+// store counts them — and evicts back to budget — within
+// maxBytes/rescanDivisor bytes of its own writes.
+func TestRescanCountsOtherWriters(t *testing.T) {
+	dir := t.TempDir()
+	one := sampleRecord(64, 1)
+	oneSize := int64(len(Encode(one)))
+	const perRescan = 4
+	budget := perRescan * rescanDivisor * oneSize
+	s1, err := Open(dir, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, 2*budget) // the other process has a larger budget
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Put([]byte("first"), one); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < budget/oneSize+10; i++ {
+		if err := s2.Put([]byte(fmt.Sprintf("other%d", i)), one); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < perRescan; i++ {
+		if err := s1.Put([]byte(fmt.Sprintf("mine%d", i)), one); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sz := s1.SizeBytes(); sz > budget {
+		t.Fatalf("store over budget after %d own writes: %d > %d", perRescan, sz, budget)
+	}
+}
+
 // TestTwoStoresRacingOnOneDir is the cross-process regression test for
 // ENOENT tolerance: two byte-starved stores on one directory, both
 // evicting under each other's feet while Gets race the unlinks. Every

@@ -111,14 +111,45 @@ var (
 // arithmetic is romStepKernel's exactly, so each lane stays
 // bit-identical to a one-lane replay.
 func (rb *ROMBatch) stepLanes4AVX2(l int, dst, src [][]float64, mul, div []float64, n int) {
+	rb.step4AVX2(&rb.mu[l], rb.lanes, &rb.vstar[l], [4]int{l, l + 1, l + 2, l + 3}, dst, src, mul, div, n)
+}
+
+// stepTailAVX2 advances the last t = lanes−l lanes of rb (1 ≤ t ≤ 3) n
+// steps as one padded 4-lane group. Their modal rows are gathered into
+// the batch's 4-lane scratch; each padding slot is a bitwise copy of
+// the last real lane — state, equilibrium, drive and rmul — and stores
+// into that lane's dst. A padding slot therefore writes exactly the
+// bits its lane writes, to the same addresses, so store order cannot
+// matter and no padding buffer exists. The real lanes' rows are
+// scattered back after the group.
+func (rb *ROMBatch) stepTailAVX2(l int, dst, src [][]float64, mul, div []float64, n int) {
+	L := rb.lanes
+	var js [4]int
+	for k := range js {
+		js[k] = min(l+k, L-1)
+		gather(rb.muLane, rb.mu, L, js[k])
+		scatter(rb.tailMu, rb.muLane, 4, k)
+		rb.tailVstar[k] = rb.vstar[js[k]]
+	}
+	rb.step4AVX2(&rb.tailMu[0], 4, &rb.tailVstar[0], js, dst, src, mul, div, n)
+	for k := 0; l+k < L; k++ {
+		gather(rb.muLane, rb.tailMu, 4, k)
+		scatter(rb.mu, rb.muLane, L, l+k)
+	}
+}
+
+// step4AVX2 runs one 4-lane group: modal rows from mu with a row stride
+// of `stride` lanes, equilibria from vstar, and SIMD slot k streaming
+// lane js[k]'s src into its dst.
+func (rb *ROMBatch) step4AVX2(mu *float64, stride int, vstar *float64, js [4]int, dst, src [][]float64, mul, div []float64, n int) {
 	r := rb.rom
 	a := romStep4Args{
 		nPairs:   int64(len(r.pairs)),
 		nSingles: int64(len(r.singles)),
 		du:       r.du,
-		vstar:    unsafe.Pointer(&rb.vstar[l]),
-		mu:       unsafe.Pointer(&rb.mu[l]),
-		muStride: int64(rb.lanes) * 8,
+		vstar:    unsafe.Pointer(vstar),
+		mu:       unsafe.Pointer(mu),
+		muStride: int64(stride) * 8,
 		n:        int64(n),
 	}
 	if len(r.pairs) > 0 {
@@ -127,10 +158,10 @@ func (rb *ROMBatch) stepLanes4AVX2(l int, dst, src [][]float64, mul, div []float
 	if len(r.singles) > 0 {
 		a.singles = unsafe.Pointer(&r.singles[0])
 	}
-	for k := 0; k < 4; k++ {
-		a.dst[k] = unsafe.Pointer(&dst[l+k][0])
-		a.src[k] = unsafe.Pointer(&src[l+k][0])
-		a.rmul[k] = mul[l+k] / div[l+k]
+	for k, j := range js {
+		a.dst[k] = unsafe.Pointer(&dst[j][0])
+		a.src[k] = unsafe.Pointer(&src[j][0])
+		a.rmul[k] = mul[j] / div[j]
 	}
 	romStep4AVX2(&a)
 }

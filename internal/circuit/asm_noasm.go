@@ -16,3 +16,7 @@ func (f *luReal) solveBatchAVX2(b, x []float64, L int) {
 func (rb *ROMBatch) stepLanes4AVX2(l int, dst, src [][]float64, mul, div []float64, n int) {
 	panic("circuit: AVX2 kernels unavailable in this build")
 }
+
+func (rb *ROMBatch) stepTailAVX2(l int, dst, src [][]float64, mul, div []float64, n int) {
+	panic("circuit: AVX2 kernels unavailable in this build")
+}

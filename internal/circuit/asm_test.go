@@ -257,10 +257,18 @@ func TestSparseSolveZeroContract(t *testing.T) {
 	}
 }
 
+// TestROMStepBatchDispatchBitIdentical runs every width from 1 to 13,
+// 16, 17 and 32 lanes in two chunks, dropping a lane between them where
+// the batch has more than one, so the AVX2 build meets every tail of
+// 1–3 lanes both from the start and after a mid-stream DropLane. The
+// dispatch must equal the pure-Go lane loop bitwise in every output and
+// end state, and must not write past n in any dst.
 func TestROMStepBatchDispatchBitIdentical(t *testing.T) {
 	cp, rom, _, _ := romFixture(t, pdnLadder3)
-	const steps = 500
-	for _, lanes := range []int{1, 2, 4, 8, 16, 32, 6, 11} {
+	const steps, n1 = 500, 237
+	const sentinel = 0x7ff8dead0000beef
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 32}
+	for _, lanes := range widths {
 		src := batchDrive(lanes, steps)
 		mul := make([]float64, lanes)
 		div := make([]float64, lanes)
@@ -271,17 +279,49 @@ func TestROMStepBatchDispatchBitIdentical(t *testing.T) {
 		for l := 0; l < lanes; l++ {
 			mul[l] = 1e-12
 			div[l] = 1e-10 * (1.2 + 0.02*float64(l))
-			got[l] = make([]float64, steps)
+			got[l] = guarded(steps)
 			want[l] = make([]float64, steps)
+			for i := n1; i < steps; i++ {
+				got[l][i] = math.Float64frombits(sentinel)
+			}
 			add := 0.1 + 0.05*float64(l)
 			rb.LoadLane(l, cp.NewState(), add)
 			ref.LoadLane(l, cp.NewState(), add)
 		}
-		rb.StepTraceBatch(got, src, mul, div, steps)
-		romStepBatchGo(ref, want, src, mul, div, steps)
+		rb.StepTraceBatch(got, src, mul, div, n1)
+		romStepBatchGo(ref, want, src, mul, div, n1)
 		for l := 0; l < lanes; l++ {
+			for i := n1; i < steps; i++ {
+				if math.Float64bits(got[l][i]) != sentinel {
+					t.Fatalf("lanes=%d lane %d: first chunk of %d steps wrote step %d", lanes, l, n1, i)
+				}
+			}
+		}
+		// Drop lane 0 (the last lane moves into its slot) on both sides,
+		// and keep the per-lane streams in the batches' lane order.
+		live := make([]int, lanes)
+		for l := range live {
+			live[l] = l
+		}
+		if lanes > 1 {
+			rb.DropLane(0)
+			ref.DropLane(0)
+			live[0] = live[lanes-1]
+			live = live[:lanes-1]
+		}
+		w := len(live)
+		gd, wd, sd := make([][]float64, w), make([][]float64, w), make([][]float64, w)
+		mw, dw := make([]float64, w), make([]float64, w)
+		for k, l := range live {
+			gd[k], wd[k], sd[k] = got[l][n1:], want[l][n1:], src[l][n1:]
+			mw[k], dw[k] = mul[l], div[l]
+		}
+		rb.StepTraceBatch(gd, sd, mw, dw, steps-n1)
+		romStepBatchGo(ref, wd, sd, mw, dw, steps-n1)
+		for _, l := range live {
+			checkGuard(t, got[l], "ROM dispatch", lanes)
 			for i := 0; i < steps; i++ {
-				if got[l][i] != want[l][i] {
+				if math.Float64bits(got[l][i]) != math.Float64bits(want[l][i]) {
 					t.Fatalf("lanes=%d lane %d step %d: dispatch %v != pure Go %v", lanes, l, i, got[l][i], want[l][i])
 				}
 			}
@@ -289,15 +329,15 @@ func TestROMStepBatchDispatchBitIdentical(t *testing.T) {
 		// End states must match too — the next chunk continues from mu.
 		gm := make([]float64, rom.Order())
 		wm := make([]float64, rom.Order())
-		for l := 0; l < lanes; l++ {
-			gv := rb.LaneModal(l, gm)
-			wv := ref.LaneModal(l, wm)
+		for k := 0; k < w; k++ {
+			gv := rb.LaneModal(k, gm)
+			wv := ref.LaneModal(k, wm)
 			if gv != wv {
-				t.Fatalf("lanes=%d lane %d: vstar %v != %v", lanes, l, gv, wv)
+				t.Fatalf("lanes=%d lane %d: vstar %v != %v", lanes, live[k], gv, wv)
 			}
 			for i := range gm {
-				if gm[i] != wm[i] {
-					t.Fatalf("lanes=%d lane %d coord %d: mu %v != %v", lanes, l, i, gm[i], wm[i])
+				if math.Float64bits(gm[i]) != math.Float64bits(wm[i]) {
+					t.Fatalf("lanes=%d lane %d coord %d: mu %v != %v", lanes, live[k], i, gm[i], wm[i])
 				}
 			}
 		}
@@ -341,11 +381,12 @@ func BenchmarkSolveBatchKernel(b *testing.B) {
 }
 
 // BenchmarkROMStepBatchKernel compares the lane-major pure-Go modal
-// kernel against the 4-lane AVX2 groups.
+// kernel against the 4-lane AVX2 groups. Widths 1, 3 and 11 end in a
+// padded tail group.
 func BenchmarkROMStepBatchKernel(b *testing.B) {
 	cp, rom, _, _ := romFixture(b, pdnLadder3)
 	const steps = 65536
-	for _, lanes := range []int{8, 32} {
+	for _, lanes := range []int{1, 3, 8, 11, 32} {
 		src := batchDrive(lanes, steps)
 		dst := make([][]float64, lanes)
 		mul := make([]float64, lanes)

@@ -608,6 +608,10 @@ type ROMBatch struct {
 	vstar []float64
 	// scratch (length m): lane-load fold and kernel gather/scatter
 	y, rhs, ystar, muLane []float64
+	// AVX2 builds: the padded tail group's modal rows ([m × 4],
+	// lane-minor) and equilibria
+	tailMu    []float64
+	tailVstar [4]float64
 }
 
 // NewBatch returns a ROM batch of `lanes` unloaded lanes; load each
@@ -625,6 +629,7 @@ func (r *ROM) NewBatch(lanes int) *ROMBatch {
 		rhs:    make([]float64, r.m),
 		ystar:  make([]float64, r.m),
 		muLane: make([]float64, r.m),
+		tailMu: make([]float64, 4*r.m),
 	}
 }
 
@@ -680,11 +685,12 @@ func (rb *ROMBatch) DropLane(l int) {
 
 // StepTraceBatch advances every lane n steps: at step s, lane l drives
 // the compiled source with src[l][s]*mul[l]/div[l] above its folded
-// constant level and records the output voltage into dst[l][s]. Each
-// lane's modal column is gathered out of the SoA store, streamed
-// through romStepKernel — so every lane is bit-identical to a one-lane
-// replay at any batch width — and scattered back. The gather/scatter
-// costs O(m) per lane per call, amortized over the n-step chunk.
+// constant level and records the output voltage into dst[l][s]. Every
+// lane runs romStepKernel's operation sequence — in Go one lane at a
+// time, gathered out of the SoA store and scattered back, on AVX2 in
+// 4-lane groups — so every lane is bit-identical to a one-lane replay
+// at any batch width. A gather/scatter costs O(m) per lane per call,
+// amortized over the n-step chunk.
 func (rb *ROMBatch) StepTraceBatch(dst, src [][]float64, mul, div []float64, n int) {
 	r := rb.rom
 	L := rb.lanes
@@ -702,15 +708,20 @@ func (rb *ROMBatch) StepTraceBatch(dst, src [][]float64, mul, div []float64, n i
 	// AVX2 builds step 4 adjacent lanes per kernel pass: the lane-minor
 	// SoA already holds them contiguously, and the vector kernel's
 	// per-slot op order is romStepKernel's exactly, so the split is
-	// invisible in the output bits.
-	l := 0
+	// invisible in the output bits. The last L mod 4 lanes — a one-lane
+	// batch included — run as one padded group, not on the Go kernel.
 	if haveAVX2 {
+		l := 0
 		for ; l+4 <= L; l += 4 {
 			rb.stepLanes4AVX2(l, dst, src, mul, div, n)
 		}
+		if l < L {
+			rb.stepTailAVX2(l, dst, src, mul, div, n)
+		}
+		return
 	}
 	muLane := rb.muLane
-	for ; l < L; l++ {
+	for l := 0; l < L; l++ {
 		gather(muLane, rb.mu, L, l)
 		romStepKernel(r, muLane, rb.vstar[l], dst[l][:n], src[l], mul[l], div[l], n)
 		scatter(rb.mu, muLane, L, l)

@@ -2,6 +2,7 @@ package pdn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -46,6 +47,36 @@ func TestROMCompilesForAllPresets(t *testing.T) {
 		}
 		if e := r.ErrPerAmpV(); !(e > 0) || e > 1e-4 {
 			t.Errorf("%s: ErrPerAmpV = %g, want (0, 1e-4]", cfg.Name, e)
+		}
+	}
+}
+
+// TestROMCalibrationPinned pins every preset's calibrated bound to the
+// bits it had while one-lane ROM batches ran the Go kernel. Calibration
+// replays its drives through a one-lane batch, which AVX2 builds now run
+// as a padded 4-lane group; the padded group must reproduce the Go
+// kernel exactly, so the bound cannot move. The pinned values are amd64
+// results: there Go never fuses a multiply-add, and other targets may.
+func TestROMCalibrationPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pinned bounds are amd64 results")
+	}
+	want := map[string]uint64{
+		"bulldozer-pdn":    0x3dd6b70000000000,
+		"phenom-pdn":       0x3dd5228000000000,
+		"server-board-pdn": 0x3dde748000000000,
+	}
+	for _, cfg := range Presets() {
+		cp, err := Compile(cfg, romTestDt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := cp.ROM()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(r.ErrPerAmpV()); got != want[cfg.Name] {
+			t.Errorf("%s: ErrPerAmpV bits %#016x (%g), want %#016x", cfg.Name, got, r.ErrPerAmpV(), want[cfg.Name])
 		}
 	}
 }

@@ -121,11 +121,12 @@ func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins)}, nil
 }
 
-// Add records one sample.
+// Add records one sample. A NaN counts as under range, so every sample
+// lands in exactly one of Under, Over and Counts.
 func (h *Histogram) Add(v float64) {
 	h.total++
 	switch {
-	case v < h.Lo:
+	case v < h.Lo || math.IsNaN(v):
 		h.Under++
 	case v >= h.Hi:
 		h.Over++

@@ -123,6 +123,39 @@ func TestHistogramErrors(t *testing.T) {
 	}
 }
 
+// TestHistogramNonFinite feeds the samples at the edges of Add's range
+// tests: NaN counts as under range, ±Inf fall outside, Lo lands in the
+// first bin and the largest float below Hi in the last. None panics,
+// every sample is counted once, and the NaNs leave Quantile unchanged.
+func TestHistogramNonFinite(t *testing.T) {
+	const lo, hi, bins = 1.0, 1.5, 5
+	h, _ := NewHistogram(lo, hi, bins)
+	ref, _ := NewHistogram(lo, hi, bins)
+	below := math.Nextafter(hi, math.Inf(-1))
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), lo, below, 1.2, math.NaN()} {
+		h.Add(v)
+		if !math.IsNaN(v) {
+			ref.Add(v)
+		}
+	}
+	var sum uint64
+	for _, c := range h.Counts {
+		sum += c
+	}
+	if h.Total() != 7 || sum+h.Under+h.Over != h.Total() {
+		t.Fatalf("total %d, counts %v + under %d + over %d", h.Total(), h.Counts, h.Under, h.Over)
+	}
+	if h.Under != 3 || h.Over != 1 || h.Counts[0] != 1 || h.Counts[bins-1] != 1 {
+		t.Errorf("under %d over %d counts %v: want NaNs and -Inf under, +Inf over, Lo in bin 0, %v in bin %d",
+			h.Under, h.Over, h.Counts, below, bins-1)
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		if got, want := h.Quantile(q), ref.Quantile(q); got != want {
+			t.Errorf("Quantile(%v) = %v with NaNs, %v without", q, got, want)
+		}
+	}
+}
+
 func TestQuickHistogramConservation(t *testing.T) {
 	f := func(vals []float64) bool {
 		h, _ := NewHistogram(-1, 1, 16)

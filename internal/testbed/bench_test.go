@@ -445,3 +445,49 @@ func BenchmarkCaptureSearchShape(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 }
+
+// BenchmarkReplayFold times the replay fold alone (replayFold.scan and
+// finish) over one search candidate's trace: the 23,000-cycle
+// search-shaped capture of BenchmarkCaptureSearchShape with 3000 warmup
+// cycles, streamed in replayChunk spans. The die voltages come from one
+// exact replay before the timer starts.
+func BenchmarkReplayFold(b *testing.B) {
+	p := Bulldozer()
+	cp, err := p.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	threads, err := SpreadPlacement(p.Chip, searchShapeProgram(), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rc := RunConfig{Threads: threads, MaxCycles: 23000, WarmupCycles: 3000, SupplyVolts: p.Nominal()}
+	tr, err := cp.buildTrace(rc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := cp.newLane(0, tr, rc, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := len(tr.energy)
+	vs := make([]float64, n)
+	pb := cp.net.NewBatch(1)
+	net := cp.getNet(ln.supply)
+	pb.LoadLane(0, net)
+	cp.net.Put(net)
+	pb.StepTraceBatch([][]float64{vs}, [][]float64{tr.energy}, []float64{1e-12}, []float64{ln.div}, []float64{ln.add}, n)
+	dt := p.Chip.CycleSeconds()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := ln.fold
+		f.m = &Measurement{MinV: ln.supply}
+		for c := 0; c < n; c += replayChunk {
+			e := min(n, c+replayChunk)
+			f.scan(uint64(c), tr.energy[c:e], tr.issues[c:e], vs[c:e])
+		}
+		f.finish(tr, uint64(n), dt)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cycle")
+}

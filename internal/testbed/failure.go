@@ -61,15 +61,30 @@ func (f FailureModel) Check(vDie float64, res *cpu.CycleResult) (bool, isa.Unit)
 	return false, isa.UnitNone
 }
 
-// checkPacked is Check against a trace-packed issue word (8 bits per
-// unit, see packIssues): same units, same thresholds, same verdict.
-func (f FailureModel) checkPacked(vDie float64, packed uint64) bool {
+// ceilingV returns the highest enabled critical voltage: no die
+// voltage at or above it (and no NaN) can fail any unit.
+func (f FailureModel) ceilingV() float64 {
+	var c float64
 	for u := isa.Unit(1); u < isa.NumUnits; u++ {
-		if packed>>(8*uint(u))&0xff != 0 && f.CriticalV[u] > 0 && vDie < f.CriticalV[u] {
-			return true
+		if f.CriticalV[u] > c {
+			c = f.CriticalV[u]
 		}
 	}
-	return false
+	return c
+}
+
+// failMask returns the trace-packed issue mask (8 bits per unit, see
+// packIssues) of the units that fail if active at die voltage vDie: a
+// packed issue word q fails iff q&failMask(vDie) != 0. Same units,
+// same thresholds and same strict comparison as Check.
+func (f FailureModel) failMask(vDie float64) uint64 {
+	var mask uint64
+	for u := isa.Unit(1); u < isa.NumUnits; u++ {
+		if f.CriticalV[u] > 0 && vDie < f.CriticalV[u] {
+			mask |= 0xff << (8 * uint(u))
+		}
+	}
+	return mask
 }
 
 // FailureStep is the supply-voltage decrement of the paper's procedure

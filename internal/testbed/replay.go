@@ -78,43 +78,94 @@ type replayFold struct {
 	hist *scope.Histogram
 }
 
-// scan folds one simulated span into the measurement.
+// scan folds one simulated span into the measurement. Its result is the
+// exact loop's per-cycle fold bit for bit, at a fraction of the cost:
+//   - EnergyPJ and UnitTotals cover every cycle, each in a loop of its
+//     own; energy adds in cycle order, so the float sum is unchanged.
+//   - The span splits once at the warmup boundary; the voltage
+//     statistics live in locals over the post-warmup part and are
+//     written back once.
+//   - The failure check compares v with the model's ceiling first and
+//     builds the failing-unit mask only below it.
+//   - Scope, trigger and histogram see every post-warmup sample in
+//     cycle order, in a loop of their own.
 func (f *replayFold) scan(base uint64, es []float64, qs []uint64, vs []float64) {
 	m := f.m
-	for i := range es {
-		cyc := base + uint64(i)
-		m.EnergyPJ += es[i]
-		q := qs[i]
-		for u := 0; u < int(isa.NumUnits); u++ {
-			m.UnitTotals[u] += (q >> (8 * uint(u))) & 0xff
+	qs, vs = qs[:len(es)], vs[:len(es)]
+	energy := m.EnergyPJ
+	for _, e := range es {
+		energy += e
+	}
+	m.EnergyPJ = energy
+	addUnitTotals(&m.UnitTotals, qs)
+
+	if base < f.warm {
+		skip := min(f.warm-base, uint64(len(vs)))
+		base += skip
+		qs, vs = qs[skip:], vs[skip:]
+	}
+	vNom, ceil := f.vNom, f.p.Failure.ceilingV()
+	droop, over, minV, sum := m.MaxDroopV, m.MaxOvershootV, m.MinV, f.sumV
+	failed := m.Failed
+	for i, v := range vs {
+		if d := vNom - v; d > droop {
+			droop = d
 		}
-		if cyc < f.warm {
-			continue
+		if o := v - vNom; o > over {
+			over = o
 		}
-		v := vs[i]
-		if d := f.vNom - v; d > m.MaxDroopV {
-			m.MaxDroopV = d
+		if v < minV {
+			minV = v
 		}
-		if o := v - f.vNom; o > m.MaxOvershootV {
-			m.MaxOvershootV = o
+		sum += v
+		if v < ceil && !failed && qs[i]&f.p.Failure.failMask(v) != 0 {
+			failed = true
+			m.FailCycle = base + uint64(i)
 		}
-		if v < m.MinV {
-			m.MinV = v
+	}
+	m.MaxDroopV, m.MaxOvershootV, m.MinV, m.Failed = droop, over, minV, failed
+	f.sumV = sum
+	f.nV += uint64(len(vs))
+
+	if sc, trig, hist := f.sc, f.trig, f.hist; sc != nil || trig != nil || hist != nil {
+		for _, v := range vs {
+			if sc != nil {
+				sc.Sample(v)
+			}
+			if trig != nil {
+				trig.Sample(v)
+			}
+			if hist != nil {
+				hist.Add(v)
+			}
 		}
-		f.sumV += v
-		f.nV++
-		if f.sc != nil {
-			f.sc.Sample(v)
+	}
+}
+
+// unitFlush is how many packed issue words addUnitTotals sums before it
+// must flush its 16-bit lanes: 257 × 255 = 65,535 still fits.
+const unitFlush = 257
+
+// addUnitTotals adds the per-unit issue counts of the packed issue
+// words qs (8 bits per unit, see packIssues) into tot. The even and odd
+// unit bytes are summed in 16-bit SWAR lanes of two words and flushed
+// into tot every unitFlush words.
+func addUnitTotals(tot *[isa.NumUnits]uint64, qs []uint64) {
+	const lanes = 0x00ff00ff00ff00ff
+	for len(qs) > 0 {
+		blk := qs[:min(len(qs), unitFlush)]
+		qs = qs[len(blk):]
+		var even, odd uint64
+		for _, q := range blk {
+			even += q & lanes
+			odd += q >> 8 & lanes
 		}
-		if f.trig != nil {
-			f.trig.Sample(v)
-		}
-		if f.hist != nil {
-			f.hist.Add(v)
-		}
-		if !m.Failed && f.p.Failure.checkPacked(v, q) {
-			m.Failed = true
-			m.FailCycle = cyc
+		for u := range tot {
+			w := even
+			if u&1 != 0 {
+				w = odd
+			}
+			tot[u] += w >> (16 * uint(u/2)) & 0xffff
 		}
 	}
 }
@@ -715,9 +766,6 @@ func extrapolatePeriodic(fold *replayFold, tr *chipTrace, vbuf, period []float64
 		fold.sumV += v
 		fold.nV++
 		m.EnergyPJ += period[i]
-		q := periodQ[i]
-		for u := 0; u < int(isa.NumUnits); u++ {
-			m.UnitTotals[u] += (q >> (8 * uint(u))) & 0xff
-		}
 	}
+	addUnitTotals(&m.UnitTotals, periodQ[:rem])
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
-	"repro/internal/isa"
 	"repro/internal/tracestore"
 )
 
@@ -224,11 +223,7 @@ func traceFromRecord(rec *tracestore.Record) *chipTrace {
 		for _, e := range tr.energy[tr.headLen:] {
 			tr.periodEnergy += e
 		}
-		for _, q := range tr.issues[tr.headLen:] {
-			for u := 0; u < int(isa.NumUnits); u++ {
-				tr.periodIssues[u] += (q >> (8 * uint(u))) & 0xff
-			}
-		}
+		addUnitTotals(&tr.periodIssues, tr.issues[tr.headLen:])
 	} else {
 		tr.endStats, tr.endRetired = statsFromWords(rec.EndStats), rec.EndRetired
 	}

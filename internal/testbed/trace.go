@@ -161,11 +161,7 @@ func (tr *chipTrace) acceptPeriod(head, p int, refStats cpu.Stats, refRetired ui
 	for _, e := range tr.energy[head:] {
 		tr.periodEnergy += e
 	}
-	for _, q := range tr.issues[head:] {
-		for u := 0; u < int(isa.NumUnits); u++ {
-			tr.periodIssues[u] += (q >> (8 * uint(u))) & 0xff
-		}
-	}
+	addUnitTotals(&tr.periodIssues, tr.issues[head:])
 }
 
 // statsSub returns a - b fieldwise.

@@ -34,6 +34,7 @@ gated=(
   BenchmarkMedianOfKReplay
   BenchmarkPeriodicReplayModal
   BenchmarkROMStepBatchKernel
+  BenchmarkReplayFold
   BenchmarkSolveBatchKernel
   BenchmarkStepTrace
   BenchmarkStepTraceBatch

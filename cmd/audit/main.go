@@ -667,10 +667,6 @@ func printThroughput(w io.Writer, evals int, elapsed time.Duration, hits, misses
 		}
 		fmt.Fprintf(w, ", kernels %d rom / %d exact", ts.ROMReplays, ts.ExactReplays)
 	}
-	if ts.PeriodicReplays > 0 {
-		fmt.Fprintf(w, ", periodic %d (%d modal, %d probe lanes)",
-			ts.PeriodicReplays, ts.ModalPeriodic, ts.AffineProbeLanes)
-	}
 	fmt.Fprintln(w)
 }
 

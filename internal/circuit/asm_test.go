@@ -330,8 +330,9 @@ func TestROMStepBatchDispatchBitIdentical(t *testing.T) {
 		gm := make([]float64, rom.Order())
 		wm := make([]float64, rom.Order())
 		for k := 0; k < w; k++ {
-			gv := rb.LaneModal(k, gm)
-			wv := ref.LaneModal(k, wm)
+			gather(gm, rb.mu, rb.lanes, k)
+			gather(wm, ref.mu, ref.lanes, k)
+			gv, wv := rb.vstar[k], ref.vstar[k]
 			if gv != wv {
 				t.Fatalf("lanes=%d lane %d: vstar %v != %v", lanes, live[k], gv, wv)
 			}

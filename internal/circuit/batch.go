@@ -30,8 +30,8 @@ type TransientBatch struct {
 }
 
 // NewBatch returns a batch of `lanes` states, each at the compiled DC
-// operating point. Load lanes from live states (LoadLane) or state
-// vectors (SetLaneStateVec) before stepping.
+// operating point. Load lanes from live states (LoadLane) before
+// stepping.
 func (cp *Compiled) NewBatch(lanes int) *TransientBatch {
 	if lanes < 1 {
 		panic("circuit: batch needs at least one lane")
@@ -90,68 +90,6 @@ func (tb *TransientBatch) LoadLane(l int, t *Transient) {
 	scatter(tb.capI, t.capI, L, l)
 	scatter(tb.indI, t.indI, L, l)
 	tb.time[l] = t.time
-}
-
-// StoreLane copies lane l's state back into t. Both must share one
-// Compiled. A LoadLane / StepTraceBatch / StoreLane round trip leaves
-// t bit-identical to the equivalent serial StepTrace run.
-func (tb *TransientBatch) StoreLane(l int, t *Transient) {
-	if t.cp != tb.cp {
-		panic("circuit: StoreLane across different compiled systems")
-	}
-	tb.checkLane(l)
-	L := tb.lanes
-	gather(t.x, tb.x, L, l)
-	gather(t.sources, tb.sources, L, l)
-	gather(t.capV, tb.capV, L, l)
-	gather(t.capI, tb.capI, L, l)
-	gather(t.indI, tb.indI, L, l)
-	t.time = tb.time[l]
-}
-
-// SetLaneStateVec overwrites lane l's dynamic state from a vector laid
-// out as by Transient.StateVec (sources and time are untouched — load
-// them first via LoadLane).
-func (tb *TransientBatch) SetLaneStateVec(l int, src []float64) {
-	tb.checkLane(l)
-	cp := tb.cp
-	L := tb.lanes
-	for i := 0; i < cp.n; i++ {
-		tb.x[i*L+l] = src[i]
-	}
-	i := cp.n
-	for oi := range cp.capOps {
-		ei := cp.capOps[oi].ei
-		tb.capV[ei*L+l] = src[i]
-		tb.capI[ei*L+l] = src[i+1]
-		i += 2
-	}
-	for oi := range cp.indOps {
-		tb.indI[cp.indOps[oi].ei*L+l] = src[i]
-		i++
-	}
-}
-
-// LaneStateVec copies lane l's dynamic state into dst (length ≥
-// StateDim), in Transient.StateVec's layout.
-func (tb *TransientBatch) LaneStateVec(l int, dst []float64) {
-	tb.checkLane(l)
-	cp := tb.cp
-	L := tb.lanes
-	for i := 0; i < cp.n; i++ {
-		dst[i] = tb.x[i*L+l]
-	}
-	i := cp.n
-	for oi := range cp.capOps {
-		ei := cp.capOps[oi].ei
-		dst[i] = tb.capV[ei*L+l]
-		dst[i+1] = tb.capI[ei*L+l]
-		i += 2
-	}
-	for oi := range cp.indOps {
-		dst[i] = tb.indI[cp.indOps[oi].ei*L+l]
-		i++
-	}
 }
 
 func (tb *TransientBatch) checkLane(l int) {

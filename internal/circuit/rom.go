@@ -436,22 +436,6 @@ func (r *ROM) ErrPerAmpV() float64 { return r.errPerAmp }
 // Order returns the reduced state dimension.
 func (r *ROM) Order() int { return r.m }
 
-// Sections returns the modal section sizes in state order: one 2 per
-// complex eigenvalue pair, then one 1 per real mode. The kernel never
-// couples sections, so any map probed out of one-period ROM runs is
-// exactly block-diagonal over this partition. The slice is freshly
-// allocated.
-func (r *ROM) Sections() []int {
-	secs := make([]int, 0, len(r.pairs)+len(r.singles))
-	for range r.pairs {
-		secs = append(secs, 2)
-	}
-	for range r.singles {
-		secs = append(secs, 1)
-	}
-	return secs
-}
-
 // calibrate measures the ROM against the exact kernel on a suite of
 // unit-amplitude drives — impulse, step, a square wave at each modal
 // resonance, and broadband noise — over romCalibrateSteps cycles, and
@@ -649,27 +633,6 @@ func (rb *ROMBatch) LoadLane(l int, t *Transient, add float64) {
 	muCol := rb.ystar // reused as μ destination after the fold's last solve
 	rb.vstar[l] = rb.rom.fold(t, add, muCol, rb.y, rb.rhs, rb.ystar)
 	scatter(rb.mu, muCol, rb.lanes, l)
-}
-
-// SetLaneModal loads lane l directly from a modal deviation state and
-// folded constant term. The periodic probe path shares one fold across
-// all its lanes (reference plus unit modal perturbations), so loading
-// modal coordinates directly avoids re-folding per lane.
-func (rb *ROMBatch) SetLaneModal(l int, mu []float64, vstar float64) {
-	rb.checkLane(l)
-	if len(mu) < rb.rom.m {
-		panic("circuit: ROM modal state shorter than order")
-	}
-	scatter(rb.mu, mu[:rb.rom.m], rb.lanes, l)
-	rb.vstar[l] = vstar
-}
-
-// LaneModal copies lane l's modal deviation state into dst (length ≥
-// m) and returns the lane's folded constant term.
-func (rb *ROMBatch) LaneModal(l int, dst []float64) float64 {
-	rb.checkLane(l)
-	gather(dst[:rb.rom.m], rb.mu, rb.lanes, l)
-	return rb.vstar[l]
 }
 
 // DropLane retires lane l by swap-remove (the last lane moves into

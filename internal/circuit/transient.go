@@ -524,54 +524,6 @@ func (t *Transient) StepTrace(nd Node, ref int, dst, src []float64, mul, div, ad
 	}
 }
 
-// StateDim returns the length of the dynamic-state vector exchanged by
-// StateVec/SetStateVec: the MNA solution plus the capacitor and
-// inductor companion histories.
-func (cp *Compiled) StateDim() int { return cp.n + 2*len(cp.capOps) + len(cp.indOps) }
-
-// StateDim returns the length of this state's dynamic-state vector.
-func (t *Transient) StateDim() int { return t.cp.StateDim() }
-
-// StateVec copies the complete dynamic state into dst (length ≥
-// StateDim): the solution vector x, then (capV, capI) per capacitor,
-// then indI per inductor. Together with the live source values — which
-// the caller holds fixed or re-drives per step — this vector fully
-// determines all future steps: the step map is affine in it, which is
-// what lets the trace-replay engine build an exact per-period linear
-// model of the network (source values and simulation time are
-// deliberately excluded; neither feeds the dynamics).
-func (t *Transient) StateVec(dst []float64) {
-	cp := t.cp
-	i := copy(dst, t.x)
-	for oi := range cp.capOps {
-		ei := cp.capOps[oi].ei
-		dst[i] = t.capV[ei]
-		dst[i+1] = t.capI[ei]
-		i += 2
-	}
-	for oi := range cp.indOps {
-		dst[i] = t.indI[cp.indOps[oi].ei]
-		i++
-	}
-}
-
-// SetStateVec overwrites the dynamic state from a vector laid out as by
-// StateVec.
-func (t *Transient) SetStateVec(src []float64) {
-	cp := t.cp
-	i := copy(t.x, src[:cp.n])
-	for oi := range cp.capOps {
-		ei := cp.capOps[oi].ei
-		t.capV[ei] = src[i]
-		t.capI[ei] = src[i+1]
-		i += 2
-	}
-	for oi := range cp.indOps {
-		t.indI[cp.indOps[oi].ei] = src[i]
-		i++
-	}
-}
-
 // BranchCurrent returns the most recent current through a named V
 // source or inductor (positive a→b).
 func (t *Transient) BranchCurrent(name string) (float64, error) {

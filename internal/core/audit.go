@@ -94,12 +94,13 @@ type Options struct {
 	Resume *SearchCheckpoint
 	// ExactEval forces every fitness evaluation through the reference
 	// per-cycle measurement loop instead of the trace-replay fast path
-	// (see testbed.RunConfig.ExactCycleLoop). Replay agrees with the
-	// exact loop to ~1e-9 V on droop statistics; set this when a search
-	// must be bit-identical to pre-replay baselines.
+	// (see testbed.RunConfig.ExactCycleLoop). With ROMTolV 0 a replay is
+	// bit-identical to the exact loop, so the search ends the same
+	// either way and this only changes its cost: it is the reference
+	// the replay path is checked against.
 	ExactEval bool
-	// ROMTolV, when positive, lets non-periodic trace replays run on
-	// the reduced-order PDN kernel whenever its calibrated worst-case
+	// ROMTolV, when positive, lets trace replays run on the
+	// reduced-order PDN kernel whenever its calibrated worst-case
 	// die-voltage error at the trace's drive level stays within this
 	// many volts (see testbed.Platform.ROMTolV). The default 0 keeps
 	// every replay on the exact bit-identity kernel. A non-zero value

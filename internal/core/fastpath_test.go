@@ -86,11 +86,10 @@ func TestGenerateMemoizationAccounting(t *testing.T) {
 	}
 }
 
-// TestGenerateReplayMatchesExact: GA-generated programs close their
-// loops with dec/jnz, whose energy trace never proves periodic, so the
-// trace-replay fast path streams the full trace — which is bit-exact
-// against the reference loop. A search run through replay must
-// therefore reproduce the ExactEval search bit-identically.
+// TestGenerateReplayMatchesExact: the trace-replay fast path streams
+// every candidate's whole trace, which is bit-exact against the
+// reference loop. A search run through replay must therefore reproduce
+// the ExactEval search bit-identically.
 func TestGenerateReplayMatchesExact(t *testing.T) {
 	p := testbed.Bulldozer()
 	gen := func(exact bool) *Stressmark {

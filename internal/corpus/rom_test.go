@@ -1,12 +1,8 @@
 package corpus
 
 import (
-	"math/rand"
 	"testing"
 
-	"repro/internal/asm"
-	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/testbed"
 )
 
@@ -36,83 +32,5 @@ func TestReplayROMToleranceIsPlatformSkew(t *testing.T) {
 	if same[0].Verdict != Pass {
 		t.Fatalf("ROM baseline on same ROM platform: verdict %s (%s), want pass",
 			same[0].Verdict, same[0].Detail)
-	}
-}
-
-// periodicStressmark is a jmp-closed steady-state loop the trace
-// detector verifies periodic — the shape that rides the modal periodic
-// replay path on a ROM-enabled platform.
-func periodicStressmark(t *testing.T, name string) *core.Stressmark {
-	t.Helper()
-	b := asm.NewBuilder(name)
-	b.InitToggle(16, 8)
-	b.Label("loop")
-	for i := 0; i < 18; i++ {
-		b.RR("pxor", isa.XMM(i%6), isa.XMM(12+i%4))
-		b.RR("mulpd", isa.XMM(6+i%6), isa.XMM(12+(i+1)%4))
-		b.Nop(1)
-	}
-	b.Nop(54)
-	b.Branch("jmp", "loop")
-	prog := b.MustBuild()
-	cg := &core.CodeGen{
-		Opcodes:   core.DefaultOpcodeList(),
-		Width:     4,
-		LoopIters: 1 << 20,
-		MemBytes:  4096,
-	}
-	g := cg.NewGenome(rand.New(rand.NewSource(7)), 6, 3, 18, 0.2)
-	return &core.Stressmark{
-		Name:       name,
-		Threads:    1,
-		LoopCycles: 36,
-		Mode:       core.Resonance,
-		Genome:     g,
-		Program:    prog,
-	}
-}
-
-// TestReplayPeriodicROMToleranceIsPlatformSkew extends the skew
-// contract to periodic stressmarks, which now ride the modal-coordinate
-// period map when the ROM tolerance admits them: an exact-platform
-// baseline replayed under -rom-tol must classify as platform-skew
-// (digest moved, explained), never DRIFT — and a ROM-platform baseline
-// must round-trip bit-exactly through the modal periodic path.
-func TestReplayPeriodicROMToleranceIsPlatformSkew(t *testing.T) {
-	sm := periodicStressmark(t, "periodic-mark")
-	cfg := HarvestConfig{MeasureCycles: 12000, WarmupCycles: 2000}
-
-	exact := compile(t, testbed.Bulldozer())
-	e, err := Harvest(exact, "bulldozer", sm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := exact.TraceStats(); st.Periodic == 0 {
-		t.Fatal("stressmark not detected periodic — scenario not exercised")
-	}
-
-	rom := testbed.Bulldozer()
-	rom.ROMTolV = 1e-5
-	rcp := compile(t, rom)
-	res := Replay(rcp, []*Entry{e}, ReplayOptions{})
-	if res[0].Verdict != PlatformSkew {
-		t.Fatalf("periodic exact baseline on ROM platform: verdict %s (%s), want platform-skew",
-			res[0].Verdict, res[0].Detail)
-	}
-	if res[0].Verdict == Drift {
-		t.Fatal("periodic ROM replay misclassified as DRIFT")
-	}
-
-	re, err := Harvest(rcp, "bulldozer", sm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := Replay(rcp, []*Entry{re}, ReplayOptions{})
-	if same[0].Verdict != Pass {
-		t.Fatalf("periodic ROM baseline on same ROM platform: verdict %s (%s), want pass",
-			same[0].Verdict, same[0].Detail)
-	}
-	if st := rcp.TraceStats(); st.ModalPeriodic == 0 {
-		t.Error("ROM platform never took the modal periodic path")
 	}
 }

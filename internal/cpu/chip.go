@@ -337,56 +337,6 @@ func (ch *Chip) coreByGlobal(g int) (*core, error) {
 	return nil, fmt.Errorf("cpu: no core %d", g)
 }
 
-// StateFingerprint hashes the chip's cycle-relative control state:
-// per-thread program counters and lookahead, queue occupancies,
-// stall/divider/MSHR deadlines relative to the current cycle, barrier
-// waits, predictor history and FP arbitration tokens. In the steady
-// state of a loop this value recurs with the loop, which is what the
-// testbed's trace-periodicity detector keys on. It is deliberately
-// approximate — register file contents and issue-queue readiness details
-// are excluded for speed — so equal fingerprints are a candidate
-// period, not a proof; the detector verifies candidates against the
-// recorded trace bit-for-bit before trusting them.
-func (ch *Chip) StateFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
-	now := ch.cycle
-	rel := func(until uint64) uint64 {
-		if until > now {
-			return until - now
-		}
-		return 0
-	}
-	for _, m := range ch.modules {
-		mix(uint64(m.fpToken))
-		for _, c := range m.cores {
-			if c.th != nil {
-				mix(c.th.stateFP())
-			} else {
-				mix(^uint64(0))
-			}
-			mix(uint64(c.intN)<<32 | uint64(c.fpN)<<16 | uint64(uint16(c.lsq)))
-			mix(rel(c.stallUntil))
-			mix(rel(c.idivBusyUntil))
-			mix(uint64(c.waitBarrier + 1))
-			mix(uint64(c.ghist))
-			var mm uint64
-			for _, t := range c.mshr {
-				mm = mm*31 + rel(t)
-			}
-			mix(mm)
-		}
-	}
-	return h
-}
-
 // Stats summarises pipeline and memory behaviour over the run so far.
 type Stats struct {
 	Branches, Mispredicts uint64

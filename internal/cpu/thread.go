@@ -144,25 +144,6 @@ func (t *Thread) Retired() uint64 { return t.seq }
 // instruction the thread will execute (past any primed lookahead).
 func (t *Thread) PC() int { return t.pc }
 
-// stateFP folds the thread's control state — program counter, decode
-// lookahead and flag state — into the chip fingerprint. Architectural
-// register values and the monotone seq counter are deliberately
-// excluded: the fingerprint only needs to recur when the control state
-// does, and the trace verification pass is the correctness gate.
-func (t *Thread) stateFP() uint64 {
-	fp := uint64(t.pc)<<4 | 1
-	if t.primed {
-		fp |= 1 << 1
-	}
-	if t.curOK {
-		fp |= 1 << 2
-	}
-	if t.zeroFlag {
-		fp |= 1 << 3
-	}
-	return fp
-}
-
 // step executes one instruction functionally into the lookahead
 // t.cur, driven entirely by the pre-decoded template of the static
 // instruction at pc; false when the stream is exhausted.

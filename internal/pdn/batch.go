@@ -7,9 +7,8 @@ import "repro/internal/circuit"
 // lane bit-identical to a serial PDN.StepTrace of the same state (see
 // circuit.TransientBatch). Every testbed replay runs as a lane of one:
 // a whole generation's candidate traces per pass over the shared
-// factorization, a single Run as a one-lane pass (which runs the
-// serial kernel), and the periodic-replay affine probes — which all
-// share one drive period — as the lanes of one probe pass.
+// factorization, and a single Run as a one-lane pass (which runs the
+// serial kernel).
 type Batch struct {
 	cp *Compiled
 	tb *circuit.TransientBatch
@@ -32,22 +31,6 @@ func (b *Batch) LoadLane(l int, p *PDN) {
 	}
 	b.tb.LoadLane(l, p.tr)
 }
-
-// StoreLane copies lane l's state back into p.
-func (b *Batch) StoreLane(l int, p *PDN) {
-	if p.cp != b.cp {
-		panic("pdn: StoreLane across different compiled networks")
-	}
-	b.tb.StoreLane(l, p.tr)
-}
-
-// SetLaneStateVec overwrites lane l's dynamic state from a vector in
-// PDN.StateVec's layout (source values are untouched).
-func (b *Batch) SetLaneStateVec(l int, src []float64) { b.tb.SetLaneStateVec(l, src) }
-
-// LaneStateVec copies lane l's dynamic state into dst (length ≥
-// StateDim).
-func (b *Batch) LaneStateVec(l int, dst []float64) { b.tb.LaneStateVec(l, dst) }
 
 // DropLane retires lane l by swap-remove: the last lane moves into
 // slot l and the batch narrows by one (callers mirror the swap in

@@ -283,14 +283,6 @@ func (p *PDN) StepTrace(dst, src []float64, mul, div, add float64) {
 	p.tr.StepTrace(p.die, p.sinkRef, dst, src, mul, div, add)
 }
 
-// StateDim and StateVec expose the network's dynamic state as a flat
-// vector (see circuit.Transient.StateVec). The network is linear, so
-// one drive period is an affine map over this vector — the replay
-// engine samples that map once and then advances period boundaries
-// with dense mat-vecs instead of per-cycle MNA solves.
-func (p *PDN) StateDim() int          { return p.tr.StateDim() }
-func (p *PDN) StateVec(dst []float64) { p.tr.StateVec(dst) }
-
 // SetSupply changes the regulator set-point (used by the
 // voltage-at-failure procedure, which lowers Vdd in 12.5 mV steps).
 func (p *PDN) SetSupply(volts float64) { p.tr.SetSourceRef(p.vrmRef, volts) }

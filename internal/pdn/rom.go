@@ -55,21 +55,6 @@ func (b *ROMBatch) LoadLane(l int, p *PDN, add float64) {
 	b.rb.LoadLane(l, p.tr, add)
 }
 
-// SetLaneModal loads lane l directly from a modal deviation state and
-// folded constant term — the periodic probe path's lane loader, which
-// shares one fold across its reference + unit-perturbation lanes.
-func (b *ROMBatch) SetLaneModal(l int, mu []float64, vstar float64) {
-	b.rb.SetLaneModal(l, mu, vstar)
-}
-
-// LaneModal copies lane l's modal deviation state into dst (length ≥
-// ROM().Order()) and returns the lane's folded constant term —
-// together the lane's complete dynamic state, so a LaneModal /
-// SetLaneModal round trip resumes a replay bit-identically.
-func (b *ROMBatch) LaneModal(l int, dst []float64) float64 {
-	return b.rb.LaneModal(l, dst)
-}
-
 // DropLane retires lane l by swap-remove (the last lane moves into
 // slot l), mirroring Batch.DropLane.
 func (b *ROMBatch) DropLane(l int) { b.rb.DropLane(l) }
@@ -81,18 +66,4 @@ func (b *ROMBatch) DropLane(l int) { b.rb.DropLane(l) }
 // exact kernel — see ROM.ErrPerAmpV).
 func (b *ROMBatch) StepTraceBatch(dst, src [][]float64, mul, div []float64, n int) {
 	b.rb.StepTraceBatch(dst, src, mul, div, n)
-}
-
-// PeriodicSteadyState solves (I − A)·x = b in closed form per modal
-// section, for a block-diagonal period map with column k at a[k*m:]
-// and sections per ROM().Sections(). See circuit.PeriodicSteadyState.
-func PeriodicSteadyState(sections []int, a, b, x []float64) error {
-	return circuit.PeriodicSteadyState(sections, a, b, x)
-}
-
-// SectionContractions returns each modal section's spectral norm of
-// the block-diagonal period map — its exact per-period Euclidean decay
-// factor. See circuit.SectionContractions.
-func SectionContractions(sections []int, a []float64) []float64 {
-	return circuit.SectionContractions(sections, a)
 }

@@ -16,8 +16,8 @@ import (
 // cannot see. Stage 1 dedupes the configs down to distinct chip traces
 // and captures the missing ones on a worker pool (the expensive chip
 // simulation runs once per distinct program, not once per candidate).
-// Stage 2 turns every ready replay — periodic and sample-consumer runs
-// included — into a lane of the replay driver (replay.go) and packs
+// Stage 2 turns every ready replay — sample-consumer runs included —
+// into a lane of the replay driver (replay.go) and packs
 // the lanes into multi-lane passes per kernel, so one pass advances up
 // to `lanes` candidate networks over the shared factorization (or the
 // ROM); only exact-loop configs run outside the driver, on the same
@@ -249,7 +249,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 	}
 	var passes [][]*replayLane
 	for _, kl := range byKernel {
-		sort.SliceStable(kl, func(a, b int) bool { return kl[a].end > kl[b].end })
+		sort.SliceStable(kl, func(a, b int) bool { return kl[a].n > kl[b].n })
 		for lo := 0; lo < len(kl); lo += lanes {
 			passes = append(passes, kl[lo:min(lo+lanes, len(kl))])
 		}

@@ -11,12 +11,10 @@ import (
 )
 
 // batchSlate builds a mixed generation exercising every MeasureBatch
-// path: distinct non-periodic traces (lane kernel), a shared trace at
-// two supplies, a periodic trace (a lane that retires into the period
-// map), a waveform consumer (a lane re-streaming period tiles), an
-// exact-loop config, a MaxInstrs-bounded run (full trace, bit-exact
-// replay), exact duplicates (memo dedup) and one invalid config
-// (per-slot error).
+// path: distinct dec/jnz traces (lane kernel), a shared trace at two
+// supplies, a long jmp-closed trace, a waveform consumer, an exact-loop
+// config, a MaxInstrs-bounded run, exact duplicates (memo dedup) and
+// one invalid config (per-slot error).
 func batchSlate(t *testing.T, p Platform) []RunConfig {
 	t.Helper()
 	base := resonancePeriodCycles(p)
@@ -28,8 +26,8 @@ func batchSlate(t *testing.T, p Platform) []RunConfig {
 		return threads
 	}
 	var rcs []RunConfig
-	// Non-periodic lane fodder with staggered lengths so lanes retire
-	// at different times mid-batch.
+	// Lane fodder with staggered lengths so lanes retire at different
+	// times mid-batch.
 	for i, cycles := range []uint64{8000, 12000, 16000, 10000, 14000} {
 		rcs = append(rcs, RunConfig{
 			Threads:      place(mulLoop(fmt.Sprintf("lane%d", i), base+2*i)),
@@ -43,13 +41,13 @@ func batchSlate(t *testing.T, p Platform) []RunConfig {
 		// Same trace, two supplies: one capture, two lane replays.
 		RunConfig{Threads: shared, MaxCycles: 9000, WarmupCycles: 500},
 		RunConfig{Threads: shared, MaxCycles: 9000, WarmupCycles: 500, SupplyVolts: p.Nominal() - 0.12},
-		// Periodic: head on the lane kernel, then the period map.
+		// The longest lane: a jmp loop whose trace repeats exactly.
 		RunConfig{Threads: place(jmpLoop("periodicB", base)), MaxCycles: 60000, WarmupCycles: 2000, SupplyVolts: p.Nominal() - 0.10},
-		// Sample consumer: a lane streaming every period tile.
+		// Sample consumer: a lane feeding the scope every sample.
 		RunConfig{Threads: place(jmpLoop("wave", base)), MaxCycles: 15000, WarmupCycles: 1000, RecordWaveform: true},
 		// Reference cycle loop.
 		RunConfig{Threads: place(mulLoop("exact", base)), MaxCycles: 6000, WarmupCycles: 500, ExactCycleLoop: true},
-		// MaxInstrs disables period detection but still traces.
+		// A MaxInstrs-bounded thread finishes before MaxCycles.
 		RunConfig{Threads: []ThreadSpec{{Program: mulLoop("bounded", base), MaxInstrs: 4000}}, MaxCycles: 20000, WarmupCycles: 500},
 		// Exact duplicates of slot 0: intra-batch memo dedup.
 		rcs[0],
@@ -63,10 +61,28 @@ func batchSlate(t *testing.T, p Platform) []RunConfig {
 // TestMeasureBatchMatchesRun is the generation-pipeline equivalence
 // property: for every lane width, worker count and population order,
 // each slot of MeasureBatch must equal the serial CompiledPlatform.Run
-// of the same config bit for bit. Run under -race in CI.
+// of the same config bit for bit, and on this exact platform every Run
+// must equal the reference cycle loop. Run under -race in CI.
 func TestMeasureBatchMatchesRun(t *testing.T) {
 	p := Bulldozer()
-	st := checkBatchMatchesRun(t, p, batchSlate(t, p))
+	rcs := batchSlate(t, p)
+	ref, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rc := range rcs {
+		exact := rc
+		exact.ExactCycleLoop = true
+		want, wantErr := ref.Run(exact)
+		got, err := ref.Run(rc)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("slot %d: err = %v, exact loop err = %v", i, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("slot %d: replay differs from exact loop:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+	st := checkBatchMatchesRun(t, p, rcs)
 	if st.BatchRuns == 0 {
 		t.Error("TraceStats.BatchRuns = 0 after MeasureBatch calls")
 	}
@@ -74,18 +90,16 @@ func TestMeasureBatchMatchesRun(t *testing.T) {
 		t.Errorf("lane counters %d runs / %d batches: kernel never engaged", st.LaneRuns, st.LaneBatches)
 	}
 
-	// Every replayed slot rides a lane, the periodic and waveform slots
-	// (both jmp-closed, so both periodic replays) included: 5 staggered
-	// + 2 shared-trace + periodic + waveform + MaxInstrs-bounded. The
-	// exact-loop slot, the two memo duplicates and the invalid slot
-	// never reach the kernel.
+	// Every replayed slot rides a lane: 5 staggered + 2 shared-trace +
+	// jmp loop + waveform + MaxInstrs-bounded. The exact-loop slot, the
+	// two memo duplicates and the invalid slot never reach the kernel.
 	cp, err := p.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp.MeasureBatch(batchSlate(t, p), 0, 1)
-	if st := cp.TraceStats(); st.LaneRuns != 10 || st.PeriodicReplays != 2 {
-		t.Errorf("one slate batch: lane runs %d, periodic replays %d, want 10 and 2", st.LaneRuns, st.PeriodicReplays)
+	cp.MeasureBatch(rcs, 0, 1)
+	if st := cp.TraceStats(); st.LaneRuns != 10 {
+		t.Errorf("one slate batch: lane runs %d, want 10", st.LaneRuns)
 	}
 }
 
@@ -196,8 +210,8 @@ func checkBatchMatchesRun(t *testing.T, p Platform, rcs []RunConfig) TraceStats 
 }
 
 // TestMeasureBatchSharesCaptures: N candidates over K distinct programs
-// must build exactly K traces, and the lane kernel must see the
-// non-periodic replays.
+// must build exactly K traces, and the lane kernel must see every
+// replay.
 func TestMeasureBatchSharesCaptures(t *testing.T) {
 	p := Bulldozer()
 	base := resonancePeriodCycles(p)
@@ -238,7 +252,7 @@ func TestMeasureBatchSharesCaptures(t *testing.T) {
 		t.Errorf("trace hits = %d, want %d", st.Hits, len(rcs)-distinct)
 	}
 	if st.LaneRuns != uint64(len(rcs)) {
-		t.Errorf("lane runs = %d, want %d (every slot is non-periodic and memoable)", st.LaneRuns, len(rcs))
+		t.Errorf("lane runs = %d, want %d (every slot is memoable)", st.LaneRuns, len(rcs))
 	}
 	// 12 lane jobs at width 8 → one full pass and one 4-lane pass.
 	if st.LaneBatches != 2 {

@@ -136,13 +136,13 @@ func (cp *CompiledPlatform) getNet(supplyOverride float64) *pdn.PDN {
 
 // Run executes one measurement through the fast path. Most runs go
 // through the two-phase trace-replay pipeline: phase 1 runs the chip
-// alone and records a per-cycle current trace (cached across runs,
-// stopping early when the trace proves periodic), phase 2 streams it
-// through the batched PDN kernel with a steady-state early exit. Full
-// replays are bit-identical to Platform.Run(rc); periodic early exits
-// agree to the convergence tolerance (and exactly on energy and issue
-// totals). RunConfig.ExactCycleLoop — or an OS model, MaxCycles of 0,
-// or a run too long to buffer — forces the reference loop.
+// alone and records its per-cycle current trace for the whole run
+// (cached across runs), phase 2 streams the whole trace through the
+// batched PDN kernel. On the exact kernel a replay is bit-identical to
+// Platform.Run(rc); the reduced-order kernel, which Platform.ROMTolV
+// admits, stays within that tolerance. RunConfig.ExactCycleLoop — or an
+// OS model, MaxCycles of 0, or a run too long to buffer — forces the
+// reference loop.
 func (cp *CompiledPlatform) Run(rc RunConfig) (*Measurement, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
@@ -166,7 +166,7 @@ func (cp *CompiledPlatform) replayEligible(rc RunConfig) bool {
 
 // sampleConsumers reports whether rc attaches a scope, trigger or
 // histogram. Those consume every post-warmup voltage, which rules out
-// the finished-measurement memo and the PDN early exit.
+// the finished-measurement memo.
 func (rc RunConfig) sampleConsumers() bool {
 	return rc.RecordWaveform || rc.TriggerThreshold > 0 || rc.Histogram != nil
 }

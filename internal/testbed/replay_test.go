@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -11,13 +12,12 @@ import (
 	"repro/internal/scope"
 )
 
-// jmpLoop is a steady-state power loop the trace detector can prove
-// periodic: jmp-closed (no monotone loop counter), pxor toggling whose
-// data pattern repeats every two iterations, and mulpd whose operands
-// saturate within a few hundred iterations. An addpd accumulator would
-// not do — x += y keeps changing bits (and hence toggle energy) until
-// y falls below ulp(x), ~2^53 iterations away — which is exactly the
-// aperiodicity the detector's bit-exact verification is there to catch.
+// jmpLoop is a steady-state power loop closed by jmp, so no monotone
+// loop counter changes its energy: pxor toggling whose data pattern
+// repeats every two iterations, and mulpd whose operands saturate
+// within a few hundred iterations. Its trace settles into an exact
+// repeat, which is the shape a replay must not treat differently from
+// any other.
 func jmpLoop(name string, period int) *asm.Program {
 	b := asm.NewBuilder(name)
 	b.InitToggle(16, 8)
@@ -32,37 +32,14 @@ func jmpLoop(name string, period int) *asm.Program {
 	return b.MustBuild()
 }
 
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / m
-}
-
-func relDiffU(a, b uint64) float64 {
-	if a == b {
-		return 0
-	}
-	hi, lo := a, b
-	if lo > hi {
-		hi, lo = lo, hi
-	}
-	return float64(hi-lo) / float64(hi)
-}
-
 // checkReplayTolerances compares a replay measurement against the exact
-// loop under the fast path's accuracy contract: voltage statistics
-// within voltTol volts, energy within relative 1e-9, unit issue totals
-// exact, failure verdicts identical, cycle counters within 1%.
+// loop: the voltage statistics within voltTol volts (the reduced-order
+// kernel's declared tolerance on a ROM platform), and everything the
+// chip side determines exactly — cycles, energy by bits, unit issue
+// totals, the failure verdict and cycle, retired instructions and every
+// chip counter.
 func checkReplayTolerances(t *testing.T, got, want *Measurement, voltTol float64) {
 	t.Helper()
-	if got.Cycles != want.Cycles {
-		t.Errorf("Cycles = %d, want %d", got.Cycles, want.Cycles)
-	}
 	for _, c := range []struct {
 		name      string
 		got, want float64
@@ -76,36 +53,39 @@ func checkReplayTolerances(t *testing.T, got, want *Measurement, voltTol float64
 			t.Errorf("%s = %.12f, want %.12f (|Δ| = %g > %g)", c.name, c.got, c.want, d, voltTol)
 		}
 	}
-	if d := relDiff(got.EnergyPJ, want.EnergyPJ); d > 1e-9 {
-		t.Errorf("EnergyPJ = %v, want %v (rel %g)", got.EnergyPJ, want.EnergyPJ, d)
+	if math.Float64bits(got.EnergyPJ) != math.Float64bits(want.EnergyPJ) {
+		t.Errorf("EnergyPJ = %v, want %v (bit-identical)", got.EnergyPJ, want.EnergyPJ)
 	}
 	if got.UnitTotals != want.UnitTotals {
 		t.Errorf("UnitTotals = %v, want %v", got.UnitTotals, want.UnitTotals)
 	}
-	if got.Failed != want.Failed {
-		t.Errorf("Failed = %v, want %v", got.Failed, want.Failed)
-	}
-	if got.Failed && want.Failed && got.FailCycle != want.FailCycle {
-		t.Errorf("FailCycle = %d, want %d", got.FailCycle, want.FailCycle)
+	if got.Failed != want.Failed || got.FailCycle != want.FailCycle {
+		t.Errorf("Failed, FailCycle = %v, %d, want %v, %d", got.Failed, got.FailCycle, want.Failed, want.FailCycle)
 	}
 	for _, c := range []struct {
 		name      string
 		got, want uint64
 	}{
+		{"Cycles", got.Cycles, want.Cycles},
 		{"Retired", got.Retired, want.Retired},
 		{"Branches", got.Branches, want.Branches},
+		{"Mispredicts", got.Mispredicts, want.Mispredicts},
 		{"L1Hits", got.L1Hits, want.L1Hits},
+		{"L1Misses", got.L1Misses, want.L1Misses},
+		{"L2Hits", got.L2Hits, want.L2Hits},
+		{"L2Misses", got.L2Misses, want.L2Misses},
+		{"L3Hits", got.L3Hits, want.L3Hits},
+		{"L3Misses", got.L3Misses, want.L3Misses},
 	} {
-		if d := relDiffU(c.got, c.want); d > 0.01 {
-			t.Errorf("%s = %d, want %d (rel %g)", c.name, c.got, c.want, d)
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
 }
 
-// TestReplayPeriodicMatchesExact is the headline fast-path equivalence
-// check: a jmp-closed loop must be detected periodic, replayed with a
-// PDN steady-state early exit, and agree with the exact cycle loop to
-// tight tolerances; the second run must come from the trace cache.
+// TestReplayPeriodicMatchesExact: a jmp-closed loop, whose trace
+// settles into an exact repeat, must replay bit-identically to the
+// exact cycle loop, and the second run must come from the trace cache.
 func TestReplayPeriodicMatchesExact(t *testing.T) {
 	p := Bulldozer()
 	prog := jmpLoop("periodic", resonancePeriodCycles(p))
@@ -113,12 +93,9 @@ func TestReplayPeriodicMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2M cycles: long enough for the die-voltage response to converge
-	// (the board stage rings for ~10^5-cycle e-folding times) so the
-	// PDN early exit demonstrably fires.
 	rc := RunConfig{
 		Threads:      threads,
-		MaxCycles:    2_000_000,
+		MaxCycles:    40000,
 		WarmupCycles: 2000,
 		SupplyVolts:  p.Nominal() - 0.10,
 	}
@@ -137,30 +114,62 @@ func TestReplayPeriodicMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkReplayTolerances(t, got, want, 1e-9)
-	}
-	st := cp.TraceStats()
-	if st.Misses != 1 || st.Hits < 1 {
-		t.Errorf("trace cache misses/hits = %d/%d, want 1/≥1", st.Misses, st.Hits)
-	}
-	if st.Periodic != 1 {
-		t.Errorf("periodic traces = %d, want 1 (detector missed the jmp loop)", st.Periodic)
-	}
-	// The detector's decomposition is pinned: a faster fingerprint
-	// schedule must find the same head and period.
-	for _, tr := range cp.traces.m {
-		if tr.headLen != 1985 || tr.periodLen != 1088 {
-			t.Errorf("head/period = %d/%d, want 1985/1088", tr.headLen, tr.periodLen)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: replay differs from exact loop:\n got %+v\nwant %+v", pass, got, want)
 		}
 	}
-	if st.PDNEarlyExits < 1 {
-		t.Errorf("PDN early exits = %d, want ≥1", st.PDNEarlyExits)
+	if st := cp.TraceStats(); st.Misses != 1 || st.Hits < 1 {
+		t.Errorf("trace cache misses/hits = %d/%d, want 1/≥1", st.Misses, st.Hits)
+	}
+}
+
+// TestReplayStallLoopBitExact replays a divsd stall loop: while the
+// divider stalls, the chip repeats a 2-cycle pattern for hundreds of
+// cycles, yet the dec/jnz counter keeps the run from being periodic.
+// Four threads over the benchmark search's window must replay
+// bit-identically to the exact loop — droop, energy and counters —
+// with and without a NOP run before dec.
+func TestReplayStallLoopBitExact(t *testing.T) {
+	p := Bulldozer()
+	for _, nops := range []int{0, 8} {
+		t.Run(fmt.Sprintf("nops%d", nops), func(t *testing.T) {
+			b := asm.NewBuilder("stall")
+			b.InitToggle(16, 8)
+			b.RI("movimm", isa.RCX, 1<<40)
+			b.Label("loop")
+			b.RR("divsd", isa.XMM(7), isa.XMM(13))
+			b.Nop(nops)
+			b.RR("dec", isa.RCX, isa.RCX)
+			b.Branch("jnz", "loop")
+			threads, err := SpreadPlacement(p.Chip, b.MustBuild(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := RunConfig{Threads: threads, MaxCycles: 23000, WarmupCycles: 3000}
+			cp, err := p.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact := rc
+			exact.ExactCycleLoop = true
+			want, err := cp.Run(exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cp.Run(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replay differs from exact loop:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
 // TestReplayNonPeriodicBitExact: a dec/jnz loop's energy follows the
-// binary ruler sequence, so period verification must reject it and the
-// full-trace replay must be bit-identical to the exact loop.
+// binary ruler sequence; its replay must be bit-identical to the exact
+// loop.
 func TestReplayNonPeriodicBitExact(t *testing.T) {
 	p := Bulldozer()
 	prog := mulLoop("nonperiodic", resonancePeriodCycles(p))
@@ -191,24 +200,19 @@ func TestReplayNonPeriodicBitExact(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("non-periodic replay differs from exact loop:\n got %+v\nwant %+v", got, want)
 	}
-	if st := cp.TraceStats(); st.Periodic != 0 {
-		t.Errorf("periodic traces = %d, want 0 (dec/jnz must fail verification)", st.Periodic)
-	}
 }
 
 // TestReplayVariants covers the remaining run shapes the fast path must
-// reproduce: heterogeneous genomes, dithered runs (the detected period
-// folds the dither period in via the fingerprint), FP-throttled runs,
-// and MaxInstrs-bounded threads (which must disable detection).
+// reproduce bit for bit: heterogeneous genomes, dithered runs,
+// FP-throttled runs, MaxInstrs-bounded threads and start skew.
 func TestReplayVariants(t *testing.T) {
 	p := Bulldozer()
 	base := resonancePeriodCycles(p)
 	progA := jmpLoop("varA", base)
 	progB := jmpLoop("varB", base/2)
 	cases := []struct {
-		name  string
-		rc    RunConfig
-		exact bool // expect bit-exact (full-stream) agreement
+		name string
+		rc   RunConfig
 	}{
 		{
 			name: "hetero",
@@ -242,7 +246,6 @@ func TestReplayVariants(t *testing.T) {
 				Threads:   []ThreadSpec{{Program: progA, Module: 0, Core: 0, MaxInstrs: 5000}},
 				MaxCycles: 40000, WarmupCycles: 2000,
 			},
-			exact: true, // detection disabled → full trace → bit-exact
 		},
 		{
 			name: "skewed",
@@ -271,12 +274,8 @@ func TestReplayVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.exact {
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("replay differs from exact loop:\n got %+v\nwant %+v", got, want)
-				}
-			} else {
-				checkReplayTolerances(t, got, want, 1e-9)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replay differs from exact loop:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
@@ -321,11 +320,10 @@ func TestReplayDoneProgramBitExact(t *testing.T) {
 	}
 }
 
-// TestReplayInstrumentedPeriodic: scope/trigger/histogram consumers
-// need every sample, so a periodic trace is streamed in full — the
-// whole voltage path (waveform, histogram, droop events, energy) must
-// be bit-identical to the exact loop; only the chip cycle counters are
-// extrapolated.
+// TestReplayInstrumentedPeriodic: scope, trigger and histogram
+// consumers see every sample of a jmp loop's replay, and the whole
+// measurement — waveform, histogram, droop events, energy and chip
+// counters — must be bit-identical to the exact loop.
 func TestReplayInstrumentedPeriodic(t *testing.T) {
 	p := Bulldozer()
 	prog := jmpLoop("instr", resonancePeriodCycles(p))
@@ -360,23 +358,15 @@ func TestReplayInstrumentedPeriodic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Waveform) != len(want.Waveform) {
-		t.Fatalf("waveform length %d != %d", len(got.Waveform), len(want.Waveform))
+	if len(got.Waveform) == 0 {
+		t.Fatal("no waveform recorded")
 	}
-	for i := range want.Waveform {
-		if got.Waveform[i] != want.Waveform[i] {
-			t.Fatalf("waveform[%d] = %v, want %v (bit-identical)", i, got.Waveform[i], want.Waveform[i])
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("instrumented replay differs from exact loop:\n got %+v\nwant %+v", got, want)
 	}
 	if !reflect.DeepEqual(gotHist, wantHist) {
 		t.Fatal("histograms differ")
 	}
-	if got.MinV != want.MinV || got.MeanV != want.MeanV || got.EnergyPJ != want.EnergyPJ ||
-		got.DroopEvents != want.DroopEvents || got.UnitTotals != want.UnitTotals ||
-		got.Failed != want.Failed || got.FailCycle != want.FailCycle {
-		t.Fatalf("instrumented voltage path diverged:\n got %+v\nwant %+v", got, want)
-	}
-	checkReplayTolerances(t, got, want, 0)
 }
 
 // TestReplayFailureLadderSharesOneTrace: the trace key excludes the

@@ -191,41 +191,21 @@ func recordFromTrace(tr *chipTrace) *tracestore.Record {
 		Issues:      tr.issues,
 		Done:        tr.done,
 		Unsupported: tr.unsupported,
-		Periodic:    tr.periodic,
-		HeadLen:     tr.headLen,
-		PeriodLen:   tr.periodLen,
 		EndStats:    statsToWords(tr.endStats),
-		RefStats:    statsToWords(tr.refStats),
-		PerStats:    statsToWords(tr.perStats),
 		EndRetired:  tr.endRetired,
-		RefRetired:  tr.refRetired,
-		PerRetired:  tr.perRetired,
 	}
 }
 
-// traceFromRecord rebuilds a replayable chipTrace. The pre-aggregated
-// period totals are recomputed with acceptPeriod's exact summation
-// order, so a loaded trace replays bit-identically to the capture that
-// wrote it.
+// traceFromRecord rebuilds a replayable chipTrace.
 func traceFromRecord(rec *tracestore.Record) *chipTrace {
 	tr := &chipTrace{
 		energy:      rec.Energy,
 		issues:      rec.Issues,
 		done:        rec.Done,
 		unsupported: rec.Unsupported,
+		endStats:    statsFromWords(rec.EndStats),
+		endRetired:  rec.EndRetired,
 		captureNS:   rec.CaptureNS,
-	}
-	if rec.Periodic {
-		tr.periodic = true
-		tr.headLen, tr.periodLen = rec.HeadLen, rec.PeriodLen
-		tr.refStats, tr.refRetired = statsFromWords(rec.RefStats), rec.RefRetired
-		tr.perStats, tr.perRetired = statsFromWords(rec.PerStats), rec.PerRetired
-		for _, e := range tr.energy[tr.headLen:] {
-			tr.periodEnergy += e
-		}
-		addUnitTotals(&tr.periodIssues, tr.issues[tr.headLen:])
-	} else {
-		tr.endStats, tr.endRetired = statsFromWords(rec.EndStats), rec.EndRetired
 	}
 	tr.noteMaxEnergy()
 	return tr

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -103,9 +104,9 @@ func TestStoreWarmSkipsCapture(t *testing.T) {
 }
 
 // TestStoreBitIdentity holds the measurement invariant across every
-// store state — disabled, cold, warm — for both a full-trace (dec/jnz)
-// and a periodic (jmp-closed) program, with the store-free platform as
-// the reference.
+// store state — disabled, cold, warm — for both a dec/jnz-closed and a
+// jmp-closed (periodic) program, with the store-free platform as the
+// reference.
 func TestStoreBitIdentity(t *testing.T) {
 	p := Bulldozer()
 	progs := map[string]RunConfig{}
@@ -115,8 +116,6 @@ func TestStoreBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// mulpd operands take a few hundred iterations to saturate, and
-		// Brent verification needs head + 3 periods: give it room.
 		progs["periodic"] = RunConfig{
 			Threads: threads, MaxCycles: 60000, WarmupCycles: 2000,
 			SupplyVolts: p.Nominal() - 0.08,
@@ -142,11 +141,6 @@ func TestStoreBitIdentity(t *testing.T) {
 			}
 			if wts := warmPlat.TraceStats(); wts.StoreHits != 1 {
 				t.Fatalf("warm platform store hits = %d, want 1", wts.StoreHits)
-			}
-			if name == "periodic" {
-				if sts := warmPlat.TraceStats(); sts.Periodic != 1 {
-					t.Errorf("loaded trace lost its periodic decomposition: %+v", sts)
-				}
 			}
 			if !reflect.DeepEqual(cold, want) {
 				t.Errorf("cold-store measurement differs from store-free reference")
@@ -325,6 +319,117 @@ func TestStoreMismatchedRecordRecaptured(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("recaptured measurement differs from original")
+	}
+}
+
+// periodicRecordHex is the store record an encoder that still wrote
+// periodic records left for periodicRecordConfig: flag bit 2, a
+// 449-cycle head and one 476-cycle period instead of the whole run.
+// periodicRecordAddr is its file name, the content address of the
+// Bulldozer capture digest and the config's trace key.
+const (
+	periodicRecordAddr = "e749b82b0e4344f859b0d5458cff358147fa8bd0e6d89b4859fbc37a669de17f"
+	periodicRecordHex  = "415544545243320aec54fb4f5367036e4fcfb1c00bb507a4050b58229f1ff3d2" +
+		"c22046145c29529c281445c6a5eb0ade98235d51cc5825ee70296244c7264e8c" +
+		"68601bc986caca9479b49df4b47678e9b8785d44b783d30db5d453d46122734b" +
+		"e16db26cff42df5fdaf7e4c99327cfe54529ce1dcea3476a163c0d88f70fdbfb" +
+		"a9795343e251ee51aeac6b0ee1b9dfc95e1bf1e6ad0fc277a4d44fe87152c473" +
+		"f772c2894c8b9e9633d19548d52601a3c14970ad22a29f8b6321d59f5b8634bc" +
+		"f22da66f750a5a1ac3907eb28d40bbf454644175a1ddeaba448988efcf509f89" +
+		"3b75eb5a5e73ccfa2db056d06242502dc27460336bf7c9b669963291953cb35a" +
+		"ed6cc549f0438c50e0570e8e1906e4bfb7af7367649ed728686932bfa725e319" +
+		"771ee71bf62da23ffd4ad7ad6a11d1bb2b8d53bc9cbfa134fe74d8ed20bbe0ff" +
+		"a624548bfcf95ee0e2ba014b9e789152f0155af54efd582e4e824bc912247437" +
+		"9654d34a65691e776fbfd2432b68295b97b7326905a43d6c77b9062911d15b68" +
+		"0b6a5f657cbb526216aa79e5c210d37a548b4c8606f619f4967de2fcc185a52f" +
+		"af8b03c6467112f43985e7fc6d20d3d061bd3a32cfbdf9f1299682963ee50f87" +
+		"a5aee68e73eeb25d441ba435635481b82aaeefc586c9f85721c3d084075bd88d" +
+		"753b64e1748011cb474ee4e739ef43b5420a5c30dc93bba3e70f95ec3cd5a4a0" +
+		"a58b067bc9f48ddc2c248d1d4d64db4997d5a336d636bb5da33c3baa7a26d187" +
+		"76cf8a363d41b5c8d304f46a6d87e52371ca60d4e86c3477ad53899380c94d88" +
+		"0a6dc7b6d59c4d55b53d1a2a5fd6a384deca9ab1ef9009f64ea222bdb3cb520d" +
+		"23dbcf37af54c748834328c17313f0d052a0a04e26aba063e282c3586550edf3" +
+		"1371b7c3df081caa2fb52516477d02693d4d381ff1a13cd91025270ec0c8a64c" +
+		"30f30b2e2ebc2fd836b35c78d294e68dacde021a800ac6e5513a7b20a8b69eb2" +
+		"69ee3d345683336d0a5a3ac7a81e4db9009526a437491c6c11d1eb482b2b5634" +
+		"bd15bba039f4f2cc3d909211621b6b93600b406e61a7d30f27c1c1d619af473c" +
+		"e7e977a7a41d6b8fcc81be7a946636b38fb18eb3d613f3ed066d7faa88309f91" +
+		"bf1ad9d134ed6bc81e68c0e417815beb26605c911139cb9f987112381c21abfc" +
+		"0e818386cbd607c5196ee5826e998296524a47e59a0af42692c19e4b64d95f68" +
+		"6f786819f9cde2234a7b43c985f892e06cd8823f7e99915ff3a5ac4593ca885f" +
+		"0055d17ee7429c0403e8a2cd82ffa1748d2e7589f89ab705378db6d29cd52000" +
+		"fb1ab94ee478690f58e9e843ba1fc336372628f023c26493da6bc27118578059" +
+		"ed1a0b8471097e859de5e3302e8fdaac46ac04b9c1defaf16139abeb674f5cbb" +
+		"a89d6d56255cd87681d614876a91bfe283baeb3a646b3431bae0255c15a4b5a8" +
+		"423ff55f066913bbdfdd6b142b68499e2eec6246eebfbdf5a8ad82e50a3e0987" +
+		"3b7e17bcaccb836ad14968c278637ca70083ef41112e179d6714b434216e4dec" +
+		"52d5f4c2aadbd2d325764f13b0b4f89142fe74137827e170a73aeb2f2bd24875" +
+		"4292bb023661b82abcc46f042e2c197fbfc86884535881c285cd806aa7de8303" +
+		"0cf4f621a41dcf06c4de91bee6b91773eec7fa27aace8d5542130085b5d6f4a7" +
+		"6e114fe0fae1d37130b295652c92e881714d293dc1fcb4a42c62314f72c48f6f" +
+		"d2a35ac4fd1273d5de814a39890588d3829360d2424c1defc3fd8f1b010f3afd" +
+		"5343a03e8c0fe3c3f8303e8c0fe3c3f8303ecc7f317f070000ffff966d626e69" +
+		"e7f247"
+)
+
+// periodicRecordConfig is the jmp-closed run periodicRecordHex holds.
+func periodicRecordConfig(t *testing.T, p Platform) RunConfig {
+	t.Helper()
+	threads, err := SpreadPlacement(p.Chip, jmpLoop("periodic-record", 16), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RunConfig{Threads: threads, MaxCycles: 20000, WarmupCycles: 2000, SupplyVolts: p.Nominal() - 0.08}
+}
+
+// TestStorePeriodicRecordRecaptured puts a periodic record, which holds
+// one period instead of the whole run, where a store directory keeps
+// it. The store must read it as a miss, so the run recaptures, replaces
+// the record with the whole trace, and measures what the exact loop
+// measures.
+func TestStorePeriodicRecordRecaptured(t *testing.T) {
+	p := Bulldozer()
+	rc := periodicRecordConfig(t, p)
+	dir := t.TempDir()
+	warm := compiledWithStore(t, p, dir)
+	key, ok := traceKey(rc)
+	if !ok {
+		t.Fatal("no trace key")
+	}
+	if addr := tracestore.Addr(warm.storeKeyBytes(key)); addr != periodicRecordAddr {
+		t.Fatalf("record address %s, want %s: the trace key or capture digest moved", addr, periodicRecordAddr)
+	}
+	blob, err := hex.DecodeString(periodicRecordHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, periodicRecordAddr+".trace")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := warm.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := warm.TraceStats(); ts.StoreHits != 0 || ts.StoreMisses != 1 || ts.Captures != 1 {
+		t.Errorf("periodic record: store hits %d, misses %d, captures %d, want 0, 1 and 1",
+			ts.StoreHits, ts.StoreMisses, ts.Captures)
+	}
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := tracestore.Decode(disk); !ok || len(rec.Energy) != int(rc.MaxCycles) {
+		t.Errorf("record not replaced by the whole trace (decodes %v)", ok)
+	}
+	exact := rc
+	exact.ExactCycleLoop = true
+	want, err := warm.Run(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recaptured measurement differs from the exact loop:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -128,11 +128,12 @@ type RunConfig struct {
 	// TriggerThreshold, when positive, counts droop events below it.
 	TriggerThreshold float64
 	// ExactCycleLoop forces the reference per-cycle measurement loop on
-	// CompiledPlatform, bypassing the trace-replay fast path and its
-	// periodic-steady-state early exits. The exact loop is also taken
-	// automatically when OS != nil (host-OS interference is aperiodic),
-	// when MaxCycles is 0 or too large to buffer a trace, and for cycle
-	// counters that the periodic extrapolation only approximates.
+	// CompiledPlatform, bypassing the trace-replay fast path. On the
+	// exact kernel a replay equals this loop bit for bit, so the flag
+	// changes cost, not results. The exact loop is also taken
+	// automatically when OS != nil (host-OS interference is not part of
+	// the trace key) and when MaxCycles is 0 or too large to buffer a
+	// trace.
 	ExactCycleLoop bool
 }
 

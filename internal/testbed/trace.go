@@ -3,7 +3,6 @@ package testbed
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"sync"
 	"time"
 
@@ -14,28 +13,10 @@ import (
 )
 
 // This file is phase 1 of the two-phase measurement pipeline: run the
-// chip alone, record a per-cycle (energy, unit-issue) trace, detect
-// when the trace has become periodic, and cache the result keyed by
-// everything the chip side of a run depends on. Phase 2 (replay.go)
-// streams the trace through the batched PDN kernel.
-//
-// Periodicity detection is two-tier. A per-boundary key
-// (cpu.Chip.StateFingerprint mixed with the cycle's energy/issue record
-// and the dither phases) feeds Brent's cycle-detection algorithm, which
-// proposes a candidate period in O(1) memory. The key is computed only
-// where Brent needs it: at anchors, and at boundaries whose record and
-// phases already equal the anchor's (DESIGN.md §11, "Cycle cost"). A
-// candidate is trusted only after the recorded trace repeats it
-// bit-for-bit over two further periods AND the chip's
-// retired/branch/cache counters advance by identical per-period deltas
-// — the cycles are being recorded anyway, so verification costs nothing
-// beyond running 2 extra periods.
-// Programs whose energy is not exactly periodic (the generated dec/jnz
-// loop closers toggle a monotone counter, making dec's toggle energy
-// follow the binary ruler sequence) fail verification and fall back to
-// a full-length trace, which still replays bit-identically and still
-// caches; truly periodic loops (jmp-closed) stop the chip after
-// head + 3 periods.
+// chip alone, record its per-cycle (energy, unit-issue) trace for the
+// whole run, and cache the result keyed by everything the chip side of
+// a run depends on. Phase 2 (replay.go) streams the trace through the
+// batched PDN kernel.
 
 const (
 	// traceMaxCycles bounds replay-eligible runs: the longest trace the
@@ -43,12 +24,6 @@ const (
 	traceMaxCycles = tracestore.MaxCycles
 	// defaultTraceCacheBytes bounds the per-platform trace cache.
 	defaultTraceCacheBytes = 128 << 20
-	// detectInitLimit is Brent's initial search window (doubled until
-	// the period fits inside it).
-	detectInitLimit = 64
-	// detectMaxAttempts bounds failed candidate verifications before
-	// detection is disabled for the run (the trace is still recorded).
-	detectMaxAttempts = 8
 )
 
 // errTraceUnsupported routes a run back to the exact cycle loop when
@@ -76,9 +51,8 @@ func packIssues(res *cpu.CycleResult) (uint64, bool) {
 }
 
 // chipTrace is one recorded phase-1 run: per-cycle dynamic energy and
-// packed unit issues, plus either end-of-run chip counters (full
-// traces) or the periodic decomposition head+period with per-period
-// counter deltas. Immutable once built; shared read-only by concurrent
+// packed unit issues for every simulated cycle, plus the end-of-run
+// chip counters. Immutable once built; shared read-only by concurrent
 // replays.
 type chipTrace struct {
 	energy []float64
@@ -89,24 +63,9 @@ type chipTrace struct {
 	// unsupported: the run cannot be traced (see errTraceUnsupported).
 	unsupported bool
 
-	// Full-trace finals (valid when !periodic).
+	// Chip counters at the end of the run.
 	endStats   cpu.Stats
 	endRetired uint64
-
-	// Periodic decomposition: entries [0, headLen) are the transient
-	// head, [headLen, headLen+periodLen) one verified period.
-	periodic  bool
-	headLen   int
-	periodLen int
-	// Chip counters at the reference boundary headLen+periodLen and
-	// their verified per-period deltas.
-	refStats   cpu.Stats
-	refRetired uint64
-	perStats   cpu.Stats
-	perRetired uint64
-	// Pre-aggregated period totals for closed-form extrapolation.
-	periodEnergy float64
-	periodIssues [isa.NumUnits]uint64
 
 	// maxEnergy is the largest per-cycle energy in the stored trace
 	// (pJ) — with the amps conversion it bounds the replay's peak drive
@@ -136,190 +95,8 @@ func (tr *chipTrace) noteMaxEnergy() {
 // sizeBytes approximates the trace's cache footprint.
 func (tr *chipTrace) sizeBytes() int { return 16*len(tr.energy) + 256 }
 
-// segEqual reports whether entries [i, i+n) and [j, j+n) are
-// bit-identical in both energy and issues.
-func (tr *chipTrace) segEqual(i, j, n int) bool {
-	ei, ej := tr.energy[i:i+n], tr.energy[j:j+n]
-	qi, qj := tr.issues[i:i+n], tr.issues[j:j+n]
-	for k := range ei {
-		if ei[k] != ej[k] || qi[k] != qj[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// acceptPeriod finalises a verified periodic decomposition: truncate
-// the trace to head + one period and pre-aggregate the period totals.
-func (tr *chipTrace) acceptPeriod(head, p int, refStats cpu.Stats, refRetired uint64, perStats cpu.Stats, perRetired uint64) {
-	tr.periodic = true
-	tr.headLen, tr.periodLen = head, p
-	tr.refStats, tr.refRetired = refStats, refRetired
-	tr.perStats, tr.perRetired = perStats, perRetired
-	tr.energy = tr.energy[:head+p]
-	tr.issues = tr.issues[:head+p]
-	for _, e := range tr.energy[head:] {
-		tr.periodEnergy += e
-	}
-	addUnitTotals(&tr.periodIssues, tr.issues[head:])
-}
-
-// statsSub returns a - b fieldwise.
-func statsSub(a, b cpu.Stats) cpu.Stats {
-	return cpu.Stats{
-		Branches: a.Branches - b.Branches, Mispredicts: a.Mispredicts - b.Mispredicts,
-		L1Hits: a.L1Hits - b.L1Hits, L1Misses: a.L1Misses - b.L1Misses,
-		L2Hits: a.L2Hits - b.L2Hits, L2Misses: a.L2Misses - b.L2Misses,
-		L3Hits: a.L3Hits - b.L3Hits, L3Misses: a.L3Misses - b.L3Misses,
-	}
-}
-
-// periodDetector runs Brent's cycle detection over the per-boundary
-// keys and verifies candidates against the trace. Boundary index b is
-// the number of recorded entries (the state after cycle b-1).
-type periodDetector struct {
-	maxCycles uint64
-	disabled  bool
-	attempts  int
-
-	// phase holds the observed boundary's dither phases (cycles to each
-	// core's next pad), filled by the caller before observe.
-	phase []uint64
-
-	// The anchor: its boundary, key, and the parts of the key that are
-	// compared exactly before the key itself is computed.
-	hasAnchor   bool
-	anchorFP    uint64
-	anchorE     uint64
-	anchorQ     uint64
-	anchorPhase []uint64
-	anchorAt    int
-	limit       int
-
-	// Armed candidate: period pendP first matched at boundary pendB2,
-	// so the hypothesis is that entries [pendB2-pendP, ...) repeat.
-	pendP  int
-	pendB2 int
-	s0, s1 cpu.Stats
-	r0, r1 uint64
-}
-
-func newPeriodDetector(maxCycles uint64, dithers int) *periodDetector {
-	return &periodDetector{
-		maxCycles:   maxCycles,
-		phase:       make([]uint64, dithers),
-		anchorPhase: make([]uint64, dithers),
-	}
-}
-
-// key is the boundary's full detector key: the approximate control state
-// mixed with the cycle's exact trace record e (energy bits) and q
-// (packed issues), capturing data-toggle activity compactly, and the
-// dither phases — so a detected period is automatically a common
-// multiple of every dither period (LCM folding).
-func (d *periodDetector) key(e, q uint64, chip *cpu.Chip) uint64 {
-	fp := mix64(chip.StateFingerprint(), e)
-	fp = mix64(fp, q)
-	for _, ph := range d.phase {
-		fp = mix64(fp, ph)
-	}
-	return fp
-}
-
-// anchor makes boundary b, with record (e, q) and the current phases,
-// Brent's anchor.
-func (d *periodDetector) anchor(b int, e, q uint64, chip *cpu.Chip) {
-	d.anchorFP, d.anchorE, d.anchorQ, d.anchorAt = d.key(e, q, chip), e, q, b
-	copy(d.anchorPhase, d.phase)
-}
-
-// matchesAnchor reports whether boundary (e, q) has the anchor's key.
-// The key is a bijection of the chip fingerprint once the record and
-// phases are fixed, so it is computed only when those equal the
-// anchor's; otherwise the keys could agree only by a 64-bit collision.
-func (d *periodDetector) matchesAnchor(e, q uint64, chip *cpu.Chip) bool {
-	if e != d.anchorE || q != d.anchorQ {
-		return false
-	}
-	for i, ph := range d.phase {
-		if ph != d.anchorPhase[i] {
-			return false
-		}
-	}
-	return d.key(e, q, chip) == d.anchorFP
-}
-
-// observe feeds boundary b, whose cycle recorded energy bits e and
-// packed issues q; returns true once a period has been verified and
-// recorded into tr (the caller stops the chip).
-func (d *periodDetector) observe(b int, e, q uint64, tr *chipTrace, chip *cpu.Chip) bool {
-	if d.disabled {
-		return false
-	}
-	if d.pendP > 0 {
-		switch b {
-		case d.pendB2 + d.pendP:
-			// One period past the match: entries [b2-p, b2) must equal
-			// [b2, b2+p) or the candidate dies here.
-			if tr.segEqual(d.pendB2-d.pendP, d.pendB2, d.pendP) {
-				d.s1, d.r1 = chip.Stats(), chip.Retired()
-			} else {
-				d.reject()
-			}
-		case d.pendB2 + 2*d.pendP:
-			// Two periods past the match: a second bit-exact repeat and
-			// matching per-period counter deltas seal it.
-			s2, r2 := chip.Stats(), chip.Retired()
-			if tr.segEqual(d.pendB2, d.pendB2+d.pendP, d.pendP) &&
-				statsSub(d.s1, d.s0) == statsSub(s2, d.s1) &&
-				d.r1-d.r0 == r2-d.r1 {
-				tr.acceptPeriod(d.pendB2-d.pendP, d.pendP,
-					d.s0, d.r0, statsSub(d.s1, d.s0), d.r1-d.r0)
-				return true
-			}
-			d.reject()
-		}
-	}
-	if !d.hasAnchor {
-		d.hasAnchor, d.limit = true, detectInitLimit
-		d.anchor(b, e, q, chip)
-		return false
-	}
-	if b > d.anchorAt && d.pendP == 0 && d.attempts < detectMaxAttempts && d.matchesAnchor(e, q, chip) {
-		// Candidate period: distance back to the anchor. Only arm if
-		// the two verification periods fit inside the run.
-		if p := b - d.anchorAt; uint64(b)+2*uint64(p) <= d.maxCycles {
-			d.pendP, d.pendB2 = p, b
-			d.s0, d.r0 = chip.Stats(), chip.Retired()
-		}
-	}
-	if b-d.anchorAt >= d.limit {
-		// Brent window doubling: re-anchor so the window eventually
-		// exceeds the (unknown) period and the anchor lands in the
-		// steady state.
-		d.anchor(b, e, q, chip)
-		d.limit *= 2
-	}
-	return false
-}
-
-func (d *periodDetector) reject() {
-	d.pendP = 0
-	if d.attempts++; d.attempts >= detectMaxAttempts {
-		d.disabled = true
-	}
-}
-
-// mix64 folds v into an FNV-1a style running hash.
-func mix64(h, v uint64) uint64 {
-	h ^= v
-	h *= 1099511628211
-	return h
-}
-
 // buildTrace is phase 1: run the chip alone (no PDN, no scope) and
-// record its per-cycle trace, stopping early once a period has been
-// verified. It mirrors Platform.measure's chip-side ordering exactly —
+// record its per-cycle trace. It mirrors Platform.measure's chip-side ordering exactly —
 // start-skew stalls, Done check, dither injections, Step — so a replay
 // of the trace is bit-identical to the exact loop.
 func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error) {
@@ -361,20 +138,6 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 		energy: make([]float64, 0, est),
 		issues: make([]uint64, 0, est),
 	}
-	// MaxInstrs-bounded threads can end on a monotone counter the
-	// fingerprint cannot see, which would break the "periodic forever"
-	// argument — record their full trace instead.
-	detect := true
-	for _, ts := range rc.Threads {
-		if ts.MaxInstrs > 0 {
-			detect = false
-		}
-	}
-	var det *periodDetector
-	if detect {
-		det = newPeriodDetector(maxCycles, len(rc.Dither))
-	}
-
 	for cyc := uint64(0); cyc < maxCycles; cyc++ {
 		if chip.Done() {
 			tr.done = true
@@ -397,18 +160,8 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 		}
 		tr.energy = append(tr.energy, res.EnergyPJ)
 		tr.issues = append(tr.issues, packed)
-		if det != nil {
-			for i := range nextPad {
-				det.phase[i] = nextPad[i] - (cyc + 1)
-			}
-			if det.observe(len(tr.energy), math.Float64bits(res.EnergyPJ), packed, tr, chip) {
-				break
-			}
-		}
 	}
-	if !tr.periodic {
-		tr.endStats, tr.endRetired = chip.Stats(), chip.Retired()
-	}
+	tr.endStats, tr.endRetired = chip.Stats(), chip.Retired()
 	tr.noteMaxEnergy()
 	cp.chips.Put(chip)
 	return tr, nil
@@ -471,12 +224,6 @@ type TraceStats struct {
 	// memo without touching the PDN at all (repeats of a deterministic
 	// run with no sample consumers attached).
 	MemoHits uint64
-	// Periodic counts cached traces that verified periodic (the chip
-	// stopped early).
-	Periodic uint64
-	// PDNEarlyExits counts replays whose PDN response converged and was
-	// extrapolated instead of stepped to the end.
-	PDNEarlyExits uint64
 	// BatchRuns counts run configs that entered MeasureBatch's
 	// generation pipeline (whatever stage ultimately served them).
 	BatchRuns uint64
@@ -489,16 +236,12 @@ type TraceStats struct {
 	// the reduced-order modal kernel (admitted when Platform.ROMTolV
 	// covers the trace's worst-case error) versus the exact LU kernel.
 	ROMReplays, ExactReplays uint64
-	// PeriodicReplays counts phase-2 replays of verified-periodic
-	// traces (the ones that enter the period-reuse machinery), and
-	// ModalPeriodic the subset whose affine period map was built and
-	// advanced in the ROM's modal coordinates — m+1 probe lanes instead
-	// of StateDim+1 plus an analytic convergence exit.
-	PeriodicReplays, ModalPeriodic uint64
-	// AffineProbeLanes totals the one-period kernel lanes (reference
-	// included) run to build affine period maps, on either the exact or
-	// the modal path — the dominant cost of a short periodic replay.
-	AffineProbeLanes uint64
+	// PeriodicReplays and PDNEarlyExits always read 0: every replay
+	// streams its whole trace, so no replay reuses a period or leaves
+	// the PDN early. They stay because cmd/auditbench reports them under
+	// fixed per-layer metric names (testbed.periodic_replays and
+	// testbed.pdn_early_exits).
+	PeriodicReplays, PDNEarlyExits uint64
 	// StoreHits and StoreMisses count persistent trace-store lookups —
 	// consulted only when the in-memory cache misses and a store is
 	// attached (SetTraceStore). A store hit skips phase 1 entirely.
@@ -550,15 +293,13 @@ type traceCache struct {
 	results    map[string]Measurement
 	resultFifo []string
 
-	hits, misses, memoHits, earlyExits uint64
-	batchRuns, laneRuns, laneBatches   uint64
-	storeHits, storeMisses             uint64
-	tierHits, tierMisses, wireBytes    uint64
-	captureSavedNS, captures           uint64
-	captureNS, replayNS                uint64
-	romReplays, exactReplays           uint64
-	periodicReplays, modalPeriodic     uint64
-	probeLanes                         uint64
+	hits, misses, memoHits           uint64
+	batchRuns, laneRuns, laneBatches uint64
+	storeHits, storeMisses           uint64
+	tierHits, tierMisses, wireBytes  uint64
+	captureSavedNS, captures         uint64
+	captureNS, replayNS              uint64
+	romReplays, exactReplays         uint64
 }
 
 // noteReplays records n phase-2 replays on the ROM or exact kernel.
@@ -569,25 +310,6 @@ func (tc *traceCache) noteReplays(n int, rom bool) {
 	} else {
 		tc.exactReplays += uint64(n)
 	}
-	tc.mu.Unlock()
-}
-
-// notePeriodicReplay records one replay of a periodic trace; modal
-// marks the reduced-order (modal-coordinate) period path.
-func (tc *traceCache) notePeriodicReplay(modal bool) {
-	tc.mu.Lock()
-	tc.periodicReplays++
-	if modal {
-		tc.modalPeriodic++
-	}
-	tc.mu.Unlock()
-}
-
-// noteProbeLanes records n one-period probe lanes run to build an
-// affine period map (reference lane included).
-func (tc *traceCache) noteProbeLanes(n int) {
-	tc.mu.Lock()
-	tc.probeLanes += uint64(n)
 	tc.mu.Unlock()
 }
 
@@ -630,12 +352,6 @@ func (tc *traceCache) put(key string, tr *chipTrace) {
 	tc.m[key] = tr
 	tc.fifo = append(tc.fifo, key)
 	tc.used += sz
-}
-
-func (tc *traceCache) noteEarlyExit() {
-	tc.mu.Lock()
-	tc.earlyExits++
-	tc.mu.Unlock()
 }
 
 // noteHit records a cache hit for a batch member that shares a trace
@@ -747,23 +463,14 @@ func (tc *traceCache) putResult(key string, m Measurement) {
 func (tc *traceCache) stats() TraceStats {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	s := TraceStats{Hits: tc.hits, Misses: tc.misses, MemoHits: tc.memoHits,
-		PDNEarlyExits: tc.earlyExits, BatchRuns: tc.batchRuns,
-		LaneRuns: tc.laneRuns, LaneBatches: tc.laneBatches,
+	return TraceStats{Hits: tc.hits, Misses: tc.misses, MemoHits: tc.memoHits,
+		BatchRuns: tc.batchRuns, LaneRuns: tc.laneRuns, LaneBatches: tc.laneBatches,
 		ROMReplays: tc.romReplays, ExactReplays: tc.exactReplays,
-		PeriodicReplays: tc.periodicReplays, ModalPeriodic: tc.modalPeriodic,
-		AffineProbeLanes: tc.probeLanes,
-		StoreHits:        tc.storeHits, StoreMisses: tc.storeMisses,
+		StoreHits: tc.storeHits, StoreMisses: tc.storeMisses,
 		TierHits: tc.tierHits, TierMisses: tc.tierMisses,
 		WireBytes: tc.wireBytes, CaptureNSSaved: tc.captureSavedNS,
 		Captures:  tc.captures,
 		CaptureNS: tc.captureNS, ReplayNS: tc.replayNS, Bytes: tc.used}
-	for _, tr := range tc.m {
-		if tr.periodic {
-			s.Periodic++
-		}
-	}
-	return s
 }
 
 func (tc *traceCache) clear() {

@@ -8,9 +8,9 @@ package tracestore
 // Layout: magic, then a DEFLATE stream over a compact payload, then a
 // trailing FNV-1a checksum over everything before it. The payload
 // packs the per-cycle Energy float64 stream with Gorilla-style XOR
-// compression (periodic stressmark traces repeat values cycle to
-// cycle, so most XORs are zero or narrow) and the packed Issues words
-// as varint XOR deltas; headers and counters are varints. The outer
+// compression (stressmark loops repeat values cycle to cycle, so most
+// XORs are zero or narrow) and the packed Issues words as varint XOR
+// deltas; headers and counters are varints. The outer
 // flate layer then squeezes the cross-cycle structure the per-value
 // stages cannot see (a loop body's XOR pattern recurring every
 // period).
@@ -48,8 +48,16 @@ const MaxCycles = 4 << 20
 
 // headerFields is the number of varints in a v2 payload header:
 // flags, head and period lengths, capture time, three stats blocks,
-// three retired counters, and the two array lengths.
+// three retired counters, and the two array lengths. Only the end-of-run
+// stats block and retired counter are live. The head and period lengths
+// and the other two stats blocks and counters described a periodic
+// record, which held one period instead of the whole run; they are
+// written as zeros, and a record that sets one (or flag bit 2) is
+// refused, so a store or tier holding such a record recaptures it.
 const headerFields = 4 + 3*statsWords + 3 + 2
+
+// periodicFlag is the header flag bit that marked a periodic record.
+const periodicFlag = 1 << 2
 
 // maxPayloadBytes is payloadBound(MaxCycles), 78.5 MiB: the most
 // inflated payload any decoder will buffer.
@@ -253,21 +261,16 @@ func encodePayload(b []byte, rec *Record) []byte {
 	if rec.Unsupported {
 		flags |= 1 << 1
 	}
-	if rec.Periodic {
-		flags |= 1 << 2
-	}
+	var zeros [2 * statsWords]byte // a zero varint is one zero byte
 	b = binary.AppendUvarint(b, flags)
-	b = binary.AppendUvarint(b, uint64(rec.HeadLen))
-	b = binary.AppendUvarint(b, uint64(rec.PeriodLen))
+	b = append(b, zeros[:2]...) // head and period lengths
 	b = binary.AppendUvarint(b, rec.CaptureNS)
-	for _, blk := range [][statsWords]uint64{rec.EndStats, rec.RefStats, rec.PerStats} {
-		for _, v := range blk {
-			b = binary.AppendUvarint(b, v)
-		}
+	for _, v := range rec.EndStats {
+		b = binary.AppendUvarint(b, v)
 	}
+	b = append(b, zeros[:]...) // two periodic stats blocks
 	b = binary.AppendUvarint(b, rec.EndRetired)
-	b = binary.AppendUvarint(b, rec.RefRetired)
-	b = binary.AppendUvarint(b, rec.PerRetired)
+	b = append(b, zeros[:2]...) // two periodic retired counters
 	b = binary.AppendUvarint(b, uint64(len(rec.Energy)))
 	b = binary.AppendUvarint(b, uint64(len(rec.Issues)))
 	b = appendEnergyXOR(b, rec.Energy)
@@ -293,23 +296,22 @@ func (d *decoder) decodePayload(p []byte, rec *Record, scratch bool) bool {
 	flags := next()
 	rec.Done = flags&(1<<0) != 0
 	rec.Unsupported = flags&(1<<1) != 0
-	rec.Periodic = flags&(1<<2) != 0
-	rec.HeadLen = int(next())
-	rec.PeriodLen = int(next())
+	periodic := flags&periodicFlag | next() | next() // head and period lengths
 	rec.CaptureNS = next()
-	for _, blk := range []*[statsWords]uint64{&rec.EndStats, &rec.RefStats, &rec.PerStats} {
-		for i := range blk {
-			blk[i] = next()
-		}
+	for i := range rec.EndStats {
+		rec.EndStats[i] = next()
+	}
+	for range 2 * statsWords {
+		periodic |= next()
 	}
 	rec.EndRetired = next()
-	rec.RefRetired = next()
-	rec.PerRetired = next()
+	periodic |= next() | next()
 	n, nIssues := next(), next()
+	// A periodic record holds only part of its run (see headerFields).
 	// Replay indexes both arrays by cycle, so their lengths must agree;
 	// and every cycle costs at least one byte of issue varints, which
 	// bounds what a short blob can make the decoder allocate.
-	if !ok || nIssues != n || n > uint64(len(p)) || n > MaxCycles {
+	if !ok || periodic != 0 || nIssues != n || n > uint64(len(p)) || n > MaxCycles {
 		return false
 	}
 	if scratch {
@@ -328,10 +330,6 @@ func (d *decoder) decodePayload(p []byte, rec *Record, scratch bool) bool {
 	}
 	if len(p) != 0 {
 		return false // short or trailing garbage
-	}
-	if rec.Periodic && (rec.HeadLen < 0 || rec.PeriodLen <= 0 ||
-		rec.HeadLen+rec.PeriodLen != len(rec.Energy)) {
-		return false // inconsistent periodic decomposition
 	}
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -15,9 +16,9 @@ import (
 )
 
 // shapeRecords enumerates every Record shape the codec must carry
-// exactly: empty, unsupported, aperiodic, periodic with and without a
-// head, adversarial float patterns (NaN payloads, infinities, negative
-// zero, denormals) and issue words exercising every varint width.
+// exactly: empty, unsupported, aperiodic, adversarial float patterns
+// (NaN payloads, infinities, negative zero, denormals) and issue words
+// exercising every varint width.
 // Mismatched Energy/Issues lengths are not a shape but a corruption
 // (mismatchedRecords).
 func shapeRecords() map[string]*Record {
@@ -29,11 +30,6 @@ func shapeRecords() map[string]*Record {
 			Energy: []float64{1.25, 1.25, 3.5, -0.0, 2.75},
 			Issues: []uint64{0, 1, 1, 7, 1 << 40},
 			Done:   true,
-		},
-		"periodic-headless": {
-			Energy:   []float64{2.0, 2.5, 2.0, 2.5},
-			Issues:   []uint64{3, 5, 3, 5},
-			Periodic: true, PeriodLen: 4,
 		},
 		"single-cycle": {
 			Energy: []float64{math.Inf(1)}, Issues: []uint64{math.MaxUint64},
@@ -54,9 +50,6 @@ func shapeRecords() map[string]*Record {
 		"full": sampleRecord(257, 42),
 	}
 	shapes["full"].CaptureNS = 9999
-	withHead := sampleRecord(96, 7)
-	withHead.HeadLen, withHead.PeriodLen = 13, 83
-	shapes["periodic-with-head"] = withHead
 	return shapes
 }
 
@@ -104,10 +97,7 @@ func mismatchedRecords() map[string]*Record {
 		"issues-longer-than-energy": {Energy: []float64{1}, Issues: []uint64{1, 2, 3, 4}},
 		"energy-longer-than-issues": {Energy: []float64{1, 2, 3, 4}, Issues: []uint64{9}},
 		"issues-missing":            {Energy: []float64{2, 2.5}},
-		"periodic-short-issues": {
-			Energy: make([]float64, 5000), Issues: make([]uint64, 10),
-			Periodic: true, HeadLen: 904, PeriodLen: 4096,
-		},
+		"long-energy-short-issues":  {Energy: make([]float64, 5000), Issues: make([]uint64, 10)},
 	}
 }
 
@@ -147,16 +137,14 @@ var encodeGolden = map[string]struct {
 	n    int
 	hash uint64
 }{
-	"aperiodic":          {52, 0x6d5b8fc38d0f089d},
-	"aperiodic-walk":     {59479, 0x596ea912b676e2d0},
-	"capture-ns":         {42, 0xe4855ced37d4b756},
-	"empty":              {25, 0x9f8edd176d1fbbc8},
-	"float-zoo":          {80, 0x97ff01a0abb35096},
-	"full":               {298, 0xfdeafcd1428783c1},
-	"periodic-headless":  {40, 0x5f6432f1b117b7b1},
-	"periodic-with-head": {209, 0xca2d5a85892805dc},
-	"single-cycle":       {34, 0xf65dbb6ce331287e},
-	"unsupported":        {26, 0x35bf8f6e987c6f7d},
+	"aperiodic":      {52, 0x6d5b8fc38d0f089d},
+	"aperiodic-walk": {59479, 0x596ea912b676e2d0},
+	"capture-ns":     {42, 0xe4855ced37d4b756},
+	"empty":          {25, 0x9f8edd176d1fbbc8},
+	"float-zoo":      {80, 0x97ff01a0abb35096},
+	"full":           {275, 0x046ee014ab9de0f2},
+	"single-cycle":   {34, 0xf65dbb6ce331287e},
+	"unsupported":    {26, 0x35bf8f6e987c6f7d},
 }
 
 func TestEncodeGolden(t *testing.T) {
@@ -357,6 +345,132 @@ func TestV1RecordIsAMiss(t *testing.T) {
 	}
 }
 
+// periodicRecordHex holds v2 records that stored one verified period
+// instead of the whole run (flag bit 2, head and period lengths, and the
+// counters at the period boundary), as an encoder that still wrote them
+// produced: the shapes "periodic-headless" and "periodic-with-head",
+// and "full" as it was when sampleRecord set a periodic split.
+var periodicRecordHex = map[string]string{
+	"periodic-headless": "415544545243320a62616061c00358581ca0ac5b6c1798d9d8d800010000ffff" +
+		"99613ed4e5b53995",
+	"periodic-with-head": "415544545243320a62e10d6660e7e0e4e2e6e1e5636763656166626460e71395" +
+		"51d632b41055364c4870906100832bfa1b36146ef8bcfbe077d6b2f64fc737f8" +
+		"1d9fcda737c97e8318e3811bfcec0932ac8d1fc4180fdfe0674e90616dfe0016" +
+		"95af68fec0f59eff697fc1dc7e3399d845ffb9d9a5f9add9b9e5b9d937e46fa8" +
+		"c8e1e3966f3af07043e51b3e6efea6038fc1222be67f634ce0634e90634fe063" +
+		"4cb0634ce0e34f90634ee0696868682860646664676466e487d2f2687c7b02f2" +
+		"f504e401010000ffff12d3cb1c8b3e08b5",
+	"periodic-full": "415544545243320a627538c8d8efa7a5ada3aba76f60a8a5ada1a9a7afa3ab15" +
+		"52b782f112e31fc6654c1798ea2e312e636a646a64727065008307fc3b6ce727" +
+		"ec3b78e8f8a183e70e1f3b78e8b5fc37d6860737e4641b1e44d8b1363cbe21c7" +
+		"dbf020a20e2c560b117b0811fb87acee2bffff23fa076cfb621fd5e9586efcce" +
+		"fd4646a74647e68d4d8e8cdec5fd07130a6ed894b1b3b61f4c28be6163c6ceda" +
+		"0f12b13bf83fc1428cbf31c1a28cbd39c142ccbe31c1c28cbd1d2266f90d2c26" +
+		"0f16eb4756271e69ff86e9800cdb011bbe03324c076a980ec8c81db06103b1ff" +
+		"40c4ed60e27c10f1837fd0d4d7a1aa9743537f185d3d9af9ff08996f0757df00" +
+		"020b58199919d9199919f9a1b43c1adf9e807c3d85faff330eb4039801010000" +
+		"ffff2da1287e368fa67f",
+}
+
+// periodicBlobs decodes periodicRecordHex.
+func periodicBlobs(t testing.TB) map[string][]byte {
+	blobs := map[string][]byte{}
+	for name, h := range periodicRecordHex {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[name] = b
+	}
+	return blobs
+}
+
+// headerWith returns a v2 blob of the "aperiodic" shape whose payload
+// header varint i (0 is the flags word) is ORed with v.
+func headerWith(i int, v uint64) []byte {
+	p := encodePayload(nil, shapeRecords()["aperiodic"])
+	var b []byte
+	for k := range headerFields {
+		x, n := binary.Uvarint(p)
+		p = p[n:]
+		if k == i {
+			x |= v
+		}
+		b = binary.AppendUvarint(b, x)
+	}
+	return v2Frame(deflate(append(b, p...)))
+}
+
+// periodicSlots are the payload header varints that described a
+// periodic record: head and period lengths, the reference and
+// per-period stats blocks, and the reference and per-period retired
+// counts (see headerFields).
+func periodicSlots() []int {
+	slots := []int{1, 2}
+	for k := range 2 * statsWords {
+		slots = append(slots, 4+statsWords+k)
+	}
+	return append(slots, 4+3*statsWords+1, 4+3*statsWords+2)
+}
+
+// TestPeriodicRecordIsAMiss: a record holding one period instead of
+// the whole run cannot be replayed, so it reads as a miss and is
+// recaptured. Every such record an older encoder wrote, and any blob
+// that sets flag bit 2 or one of the periodic header fields, is a miss
+// in Decode, refused by PutRaw, and a miss in Get and GetRaw, which
+// unlink it; the recaptured record is then stored and served.
+func TestPeriodicRecordIsAMiss(t *testing.T) {
+	blobs := periodicBlobs(t)
+	blobs["flag-bit-2"] = headerWith(0, periodicFlag)
+	for _, i := range periodicSlots() {
+		blobs[fmt.Sprintf("header-field-%d", i)] = headerWith(i, 1)
+	}
+	// The live fields beside them still decode: capture time, the end
+	// stats block and the end retired count.
+	for _, i := range []int{3, 4, 4 + statsWords - 1, 4 + 3*statsWords} {
+		if _, ok := Decode(headerWith(i, 1)); !ok {
+			t.Fatalf("live header field %d refused", i)
+		}
+	}
+	want := sampleRecord(64, 5)
+	for name, blob := range blobs {
+		if _, ok := Decode(blob); ok {
+			t.Errorf("%s: Decode accepted a periodic record", name)
+		}
+		s, err := Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := []byte("periodic key")
+		if err := s.PutRaw(Addr(key), blob); err == nil {
+			t.Errorf("%s: PutRaw stored a periodic record", name)
+		}
+		p := s.path(key)
+		for _, get := range []func() bool{
+			func() bool { _, ok := s.Get(key); return ok },
+			func() bool { _, ok := s.GetRaw(Addr(key)); return ok },
+		} {
+			if err := os.WriteFile(p, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if get() {
+				t.Errorf("%s: periodic record on disk served as a hit", name)
+			}
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("%s: the miss left the periodic record on disk (stat: %v)", name, err)
+			}
+		}
+		if err := s.Put(key, want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(key)
+		if !ok {
+			t.Fatalf("%s: miss after the recapture's Put", name)
+		}
+		recordsIdentical(t, name, got, want)
+	}
+}
+
 // TestV2CorruptionIsAMiss hammers a v2 blob: every bit flip and every
 // truncation length must decode as a miss, never a wrong record or a
 // panic, and a Store must unlink the damaged file.
@@ -461,16 +575,12 @@ func TestRawBlobAPI(t *testing.T) {
 
 // TestV2CompressionOnPeriodicTrace checks the codec pulls its weight on
 // the workload it was built for: a long repetitive per-cycle stream,
-// the shape Brent-periodic stressmark traces take. The ≥4× acceptance
+// the shape a steady stressmark loop's trace takes. The ≥4× acceptance
 // bar on real corpus traces lives in the root ratio test; this is the
 // unit-level floor.
 func TestV2CompressionOnPeriodicTrace(t *testing.T) {
 	const n = 4096
-	rec := &Record{
-		Energy:   make([]float64, n),
-		Issues:   make([]uint64, n),
-		Periodic: true, HeadLen: 96, PeriodLen: n - 96, Done: true,
-	}
+	rec := &Record{Energy: make([]float64, n), Issues: make([]uint64, n), Done: true}
 	for i := range rec.Energy {
 		rec.Energy[i] = 2.5 + 0.25*float64(i%17)
 		rec.Issues[i] = uint64(0b1011 << (i % 3))
@@ -485,11 +595,7 @@ func TestV2CompressionOnPeriodicTrace(t *testing.T) {
 
 func BenchmarkTraceEncodeV2(b *testing.B) {
 	const n = 65536
-	rec := &Record{
-		Energy:   make([]float64, n),
-		Issues:   make([]uint64, n),
-		Periodic: true, HeadLen: 128, PeriodLen: n - 128, Done: true,
-	}
+	rec := &Record{Energy: make([]float64, n), Issues: make([]uint64, n), Done: true}
 	for i := range rec.Energy {
 		rec.Energy[i] = 2.5 + 0.25*float64(i%23)
 		rec.Issues[i] = uint64(i % 5)

@@ -47,32 +47,23 @@ const rescanDivisor = 16
 // first touch, so a directory left by an older binary is a cold start.
 const recordExt = ".trace"
 
-// statsWords is the per-block width of the chip-counter triples.
+// statsWords is the width of a chip-counter block.
 const statsWords = 8
 
-// Record is the portable form of one phase-1 trace. Energy and Issues
-// are per-cycle and equally long — Decode rejects a blob that says
-// otherwise. The stats blocks are flat uint64 words so the store stays
-// decoupled from the cpu package's struct layout; callers own the
-// mapping.
+// Record is the portable form of one phase-1 trace: every cycle of the
+// run, and the chip counters at its end. Energy and Issues are
+// per-cycle and equally long — Decode rejects a blob that says
+// otherwise. EndStats is flat uint64 words so the store stays decoupled
+// from the cpu package's struct layout; callers own the mapping.
 type Record struct {
 	Energy []float64
 	Issues []uint64
 
 	Done        bool
 	Unsupported bool
-	Periodic    bool
 
-	HeadLen   int
-	PeriodLen int
-
-	EndStats [statsWords]uint64
-	RefStats [statsWords]uint64
-	PerStats [statsWords]uint64
-
+	EndStats   [statsWords]uint64
 	EndRetired uint64
-	RefRetired uint64
-	PerRetired uint64
 
 	// CaptureNS is how long phase-1 capture of this trace took, in
 	// nanoseconds (zero when unknown). Telemetry, not identity: it

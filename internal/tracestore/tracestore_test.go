@@ -16,12 +16,7 @@ func sampleRecord(n int, seed uint64) *Record {
 		Energy:     make([]float64, n),
 		Issues:     make([]uint64, n),
 		Done:       seed%2 == 0,
-		Periodic:   true,
-		HeadLen:    n / 4,
-		PeriodLen:  n - n/4,
 		EndRetired: seed * 3,
-		RefRetired: seed * 5,
-		PerRetired: seed * 7,
 	}
 	for i := range rec.Energy {
 		rec.Energy[i] = float64(i)*1.5 + float64(seed)
@@ -29,17 +24,13 @@ func sampleRecord(n int, seed uint64) *Record {
 	}
 	for i := range rec.EndStats {
 		rec.EndStats[i] = seed + uint64(i)
-		rec.RefStats[i] = seed ^ uint64(i)
-		rec.PerStats[i] = seed * uint64(i+1)
 	}
 	return rec
 }
 
 func recordsEqual(a, b *Record) bool {
-	if a.Done != b.Done || a.Unsupported != b.Unsupported || a.Periodic != b.Periodic ||
-		a.HeadLen != b.HeadLen || a.PeriodLen != b.PeriodLen ||
-		a.EndStats != b.EndStats || a.RefStats != b.RefStats || a.PerStats != b.PerStats ||
-		a.EndRetired != b.EndRetired || a.RefRetired != b.RefRetired || a.PerRetired != b.PerRetired ||
+	if a.Done != b.Done || a.Unsupported != b.Unsupported ||
+		a.EndStats != b.EndStats || a.EndRetired != b.EndRetired ||
 		len(a.Energy) != len(b.Energy) || len(a.Issues) != len(b.Issues) {
 		return false
 	}

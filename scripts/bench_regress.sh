@@ -32,7 +32,6 @@ gated=(
   BenchmarkGenerationBatch
   BenchmarkMeasureExactVsReplay
   BenchmarkMedianOfKReplay
-  BenchmarkPeriodicReplayModal
   BenchmarkROMStepBatchKernel
   BenchmarkReplayFold
   BenchmarkSolveBatchKernel

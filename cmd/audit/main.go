@@ -23,14 +23,13 @@
 //	-checkpoint write a mid-search checkpoint here every generation
 //	-resume     continue from a -checkpoint or -save file
 //	-faults     inject lab faults at this transient rate (0 = off)
-//	-exact      force the reference per-cycle measurement loop
 //	-rom-tol    volts of PDN replay error admitting the reduced-order
 //	            kernel (0 = off, exact replay only); a non-zero value
 //	            changes the platform digest
-//	-batch-lanes    replay lanes per batched generation: auto (default)
-//	                picks the width from the batch shape and a kernel
-//	                calibration; an integer fixes it; negative disables
-//	                batching
+//	-batch-lanes    replay lanes per batched generation: auto (default,
+//	                also 0 or negative) picks the width from the batch
+//	                shape and a kernel calibration; a positive integer
+//	                fixes it
 //	-trace-cache-mb trace cache budget in MiB (0 = default 128)
 //	-cpuprofile write a pprof CPU profile of the search to this file
 //	-pprof      serve net/http/pprof on this address (e.g. :6060)
@@ -95,7 +94,6 @@ type cliOptions struct {
 	corpusAdd              string
 	faultRate              float64
 	hetero                 bool
-	exact                  bool
 	romTol                 float64
 	batchLanes             string
 	traceCacheMB           int
@@ -133,9 +131,8 @@ func parseFlags(args []string, stderr io.Writer) (cliOptions, error) {
 	fs.StringVar(&c.resume, "resume", "", "resume from a -checkpoint or -save file")
 	fs.Float64Var(&c.faultRate, "faults", 0, "inject lab faults at this transient rate in [0,1] (0 = off)")
 	fs.BoolVar(&c.hetero, "hetero", false, "give each thread its own genome (resonance mode only)")
-	fs.BoolVar(&c.exact, "exact", false, "force the reference per-cycle measurement loop (disable trace replay)")
 	fs.Float64Var(&c.romTol, "rom-tol", 0, "volts of PDN replay error admitting the reduced-order kernel (0 = exact replay only)")
-	fs.StringVar(&c.batchLanes, "batch-lanes", "auto", "replay lanes per batched generation: auto, a fixed width, or negative to disable batching")
+	fs.StringVar(&c.batchLanes, "batch-lanes", "auto", "replay lanes per batched generation: auto (or 0) or a fixed width")
 	fs.IntVar(&c.traceCacheMB, "trace-cache-mb", 0, "trace cache budget in MiB (0 = default 128)")
 	fs.StringVar(&c.traceStore, "trace-store", "", "persist chip traces in this directory across runs (created if absent); with -listen, also serve them to workers over /v1/trace")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the search to this file")
@@ -250,14 +247,13 @@ func labFaults(rate float64, seed int64) (audit.FaultConfig, error) {
 	return fc, nil
 }
 
-// search runs the AUDIT flow and prints its deterministic outcome to
-// stdout; timing and distribution telemetry go to stderr. With
-// -listen it is the same search with generation evaluation sharded to
-// workers.
-func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
+// searchOptions builds the search the flags describe: the platform,
+// the mode, the batch width and the GA. Faults, -listen and -resume
+// are layered on by search.
+func (c cliOptions) searchOptions() (audit.Options, error) {
 	plat, err := c.resolvePlatform()
 	if err != nil {
-		return err
+		return audit.Options{}, err
 	}
 	var m audit.Mode
 	switch c.mode {
@@ -266,19 +262,13 @@ func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
 	case "excitation":
 		m = audit.Excitation
 	default:
-		return fmt.Errorf("unknown mode %q", c.mode)
+		return audit.Options{}, fmt.Errorf("unknown mode %q", c.mode)
 	}
 	lanes, err := parseBatchLanes(c.batchLanes)
 	if err != nil {
-		return err
+		return audit.Options{}, err
 	}
-	var fc audit.FaultConfig
-	if c.faultRate != 0 {
-		if fc, err = labFaults(c.faultRate, c.seed); err != nil {
-			return err
-		}
-	}
-	opts := audit.Options{
+	return audit.Options{
 		Platform:        plat,
 		Threads:         c.threads,
 		Mode:            m,
@@ -286,7 +276,6 @@ func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
 		SubBlockCycles:  c.subblock,
 		FPThrottle:      c.throttle,
 		CheckpointPath:  c.checkpoint,
-		ExactEval:       c.exact,
 		ROMTolV:         c.romTol,
 		BatchLanes:      lanes,
 		TraceCacheBytes: c.traceCacheMB << 20,
@@ -298,6 +287,24 @@ func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
 		},
 		Seed: c.seed,
 		Name: fmt.Sprintf("A-%s-%dT", c.mode, c.threads),
+	}, nil
+}
+
+// search runs the AUDIT flow and prints its deterministic outcome to
+// stdout; timing and distribution telemetry go to stderr. With
+// -listen it is the same search with generation evaluation sharded to
+// workers.
+func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
+	opts, err := c.searchOptions()
+	if err != nil {
+		return err
+	}
+	plat := opts.Platform
+	var fc audit.FaultConfig
+	if c.faultRate != 0 {
+		if fc, err = labFaults(c.faultRate, c.seed); err != nil {
+			return err
+		}
 	}
 
 	var co *coordinator
@@ -410,8 +417,8 @@ func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
 
 // parseBatchLanes maps the -batch-lanes argument onto
 // core.Options.BatchLanes: "auto" (or empty) selects automatic width
-// (0), an integer fixes the width, and a negative integer disables the
-// batch pipeline.
+// (0), as does any integer below 1, and a positive integer fixes the
+// width.
 func parseBatchLanes(s string) (int, error) {
 	s = strings.TrimSpace(strings.ToLower(s))
 	if s == "" || s == "auto" {

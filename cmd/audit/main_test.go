@@ -5,12 +5,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/audit"
 )
 
 // searchArgs is a small fixed-seed search, the one CI runs end to end.
@@ -97,9 +100,9 @@ func coordinate(t *testing.T, n int) (stdout, stderr string) {
 	return out.String(), errb.String()
 }
 
-// TestSameSearchAnyRole: one search, four roles — single-node, the
-// per-candidate path, a coordinator with no workers, and a coordinator
-// sharding to two workers — must print byte-identical stdout.
+// TestSameSearchAnyRole: one search, three roles — single-node, a
+// coordinator with no workers, and a coordinator sharding to two
+// workers — must print byte-identical stdout.
 func TestSameSearchAnyRole(t *testing.T) {
 	code, want, errs := runAudit(t, searchArgs...)
 	if code != 0 {
@@ -115,13 +118,7 @@ func TestSameSearchAnyRole(t *testing.T) {
 		}
 	}
 
-	code, got, errs := runAudit(t, with("-batch-lanes", "-1")...)
-	if code != 0 {
-		t.Fatalf("-batch-lanes -1 exited %d:\n%s", code, errs)
-	}
-	check("-batch-lanes -1", got)
-
-	got, errs = coordinate(t, 0)
+	got, errs := coordinate(t, 0)
 	check("coordinator without workers", got)
 	if !strings.Contains(errs, "dist: 0 units remote") {
 		t.Errorf("coordinator without workers reported remote units:\n%s", errs)
@@ -144,6 +141,7 @@ func TestExitCodes(t *testing.T) {
 		stderr string
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{"exact retired", with("-exact"), 2, "flag provided but not defined: -exact"},
 		{"listen+worker", with("-listen", "127.0.0.1:0", "-worker"), 2, "does not combine"},
 		{"listen+faults", with("-listen", "127.0.0.1:0", "-faults", "0.1"), 2, "does not combine"},
 		{"listen+hetero", with("-listen", "127.0.0.1:0", "-hetero"), 2, "does not combine"},
@@ -170,6 +168,89 @@ func TestExitCodes(t *testing.T) {
 				if out != "" {
 					t.Errorf("refused run printed search output:\n%s", out)
 				}
+			}
+		})
+	}
+}
+
+// referenceRunner measures every run, batched or not, on Platform.Run:
+// the per-cycle reference loop, with no trace, cache or replay. It
+// batches, so a search wrapped in it keeps the default evaluation
+// schedule.
+type referenceRunner struct{ p audit.Platform }
+
+func (r referenceRunner) Run(rc audit.RunConfig) (*audit.Measurement, error) { return r.p.Run(rc) }
+
+func (r referenceRunner) MeasureBatch(rcs []audit.RunConfig, lanes, workers int) ([]*audit.Measurement, []error) {
+	return r.MeasureBatchContext(context.Background(), rcs, lanes, workers)
+}
+
+func (r referenceRunner) MeasureBatchContext(_ context.Context, rcs []audit.RunConfig, _, _ int) ([]*audit.Measurement, []error) {
+	ms := make([]*audit.Measurement, len(rcs))
+	errs := make([]error, len(rcs))
+	for i, rc := range rcs {
+		ms[i], errs[i] = r.p.Run(rc)
+	}
+	return ms, errs
+}
+
+// TestReplayEqualsReference: every replay streams a candidate's whole
+// trace, which is bit-exact against the reference loop, so a search
+// must end the same when every evaluation runs on Platform.Run — same
+// GA result, sweep and program text. The resonance sweep measures on
+// the compiled platform in both searches (it does not go through
+// WrapRunner), so equal sweeps only show both searched the same loop.
+// The first case is the search `audit -pop 24 -gens 4 -seed 5` runs,
+// built by the command's own flag code; the second a small fixed-loop
+// search.
+func TestReplayEqualsReference(t *testing.T) {
+	cli, err := parseFlags([]string{"-pop", "24", "-gens", "4", "-seed", "5"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliOpts, err := cli.searchOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts audit.Options
+	}{
+		{"audit -pop 24 -gens 4 -seed 5", cliOpts},
+		{"small search", audit.Options{
+			Platform:      audit.BulldozerPlatform(),
+			LoopCycles:    36,
+			GA:            audit.GAConfig{PopSize: 8, Elites: 2, TournamentK: 3, MutationProb: 0.6, MaxGenerations: 4, Seed: 11},
+			MeasureCycles: 2000,
+			WarmupCycles:  1200,
+			Seed:          11,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			replay, err := audit.Generate(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refOpts := tc.opts
+			refOpts.WrapRunner = func(r audit.Runner) audit.Runner {
+				return referenceRunner{r.(*audit.CompiledPlatform).Platform()}
+			}
+			ref, err := audit.Generate(refOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.TraceStats.BatchRuns != 0 || replay.TraceStats.BatchRuns == 0 {
+				t.Fatalf("batch runs: reference search %d, replay search %d; want 0 and > 0",
+					ref.TraceStats.BatchRuns, replay.TraceStats.BatchRuns)
+			}
+			if !reflect.DeepEqual(replay.Search, ref.Search) {
+				t.Errorf("GA result differs from the reference search:\n got %+v\nwant %+v", replay.Search, ref.Search)
+			}
+			if !reflect.DeepEqual(replay.SweepPoints, ref.SweepPoints) {
+				t.Errorf("sweep differs from the reference search:\n got %v\nwant %v", replay.SweepPoints, ref.SweepPoints)
+			}
+			if got, want := replay.Program.Text(), ref.Program.Text(); got != want {
+				t.Errorf("program differs from the reference search:\n--- replay ---\n%s\n--- reference ---\n%s", got, want)
 			}
 		})
 	}

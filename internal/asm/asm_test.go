@@ -2,6 +2,8 @@ package asm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -116,6 +118,30 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeGolden is the SHA-256 of Encode's images of the sample and of
+// randomProgram(1..20), concatenated. Trace keys, trace-store
+// addresses and dist wire units all carry these bytes, so Encode must
+// not move one of them.
+const encodeGolden = "c035583accad1712c98073d39138277dc38313af595d33d0ef60eff596f19e4d"
+
+func TestEncodeGolden(t *testing.T) {
+	progs := []*Program{MustParse(sample)}
+	for seed := int64(1); seed <= 20; seed++ {
+		progs = append(progs, randomProgram(rand.New(rand.NewSource(seed))))
+	}
+	h := sha256.New()
+	for _, p := range progs {
+		blob, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(blob)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != encodeGolden {
+		t.Errorf("Encode images hash to %s, want %s", got, encodeGolden)
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	p := MustParse(sample)
 	blob, err := Encode(p)
@@ -132,6 +158,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Decode(bad); err == nil {
 		t.Error("bad magic accepted")
+	}
+	// Encode writes a label for branches only, so a labelled nop would
+	// not round-trip: its image ends in the label length, 0.
+	nop, err := Encode(MustParse("nop\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelled := append(nop[:len(nop)-2:len(nop)-2], 1, 0, 'x')
+	if _, err := Decode(labelled); err == nil {
+		t.Error("label on a non-branch instruction accepted")
 	}
 }
 

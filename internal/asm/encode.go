@@ -1,10 +1,10 @@
 package asm
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -42,17 +42,18 @@ func init() {
 	}
 }
 
+// writer appends little-endian fields to an image.
 type writer struct {
-	buf bytes.Buffer
+	b []byte
 }
 
-func (w *writer) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *writer) u16(v uint16) { binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *writer) u32(v uint32) { binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *writer) u64(v uint64) { binary.Write(&w.buf, binary.LittleEndian, v) }
+func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
+func (w *writer) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
+func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *writer) str(s string) {
 	w.u16(uint16(len(s)))
-	w.buf.WriteString(s)
+	w.b = append(w.b, s...)
 }
 func (w *writer) reg(r isa.Reg) {
 	w.u8(uint8(r.Kind))
@@ -64,8 +65,10 @@ func Encode(p *Program) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var w writer
-	w.buf.WriteString(magic)
+	// Room for every fixed-size field of the format above; label text
+	// grows the image as needed.
+	w := writer{b: make([]byte, 0, 18+len(p.Name)+18*len(p.InitRegs)+6*len(p.Labels)+28*len(p.Code))}
+	w.b = append(w.b, magic...)
 	w.str(p.Name)
 	w.u32(uint32(p.MemBytes))
 
@@ -73,7 +76,7 @@ func Encode(p *Program) ([]byte, error) {
 	for r := range p.InitRegs {
 		regs = append(regs, r)
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].FlatIndex() < regs[j].FlatIndex() })
+	slices.SortFunc(regs, func(a, b isa.Reg) int { return cmp.Compare(a.FlatIndex(), b.FlatIndex()) })
 	w.u16(uint16(len(regs)))
 	for _, r := range regs {
 		v := p.InitRegs[r]
@@ -86,7 +89,7 @@ func Encode(p *Program) ([]byte, error) {
 	for l := range p.Labels {
 		labels = append(labels, l)
 	}
-	sort.Strings(labels)
+	slices.Sort(labels)
 	w.u16(uint16(len(labels)))
 	for _, l := range labels {
 		w.str(l)
@@ -114,7 +117,7 @@ func Encode(p *Program) ([]byte, error) {
 			w.u16(0)
 		}
 	}
-	return w.buf.Bytes(), nil
+	return w.b, nil
 }
 
 type reader struct {
@@ -237,7 +240,10 @@ func Decode(b []byte) (*Program, error) {
 		in.Imm = int64(r.u64())
 		in.MemDisp = int32(r.u32())
 		in.Target = int(r.u32())
-		in.Label = r.str()
+		if in.Label = r.str(); in.Label != "" && in.Op.Shape != isa.ShapeBranch {
+			r.fail("label on a non-branch instruction") // Encode would drop it
+			break
+		}
 		p.Code = append(p.Code, in)
 	}
 	if r.err != nil {

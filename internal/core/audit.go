@@ -92,13 +92,6 @@ type Options struct {
 	// Options otherwise, the resumed search finishes bit-identically to
 	// the uninterrupted one.
 	Resume *SearchCheckpoint
-	// ExactEval forces every fitness evaluation through the reference
-	// per-cycle measurement loop instead of the trace-replay fast path
-	// (see testbed.RunConfig.ExactCycleLoop). With ROMTolV 0 a replay is
-	// bit-identical to the exact loop, so the search ends the same
-	// either way and this only changes its cost: it is the reference
-	// the replay path is checked against.
-	ExactEval bool
 	// ROMTolV, when positive, lets trace replays run on the
 	// reduced-order PDN kernel whenever its calibrated worst-case
 	// die-voltage error at the trace's drive level stays within this
@@ -111,10 +104,9 @@ type Options struct {
 	// when the (possibly wrapped) runner supports it, each GA generation
 	// is handed to testbed.MeasureBatch, which shares trace captures
 	// across the population and replays candidates through multi-lane
-	// PDN kernels of this width. 0 picks the width automatically from
-	// the batch shape and a per-platform kernel calibration; a negative
-	// value disables batching and scores candidates one by one. Results
-	// are identical either way (to ROMTolV, when the ROM is enabled).
+	// PDN kernels of this width. 0 or a negative value picks the width
+	// automatically from the batch shape and a per-platform kernel
+	// calibration. The width never changes results, only throughput.
 	BatchLanes int
 	// TraceCacheBytes overrides the compiled platform's trace-cache
 	// byte budget (0 keeps the 128 MiB default). Campaigns over large
@@ -339,11 +331,10 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 			return testbed.RunConfig{}, err
 		}
 		return testbed.RunConfig{
-			Threads:        specs,
-			MaxCycles:      opt.WarmupCycles + opt.MeasureCycles,
-			WarmupCycles:   opt.WarmupCycles,
-			FPThrottle:     opt.FPThrottle,
-			ExactCycleLoop: opt.ExactEval,
+			Threads:      specs,
+			MaxCycles:    opt.WarmupCycles + opt.MeasureCycles,
+			WarmupCycles: opt.WarmupCycles,
+			FPThrottle:   opt.FPThrottle,
 		}, nil
 	}
 	eval := func(g Genome) (float64, error) {
@@ -409,16 +400,16 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 
 // batchEval builds the GA's generation-level evaluator over a runner
 // that supports batched measurement, or returns nil (per-candidate
-// scoring) when the runner cannot batch — a fault injector, say — or
-// when Options.BatchLanes disables the pipeline. Scores are identical
-// to the per-candidate path; only the evaluation schedule changes.
+// scoring) when the runner cannot batch — a fault injector, say.
+// Scores are identical to the per-candidate path; only the evaluation
+// schedule changes.
 // A runner that also implements testbed.ContextBatchRunner (the
 // compiled platform, the distributed coordinator) gets the search
 // context, so cancelling the search stops the batch instead of waiting
 // for it to drain.
 func batchEval[G any](runner testbed.Runner, opt Options, makeRC func(G) (testbed.RunConfig, error)) func(context.Context, []G) ([]float64, []error) {
 	br, ok := runner.(testbed.BatchRunner)
-	if !ok || opt.BatchLanes < 0 {
+	if !ok {
 		return nil
 	}
 	cbr, _ := runner.(testbed.ContextBatchRunner)

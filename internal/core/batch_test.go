@@ -8,14 +8,19 @@ import (
 	"repro/internal/testbed"
 )
 
+// perCandidate hides the compiled platform's batch interface, so the
+// GA scores candidates one Run at a time, as it does behind a runner
+// that cannot batch (a fault injector).
+func perCandidate(r testbed.Runner) testbed.Runner { return struct{ testbed.Runner }{r} }
+
 // TestGenerateBatchedMatchesPerCandidate: the generation-batched
-// pipeline (default) and the per-candidate path (BatchLanes < 0) must
-// produce identical searches — same droop, same winning genome, same
-// trajectory and evaluation accounting — across lane widths and worker
-// counts. Run under -race in CI.
+// pipeline (default) and the per-candidate path must produce identical
+// searches — same droop, same winning genome, same trajectory and
+// evaluation accounting — across lane widths and worker counts. Run
+// under -race in CI.
 func TestGenerateBatchedMatchesPerCandidate(t *testing.T) {
 	p := testbed.Bulldozer()
-	gen := func(lanes, workers int) *Stressmark {
+	gen := func(lanes, workers int, wrap func(testbed.Runner) testbed.Runner) *Stressmark {
 		cfg := smallGA(11)
 		cfg.Parallel = workers
 		sm, err := Generate(context.Background(), Options{
@@ -26,16 +31,17 @@ func TestGenerateBatchedMatchesPerCandidate(t *testing.T) {
 			WarmupCycles:  1200,
 			Seed:          11,
 			BatchLanes:    lanes,
+			WrapRunner:    wrap,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sm
 	}
-	want := gen(-1, 0) // per-candidate reference
-	for _, lanes := range []int{0, 1, 2, 4, 8} {
+	want := gen(0, 0, perCandidate) // per-candidate reference
+	for _, lanes := range []int{-1, 0, 1, 2, 4, 8} {
 		for _, workers := range []int{0, 4} {
-			got := gen(lanes, workers)
+			got := gen(lanes, workers, nil)
 			if got.DroopV != want.DroopV {
 				t.Errorf("lanes=%d workers=%d: droop %v != %v", lanes, workers, got.DroopV, want.DroopV)
 			}
@@ -52,13 +58,13 @@ func TestGenerateBatchedMatchesPerCandidate(t *testing.T) {
 					lanes, workers, got.Search.Evaluations, want.Search.Evaluations,
 					got.Search.CacheHits, want.Search.CacheHits)
 			}
-			if lanes >= 0 && got.TraceStats.BatchRuns == 0 {
+			if got.TraceStats.BatchRuns == 0 {
 				t.Errorf("lanes=%d workers=%d: batch pipeline never engaged", lanes, workers)
 			}
 		}
 	}
 	if want.TraceStats.BatchRuns != 0 {
-		t.Errorf("BatchLanes<0 still entered the batch pipeline (%d runs)", want.TraceStats.BatchRuns)
+		t.Errorf("per-candidate runner still entered the batch pipeline (%d runs)", want.TraceStats.BatchRuns)
 	}
 }
 
@@ -66,7 +72,7 @@ func TestGenerateBatchedMatchesPerCandidate(t *testing.T) {
 // generation.
 func TestGenerateHeteroBatchedMatches(t *testing.T) {
 	p := testbed.Bulldozer()
-	gen := func(lanes int) *HeteroStressmark {
+	gen := func(wrap func(testbed.Runner) testbed.Runner) *HeteroStressmark {
 		cfg := smallGA(5)
 		cfg.Parallel = 4
 		sm, err := GenerateHetero(context.Background(), Options{
@@ -77,15 +83,15 @@ func TestGenerateHeteroBatchedMatches(t *testing.T) {
 			MeasureCycles: 2000,
 			WarmupCycles:  1200,
 			Seed:          5,
-			BatchLanes:    lanes,
+			WrapRunner:    wrap,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sm
 	}
-	want := gen(-1)
-	got := gen(0)
+	want := gen(perCandidate)
+	got := gen(nil)
 	if got.DroopV != want.DroopV || !reflect.DeepEqual(got.Genome, want.Genome) {
 		t.Error("hetero batched search diverged from per-candidate")
 	}

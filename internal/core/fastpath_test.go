@@ -86,41 +86,6 @@ func TestGenerateMemoizationAccounting(t *testing.T) {
 	}
 }
 
-// TestGenerateReplayMatchesExact: the trace-replay fast path streams
-// every candidate's whole trace, which is bit-exact against the
-// reference loop. A search run through replay must therefore reproduce
-// the ExactEval search bit-identically.
-func TestGenerateReplayMatchesExact(t *testing.T) {
-	p := testbed.Bulldozer()
-	gen := func(exact bool) *Stressmark {
-		sm, err := Generate(context.Background(), Options{
-			Platform:      p,
-			LoopCycles:    36,
-			GA:            smallGA(11),
-			MeasureCycles: 2000,
-			WarmupCycles:  1200,
-			Seed:          11,
-			ExactEval:     exact,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sm
-	}
-	exact := gen(true)
-	replay := gen(false)
-	if exact.DroopV != replay.DroopV {
-		t.Errorf("droop diverged: exact %v replay %v", exact.DroopV, replay.DroopV)
-	}
-	if !reflect.DeepEqual(exact.Search.History, replay.Search.History) {
-		t.Errorf("history diverged:\n exact  %v\n replay %v",
-			exact.Search.History, replay.Search.History)
-	}
-	if !reflect.DeepEqual(exact.Genome, replay.Genome) {
-		t.Error("winning genomes diverged")
-	}
-}
-
 // TestGenerateSharedTraceCache: with Repeats > 1 every scored candidate
 // is measured K times on the same RunConfig, so repeats 2..K must hit
 // the compiled platform's trace cache; 8 parallel workers share one

@@ -145,11 +145,10 @@ func GenerateHetero(ctx context.Context, opt Options) (*HeteroStressmark, error)
 			specs[i].Program = progs[i]
 		}
 		return testbed.RunConfig{
-			Threads:        specs,
-			MaxCycles:      opt.WarmupCycles + opt.MeasureCycles,
-			WarmupCycles:   opt.WarmupCycles,
-			FPThrottle:     opt.FPThrottle,
-			ExactCycleLoop: opt.ExactEval,
+			Threads:      specs,
+			MaxCycles:    opt.WarmupCycles + opt.MeasureCycles,
+			WarmupCycles: opt.WarmupCycles,
+			FPThrottle:   opt.FPThrottle,
 		}, nil
 	}
 	eval := func(h HeteroGenome) (float64, error) {

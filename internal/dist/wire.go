@@ -171,7 +171,6 @@ type WireRunConfig struct {
 	RecordWaveform   bool                 `json:"record_waveform,omitempty"`
 	ScopeSampleHz    float64              `json:"scope_sample_hz,omitempty"`
 	TriggerThreshold float64              `json:"trigger_threshold,omitempty"`
-	ExactCycleLoop   bool                 `json:"exact_cycle_loop,omitempty"`
 }
 
 // WireResult is one slot's outcome. Exactly one of M / Err is set.
@@ -210,7 +209,6 @@ func encodeUnit(id, batch uint64, rcs []testbed.RunConfig, lanes int) (*WireUnit
 			RecordWaveform:   rc.RecordWaveform,
 			ScopeSampleHz:    rc.ScopeSampleHz,
 			TriggerThreshold: rc.TriggerThreshold,
-			ExactCycleLoop:   rc.ExactCycleLoop,
 		}
 		for _, ts := range rc.Threads {
 			idx, ok := progIdx[ts.Program]
@@ -259,7 +257,6 @@ func decodeUnit(u *WireUnit) ([]testbed.RunConfig, error) {
 			RecordWaveform:   wrc.RecordWaveform,
 			ScopeSampleHz:    wrc.ScopeSampleHz,
 			TriggerThreshold: wrc.TriggerThreshold,
-			ExactCycleLoop:   wrc.ExactCycleLoop,
 		}
 		for _, wt := range wrc.Threads {
 			if wt.Prog < 0 || wt.Prog >= len(progs) {

@@ -20,8 +20,8 @@ import (
 // into a lane of the replay driver (replay.go) and packs
 // the lanes into multi-lane passes per kernel, so one pass advances up
 // to `lanes` candidate networks over the shared factorization (or the
-// ROM); only exact-loop configs run outside the driver, on the same
-// pool.
+// ROM); only configs no trace can carry run outside the driver, on
+// Platform.Run from the same pool.
 //
 // Every measurement is bit-identical to CompiledPlatform.Run of the
 // same config, at any ROM tolerance: Run is a one-lane pass of the same
@@ -142,7 +142,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 	// Classify each slot. Slots that share a finished-measurement memo
 	// key are evaluated once (dups serve from the memo afterwards);
 	// slots that share a trace key share one capture.
-	exact := make([]int, 0, n)          // slots for the reference cycle loop
+	untraced := make([]int, 0, n)       // slots for Platform.Run
 	memoRep := make(map[string]int, n)  // memoKey -> representative slot
 	dupOf := make(map[int]int, n)       // duplicate slot -> representative
 	groups := make(map[string][]int, n) // traceKey -> member slots
@@ -153,13 +153,9 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 			errs[i] = err
 			continue
 		}
-		if !cp.replayEligible(rc) {
-			exact = append(exact, i)
-			continue
-		}
 		key, mk, ok := replayKeys(rc)
 		if !ok {
-			exact = append(exact, i)
+			untraced = append(untraced, i)
 			continue
 		}
 		if mk != "" {
@@ -217,10 +213,10 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 	})
 
 	// Stage 2: every ready slot becomes a lane (post-build unsupported
-	// traces go to the exact loop). Lanes are packed per kernel — exact,
+	// traces go to Platform.Run). Lanes are packed per kernel — exact,
 	// then ROM — longest stream first, and cut at the lane width so each
-	// kernel pass stays wide; the pool runs the passes and the exact-loop
-	// slots.
+	// kernel pass stays wide; the pool runs the passes and the
+	// Platform.Run slots.
 	var byKernel [2][]*replayLane
 	for _, key := range keys {
 		tr := ready[key]
@@ -229,7 +225,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 		}
 		for _, i := range groups[key] {
 			if tr.unsupported {
-				exact = append(exact, i)
+				untraced = append(untraced, i)
 				continue
 			}
 			ln, err := cp.newLane(i, tr, rcs[i], memoKeys[i])
@@ -254,10 +250,10 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 			passes = append(passes, kl[lo:min(lo+lanes, len(kl))])
 		}
 	}
-	runParallelCtx(ctx, workers, len(passes)+len(exact), func(t int) {
+	runParallelCtx(ctx, workers, len(passes)+len(untraced), func(t int) {
 		if t >= len(passes) {
-			i := exact[t-len(passes)]
-			ms[i], errs[i] = cp.runExact(rcs[i])
+			i := untraced[t-len(passes)]
+			ms[i], errs[i] = cp.p.Run(rcs[i])
 			return
 		}
 		pass := passes[t]

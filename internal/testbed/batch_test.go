@@ -12,9 +12,9 @@ import (
 
 // batchSlate builds a mixed generation exercising every MeasureBatch
 // path: distinct dec/jnz traces (lane kernel), a shared trace at two
-// supplies, a long jmp-closed trace, a waveform consumer, an exact-loop
-// config, a MaxInstrs-bounded run, exact duplicates (memo dedup) and
-// one invalid config (per-slot error).
+// supplies, a long jmp-closed trace, a waveform consumer, a run with no
+// MaxCycles (no trace: Platform.Run), a MaxInstrs-bounded run, exact
+// duplicates (memo dedup) and one invalid config (per-slot error).
 func batchSlate(t *testing.T, p Platform) []RunConfig {
 	t.Helper()
 	base := resonancePeriodCycles(p)
@@ -45,8 +45,8 @@ func batchSlate(t *testing.T, p Platform) []RunConfig {
 		RunConfig{Threads: place(jmpLoop("periodicB", base)), MaxCycles: 60000, WarmupCycles: 2000, SupplyVolts: p.Nominal() - 0.10},
 		// Sample consumer: a lane feeding the scope every sample.
 		RunConfig{Threads: place(jmpLoop("wave", base)), MaxCycles: 15000, WarmupCycles: 1000, RecordWaveform: true},
-		// Reference cycle loop.
-		RunConfig{Threads: place(mulLoop("exact", base)), MaxCycles: 6000, WarmupCycles: 500, ExactCycleLoop: true},
+		// No MaxCycles, so no trace: the slot runs on Platform.Run.
+		RunConfig{Threads: []ThreadSpec{{Program: mulLoop("untraced", base), MaxInstrs: 3000}}, WarmupCycles: 500},
 		// A MaxInstrs-bounded thread finishes before MaxCycles.
 		RunConfig{Threads: []ThreadSpec{{Program: mulLoop("bounded", base), MaxInstrs: 4000}}, MaxCycles: 20000, WarmupCycles: 500},
 		// Exact duplicates of slot 0: intra-batch memo dedup.
@@ -62,7 +62,7 @@ func batchSlate(t *testing.T, p Platform) []RunConfig {
 // property: for every lane width, worker count and population order,
 // each slot of MeasureBatch must equal the serial CompiledPlatform.Run
 // of the same config bit for bit, and on this exact platform every Run
-// must equal the reference cycle loop. Run under -race in CI.
+// must equal Platform.Run. Run under -race in CI.
 func TestMeasureBatchMatchesRun(t *testing.T) {
 	p := Bulldozer()
 	rcs := batchSlate(t, p)
@@ -71,15 +71,13 @@ func TestMeasureBatchMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rc := range rcs {
-		exact := rc
-		exact.ExactCycleLoop = true
-		want, wantErr := ref.Run(exact)
+		want, wantErr := p.Run(rc)
 		got, err := ref.Run(rc)
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("slot %d: err = %v, exact loop err = %v", i, err, wantErr)
+			t.Fatalf("slot %d: err = %v, Platform.Run err = %v", i, err, wantErr)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("slot %d: replay differs from exact loop:\n got %+v\nwant %+v", i, got, want)
+			t.Fatalf("slot %d: compiled run differs from Platform.Run:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 	st := checkBatchMatchesRun(t, p, rcs)
@@ -91,7 +89,7 @@ func TestMeasureBatchMatchesRun(t *testing.T) {
 	}
 
 	// Every replayed slot rides a lane: 5 staggered + 2 shared-trace +
-	// jmp loop + waveform + MaxInstrs-bounded. The exact-loop slot, the
+	// jmp loop + waveform + MaxInstrs-bounded. The untraced slot, the
 	// two memo duplicates and the invalid slot never reach the kernel.
 	cp, err := p.Compile()
 	if err != nil {
@@ -137,7 +135,7 @@ func mixedROMTol(t *testing.T, p Platform, rcs []RunConfig) float64 {
 	for _, rc := range rcs {
 		key, ok := traceKey(rc)
 		tr := cp.traces.get(key)
-		if !ok || tr == nil || !cp.replayEligible(rc) {
+		if !ok || tr == nil {
 			continue
 		}
 		supply := p.Nominal()

@@ -82,37 +82,28 @@ func replayBenchConfig(b *testing.B, p Platform) RunConfig {
 }
 
 // BenchmarkMeasureExactVsReplay quantifies the trace pipeline on one
-// search candidate. Exact is the reference per-cycle loop; Replay pays
-// phase 1 every iteration (ClearTraceCache) and streams the whole
-// trace; ReplayCached is the steady state for repeats, supply ladders
-// and fault retries, served from the finished-measurement memo.
+// search candidate. Exact is the reference per-cycle loop,
+// Platform.Run, which builds a fresh chip and settles the regulator on
+// every call; Replay pays phase 1 every iteration (ClearTraceCache) and
+// streams the whole trace; ReplayCached is the steady state for
+// repeats, supply ladders and fault retries, served from the
+// finished-measurement memo.
 func BenchmarkMeasureExactVsReplay(b *testing.B) {
 	p := Bulldozer()
 
-	run := func(b *testing.B, cp *CompiledPlatform, rc RunConfig, clear bool) {
+	run := func(b *testing.B, r Runner, rc RunConfig, before func()) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if clear {
-				cp.ClearTraceCache()
-			}
-			if _, err := cp.Run(rc); err != nil {
+			before()
+			if _, err := r.Run(rc); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 
 	b.Run("Exact", func(b *testing.B) {
-		cp, err := p.Compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rc := replayBenchConfig(b, p)
-		rc.ExactCycleLoop = true
-		if _, err := cp.Run(rc); err != nil { // prime pools + settle cache
-			b.Fatal(err)
-		}
-		run(b, cp, rc, false)
+		run(b, p, replayBenchConfig(b, p), func() {})
 	})
 
 	b.Run("Replay", func(b *testing.B) {
@@ -124,7 +115,7 @@ func BenchmarkMeasureExactVsReplay(b *testing.B) {
 		if _, err := cp.Run(rc); err != nil {
 			b.Fatal(err)
 		}
-		run(b, cp, rc, true)
+		run(b, cp, rc, cp.ClearTraceCache)
 	})
 
 	b.Run("ReplayCached", func(b *testing.B) {
@@ -136,7 +127,7 @@ func BenchmarkMeasureExactVsReplay(b *testing.B) {
 		if _, err := cp.Run(rc); err != nil {
 			b.Fatal(err)
 		}
-		run(b, cp, rc, false)
+		run(b, cp, rc, func() {})
 	})
 }
 

@@ -134,34 +134,23 @@ func (cp *CompiledPlatform) getNet(supplyOverride float64) *pdn.PDN {
 	return net
 }
 
-// Run executes one measurement through the fast path. Most runs go
-// through the two-phase trace-replay pipeline: phase 1 runs the chip
-// alone and records its per-cycle current trace for the whole run
-// (cached across runs), phase 2 streams the whole trace through the
-// batched PDN kernel. On the exact kernel a replay is bit-identical to
-// Platform.Run(rc); the reduced-order kernel, which Platform.ROMTolV
-// admits, stays within that tolerance. RunConfig.ExactCycleLoop — or an
-// OS model, MaxCycles of 0, or a run too long to buffer — forces the
-// reference loop.
+// Run executes one measurement through the two-phase trace-replay
+// pipeline: phase 1 runs the chip alone and records its per-cycle
+// current trace for the whole run (cached across runs), phase 2
+// streams the whole trace through the batched PDN kernel. On the exact
+// kernel a replay is bit-identical to Platform.Run(rc); the
+// reduced-order kernel, which Platform.ROMTolV admits, stays within
+// that tolerance. A run no trace can carry (errTraceUnsupported) is
+// handed to Platform.Run.
 func (cp *CompiledPlatform) Run(rc RunConfig) (*Measurement, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
-	if cp.replayEligible(rc) {
-		m, err := cp.runReplay(rc)
-		if err != errTraceUnsupported {
-			return m, err
-		}
+	m, err := cp.runReplay(rc)
+	if err == errTraceUnsupported {
+		return cp.p.Run(rc)
 	}
-	return cp.runExact(rc)
-}
-
-// replayEligible gates the trace fast path: the exact loop is required
-// when the caller asked for it, when an OS model injects aperiodic
-// interference the trace cannot capture, and when the run is unbounded
-// or too long to buffer at 16 bytes/cycle.
-func (cp *CompiledPlatform) replayEligible(rc RunConfig) bool {
-	return !rc.ExactCycleLoop && rc.OS == nil && rc.MaxCycles > 0 && rc.MaxCycles <= traceMaxCycles
+	return m, err
 }
 
 // sampleConsumers reports whether rc attaches a scope, trigger or
@@ -231,60 +220,10 @@ func (cp *CompiledPlatform) ClearTraceCache() { cp.traces.clear() }
 // (default 128 MiB). It applies to subsequent insertions.
 func (cp *CompiledPlatform) SetTraceCacheLimit(bytes int) { cp.traces.setLimit(bytes) }
 
-// runExact is the reference per-cycle measurement loop on pooled state.
-func (cp *CompiledPlatform) runExact(rc RunConfig) (*Measurement, error) {
-	chip, err := cp.getChip()
-	if err != nil {
-		return nil, err
-	}
-	if err := cp.p.attachThreads(chip, rc); err != nil {
-		return nil, err
-	}
-	supply := cp.p.PDN.VNom
-	if rc.SupplyVolts > 0 {
-		supply = rc.SupplyVolts
-	}
-	net := cp.getNet(rc.SupplyVolts)
-
-	var buf []float64
-	if rc.RecordWaveform {
-		if b, ok := cp.scopeBufs.Get().([]float64); ok {
-			buf = b
-		}
-	}
-	m, err := cp.p.measure(chip, net, rc, supply, buf)
-	if m != nil && m.Waveform != nil {
-		// The scope filled pooled storage; hand the caller a private
-		// copy and recycle the backing buffer.
-		w := m.Waveform
-		m.Waveform = append([]float64(nil), w...)
-		cp.scopeBufs.Put(w[:0])
-	}
-	if err == nil {
-		cp.net.Put(net)
-		cp.chips.Put(chip)
-	}
-	return m, err
-}
-
 // FindFailureVoltage is Platform.FindFailureVoltage on the fast path:
-// each probe voltage's regulator settle is computed once and replayed
-// for every later visit, which is where most of the procedure's time
-// goes. Results are bit-identical to the slow path.
+// the whole ladder replays one cached trace, and each probe voltage's
+// regulator settle is computed once and replayed for every later visit.
+// Results are bit-identical to the slow path.
 func (cp *CompiledPlatform) FindFailureVoltage(rc RunConfig, floor float64) (float64, bool, error) {
-	if floor <= 0 || floor >= cp.p.PDN.VNom {
-		return 0, false, fmt.Errorf("testbed: floor %g out of range", floor)
-	}
-	for v := cp.p.PDN.VNom; v >= floor; v -= FailureStep {
-		cfg := rc
-		cfg.SupplyVolts = v
-		m, err := cp.Run(cfg)
-		if err != nil {
-			return 0, false, err
-		}
-		if m.Failed {
-			return v, true, nil
-		}
-	}
-	return floor, false, nil
+	return findFailureVoltage(cp, cp.p.PDN.VNom, rc, floor)
 }

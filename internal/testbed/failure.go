@@ -99,13 +99,19 @@ const FailureStep = 0.0125
 // bounds the search; if nothing fails above it, floor is returned with
 // ok=false.
 func (p Platform) FindFailureVoltage(rc RunConfig, floor float64) (float64, bool, error) {
-	if floor <= 0 || floor >= p.PDN.VNom {
+	return findFailureVoltage(p, p.PDN.VNom, rc, floor)
+}
+
+// findFailureVoltage is the failure ladder on any runner of a platform
+// with nominal supply vNom.
+func findFailureVoltage(r Runner, vNom float64, rc RunConfig, floor float64) (float64, bool, error) {
+	if floor <= 0 || floor >= vNom {
 		return 0, false, fmt.Errorf("testbed: floor %g out of range", floor)
 	}
-	for v := p.PDN.VNom; v >= floor; v -= FailureStep {
+	for v := vNom; v >= floor; v -= FailureStep {
 		cfg := rc
 		cfg.SupplyVolts = v
-		m, err := p.Run(cfg)
+		m, err := r.Run(cfg)
 		if err != nil {
 			return 0, false, err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/hostos"
 	"repro/internal/isa"
 	"repro/internal/scope"
 )
@@ -103,9 +104,7 @@ func TestReplayPeriodicMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := rc
-	exact.ExactCycleLoop = true
-	want, err := cp.Run(exact)
+	want, err := p.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +149,7 @@ func TestReplayStallLoopBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact := rc
-			exact.ExactCycleLoop = true
-			want, err := cp.Run(exact)
+			want, err := p.Run(rc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,9 +184,7 @@ func TestReplayNonPeriodicBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := rc
-	exact.ExactCycleLoop = true
-	want, err := cp.Run(exact)
+	want, err := p.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +259,7 @@ func TestReplayVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact := tc.rc
-			exact.ExactCycleLoop = true
-			want, err := cp.Run(exact)
+			want, err := p.Run(tc.rc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,9 +295,7 @@ func TestReplayDoneProgramBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := rc
-	exact.ExactCycleLoop = true
-	want, err := cp.Run(exact)
+	want, err := p.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,9 +338,7 @@ func TestReplayInstrumentedPeriodic(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantHist := newHist(t, p)
-	exact := mkRC(wantHist)
-	exact.ExactCycleLoop = true
-	want, err := cp.Run(exact)
+	want, err := p.Run(mkRC(wantHist))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,26 +391,53 @@ func TestReplayFailureLadderSharesOneTrace(t *testing.T) {
 	}
 }
 
-// TestExactCycleLoopBypassesCache: the escape hatch must not touch the
-// trace machinery at all.
-func TestExactCycleLoopBypassesCache(t *testing.T) {
+// TestUntraceableRunsUsePlatformRun: a run with an OS model and a run
+// with no MaxCycles have no trace, so the compiled platform hands them
+// to Platform.Run — the same Measurement, and the trace machinery
+// untouched.
+func TestUntraceableRunsUsePlatformRun(t *testing.T) {
 	p := Bulldozer()
-	prog := jmpLoop("bypass", resonancePeriodCycles(p))
-	cp, err := p.Compile()
-	if err != nil {
-		t.Fatal(err)
+	prog := jmpLoop("untraceable", resonancePeriodCycles(p))
+	cases := []struct {
+		name string
+		rc   func() RunConfig // fresh per run: a scheduler is stateful
+	}{
+		{"os-model", func() RunConfig {
+			sched, err := hostos.New(p.Chip.Threads(), 2000, 150, 300, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			threads, err := SpreadPlacement(p.Chip, prog, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return RunConfig{Threads: threads, MaxCycles: 8000, WarmupCycles: 1000, OS: sched}
+		}},
+		{"no-max-cycles", func() RunConfig {
+			return RunConfig{Threads: []ThreadSpec{{Program: prog, MaxInstrs: 6000}}, WarmupCycles: 1000}
+		}},
 	}
-	rc := RunConfig{
-		Threads:        []ThreadSpec{{Program: prog, Module: 0, Core: 0}},
-		MaxCycles:      8000,
-		WarmupCycles:   1000,
-		ExactCycleLoop: true,
-	}
-	if _, err := cp.Run(rc); err != nil {
-		t.Fatal(err)
-	}
-	if st := cp.TraceStats(); st != (TraceStats{}) {
-		t.Errorf("ExactCycleLoop touched the trace cache: %+v", st)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := p.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Run(tc.rc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cp.Run(tc.rc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("compiled run differs from Platform.Run:\n got %+v\nwant %+v", got, want)
+			}
+			if st := cp.TraceStats(); st != (TraceStats{}) {
+				t.Errorf("untraceable run touched the trace cache: %+v", st)
+			}
+		})
 	}
 }
 

@@ -385,7 +385,7 @@ func periodicRecordConfig(t *testing.T, p Platform) RunConfig {
 // TestStorePeriodicRecordRecaptured puts a periodic record, which holds
 // one period instead of the whole run, where a store directory keeps
 // it. The store must read it as a miss, so the run recaptures, replaces
-// the record with the whole trace, and measures what the exact loop
+// the record with the whole trace, and measures what Platform.Run
 // measures.
 func TestStorePeriodicRecordRecaptured(t *testing.T) {
 	p := Bulldozer()
@@ -422,14 +422,12 @@ func TestStorePeriodicRecordRecaptured(t *testing.T) {
 	if rec, ok := tracestore.Decode(disk); !ok || len(rec.Energy) != int(rc.MaxCycles) {
 		t.Errorf("record not replaced by the whole trace (decodes %v)", ok)
 	}
-	exact := rc
-	exact.ExactCycleLoop = true
-	want, err := warm.Run(exact)
+	want, err := p.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("recaptured measurement differs from the exact loop:\n got %+v\nwant %+v", got, want)
+		t.Errorf("recaptured measurement differs from Platform.Run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

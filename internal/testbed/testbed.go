@@ -127,14 +127,6 @@ type RunConfig struct {
 	Histogram *scope.Histogram
 	// TriggerThreshold, when positive, counts droop events below it.
 	TriggerThreshold float64
-	// ExactCycleLoop forces the reference per-cycle measurement loop on
-	// CompiledPlatform, bypassing the trace-replay fast path. On the
-	// exact kernel a replay equals this loop bit for bit, so the flag
-	// changes cost, not results. The exact loop is also taken
-	// automatically when OS != nil (host-OS interference is not part of
-	// the trace key) and when MaxCycles is 0 or too large to buffer a
-	// trace.
-	ExactCycleLoop bool
 }
 
 // Validate checks a run configuration before any simulation state is
@@ -236,7 +228,7 @@ func (p Platform) Run(rc RunConfig) (*Measurement, error) {
 		supply = rc.SupplyVolts
 		p.settle(net, supply)
 	}
-	return p.measure(chip, net, rc, supply, nil)
+	return p.measure(chip, net, rc, supply)
 }
 
 // attachThreads validates and places the run's threads on the chip and
@@ -274,11 +266,9 @@ func (p Platform) settle(net *pdn.PDN, supply float64) {
 	}
 }
 
-// measure is the shared cycle loop behind Platform.Run and
-// CompiledPlatform.Run: chip and net must already be attached and
-// settled. scopeBuf, when non-nil, backs the waveform capture so
-// pooled callers can recycle it.
-func (p Platform) measure(chip *cpu.Chip, net *pdn.PDN, rc RunConfig, supply float64, scopeBuf []float64) (*Measurement, error) {
+// measure is the reference cycle loop behind Platform.Run: chip and
+// net must already be attached and settled.
+func (p Platform) measure(chip *cpu.Chip, net *pdn.PDN, rc RunConfig, supply float64) (*Measurement, error) {
 	dt := p.Chip.CycleSeconds()
 	vNom := p.PDN.VNom
 
@@ -298,7 +288,7 @@ func (p Platform) measure(chip *cpu.Chip, net *pdn.PDN, rc RunConfig, supply flo
 		if rate <= 0 {
 			rate = p.Chip.ClockHz
 		}
-		s, err := scope.NewInto(p.Chip.ClockHz, rate, true, scopeBuf)
+		s, err := scope.New(p.Chip.ClockHz, rate, true)
 		if err != nil {
 			return nil, err
 		}

@@ -26,10 +26,11 @@ const (
 	defaultTraceCacheBytes = 128 << 20
 )
 
-// errTraceUnsupported routes a run back to the exact cycle loop when
-// its trace cannot be represented (per-cycle unit-issue count > 255 or
-// an unencodable program). The verdict is cached so repeats skip the
-// doomed phase-1 attempt.
+// errTraceUnsupported routes a run to Platform.Run, the reference
+// cycle loop, when it has no trace key (see traceKey) or its trace
+// cannot be represented (per-cycle unit-issue count > 255). The
+// unsupported-trace verdict is cached so repeats skip the doomed
+// phase-1 attempt.
 var errTraceUnsupported = errors.New("testbed: trace fast path unsupported for this run")
 
 // Packed issue words hold one 8-bit count per execution unit; this
@@ -174,8 +175,14 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 // WarmupCycles are deliberately absent — chip execution is
 // supply-independent and warmup only gates phase-2 statistics — which
 // is why median-of-K repeats, fault retries and the whole
-// voltage-at-failure ladder replay one cached trace.
+// voltage-at-failure ladder replay one cached trace. ok is false when
+// the run has no trace: an OS model injects interference the key does
+// not carry, a run that is unbounded or longer than traceMaxCycles is
+// not recorded, and an unencodable program has no key.
 func traceKey(rc RunConfig) (string, bool) {
+	if rc.OS != nil || rc.MaxCycles == 0 || rc.MaxCycles > traceMaxCycles {
+		return "", false
+	}
 	b := make([]byte, 0, 512)
 	var w [8]byte
 	put := func(v uint64) {

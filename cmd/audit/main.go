@@ -26,10 +26,6 @@
 //	-rom-tol    volts of PDN replay error admitting the reduced-order
 //	            kernel (0 = off, exact replay only); a non-zero value
 //	            changes the platform digest
-//	-batch-lanes    replay lanes per batched generation: auto (default,
-//	                also 0 or negative) picks the width from the batch
-//	                shape and a kernel calibration; a positive integer
-//	                fixes it
 //	-trace-cache-mb trace cache budget in MiB (0 = default 128)
 //	-cpuprofile write a pprof CPU profile of the search to this file
 //	-pprof      serve net/http/pprof on this address (e.g. :6060)
@@ -70,8 +66,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -95,7 +89,6 @@ type cliOptions struct {
 	faultRate              float64
 	hetero                 bool
 	romTol                 float64
-	batchLanes             string
 	traceCacheMB           int
 	traceStore             string
 	cpuProfile, pprofAddr  string
@@ -132,7 +125,6 @@ func parseFlags(args []string, stderr io.Writer) (cliOptions, error) {
 	fs.Float64Var(&c.faultRate, "faults", 0, "inject lab faults at this transient rate in [0,1] (0 = off)")
 	fs.BoolVar(&c.hetero, "hetero", false, "give each thread its own genome (resonance mode only)")
 	fs.Float64Var(&c.romTol, "rom-tol", 0, "volts of PDN replay error admitting the reduced-order kernel (0 = exact replay only)")
-	fs.StringVar(&c.batchLanes, "batch-lanes", "auto", "replay lanes per batched generation: auto (or 0) or a fixed width")
 	fs.IntVar(&c.traceCacheMB, "trace-cache-mb", 0, "trace cache budget in MiB (0 = default 128)")
 	fs.StringVar(&c.traceStore, "trace-store", "", "persist chip traces in this directory across runs (created if absent); with -listen, also serve them to workers over /v1/trace")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the search to this file")
@@ -248,8 +240,8 @@ func labFaults(rate float64, seed int64) (audit.FaultConfig, error) {
 }
 
 // searchOptions builds the search the flags describe: the platform,
-// the mode, the batch width and the GA. Faults, -listen and -resume
-// are layered on by search.
+// the mode and the GA. Faults, -listen and -resume are layered on by
+// search.
 func (c cliOptions) searchOptions() (audit.Options, error) {
 	plat, err := c.resolvePlatform()
 	if err != nil {
@@ -264,10 +256,6 @@ func (c cliOptions) searchOptions() (audit.Options, error) {
 	default:
 		return audit.Options{}, fmt.Errorf("unknown mode %q", c.mode)
 	}
-	lanes, err := parseBatchLanes(c.batchLanes)
-	if err != nil {
-		return audit.Options{}, err
-	}
 	return audit.Options{
 		Platform:        plat,
 		Threads:         c.threads,
@@ -277,7 +265,6 @@ func (c cliOptions) searchOptions() (audit.Options, error) {
 		FPThrottle:      c.throttle,
 		CheckpointPath:  c.checkpoint,
 		ROMTolV:         c.romTol,
-		BatchLanes:      lanes,
 		TraceCacheBytes: c.traceCacheMB << 20,
 		TraceStorePath:  c.traceStore,
 		GA: audit.GAConfig{
@@ -413,22 +400,6 @@ func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
 		fmt.Fprint(stdout, sm.Program.Text())
 	}
 	return nil
-}
-
-// parseBatchLanes maps the -batch-lanes argument onto
-// core.Options.BatchLanes: "auto" (or empty) selects automatic width
-// (0), as does any integer below 1, and a positive integer fixes the
-// width.
-func parseBatchLanes(s string) (int, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
-	if s == "" || s == "auto" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("-batch-lanes: %q is neither auto nor an integer", s)
-	}
-	return n, nil
 }
 
 // runWorker turns this process into a measurement shard for an

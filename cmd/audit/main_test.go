@@ -142,6 +142,7 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{"exact retired", with("-exact"), 2, "flag provided but not defined: -exact"},
+		{"batch-lanes retired", with("-batch-lanes", "8"), 2, "flag provided but not defined: -batch-lanes"},
 		{"listen+worker", with("-listen", "127.0.0.1:0", "-worker"), 2, "does not combine"},
 		{"listen+faults", with("-listen", "127.0.0.1:0", "-faults", "0.1"), 2, "does not combine"},
 		{"listen+hetero", with("-listen", "127.0.0.1:0", "-hetero"), 2, "does not combine"},
@@ -197,12 +198,11 @@ func (r referenceRunner) MeasureBatchContext(_ context.Context, rcs []audit.RunC
 // TestReplayEqualsReference: every replay streams a candidate's whole
 // trace, which is bit-exact against the reference loop, so a search
 // must end the same when every evaluation runs on Platform.Run — same
-// GA result, sweep and program text. The resonance sweep measures on
-// the compiled platform in both searches (it does not go through
-// WrapRunner), so equal sweeps only show both searched the same loop.
-// The first case is the search `audit -pop 24 -gens 4 -seed 5` runs,
-// built by the command's own flag code; the second a small fixed-loop
-// search.
+// GA result and program text. The search's resonance sweep measures on
+// the compiled platform (it does not go through WrapRunner), so its
+// points are checked against the same sweep run on Platform.Run. The
+// first case is the search `audit -pop 24 -gens 4 -seed 5` runs, built
+// by the command's own flag code; the second a small fixed-loop search.
 func TestReplayEqualsReference(t *testing.T) {
 	cli, err := parseFlags([]string{"-pop", "24", "-gens", "4", "-seed", "5"}, io.Discard)
 	if err != nil {
@@ -246,8 +246,15 @@ func TestReplayEqualsReference(t *testing.T) {
 			if !reflect.DeepEqual(replay.Search, ref.Search) {
 				t.Errorf("GA result differs from the reference search:\n got %+v\nwant %+v", replay.Search, ref.Search)
 			}
-			if !reflect.DeepEqual(replay.SweepPoints, ref.SweepPoints) {
-				t.Errorf("sweep differs from the reference search:\n got %v\nwant %v", replay.SweepPoints, ref.SweepPoints)
+			if tc.opts.LoopCycles == 0 {
+				p := tc.opts.Platform
+				pts, _, err := audit.ResonanceSweep{Platform: p, Runner: p, Threads: tc.opts.Threads}.Run(16, 64, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(replay.SweepPoints, pts) {
+					t.Errorf("sweep differs from the reference loop's:\n got %v\nwant %v", replay.SweepPoints, pts)
+				}
 			}
 			if got, want := replay.Program.Text(), ref.Program.Text(); got != want {
 				t.Errorf("program differs from the reference search:\n--- replay ---\n%s\n--- reference ---\n%s", got, want)

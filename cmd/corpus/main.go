@@ -6,7 +6,7 @@
 //
 //	corpus ls    -db <dir>
 //	corpus add   -db <dir> -platform <name> [flags] <stressmark.json>...
-//	corpus run   -db <dir> [-lanes N] [-workers N] [-skip-failure] [-rom-tol V] [-v]
+//	corpus run   -db <dir> [-workers N] [-skip-failure] [-rom-tol V] [-v]
 //	corpus redux -db <dir> [-skip-failure]
 //
 // add harvests saved stressmarks (cmd/audit -save files) into baselined
@@ -223,7 +223,6 @@ func byPlatform(entries []*corpus.Entry) map[string][]*corpus.Entry {
 
 func cmdRun(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	dir := fs.String("db", "", "corpus directory")
-	lanes := fs.Int("lanes", 0, "replay lanes per batch (0 = default)")
 	workers := fs.Int("workers", 0, "batch workers (0 = default)")
 	skipFailure := fs.Bool("skip-failure", false, "skip voltage-at-failure ladders")
 	romTol := fs.Float64("rom-tol", 0, "replay with the reduced-order PDN kernel at this tolerance (volts); entries baselined on the exact platform then report platform-skew")
@@ -242,7 +241,7 @@ func cmdRun(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("corpus %s is empty", db.Dir())
 	}
-	opt := corpus.ReplayOptions{Lanes: *lanes, Workers: *workers, SkipFailure: *skipFailure}
+	opt := corpus.ReplayOptions{Workers: *workers, SkipFailure: *skipFailure}
 
 	bad := 0
 	for platform, group := range byPlatform(entries) {

@@ -67,6 +67,7 @@ func TestUsageErrors(t *testing.T) {
 		{},
 		{"frobnicate", "-db", seedCorpus},
 		{"run", "-no-such-flag"},
+		{"run", "-db", seedCorpus, "-lanes", "4"}, // the width is the pipeline's choice
 	} {
 		if code, _, _ := corpusRun(t, args...); code != 2 {
 			t.Errorf("corpus %q: exit %d, want 2", args, code)

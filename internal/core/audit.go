@@ -100,14 +100,6 @@ type Options struct {
 	// becomes part of the platform identity (digests, corpus
 	// baselines).
 	ROMTolV float64
-	// BatchLanes controls the generation-batched evaluation pipeline:
-	// when the (possibly wrapped) runner supports it, each GA generation
-	// is handed to testbed.MeasureBatch, which shares trace captures
-	// across the population and replays candidates through multi-lane
-	// PDN kernels of this width. 0 or a negative value picks the width
-	// automatically from the batch shape and a per-platform kernel
-	// calibration. The width never changes results, only throughput.
-	BatchLanes int
 	// TraceCacheBytes overrides the compiled platform's trace-cache
 	// byte budget (0 keeps the 128 MiB default). Campaigns over large
 	// populations of long-running candidates can raise it to keep every
@@ -223,21 +215,29 @@ func applyTraceOptions(cp *testbed.CompiledPlatform, opt Options) error {
 	return nil
 }
 
-// Generate runs the full AUDIT flow: optional resonance detection, then
-// the GA over hierarchical genomes with fitness measured on the
-// platform. The search trains against the configured thread count,
-// throttle setting and cost function — re-running with different
-// settings is how the paper adapts to new configurations (§5.B, §5.C).
-// Cancelling ctx stops the search between evaluations; with
-// CheckpointPath set, the interrupted run can be resumed losslessly.
-func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
+// setup is what prepare hands a search front: the options with
+// defaults and any resume envelope applied, the compiled platform, the
+// loop (swept when LoopCycles was 0), its region split into S
+// sub-blocks of K cycles plus LP cycles, and the code generator.
+type setup struct {
+	opt      Options
+	hetero   bool
+	cp       *testbed.CompiledPlatform
+	sweep    []SweepPoint
+	loop     int
+	k, s, lp int
+	cg       *CodeGen
+}
+
+// prepare is the set-up both search fronts share. A heterogeneous
+// search refuses to sweep and supports resonance mode only.
+func prepare[G any](opt Options, hetero bool) (*setup, *ga.Checkpoint[G], error) {
 	opt.fillDefaults()
-	var gaResume *ga.Checkpoint[Genome]
+	var resume *ga.Checkpoint[G]
 	if opt.Resume != nil {
 		var err error
-		gaResume, err = decodeGACheckpoint[Genome](opt.Resume, false)
-		if err != nil {
-			return nil, err
+		if resume, err = decodeGACheckpoint[G](opt.Resume, hetero); err != nil {
+			return nil, nil, err
 		}
 		// The checkpoint pins the search identity; the sweep is skipped.
 		opt.LoopCycles = opt.Resume.LoopCycles
@@ -247,11 +247,11 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 			opt.Name = opt.Resume.Name
 		}
 	}
-	sm := &Stressmark{
-		Name:       opt.Name,
-		Threads:    opt.Threads,
-		Mode:       opt.Mode,
-		FPThrottle: opt.FPThrottle,
+	if hetero && opt.LoopCycles == 0 {
+		return nil, nil, fmt.Errorf("core: heterogeneous generation needs an explicit LoopCycles")
+	}
+	if hetero && opt.Mode != Resonance {
+		return nil, nil, fmt.Errorf("core: heterogeneous generation supports resonance mode only")
 	}
 
 	// Compile the platform once: the resonance sweep and every fitness
@@ -259,23 +259,20 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 	// of rebuilding them per run.
 	cp, err := opt.Platform.Compile()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := applyTraceOptions(cp, opt); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	loop := opt.LoopCycles
-	if loop == 0 {
-		sweep := ResonanceSweep{Platform: opt.Platform, Compiled: cp, Threads: opt.Threads}
+	su := &setup{opt: opt, hetero: hetero, cp: cp, loop: opt.LoopCycles}
+	if su.loop == 0 {
+		sweep := ResonanceSweep{Platform: opt.Platform, Runner: cp, Threads: opt.Threads}
 		pts, best, err := sweep.Run(16, 64, 4)
 		if err != nil {
-			return nil, fmt.Errorf("core: resonance sweep: %w", err)
+			return nil, nil, fmt.Errorf("core: resonance sweep: %w", err)
 		}
-		sm.SweepPoints = pts
-		loop = best.LoopCycles
+		su.sweep, su.loop = pts, best.LoopCycles
 	}
-	sm.LoopCycles = loop
 
 	// Region split. Resonance: HP = half the loop. Excitation: the
 	// pattern repeats every 6 resonance periods — far enough below the
@@ -283,17 +280,17 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 	var hp, lp, totalLoop int
 	switch opt.Mode {
 	case Resonance:
-		totalLoop = loop
-		hp = loop / 2
+		totalLoop = su.loop
+		hp = su.loop / 2
 		lp = totalLoop - hp - 1 // dec+jnz cost ≈ one cycle
 	case Excitation:
 		// The repeat period sits between harmonics of the resonance
 		// (6.5×) so successive excitations cannot build resonantly.
-		totalLoop = loop*6 + loop/2
-		hp = loop * 2
+		totalLoop = su.loop*6 + su.loop/2
+		hp = su.loop * 2
 		lp = totalLoop - hp - 1
 	default:
-		return nil, fmt.Errorf("core: unknown mode %d", opt.Mode)
+		return nil, nil, fmt.Errorf("core: unknown mode %d", opt.Mode)
 	}
 	k := opt.SubBlockCycles
 	if k > hp {
@@ -303,32 +300,46 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 	if s < 1 {
 		s = 1
 	}
-	lp += hp - s*k
+	su.k, su.s, su.lp = k, s, lp+hp-s*k
 
-	cg := &CodeGen{
+	su.cg = &CodeGen{
 		Opcodes:   opt.Opcodes,
 		Width:     opt.Platform.Chip.DecodeWidth,
 		LoopIters: 1 << 40,
 		MemBytes:  4096,
 	}
-	if err := cg.Validate(); err != nil {
-		return nil, err
+	if err := su.cg.Validate(); err != nil {
+		return nil, nil, err
 	}
+	return su, resume, nil
+}
 
-	var runner testbed.Runner = cp
+// evolve is the GA loop both search fronts share: it wraps the
+// compiled platform, measures each candidate as the programs build
+// returns (one for every thread, or one per thread in placement
+// order), scores it with the cost function, and checkpoints the search
+// under the setup's identity.
+func evolve[G any](ctx context.Context, su *setup, ops ga.Ops[G], seeds []G, build func(G) ([]*asm.Program, error), resume *ga.Checkpoint[G]) (*ga.Result[G], error) {
+	opt := su.opt
+	var runner testbed.Runner = su.cp
 	if opt.WrapRunner != nil {
-		if runner = opt.WrapRunner(cp); runner == nil {
+		if runner = opt.WrapRunner(su.cp); runner == nil {
 			return nil, fmt.Errorf("core: WrapRunner returned nil")
 		}
 	}
-	makeRC := func(g Genome) (testbed.RunConfig, error) {
-		prog, err := cg.Build(opt.Name, g)
+	makeRC := func(g G) (testbed.RunConfig, error) {
+		progs, err := build(g)
 		if err != nil {
 			return testbed.RunConfig{}, err
 		}
-		specs, err := testbed.SpreadPlacement(opt.Platform.Chip, prog, opt.Threads)
+		specs, err := testbed.SpreadPlacement(opt.Platform.Chip, progs[0], opt.Threads)
 		if err != nil {
 			return testbed.RunConfig{}, err
+		}
+		if len(progs) > 1 {
+			for i := range specs {
+				specs[i].Program = progs[i]
+			}
 		}
 		return testbed.RunConfig{
 			Threads:      specs,
@@ -337,7 +348,7 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 			FPThrottle:   opt.FPThrottle,
 		}, nil
 	}
-	eval := func(g Genome) (float64, error) {
+	eval := func(g G) (float64, error) {
 		rc, err := makeRC(g)
 		if err != nil {
 			return 0, err
@@ -348,15 +359,52 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 		}
 		return opt.Cost(m), nil
 	}
+	ops.EvalGeneration = batchEval(runner, opt, makeRC)
+	var sink func(*ga.Checkpoint[G]) error
+	if opt.CheckpointPath != "" {
+		sink = checkpointSink[G](opt.CheckpointPath, SearchCheckpoint{
+			Name:       opt.Name,
+			Hetero:     su.hetero,
+			Threads:    opt.Threads,
+			LoopCycles: su.loop,
+			Mode:       int(opt.Mode),
+		})
+	}
+	res, err := ga.RunCheckpointed(ctx, opt.GA, ops, seeds, eval, resume, sink)
+	if err != nil {
+		what := "GA"
+		if su.hetero {
+			what = "hetero GA"
+		}
+		return nil, fmt.Errorf("core: %s: %w", what, err)
+	}
+	return res, nil
+}
 
+// Generate runs the full AUDIT flow: optional resonance detection, then
+// the GA over hierarchical genomes with fitness measured on the
+// platform. The search trains against the configured thread count,
+// throttle setting and cost function — re-running with different
+// settings is how the paper adapts to new configurations (§5.B, §5.C).
+// Cancelling ctx stops the search between evaluations; with
+// CheckpointPath set, the interrupted run can be resumed losslessly.
+func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
+	su, resume, err := prepare[Genome](opt, false)
+	if err != nil {
+		return nil, err
+	}
+	opt, cg := su.opt, su.cg
+	build := func(g Genome) ([]*asm.Program, error) {
+		prog, err := cg.Build(opt.Name, g)
+		return []*asm.Program{prog}, err
+	}
 	ops := ga.Ops[Genome]{
 		Random: func(rng *rand.Rand) Genome {
-			return cg.NewGenome(rng, k, s, lp, opt.NopBias)
+			return cg.NewGenome(rng, su.k, su.s, su.lp, opt.NopBias)
 		},
-		Crossover:      cg.Crossover,
-		Mutate:         cg.Mutate,
-		Fingerprint:    Genome.Fingerprint,
-		EvalGeneration: batchEval(runner, opt, makeRC),
+		Crossover:   cg.Crossover,
+		Mutate:      cg.Mutate,
+		Fingerprint: Genome.Fingerprint,
 	}
 	// Seed the initial population with the trivial high-power probe
 	// pattern — "the initial population of stressmarks either can be
@@ -364,38 +412,35 @@ func Generate(ctx context.Context, opt Options) (*Stressmark, error) {
 	// stressmarks to improve the convergence rate" (§3).
 	var seeds []Genome
 	for _, g := range opt.SeedGenomes {
-		if len(g.Slots) == k*cg.Width {
+		if len(g.Slots) == su.k*cg.Width {
 			seeds = append(seeds, g)
 		}
 	}
 	if !opt.NoSeed {
-		seeds = append(seeds, cg.seedGenome(k, s, lp))
+		seeds = append(seeds, cg.seedGenome(su.k, su.s, su.lp))
 	}
-	var sink func(*ga.Checkpoint[Genome]) error
-	if opt.CheckpointPath != "" {
-		sink = checkpointSink[Genome](opt.CheckpointPath, SearchCheckpoint{
-			Name:       opt.Name,
-			Threads:    opt.Threads,
-			LoopCycles: loop,
-			Mode:       int(opt.Mode),
-		})
-	}
-	res, err := ga.RunCheckpointed(ctx, opt.GA, ops, seeds, eval, gaResume, sink)
+	res, err := evolve(ctx, su, ops, seeds, build, resume)
 	if err != nil {
-		return nil, fmt.Errorf("core: GA: %w", err)
+		return nil, err
 	}
-	sm.Search = res
-	sm.TraceStats = cp.TraceStats()
-	sm.Genome = res.Best
-	sm.DroopV = res.BestFitness
-	sm.Gen = cg
-
 	prog, err := cg.Build(opt.Name, res.Best)
 	if err != nil {
 		return nil, err
 	}
-	sm.Program = prog
-	return sm, nil
+	return &Stressmark{
+		Name:        opt.Name,
+		Program:     prog,
+		Threads:     opt.Threads,
+		LoopCycles:  su.loop,
+		Mode:        opt.Mode,
+		FPThrottle:  opt.FPThrottle,
+		DroopV:      res.BestFitness,
+		Genome:      res.Best,
+		Search:      res,
+		TraceStats:  su.cp.TraceStats(),
+		SweepPoints: su.sweep,
+		Gen:         cg,
+	}, nil
 }
 
 // batchEval builds the GA's generation-level evaluator over a runner
@@ -417,7 +462,6 @@ func batchEval[G any](runner testbed.Runner, opt Options, makeRC func(G) (testbe
 	if workers <= 0 {
 		workers = 1
 	}
-	lanes := opt.BatchLanes
 	cost := opt.Cost
 	return func(ctx context.Context, gs []G) ([]float64, []error) {
 		fits := make([]float64, len(gs))
@@ -436,9 +480,9 @@ func batchEval[G any](runner testbed.Runner, opt Options, makeRC func(G) (testbe
 		var ms []*testbed.Measurement
 		var merrs []error
 		if cbr != nil {
-			ms, merrs = cbr.MeasureBatchContext(ctx, rcs, lanes, workers)
+			ms, merrs = cbr.MeasureBatchContext(ctx, rcs, 0, workers)
 		} else {
-			ms, merrs = br.MeasureBatch(rcs, lanes, workers)
+			ms, merrs = br.MeasureBatch(rcs, 0, workers)
 		}
 		for k, i := range slots {
 			if merrs[k] != nil {

@@ -16,11 +16,12 @@ func perCandidate(r testbed.Runner) testbed.Runner { return struct{ testbed.Runn
 // TestGenerateBatchedMatchesPerCandidate: the generation-batched
 // pipeline (default) and the per-candidate path must produce identical
 // searches — same droop, same winning genome, same trajectory and
-// evaluation accounting — across lane widths and worker counts. Run
-// under -race in CI.
+// evaluation accounting — across worker counts. The pipeline picks its
+// own lane width; testbed's checkBatchMatchesRun shows at fixed widths
+// that the width never moves a measurement. Run under -race in CI.
 func TestGenerateBatchedMatchesPerCandidate(t *testing.T) {
 	p := testbed.Bulldozer()
-	gen := func(lanes, workers int, wrap func(testbed.Runner) testbed.Runner) *Stressmark {
+	gen := func(workers int, wrap func(testbed.Runner) testbed.Runner) *Stressmark {
 		cfg := smallGA(11)
 		cfg.Parallel = workers
 		sm, err := Generate(context.Background(), Options{
@@ -30,7 +31,6 @@ func TestGenerateBatchedMatchesPerCandidate(t *testing.T) {
 			MeasureCycles: 2000,
 			WarmupCycles:  1200,
 			Seed:          11,
-			BatchLanes:    lanes,
 			WrapRunner:    wrap,
 		})
 		if err != nil {
@@ -38,29 +38,27 @@ func TestGenerateBatchedMatchesPerCandidate(t *testing.T) {
 		}
 		return sm
 	}
-	want := gen(0, 0, perCandidate) // per-candidate reference
-	for _, lanes := range []int{-1, 0, 1, 2, 4, 8} {
-		for _, workers := range []int{0, 4} {
-			got := gen(lanes, workers, nil)
-			if got.DroopV != want.DroopV {
-				t.Errorf("lanes=%d workers=%d: droop %v != %v", lanes, workers, got.DroopV, want.DroopV)
-			}
-			if !reflect.DeepEqual(got.Genome, want.Genome) {
-				t.Errorf("lanes=%d workers=%d: winning genome diverged", lanes, workers)
-			}
-			if !reflect.DeepEqual(got.Search.History, want.Search.History) {
-				t.Errorf("lanes=%d workers=%d: history diverged:\n got %v\nwant %v",
-					lanes, workers, got.Search.History, want.Search.History)
-			}
-			if got.Search.Evaluations != want.Search.Evaluations ||
-				got.Search.CacheHits != want.Search.CacheHits {
-				t.Errorf("lanes=%d workers=%d: accounting diverged: evals %d/%d hits %d/%d",
-					lanes, workers, got.Search.Evaluations, want.Search.Evaluations,
-					got.Search.CacheHits, want.Search.CacheHits)
-			}
-			if got.TraceStats.BatchRuns == 0 {
-				t.Errorf("lanes=%d workers=%d: batch pipeline never engaged", lanes, workers)
-			}
+	want := gen(0, perCandidate) // per-candidate reference
+	for _, workers := range []int{0, 4} {
+		got := gen(workers, nil)
+		if got.DroopV != want.DroopV {
+			t.Errorf("workers=%d: droop %v != %v", workers, got.DroopV, want.DroopV)
+		}
+		if !reflect.DeepEqual(got.Genome, want.Genome) {
+			t.Errorf("workers=%d: winning genome diverged", workers)
+		}
+		if !reflect.DeepEqual(got.Search.History, want.Search.History) {
+			t.Errorf("workers=%d: history diverged:\n got %v\nwant %v",
+				workers, got.Search.History, want.Search.History)
+		}
+		if got.Search.Evaluations != want.Search.Evaluations ||
+			got.Search.CacheHits != want.Search.CacheHits {
+			t.Errorf("workers=%d: accounting diverged: evals %d/%d hits %d/%d",
+				workers, got.Search.Evaluations, want.Search.Evaluations,
+				got.Search.CacheHits, want.Search.CacheHits)
+		}
+		if got.TraceStats.BatchRuns == 0 {
+			t.Errorf("workers=%d: batch pipeline never engaged", workers)
 		}
 	}
 	if want.TraceStats.BatchRuns != 0 {

@@ -63,50 +63,11 @@ type HeteroStressmark struct {
 // thread. Options are interpreted as in Generate; LoopCycles must be
 // set (run a ResonanceSweep first, as Generate would).
 func GenerateHetero(ctx context.Context, opt Options) (*HeteroStressmark, error) {
-	opt.fillDefaults()
-	var gaResume *ga.Checkpoint[HeteroGenome]
-	if opt.Resume != nil {
-		var err error
-		gaResume, err = decodeGACheckpoint[HeteroGenome](opt.Resume, true)
-		if err != nil {
-			return nil, err
-		}
-		opt.LoopCycles = opt.Resume.LoopCycles
-		opt.Threads = opt.Resume.Threads
-		opt.Mode = Mode(opt.Resume.Mode)
-		if opt.Resume.Name != "" {
-			opt.Name = opt.Resume.Name
-		}
-	}
-	if opt.LoopCycles == 0 {
-		return nil, fmt.Errorf("core: heterogeneous generation needs an explicit LoopCycles")
-	}
-	if opt.Mode != Resonance {
-		return nil, fmt.Errorf("core: heterogeneous generation supports resonance mode only")
-	}
-	loop := opt.LoopCycles
-	hp := loop / 2
-	lp := loop - hp - 1
-	k := opt.SubBlockCycles
-	if k > hp {
-		k = hp
-	}
-	s := hp / k
-	if s < 1 {
-		s = 1
-	}
-	lp += hp - s*k
-
-	cg := &CodeGen{
-		Opcodes:   opt.Opcodes,
-		Width:     opt.Platform.Chip.DecodeWidth,
-		LoopIters: 1 << 40,
-		MemBytes:  4096,
-	}
-	if err := cg.Validate(); err != nil {
+	su, resume, err := prepare[HeteroGenome](opt, true)
+	if err != nil {
 		return nil, err
 	}
-
+	opt, cg, k, s, lp := su.opt, su.cg, su.k, su.s, su.lp
 	build := func(h HeteroGenome) ([]*asm.Program, error) {
 		progs := make([]*asm.Program, len(h.PerThread))
 		for i, g := range h.PerThread {
@@ -118,51 +79,6 @@ func GenerateHetero(ctx context.Context, opt Options) (*HeteroStressmark, error)
 		}
 		return progs, nil
 	}
-
-	cp, err := opt.Platform.Compile()
-	if err != nil {
-		return nil, err
-	}
-	if err := applyTraceOptions(cp, opt); err != nil {
-		return nil, err
-	}
-	var runner testbed.Runner = cp
-	if opt.WrapRunner != nil {
-		if runner = opt.WrapRunner(cp); runner == nil {
-			return nil, fmt.Errorf("core: WrapRunner returned nil")
-		}
-	}
-	makeRC := func(h HeteroGenome) (testbed.RunConfig, error) {
-		progs, err := build(h)
-		if err != nil {
-			return testbed.RunConfig{}, err
-		}
-		specs, err := testbed.SpreadPlacement(opt.Platform.Chip, progs[0], opt.Threads)
-		if err != nil {
-			return testbed.RunConfig{}, err
-		}
-		for i := range specs {
-			specs[i].Program = progs[i]
-		}
-		return testbed.RunConfig{
-			Threads:      specs,
-			MaxCycles:    opt.WarmupCycles + opt.MeasureCycles,
-			WarmupCycles: opt.WarmupCycles,
-			FPThrottle:   opt.FPThrottle,
-		}, nil
-	}
-	eval := func(h HeteroGenome) (float64, error) {
-		rc, err := makeRC(h)
-		if err != nil {
-			return 0, err
-		}
-		m, err := runner.Run(rc)
-		if err != nil {
-			return 0, err
-		}
-		return opt.Cost(m), nil
-	}
-
 	ops := ga.Ops[HeteroGenome]{
 		Random: func(rng *rand.Rand) HeteroGenome {
 			h := HeteroGenome{PerThread: make([]Genome, opt.Threads)}
@@ -186,8 +102,7 @@ func GenerateHetero(ctx context.Context, opt Options) (*HeteroStressmark, error)
 			out.PerThread[i] = cg.Mutate(rng, out.PerThread[i])
 			return out
 		},
-		Fingerprint:    HeteroGenome.Fingerprint,
-		EvalGeneration: batchEval(runner, opt, makeRC),
+		Fingerprint: HeteroGenome.Fingerprint,
 	}
 
 	// Seeds. When sibling threads share a front end, decode alternates
@@ -203,7 +118,7 @@ func GenerateHetero(ctx context.Context, opt Options) (*HeteroStressmark, error)
 			if sSeed < 1 {
 				sSeed = 1
 			}
-			lpSeed = loop/2 - sSeed*k - 1
+			lpSeed = su.loop/2 - sSeed*k - 1
 			if lpSeed < 0 {
 				lpSeed = 0
 			}
@@ -226,19 +141,9 @@ func GenerateHetero(ctx context.Context, opt Options) (*HeteroStressmark, error)
 		seeds = append(seeds, comp, homo)
 	}
 
-	var sink func(*ga.Checkpoint[HeteroGenome]) error
-	if opt.CheckpointPath != "" {
-		sink = checkpointSink[HeteroGenome](opt.CheckpointPath, SearchCheckpoint{
-			Name:       opt.Name,
-			Hetero:     true,
-			Threads:    opt.Threads,
-			LoopCycles: opt.LoopCycles,
-			Mode:       int(opt.Mode),
-		})
-	}
-	res, err := ga.RunCheckpointed(ctx, opt.GA, ops, seeds, eval, gaResume, sink)
+	res, err := evolve(ctx, su, ops, seeds, build, resume)
 	if err != nil {
-		return nil, fmt.Errorf("core: hetero GA: %w", err)
+		return nil, err
 	}
 	progs, err := build(res.Best)
 	if err != nil {
@@ -251,7 +156,7 @@ func GenerateHetero(ctx context.Context, opt Options) (*HeteroStressmark, error)
 		DroopV:     res.BestFitness,
 		Genome:     res.Best,
 		Search:     res,
-		TraceStats: cp.TraceStats(),
+		TraceStats: su.cp.TraceStats(),
 	}, nil
 }
 

@@ -17,10 +17,10 @@ import (
 // whenever the processor or board changes (§5.C).
 type ResonanceSweep struct {
 	Platform testbed.Platform
-	// Compiled, when non-nil, is a pre-compiled form of Platform the
-	// sweep runs through (shared with the caller's GA loop); when nil,
-	// the sweep compiles the platform itself.
-	Compiled *testbed.CompiledPlatform
+	// Runner, when non-nil, measures the probes: the caller's compiled
+	// Platform (shared with its GA loop) or Platform itself, the
+	// reference loop. When nil, the sweep compiles Platform.
+	Runner testbed.Runner
 	// Threads is how many aligned copies to run (one per module).
 	Threads int
 	// MeasureCycles per probe point.
@@ -85,13 +85,13 @@ func (rs ResonanceSweep) Run(lo, hi, step int) ([]SweepPoint, SweepPoint, error)
 	if warmup == 0 {
 		warmup = 3000
 	}
-	cp := rs.Compiled
-	if cp == nil {
-		var err error
-		cp, err = rs.Platform.Compile()
+	r := rs.Runner
+	if r == nil {
+		cp, err := rs.Platform.Compile()
 		if err != nil {
 			return nil, SweepPoint{}, err
 		}
+		r = cp
 	}
 	var points []SweepPoint
 	best := SweepPoint{}
@@ -104,7 +104,7 @@ func (rs ResonanceSweep) Run(lo, hi, step int) ([]SweepPoint, SweepPoint, error)
 		if err != nil {
 			return nil, SweepPoint{}, err
 		}
-		m, err := cp.Run(testbed.RunConfig{
+		m, err := r.Run(testbed.RunConfig{
 			Threads:      specs,
 			MaxCycles:    warmup + measure,
 			WarmupCycles: warmup,

@@ -59,8 +59,7 @@ type Result struct {
 
 // ReplayOptions tunes the replay engine.
 type ReplayOptions struct {
-	// Lanes and Workers are passed to MeasureBatch (0 = defaults).
-	Lanes   int
+	// Workers is passed to MeasureBatch (0 = default).
 	Workers int
 	// SkipFailure skips voltage-at-failure ladders even for entries
 	// that baselined one (droop and fingerprint are still checked).
@@ -103,7 +102,7 @@ func replayWith(cp *testbed.CompiledPlatform, digest string, entries []*Entry, o
 		slot = append(slot, i)
 	}
 
-	ms, errs := cp.MeasureBatch(rcs, opt.Lanes, opt.Workers)
+	ms, errs := cp.MeasureBatch(rcs, 0, opt.Workers)
 	for s, i := range slot {
 		e := entries[i]
 		r := &results[i]

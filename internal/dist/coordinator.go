@@ -230,8 +230,10 @@ var _ LocalRunner = (*Coordinator)(nil)
 // inputs, whatever the worker pool does: measurements are pure
 // functions of their RunConfig, the merge is at-most-once per unit,
 // and every failure path ends in redispatch or local evaluation.
-// Cancelling ctx abandons unresolved slots with ctx.Err().
-func (c *Coordinator) MeasureBatchContext(ctx context.Context, rcs []testbed.RunConfig, lanes, workers int) ([]*testbed.Measurement, []error) {
+// Cancelling ctx abandons unresolved slots with ctx.Err(). Every
+// executor, local or remote, picks its own replay lane width, so lanes
+// is not used.
+func (c *Coordinator) MeasureBatchContext(ctx context.Context, rcs []testbed.RunConfig, _, workers int) ([]*testbed.Measurement, []error) {
 	ms := make([]*testbed.Measurement, len(rcs))
 	errs := make([]error, len(rcs))
 
@@ -245,7 +247,7 @@ func (c *Coordinator) MeasureBatchContext(ctx context.Context, rcs []testbed.Run
 		}
 	}
 
-	units := c.enqueue(rcs, remote, lanes)
+	units := c.enqueue(rcs, remote)
 
 	// Non-distributable slots run here while workers chew on the units
 	// already queued (the HTTP handlers serve leases concurrently).
@@ -254,7 +256,7 @@ func (c *Coordinator) MeasureBatchContext(ctx context.Context, rcs []testbed.Run
 		for k, i := range localOnly {
 			lrcs[k] = rcs[i]
 		}
-		lms, lerrs := c.cfg.Local.MeasureBatchContext(ctx, lrcs, lanes, workers)
+		lms, lerrs := c.cfg.Local.MeasureBatchContext(ctx, lrcs, 0, workers)
 		for k, i := range localOnly {
 			ms[i], errs[i] = lms[k], lerrs[k]
 		}
@@ -263,7 +265,7 @@ func (c *Coordinator) MeasureBatchContext(ctx context.Context, rcs []testbed.Run
 		c.mu.Unlock()
 	}
 
-	c.wait(ctx, units, lanes, workers)
+	c.wait(ctx, units, workers)
 
 	// Merge. Units a cancelled wait left unresolved surface ctx.Err().
 	for _, u := range units {
@@ -282,7 +284,7 @@ func (c *Coordinator) MeasureBatchContext(ctx context.Context, rcs []testbed.Run
 
 // enqueue splits the remote slots into units and queues them. A unit
 // whose programs fail to encode is marked local from the start.
-func (c *Coordinator) enqueue(rcs []testbed.RunConfig, remote []int, lanes int) []*unit {
+func (c *Coordinator) enqueue(rcs []testbed.RunConfig, remote []int) []*unit {
 	var units []*unit
 	c.mu.Lock()
 	batch := c.nextBatch
@@ -301,7 +303,7 @@ func (c *Coordinator) enqueue(rcs []testbed.RunConfig, remote []int, lanes int) 
 			u.rcs = append(u.rcs, rcs[i])
 		}
 		var err error
-		if u.wire, err = encodeUnit(u.id, batch, u.rcs, lanes); err != nil {
+		if u.wire, err = encodeUnit(u.id, batch, u.rcs); err != nil {
 			c.logf("dist: unit %d not encodable, keeping local: %v", u.id, err)
 			u.local = true
 		}
@@ -321,7 +323,7 @@ func (c *Coordinator) enqueue(rcs []testbed.RunConfig, remote []int, lanes int) 
 // and pulling units to the local platform when the pool cannot make
 // progress. On exit the batch's unresolved units are withdrawn so a
 // cancelled batch leaves no orphans for workers to chew on.
-func (c *Coordinator) wait(ctx context.Context, units []*unit, lanes, workers int) {
+func (c *Coordinator) wait(ctx context.Context, units []*unit, workers int) {
 	if len(units) == 0 {
 		return
 	}
@@ -358,7 +360,7 @@ func (c *Coordinator) wait(ctx context.Context, units []*unit, lanes, workers in
 		if locals := c.claimLocalLocked(units); len(locals) > 0 {
 			c.mu.Unlock()
 			for _, u := range locals {
-				c.runLocal(ctx, u, lanes, workers)
+				c.runLocal(ctx, u, workers)
 			}
 			c.mu.Lock()
 			continue
@@ -502,8 +504,8 @@ func (c *Coordinator) claimLocalLocked(units []*unit) []*unit {
 // result still wins: if a worker raced us and already posted, the
 // local result is discarded (they are identical anyway — both are the
 // pure function of the same RunConfigs).
-func (c *Coordinator) runLocal(ctx context.Context, u *unit, lanes, workers int) {
-	ms, errs := c.cfg.Local.MeasureBatchContext(ctx, u.rcs, lanes, workers)
+func (c *Coordinator) runLocal(ctx context.Context, u *unit, workers int) {
+	ms, errs := c.cfg.Local.MeasureBatchContext(ctx, u.rcs, 0, workers)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if u.state == unitDone {

@@ -153,7 +153,7 @@ func TestWireUnitRoundTrip(t *testing.T) {
 	// carry it once.
 	rcs[1].Threads = rcs[0].Threads
 
-	u, err := encodeUnit(7, 3, rcs, 4)
+	u, err := encodeUnit(7, 3, rcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestInvalidSlotTravels(t *testing.T) {
 	if !Distributable(rcs[0]) {
 		t.Fatal("invalid slot should still be distributable")
 	}
-	if _, err := encodeUnit(1, 0, rcs, 0); err != nil {
+	if _, err := encodeUnit(1, 0, rcs); err != nil {
 		// No threads → no programs → encodes fine.
 		t.Fatalf("encodeUnit: %v", err)
 	}

@@ -139,11 +139,10 @@ type WireUnit struct {
 	// asm.Encode. Threads reference it by index, so a population whose
 	// candidates share programs ships each program once.
 	Programs []string `json:"programs"`
-	// Slots are the run configurations to measure.
+	// Slots are the run configurations to measure. The worker picks
+	// its own replay lane width; a "lanes" field older coordinators
+	// send is ignored.
 	Slots []WireRunConfig `json:"slots"`
-	// Lanes is the replay lane width the coordinator was asked for,
-	// forwarded so worker batches take the same pipeline shape.
-	Lanes int `json:"lanes"`
 }
 
 // WireThread mirrors testbed.ThreadSpec with the program indirected
@@ -193,8 +192,8 @@ func Distributable(rc testbed.RunConfig) bool {
 // encodeUnit builds the wire form of one unit from coordinator-side
 // RunConfigs, deduplicating programs by pointer (a GA generation's
 // threads all share per-candidate programs).
-func encodeUnit(id, batch uint64, rcs []testbed.RunConfig, lanes int) (*WireUnit, error) {
-	u := &WireUnit{ID: id, Batch: batch, Lanes: lanes}
+func encodeUnit(id, batch uint64, rcs []testbed.RunConfig) (*WireUnit, error) {
+	u := &WireUnit{ID: id, Batch: batch}
 	progIdx := make(map[*asm.Program]int)
 	for _, rc := range rcs {
 		if !Distributable(rc) {

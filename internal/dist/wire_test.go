@@ -7,9 +7,10 @@ import (
 )
 
 // wireSeeds are units as encodeUnit printed them while a slot could
-// still force the reference loop: shared and per-thread programs,
-// every scalar field set, and one slot that sets the retired field. A
-// coordinator of that version may still send them.
+// still force the reference loop and a unit carried a lane width:
+// shared and per-thread programs, every scalar field set, one slot that
+// sets the retired exact_cycle_loop field, and the retired "lanes" on
+// both. A coordinator of that version may still send them.
 var wireSeeds = []string{
 	`{"id":1,"batch":3,"programs":["QURUMQEAYQAAAAABAAIAqqoAAAAAAABVVQAAAAAAAAEABABsb29wAAAAAAMAAAARAAIAAgEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAFAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAkAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABABsb29w","QURUMQEAYoAAAAAAAAEAAQBsAQAAAAQAAAAQAAEBAAAAAAAA/f////////8AAAAAAAAAAAAADAABAAAAAAABBQAAAAAAAAAAEAAAAAAAAAAAAAUAAQEBAQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAKAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQAAAAEAbA=="],"slots":[{"threads":[{"prog":0,"module":0,"core":0},{"prog":0,"module":1,"core":0},{"prog":1,"module":2,"core":1,"max_instrs":900,"start_skew":7}],"max_cycles":4000,"warmup_cycles":500,"supply_volts":1.1375,"fp_throttle":1,"dither":[{"Core":2,"PeriodCycles":64,"PadCycles":2}]},{"threads":[{"prog":1,"module":0,"core":0}],"max_cycles":3000,"record_waveform":true,"scope_sample_hz":2000000000,"trigger_threshold":1.085}],"lanes":4}`,
 	`{"id":2,"batch":3,"programs":["QURUMQEAYQAAAAABAAIAqqoAAAAAAABVVQAAAAAAAAEABABsb29wAAAAAAMAAAARAAIAAgEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAFAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAkAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABABsb29w"],"slots":[{"threads":[{"prog":0,"module":0,"core":0}],"max_cycles":2000,"warmup_cycles":100,"exact_cycle_loop":true}],"lanes":4}`,
@@ -29,7 +30,7 @@ func FuzzWireUnit(f *testing.F) {
 		}
 		f.Add([]byte(s))
 	}
-	u, err := encodeUnit(7, 1, distSlate(f, 2), 0)
+	u, err := encodeUnit(7, 1, distSlate(f, 2))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func FuzzWireUnit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		u2, err := encodeUnit(u.ID, u.Batch, rcs, u.Lanes)
+		u2, err := encodeUnit(u.ID, u.Batch, rcs)
 		if err != nil {
 			t.Fatalf("accepted unit does not re-encode: %v", err)
 		}

@@ -248,7 +248,7 @@ func (w *Worker) serve(ctx context.Context, wu *WireUnit, ttl time.Duration) {
 		w.heartbeatLoop(uctx, wu.ID, ttl, abandon)
 	}()
 
-	ms, errs := w.cfg.Runner.MeasureBatchContext(uctx, rcs, wu.Lanes, w.cfg.Parallel)
+	ms, errs := w.cfg.Runner.MeasureBatchContext(uctx, rcs, 0, w.cfg.Parallel)
 	lost := uctx.Err() != nil // sample before tearing the context down ourselves
 	abandon()
 	<-hbDone

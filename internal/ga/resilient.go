@@ -85,27 +85,11 @@ func (e *evaluator[G]) worstFitness() float64 {
 	return -math.MaxFloat64
 }
 
-// evaluate scores one genome under the full policy.
+// evaluate scores one genome under the full policy: its first
+// measurement, then the same follow-up a batch-scored candidate gets.
 func (e *evaluator[G]) evaluate(ctx context.Context, g G) (float64, error) {
-	k := e.cfg.Repeats
-	if k <= 1 {
-		// Single-measurement fast path: no sample buffer (this is the
-		// hot default; the GA allocation budget is benchmarked).
-		fit, err := e.attempt(ctx, g)
-		if err != nil {
-			return e.fail(ctx, err)
-		}
-		return fit, nil
-	}
-	samples := make([]float64, 0, k)
-	for rep := 0; rep < k; rep++ {
-		fit, err := e.attempt(ctx, g)
-		if err != nil {
-			return e.fail(ctx, err)
-		}
-		samples = append(samples, fit)
-	}
-	return robustCentre(samples), nil
+	fit, err := e.call(ctx, g)
+	return e.finish(ctx, g, fit, err)
 }
 
 // fail resolves an exhausted attempt: propagate cancellation and
@@ -130,9 +114,7 @@ func (e *evaluator[G]) attempt(ctx context.Context, g G) (float64, error) {
 }
 
 // retryLoop applies the retry/backoff policy to a first measurement
-// outcome, re-running the per-genome eval on transient failures. The
-// first outcome may come from e.call or from a generation-level batch —
-// the policy is identical either way.
+// outcome, re-running the per-genome eval on transient failures.
 func (e *evaluator[G]) retryLoop(ctx context.Context, g G, fit float64, err error) (float64, error) {
 	backoff := e.cfg.RetryBackoff
 	maxBackoff := e.cfg.RetryBackoffCap
@@ -162,12 +144,12 @@ func (e *evaluator[G]) retryLoop(ctx context.Context, g G, fit float64, err erro
 	}
 }
 
-// finish resolves one candidate whose first measurement came from a
-// generation-level batch: retry a failed first attempt under the
-// serial policy, take Repeats-1 further samples when repeated
-// measurement is on, and degrade or propagate exhausted failures —
-// exactly evaluate() with the batch outcome standing in for the first
-// call.
+// finish resolves one candidate from its first measurement, taken by
+// e.call or by a generation-level batch: retry a failed first attempt,
+// take Repeats-1 further samples when repeated measurement is on, and
+// degrade or propagate exhausted failures. With one repeat it keeps no
+// sample buffer (the hot default; the GA allocation budget is
+// benchmarked).
 func (e *evaluator[G]) finish(ctx context.Context, g G, fit float64, err error) (float64, error) {
 	fit, err = e.retryLoop(ctx, g, fit, err)
 	if err != nil {

@@ -49,9 +49,10 @@ type BatchRunner interface {
 	// MeasureBatch measures every config, returning slot-aligned
 	// measurements and errors (exactly one of ms[i], errs[i] is
 	// non-nil). lanes <= 0 selects the lane width automatically from
-	// the batch shape and a per-platform kernel calibration; workers
-	// <= 0 selects GOMAXPROCS. The width never affects results, only
-	// throughput.
+	// the batch shape and a per-platform kernel calibration, and every
+	// production caller passes 0; a fixed width exists so tests can
+	// show the width never affects results, only throughput. workers
+	// <= 0 selects GOMAXPROCS.
 	MeasureBatch(rcs []RunConfig, lanes, workers int) ([]*Measurement, []error)
 }
 
@@ -137,7 +138,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 	n := len(rcs)
 	ms := make([]*Measurement, n)
 	errs := make([]error, n)
-	cp.traces.noteBatchRuns(n)
+	cp.traces.count(func(s *TraceStats) { s.BatchRuns += uint64(n) })
 
 	// Classify each slot. Slots that share a finished-measurement memo
 	// key are evaluated once (dups serve from the memo afterwards);
@@ -185,9 +186,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 		members := groups[key]
 		if tr := cp.traces.get(key); tr != nil {
 			ready[key] = tr
-			for range members[1:] {
-				cp.traces.noteHit()
-			}
+			cp.traces.count(func(s *TraceStats) { s.Hits += uint64(len(members) - 1) })
 		} else {
 			missing = append(missing, key)
 		}
@@ -207,9 +206,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 		readyMu.Lock()
 		ready[key] = tr
 		readyMu.Unlock()
-		for range members[1:] {
-			cp.traces.noteHit()
-		}
+		cp.traces.count(func(s *TraceStats) { s.Hits += uint64(len(members) - 1) })
 	})
 
 	// Stage 2: every ready slot becomes a lane (post-build unsupported
@@ -257,7 +254,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 			return
 		}
 		pass := passes[t]
-		cp.traces.noteLaneBatch(len(pass))
+		cp.traces.count(func(s *TraceStats) { s.LaneBatches++; s.LaneRuns += uint64(len(pass)) })
 		cp.replayPass(pass)
 		for _, ln := range pass {
 			ms[ln.slot] = ln.fold.m

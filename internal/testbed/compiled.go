@@ -51,7 +51,8 @@ type CompiledPlatform struct {
 	storeSalt []byte
 
 	// laneOnce/laneWidth cache the measured best multi-lane kernel
-	// width for `-batch-lanes auto` (see kernelLanes in batch.go).
+	// width, which caps the batch pipeline's automatic lane width (see
+	// kernelLanes in batch.go).
 	laneOnce  sync.Once
 	laneWidth int
 }

@@ -220,10 +220,19 @@ func (cp *CompiledPlatform) newLane(slot int, tr *chipTrace, rc RunConfig, memoK
 // kernels run their scalar code, so a one-lane pass is the serial
 // replay.
 func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
-	defer cp.traces.addReplayNS(time.Now())
 	L := len(lanes)
 	rom := lanes[0].rom
-	cp.traces.noteReplays(L, rom)
+	defer func(start time.Time) {
+		d := uint64(time.Since(start))
+		cp.traces.count(func(s *TraceStats) {
+			s.ReplayNS += d
+			if rom {
+				s.ROMReplays += uint64(L)
+			} else {
+				s.ExactReplays += uint64(L)
+			}
+		})
+	}(time.Now())
 	var pb *pdn.Batch
 	var rb *pdn.ROMBatch
 	if rom {

@@ -110,10 +110,10 @@ func (cp *CompiledPlatform) storeLoad(key string) *chipTrace {
 	}
 	rec, ok := cp.store.Get(cp.storeKeyBytes(key))
 	if !ok {
-		cp.traces.noteStore(false, 0)
+		cp.traces.count(func(s *TraceStats) { s.StoreMisses++ })
 		return nil
 	}
-	cp.traces.noteStore(true, rec.CaptureNS)
+	cp.traces.count(func(s *TraceStats) { s.StoreHits++; s.CaptureNSSaved += rec.CaptureNS })
 	return traceFromRecord(rec)
 }
 
@@ -125,10 +125,10 @@ func (cp *CompiledPlatform) tierLoad(key string) *chipTrace {
 	}
 	rec, wire, ok := cp.tier.Fetch(cp.storeKeyBytes(key))
 	if !ok {
-		cp.traces.noteTier(false, 0, uint64(wire))
+		cp.traces.count(func(s *TraceStats) { s.TierMisses++; s.WireBytes += uint64(wire) })
 		return nil
 	}
-	cp.traces.noteTier(true, rec.CaptureNS, uint64(wire))
+	cp.traces.count(func(s *TraceStats) { s.TierHits++; s.CaptureNSSaved += rec.CaptureNS; s.WireBytes += uint64(wire) })
 	if cp.store != nil {
 		cp.store.Put(cp.storeKeyBytes(key), rec)
 	}
@@ -149,7 +149,7 @@ func (cp *CompiledPlatform) storeSave(key string, tr *chipTrace) {
 	}
 	if cp.tier != nil {
 		wire := cp.tier.Publish(cp.storeKeyBytes(key), rec)
-		cp.traces.noteWire(uint64(wire))
+		cp.traces.count(func(s *TraceStats) { s.WireBytes += uint64(wire) })
 	}
 }
 

@@ -107,7 +107,7 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 		if tr_ != nil {
 			tr_.captureNS = d
 		}
-		cp.traces.noteCapture(d)
+		cp.traces.count(func(s *TraceStats) { s.Captures++; s.CaptureNS += d })
 	}()
 	chip, err := cp.getChip()
 	if err != nil {
@@ -300,23 +300,14 @@ type traceCache struct {
 	results    map[string]Measurement
 	resultFifo []string
 
-	hits, misses, memoHits           uint64
-	batchRuns, laneRuns, laneBatches uint64
-	storeHits, storeMisses           uint64
-	tierHits, tierMisses, wireBytes  uint64
-	captureSavedNS, captures         uint64
-	captureNS, replayNS              uint64
-	romReplays, exactReplays         uint64
+	// st holds the counters; Bytes is filled in by stats.
+	st TraceStats
 }
 
-// noteReplays records n phase-2 replays on the ROM or exact kernel.
-func (tc *traceCache) noteReplays(n int, rom bool) {
+// count applies one counter update under the lock.
+func (tc *traceCache) count(f func(*TraceStats)) {
 	tc.mu.Lock()
-	if rom {
-		tc.romReplays += uint64(n)
-	} else {
-		tc.exactReplays += uint64(n)
-	}
+	f(&tc.st)
 	tc.mu.Unlock()
 }
 
@@ -324,10 +315,10 @@ func (tc *traceCache) get(key string) *chipTrace {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tr, ok := tc.m[key]; ok {
-		tc.hits++
+		tc.st.Hits++
 		return tr
 	}
-	tc.misses++
+	tc.st.Misses++
 	return nil
 }
 
@@ -361,79 +352,6 @@ func (tc *traceCache) put(key string, tr *chipTrace) {
 	tc.used += sz
 }
 
-// noteHit records a cache hit for a batch member that shares a trace
-// another member already looked up (the group does one real get; the
-// siblings would each have hit too).
-func (tc *traceCache) noteHit() {
-	tc.mu.Lock()
-	tc.hits++
-	tc.mu.Unlock()
-}
-
-// noteBatchRuns records n run configs entering the generation pipeline.
-func (tc *traceCache) noteBatchRuns(n int) {
-	tc.mu.Lock()
-	tc.batchRuns += uint64(n)
-	tc.mu.Unlock()
-}
-
-// noteLaneBatch records one multi-lane kernel pass replaying n lanes.
-func (tc *traceCache) noteLaneBatch(n int) {
-	tc.mu.Lock()
-	tc.laneBatches++
-	tc.laneRuns += uint64(n)
-	tc.mu.Unlock()
-}
-
-// noteStore records one persistent-store lookup; a hit saves the
-// record's original capture cost.
-func (tc *traceCache) noteStore(hit bool, savedNS uint64) {
-	tc.mu.Lock()
-	if hit {
-		tc.storeHits++
-		tc.captureSavedNS += savedNS
-	} else {
-		tc.storeMisses++
-	}
-	tc.mu.Unlock()
-}
-
-// noteTier records one shared-tier lookup and its wire traffic.
-func (tc *traceCache) noteTier(hit bool, savedNS, wire uint64) {
-	tc.mu.Lock()
-	if hit {
-		tc.tierHits++
-		tc.captureSavedNS += savedNS
-	} else {
-		tc.tierMisses++
-	}
-	tc.wireBytes += wire
-	tc.mu.Unlock()
-}
-
-// noteWire charges tier publish traffic.
-func (tc *traceCache) noteWire(wire uint64) {
-	tc.mu.Lock()
-	tc.wireBytes += wire
-	tc.mu.Unlock()
-}
-
-// noteCapture charges one phase-1 capture of duration d.
-func (tc *traceCache) noteCapture(d uint64) {
-	tc.mu.Lock()
-	tc.captures++
-	tc.captureNS += d
-	tc.mu.Unlock()
-}
-
-// addReplayNS charges elapsed time since start to phase-2 replay.
-func (tc *traceCache) addReplayNS(start time.Time) {
-	d := uint64(time.Since(start).Nanoseconds())
-	tc.mu.Lock()
-	tc.replayNS += d
-	tc.mu.Unlock()
-}
-
 // getResult looks up a memoized finished measurement. A hit counts as
 // a cache hit (the run was served from cache, just further along the
 // pipeline than a trace hit). Measurement holds no reference types
@@ -443,8 +361,8 @@ func (tc *traceCache) getResult(key string) (Measurement, bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if m, ok := tc.results[key]; ok {
-		tc.hits++
-		tc.memoHits++
+		tc.st.Hits++
+		tc.st.MemoHits++
 		return m, true
 	}
 	return Measurement{}, false
@@ -470,14 +388,9 @@ func (tc *traceCache) putResult(key string, m Measurement) {
 func (tc *traceCache) stats() TraceStats {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	return TraceStats{Hits: tc.hits, Misses: tc.misses, MemoHits: tc.memoHits,
-		BatchRuns: tc.batchRuns, LaneRuns: tc.laneRuns, LaneBatches: tc.laneBatches,
-		ROMReplays: tc.romReplays, ExactReplays: tc.exactReplays,
-		StoreHits: tc.storeHits, StoreMisses: tc.storeMisses,
-		TierHits: tc.tierHits, TierMisses: tc.tierMisses,
-		WireBytes: tc.wireBytes, CaptureNSSaved: tc.captureSavedNS,
-		Captures:  tc.captures,
-		CaptureNS: tc.captureNS, ReplayNS: tc.replayNS, Bytes: tc.used}
+	s := tc.st
+	s.Bytes = tc.used
+	return s
 }
 
 func (tc *traceCache) clear() {

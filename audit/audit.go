@@ -238,12 +238,15 @@ var LoadStressmark = core.LoadStressmark
 // SearchCheckpoint is a mid-search snapshot written each generation
 // when Options.CheckpointPath is set; LoadSearchCheckpoint reads one
 // back for Options.Resume. IsSearchCheckpoint sniffs whether a JSON
-// blob is a search checkpoint (vs a saved stressmark).
+// blob is a search checkpoint (vs a saved stressmark). Precheck makes
+// the refusals Generate (hetero false) or GenerateHetero (hetero true)
+// would make before any work, a damaged Resume checkpoint among them.
 type SearchCheckpoint = core.SearchCheckpoint
 
 var (
 	LoadSearchCheckpoint = core.LoadSearchCheckpoint
 	IsSearchCheckpoint   = core.IsSearchCheckpoint
+	Precheck             = core.Precheck
 )
 
 // WriteFileAtomic writes a file via temp-and-rename so crashes never

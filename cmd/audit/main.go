@@ -294,6 +294,24 @@ func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
 		}
 	}
 
+	var resumed string
+	if c.resume != "" {
+		if resumed, err = loadResume(c.resume, &opts); err != nil {
+			return err
+		}
+	}
+	// A refused search prints nothing: refuse it before the first line.
+	if c.hetero && c.corpusAdd != "" {
+		return fmt.Errorf("-corpus-add records homogeneous stressmarks only (not -hetero)")
+	}
+	if c.hetero && opts.LoopCycles == 0 && opts.Resume == nil {
+		return fmt.Errorf("-hetero needs an explicit -loop (run cmd/resonance first)")
+	}
+	if err := audit.Precheck(opts, c.hetero); err != nil {
+		return err
+	}
+	fmt.Fprint(stdout, resumed)
+
 	var co *coordinator
 	if c.listen != "" {
 		if co, err = listen(c, plat, stderr); err != nil {
@@ -301,12 +319,6 @@ func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
 		}
 		defer co.srv.Close()
 		opts.WrapRunner = func(r audit.Runner) audit.Runner { return co.wrap(ctx, r) }
-	}
-
-	if c.resume != "" {
-		if err := loadResume(c.resume, &opts, stdout); err != nil {
-			return err
-		}
 	}
 
 	var injector *audit.FaultInjector
@@ -327,9 +339,6 @@ func search(ctx context.Context, c cliOptions, stdout, stderr io.Writer) error {
 	}
 
 	if c.hetero {
-		if c.corpusAdd != "" {
-			return fmt.Errorf("-corpus-add records homogeneous stressmarks only (not -hetero)")
-		}
 		return runHetero(ctx, c, plat, opts, &injector, stdout, stderr)
 	}
 
@@ -491,9 +500,6 @@ func wireBytes(n uint64) string {
 // runHetero is search for -hetero; injector is set once the search
 // wraps its runner with -faults.
 func runHetero(ctx context.Context, c cliOptions, plat audit.Platform, opts audit.Options, injector **audit.FaultInjector, stdout, stderr io.Writer) error {
-	if opts.LoopCycles == 0 && opts.Resume == nil {
-		return fmt.Errorf("-hetero needs an explicit -loop (run cmd/resonance first)")
-	}
 	fmt.Fprintf(stdout, "generating heterogeneous %s stressmark for %s (%dT)...\n",
 		c.mode, plat.Chip.Name, c.threads)
 	start := time.Now()
@@ -563,32 +569,31 @@ func depositCorpus(c cliOptions, plat audit.Platform, sm *audit.Stressmark, stdo
 // loadResume points opts at a previous run's state. Both artifact kinds
 // are accepted: a -checkpoint file resumes the search losslessly
 // mid-flight; a -save file seeds a fresh search with the old
-// population (the pre-checkpoint behaviour).
-func loadResume(path string, opts *audit.Options, stdout io.Writer) error {
+// population (the pre-checkpoint behaviour). It returns the line that
+// announces the resume, for search to print once nothing refuses it.
+func loadResume(path string, opts *audit.Options) (string, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return "", err
 	}
 	if audit.IsSearchCheckpoint(blob) {
 		ck, err := audit.LoadSearchCheckpoint(bytes.NewReader(blob))
 		if err != nil {
-			return err
+			return "", err
 		}
 		opts.Resume = ck
-		fmt.Fprintf(stdout, "resuming search from %s (generation %d)\n", path, searchGen(ck))
-		return nil
+		return fmt.Sprintf("resuming search from %s (generation %d)\n", path, searchGen(ck)), nil
 	}
 	prev, pop, err := audit.LoadStressmark(bytes.NewReader(blob))
 	if err != nil {
-		return err
+		return "", err
 	}
 	opts.SeedGenomes = pop
 	if opts.LoopCycles == 0 {
 		opts.LoopCycles = prev.LoopCycles
 	}
-	fmt.Fprintf(stdout, "seeding from %s: %d genomes, previous best %.1f mV\n",
-		path, len(pop), prev.DroopV*1e3)
-	return nil
+	return fmt.Sprintf("seeding from %s: %d genomes, previous best %.1f mV\n",
+		path, len(pop), prev.DroopV*1e3), nil
 }
 
 // searchGen peeks the generation counter out of the opaque GA state.

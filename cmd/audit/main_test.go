@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -153,6 +156,8 @@ func TestExitCodes(t *testing.T) {
 		{"rom-tol worker", []string{"-worker", "-coordinator", "http://127.0.0.1:1", "-rom-tol", "-1"}, 1, compileErr},
 		{"rom-tol listen", with("-listen", "127.0.0.1:0", "-rom-tol", "-1"), 1, compileErr},
 		{"unknown platform", with("-platform", "sandy-bridge"), 1, `unknown platform "sandy-bridge"`},
+		{"hetero without loop", []string{"-hetero", "-threads", "8", "-faults", "0.2"}, 1, "-hetero needs an explicit -loop"},
+		{"hetero excitation", with("-hetero", "-mode", "excitation", "-faults", "0.2"), 1, "resonance mode only"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out, errs := runAudit(t, tc.args...)
@@ -162,13 +167,96 @@ func TestExitCodes(t *testing.T) {
 			if !strings.Contains(errs, tc.stderr) {
 				t.Errorf("stderr lacks %q:\n%s", tc.stderr, errs)
 			}
-			// Refused flags and bad fault rates stop before the search
-			// prints anything; a bad tolerance is refused when the
-			// platform compiles, after the opening line.
-			if tc.code == 2 || strings.HasPrefix(tc.name, "faults") {
+			// Refused flags, bad fault rates and refused hetero searches
+			// stop before the search prints anything; a bad tolerance is
+			// refused when the platform compiles, after the opening line.
+			if tc.code == 2 || strings.HasPrefix(tc.name, "faults") || strings.HasPrefix(tc.name, "hetero") {
 				if out != "" {
 					t.Errorf("refused run printed search output:\n%s", out)
 				}
+			}
+		})
+	}
+}
+
+// TestDamagedCheckpointRefused resumes checkpoints of a small search
+// that were cut or reshaped by hand. Each must be refused before the
+// search prints anything: exit 1, one line on stderr, empty stdout.
+func TestDamagedCheckpointRefused(t *testing.T) {
+	base := []string{"-pop", "6", "-loop", "36", "-seed", "3"}
+	checkpoint := func(hetero bool) map[string]any {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "ck.json")
+		args := append(append([]string(nil), base...), "-gens", "2", "-checkpoint", path)
+		if hetero {
+			args = append(args, "-hetero")
+		}
+		if code, _, errs := runAudit(t, args...); code != 0 {
+			t.Fatalf("checkpointed search exit %d:\n%s", code, errs)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ck map[string]any
+		if err := json.Unmarshal(blob, &ck); err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	homo, hetero := checkpoint(false), checkpoint(true)
+	member := func(ga map[string]any) map[string]any {
+		return ga["population"].([]any)[0].(map[string]any)
+	}
+	for _, tc := range []struct {
+		name   string
+		hetero bool
+		damage func(ga map[string]any)
+		stderr string
+	}{
+		{"population of one", false, func(ga map[string]any) {
+			ga["population"] = ga["population"].([]any)[:1]
+			ga["fitnesses"] = ga["fitnesses"].([]any)[:1]
+		}, "checkpoint has 1 genomes and 1 fitnesses; this search breeds 6"},
+		{"population without fitnesses", false, func(ga map[string]any) {
+			ga["fitnesses"] = []any{}
+		}, "checkpoint has 6 genomes and 0 fitnesses"},
+		{"short genome", false, func(ga map[string]any) {
+			slots := member(ga)["Slots"].([]any)
+			member(ga)["Slots"] = slots[:len(slots)/2]
+		}, "genome 0 does not have the shape"},
+		{"no sub-block", false, func(ga map[string]any) {
+			ga["best"].(map[string]any)["S"] = 0
+		}, "best genome does not have the shape"},
+		{"hetero member without threads", true, func(ga map[string]any) {
+			member(ga)["PerThread"] = []any{}
+		}, "genome 0 does not have the shape"},
+		{"hetero member short of threads", true, func(ga map[string]any) {
+			member(ga)["PerThread"] = member(ga)["PerThread"].([]any)[:1]
+		}, "genome 0 does not have the shape"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := homo
+			if tc.hetero {
+				src = hetero
+			}
+			var ck map[string]any // a deep copy of src to damage
+			blob, _ := json.Marshal(src)
+			json.Unmarshal(blob, &ck)
+			tc.damage(ck["ga"].(map[string]any))
+			blob, _ = json.Marshal(ck)
+			path := filepath.Join(t.TempDir(), "damaged.json")
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args := append(append([]string(nil), base...), "-gens", "4", "-resume", path)
+			if tc.hetero {
+				args = append(args, "-hetero")
+			}
+			code, out, errs := runAudit(t, args...)
+			if code != 1 || out != "" || !strings.Contains(errs, tc.stderr) || strings.Count(errs, "\n") != 1 {
+				t.Errorf("exit %d, want 1 with %q as the one line on stderr and no stdout\nstdout:\n%s\nstderr:\n%s",
+					code, tc.stderr, out, errs)
 			}
 		})
 	}

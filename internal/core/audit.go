@@ -232,6 +232,53 @@ type setup struct {
 // prepare is the set-up both search fronts share. A heterogeneous
 // search refuses to sweep and supports resonance mode only.
 func prepare[G any](opt Options, hetero bool) (*setup, *ga.Checkpoint[G], error) {
+	su, resume, err := identify[G](opt, hetero)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Compile the platform once: the resonance sweep and every fitness
+	// call reuse the factored PDN system and pooled chip state instead
+	// of rebuilding them per run.
+	if su.cp, err = su.opt.Platform.Compile(); err != nil {
+		return nil, nil, err
+	}
+	if err := applyTraceOptions(su.cp, su.opt); err != nil {
+		return nil, nil, err
+	}
+	if su.loop == 0 {
+		sweep := ResonanceSweep{Platform: su.opt.Platform, Runner: su.cp, Threads: su.opt.Threads}
+		pts, best, err := sweep.Run(16, 64, 4)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: resonance sweep: %w", err)
+		}
+		su.sweep, su.loop = pts, best.LoopCycles
+	}
+	if err := su.split(); err != nil {
+		return nil, nil, err
+	}
+	return su, resume, nil
+}
+
+// Precheck makes the refusals Generate (hetero false) or GenerateHetero
+// (hetero true) makes before any work: a heterogeneous search without
+// LoopCycles or outside resonance mode, and a Resume checkpoint from
+// another kind of search or format version, or with a population the
+// search could not have written. A caller that prints before searching
+// runs it first, so that a refused search prints nothing.
+func Precheck(opt Options, hetero bool) error {
+	var err error
+	if hetero {
+		_, _, err = identify[HeteroGenome](opt, hetero)
+	} else {
+		_, _, err = identify[Genome](opt, hetero)
+	}
+	return err
+}
+
+// identify fills in opt's defaults and the identity a Resume envelope
+// pins, makes the refusals that need no platform, and, when resuming,
+// splits the loop and checks the population against it.
+func identify[G any](opt Options, hetero bool) (*setup, *ga.Checkpoint[G], error) {
 	opt.fillDefaults()
 	var resume *ga.Checkpoint[G]
 	if opt.Resume != nil {
@@ -253,32 +300,35 @@ func prepare[G any](opt Options, hetero bool) (*setup, *ga.Checkpoint[G], error)
 	if hetero && opt.Mode != Resonance {
 		return nil, nil, fmt.Errorf("core: heterogeneous generation supports resonance mode only")
 	}
-
-	// Compile the platform once: the resonance sweep and every fitness
-	// call reuse the factored PDN system and pooled chip state instead
-	// of rebuilding them per run.
-	cp, err := opt.Platform.Compile()
-	if err != nil {
+	su := &setup{opt: opt, hetero: hetero, loop: opt.LoopCycles}
+	if resume == nil {
+		return su, nil, nil
+	}
+	if err := su.split(); err != nil {
 		return nil, nil, err
 	}
-	if err := applyTraceOptions(cp, opt); err != nil {
-		return nil, nil, err
+	if err := resume.Fits(opt.GA); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	su := &setup{opt: opt, hetero: hetero, cp: cp, loop: opt.LoopCycles}
-	if su.loop == 0 {
-		sweep := ResonanceSweep{Platform: opt.Platform, Runner: cp, Threads: opt.Threads}
-		pts, best, err := sweep.Run(16, 64, 4)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: resonance sweep: %w", err)
+	for i, g := range resume.Population {
+		if !su.fits(g) {
+			return nil, nil, fmt.Errorf("core: resume: checkpoint genome %d does not have the shape this search builds", i)
 		}
-		su.sweep, su.loop = pts, best.LoopCycles
 	}
+	if !su.fits(resume.Best) {
+		return nil, nil, fmt.Errorf("core: resume: checkpoint's best genome does not have the shape this search builds")
+	}
+	return su, resume, nil
+}
 
+// split divides su.loop into the mode's regions, S sub-blocks of K
+// cycles plus LP cycles, and builds the code generator.
+func (su *setup) split() error {
 	// Region split. Resonance: HP = half the loop. Excitation: the
 	// pattern repeats every 6 resonance periods — far enough below the
 	// resonance that droops cannot build — with a 2-period HP burst.
 	var hp, lp, totalLoop int
-	switch opt.Mode {
+	switch su.opt.Mode {
 	case Resonance:
 		totalLoop = su.loop
 		hp = su.loop / 2
@@ -290,9 +340,9 @@ func prepare[G any](opt Options, hetero bool) (*setup, *ga.Checkpoint[G], error)
 		hp = su.loop * 2
 		lp = totalLoop - hp - 1
 	default:
-		return nil, nil, fmt.Errorf("core: unknown mode %d", opt.Mode)
+		return fmt.Errorf("core: unknown mode %d", su.opt.Mode)
 	}
-	k := opt.SubBlockCycles
+	k := su.opt.SubBlockCycles
 	if k > hp {
 		k = hp
 	}
@@ -303,15 +353,34 @@ func prepare[G any](opt Options, hetero bool) (*setup, *ga.Checkpoint[G], error)
 	su.k, su.s, su.lp = k, s, lp+hp-s*k
 
 	su.cg = &CodeGen{
-		Opcodes:   opt.Opcodes,
-		Width:     opt.Platform.Chip.DecodeWidth,
+		Opcodes:   su.opt.Opcodes,
+		Width:     su.opt.Platform.Chip.DecodeWidth,
 		LoopIters: 1 << 40,
 		MemBytes:  4096,
 	}
-	if err := su.cg.Validate(); err != nil {
-		return nil, nil, err
+	return su.cg.Validate()
+}
+
+// fits reports whether g, a Genome or a HeteroGenome, has the shape
+// this search builds: a sub-block of K cycles of slots, at least one
+// sub-block and no negative LP region, and, heterogeneous, one such
+// genome for every thread.
+func (su *setup) fits(g any) bool {
+	switch g := g.(type) {
+	case Genome:
+		return len(g.Slots) == su.k*su.cg.Width && g.S >= 1 && g.LPCycles >= 0
+	case HeteroGenome:
+		if len(g.PerThread) != su.opt.Threads {
+			return false
+		}
+		for _, t := range g.PerThread {
+			if !su.fits(t) {
+				return false
+			}
+		}
+		return true
 	}
-	return su, resume, nil
+	return false
 }
 
 // evolve is the GA loop both search fronts share: it wraps the

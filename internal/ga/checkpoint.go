@@ -87,12 +87,21 @@ func snapshot[G any](gen, stagnant int, pop []scored[G], res *Result[G], cache m
 	return ck
 }
 
-// restore rebuilds the search state from a checkpoint: population,
-// result counters, fitness cache, and the RNG position.
-func restore[G any](ck *Checkpoint[G], res *Result[G], cache map[string]float64, src *countingSource) ([]scored[G], int, int, error) {
-	if len(ck.Population) == 0 || len(ck.Population) != len(ck.Fitnesses) {
-		return nil, 0, 0, fmt.Errorf("ga: resume: malformed checkpoint population (%d genomes, %d fitnesses)",
-			len(ck.Population), len(ck.Fitnesses))
+// Fits reports why ck cannot resume a search of cfg, or nil: its
+// population must be the PopSize scored genomes the search breeds from.
+func (ck *Checkpoint[G]) Fits(cfg Config) error {
+	if len(ck.Population) != cfg.PopSize || len(ck.Fitnesses) != cfg.PopSize {
+		return fmt.Errorf("ga: resume: checkpoint has %d genomes and %d fitnesses; this search breeds %d",
+			len(ck.Population), len(ck.Fitnesses), cfg.PopSize)
+	}
+	return nil
+}
+
+// restore rebuilds the search state from a checkpoint that Fits cfg:
+// population, result counters, fitness cache, and the RNG position.
+func restore[G any](ck *Checkpoint[G], cfg Config, res *Result[G], cache map[string]float64, src *countingSource) ([]scored[G], int, int, error) {
+	if err := ck.Fits(cfg); err != nil {
+		return nil, 0, 0, err
 	}
 	pop := make([]scored[G], len(ck.Population))
 	for i := range ck.Population {

@@ -137,9 +137,19 @@ func TestCheckpointSinkErrorAborts(t *testing.T) {
 }
 
 func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
-	bad := &Checkpoint[bits]{Population: make([]bits, 3), Fitnesses: make([]float64, 2)}
-	if _, err := RunCheckpointed(context.Background(), defaultCfg(), bitOps(8), nil, onemax, bad, nil); err == nil {
-		t.Fatal("malformed checkpoint accepted")
+	// The search breeds from a resumed population of exactly PopSize
+	// scored genomes: any other is refused, not bred from.
+	cfg := defaultCfg()
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range [][2]int{{3, 2}, {1, 1}, {cfg.PopSize - 1, cfg.PopSize - 1}, {cfg.PopSize + 1, cfg.PopSize + 1}} {
+		bad := &Checkpoint[bits]{Population: make([]bits, n[0]), Fitnesses: make([]float64, n[1])}
+		for i := range bad.Population {
+			bad.Population[i] = bitOps(8).Random(rng)
+		}
+		bad.Best = bad.Population[0]
+		if _, err := RunCheckpointed(context.Background(), cfg, bitOps(8), nil, onemax, bad, nil); err == nil {
+			t.Errorf("a checkpoint of %d genomes and %d fitnesses resumed a search of %d", n[0], n[1], cfg.PopSize)
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ func TestBatchUsesTier(t *testing.T) {
 // the v1 magic plus arbitrary bytes: no v1 writer survives). The store
 // no longer reads v1, so each is a miss — in Decode, in Get, and for
 // PutRaw — and the directory is a cold start: the trace is recaptured,
-// stored as v2, and the measurement is DeepEqual to the original. The
+// stored as v3, and the measurement is DeepEqual to the original. The
 // run after that is warm again.
 func TestCrossVersionWarmStart(t *testing.T) {
 	p := Bulldozer()
@@ -236,8 +236,8 @@ func TestCrossVersionWarmStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(blob, []byte("AUDTRC2\n")) {
-			t.Errorf("%s was not rewritten as v2", filepath.Base(path))
+		if !bytes.HasPrefix(blob, []byte("AUDTRC3\n")) {
+			t.Errorf("%s was not rewritten as v3", filepath.Base(path))
 		}
 	}
 	run("rewarmed", 1, 0)

@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
@@ -17,8 +16,9 @@ import (
 
 // shapeRecords enumerates every Record shape the codec must carry
 // exactly: empty, unsupported, aperiodic, adversarial float patterns
-// (NaN payloads, infinities, negative zero, denormals) and issue words
-// exercising every varint width.
+// (NaN payloads, infinities, negative zero, denormals), extreme issue
+// words, and loops: a constant (a zero-width table index), a lag
+// shorter than its copy runs, and a perturbed loop.
 // Mismatched Energy/Issues lengths are not a shape but a corruption
 // (mismatchedRecords).
 func shapeRecords() map[string]*Record {
@@ -47,19 +47,57 @@ func shapeRecords() map[string]*Record {
 			Issues:    []uint64{1, 1},
 			CaptureNS: 123_456_789_012,
 		},
-		"full": sampleRecord(257, 42),
+		"full":      sampleRecord(257, 42),
+		"constant":  loopRecord(300, 1, 1, 0),
+		"short-lag": loopRecord(200, 3, 3, 41),
+		"loop":      loopRecord(3000, 97, 12, 250),
 	}
 	shapes["full"].CaptureNS = 9999
 	return shapes
 }
 
-// aperiodicRecord is the shape most search traces take: 23k cycles
-// with no period, where the per-cycle energy follows a random walk of
-// per-unit issue counts. Half the cycles repeat their predecessor
-// (a zero XOR), most others reuse the previous ~55-bit XOR window,
-// and now and then supply noise opens a fresh one — the mix real
-// search records show — and its blob (58 KiB) sits at the large end
-// of theirs.
+// loopRecord is the shape v3 is built for: n cycles of a loop body of
+// the given period over an alphabet of pairs, every perturb-th cycle
+// (none if 0) swapped for a pair outside the loop. Cycles then repeat
+// the cycle one period back, in copy runs both shorter and longer than
+// the period, between short literal runs.
+func loopRecord(n, period, alphabet, perturb int) *Record {
+	rec := &Record{Energy: make([]float64, n), Issues: make([]uint64, n), Done: true}
+	for i := range rec.Energy {
+		a := i % period * 7 % alphabet
+		if perturb > 0 && i%perturb == perturb-1 {
+			a = alphabet + i%3
+		}
+		rec.Energy[i] = 1500 + 37.25*float64(a)
+		rec.Issues[i] = uint64(a%4+1) * 0x0001_0101
+	}
+	return rec
+}
+
+// searchRecord mimics the records a search stores (22k cycles, a table
+// of about 500 pairs, four cycles in five equal to the one 612 back, in
+// some 3,500 runs), for the benchmarks.
+func searchRecord() *Record {
+	const n, period = 22_000, 612
+	rec := &Record{Energy: make([]float64, n), Issues: make([]uint64, n), Done: true, EndRetired: 61_234}
+	s := uint64(0x9e3779b97f4a7c15)
+	for i := range rec.Energy {
+		s = s*6364136223846793005 + 1442695040888963407 // 64-bit LCG
+		if i >= period && s>>40%5 != 0 {
+			rec.Energy[i], rec.Issues[i] = rec.Energy[i-period], rec.Issues[i-period]
+			continue
+		}
+		p := s >> 20 % 500
+		rec.Energy[i], rec.Issues[i] = 1500+0.375*float64(p), p*0x0101
+	}
+	return rec
+}
+
+// aperiodicRecord is a trace with no period at all: 23k cycles whose
+// per-cycle energy follows a random walk of per-unit issue counts, with
+// supply noise off the grid now and then. Its table holds 4,436 pairs
+// and most of its cycles are literals, so its blob (98 KiB) is five
+// times a search record's.
 func aperiodicRecord() *Record {
 	const n = 23_000
 	rec := &Record{
@@ -111,15 +149,18 @@ func recordsIdentical(t *testing.T, name string, got, want *Record) {
 	}
 }
 
-func TestV2RoundTripAllShapes(t *testing.T) {
-	for name, want := range shapeRecords() {
+func TestV3RoundTripAllShapes(t *testing.T) {
+	shapes := shapeRecords()
+	shapes["aperiodic-walk"] = aperiodicRecord()
+	shapes["search"] = searchRecord()
+	for name, want := range shapes {
 		blob := Encode(want)
-		if !bytes.HasPrefix(blob, []byte(magic2)) {
-			t.Fatalf("%s: Encode did not emit a v2 record", name)
+		if !bytes.HasPrefix(blob, []byte(magic3)) {
+			t.Fatalf("%s: Encode did not emit a v3 record", name)
 		}
 		got, ok := Decode(blob)
-		if !ok {
-			t.Fatalf("%s: v2 blob failed to decode", name)
+		if !ok || !valid(blob) {
+			t.Fatalf("%s: v3 blob failed to decode", name)
 		}
 		recordsIdentical(t, name, got, want)
 		// Determinism: same record, same bytes.
@@ -129,27 +170,31 @@ func TestV2RoundTripAllShapes(t *testing.T) {
 	}
 }
 
-// encodeGolden pins the v2 format: the length and FNV-1a hash of
-// Encode's output for every shape, recorded from the bit-at-a-time
-// codec the word-level one replaced. Stores on disk and the /v1/trace
+// encodeGolden pins the v3 format: the length and FNV-1a hash of
+// Encode's output for every shape. Stores on disk and the /v1/trace
 // wire depend on these bytes never moving.
 var encodeGolden = map[string]struct {
 	n    int
 	hash uint64
 }{
-	"aperiodic":      {52, 0x6d5b8fc38d0f089d},
-	"aperiodic-walk": {59479, 0x596ea912b676e2d0},
-	"capture-ns":     {42, 0xe4855ced37d4b756},
-	"empty":          {25, 0x9f8edd176d1fbbc8},
-	"float-zoo":      {80, 0x97ff01a0abb35096},
-	"full":           {275, 0x046ee014ab9de0f2},
-	"single-cycle":   {34, 0xf65dbb6ce331287e},
-	"unsupported":    {26, 0x35bf8f6e987c6f7d},
+	"aperiodic":      {113, 0xcde6256cd95d4c5a},
+	"aperiodic-walk": {99922, 0x9f43ce6d5c83e01f},
+	"capture-ns":     {52, 0x7a5ff91c60cd8bdd},
+	"constant":       {49, 0x643ef80c2553f54b},
+	"empty":          {30, 0x0447810039ca22a3},
+	"float-zoo":      {198, 0xec2a48669ae65c1f},
+	"full":           {4437, 0xc6f2dfeb1930ebc5},
+	"loop":           {390, 0x3085531c7a2a2540},
+	"search":         {19712, 0x1c080ccc2286ee00},
+	"short-lag":      {145, 0x647ee71b42a4bd19},
+	"single-cycle":   {47, 0x49b711d996f11e9c},
+	"unsupported":    {30, 0x5dca07174a90f89c},
 }
 
 func TestEncodeGolden(t *testing.T) {
 	shapes := shapeRecords()
 	shapes["aperiodic-walk"] = aperiodicRecord()
+	shapes["search"] = searchRecord()
 	if len(shapes) != len(encodeGolden) {
 		t.Fatalf("%d shapes but %d goldens: pin every shape", len(shapes), len(encodeGolden))
 	}
@@ -172,116 +217,29 @@ func TestEncodeGolden(t *testing.T) {
 	}
 }
 
-// TestEnergyXORMatchesReference holds the word-level bit codec to the
-// bit-at-a-time reference on every shape's energy stream and on XOR
-// windows of every width, 57–64 bits included (a read of one starts
-// mid-byte and takes a ninth byte), and on truncations into the tail.
-func TestEnergyXORMatchesReference(t *testing.T) {
-	streams := map[string][]float64{"aperiodic-walk": aperiodicRecord().Energy}
-	for name, rec := range shapeRecords() {
-		streams[name] = rec.Energy
-	}
-	for w := 1; w <= 64; w++ {
-		// Alternate a value with one differing in a w-bit window placed
-		// at every offset, so each width is written fresh and reused.
-		var vals []float64
-		for tz := 0; tz+w <= 64; tz += 7 {
-			x := (uint64(1)<<(w-1) | 1) << tz
-			vals = append(vals, 1.5, math.Float64frombits(math.Float64bits(1.5)^x))
+// TestEncodeChoosesLag checks the lag vote on records whose best lag is
+// known: a loop's period, up to maxLag, and not a multiple of it; and
+// no lag where nothing repeats within maxLag, or where a literal costs
+// no bits.
+func TestEncodeChoosesLag(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rec  *Record
+		lag  int
+	}{
+		{"loop", loopRecord(3000, 97, 12, 250), 97},
+		{"short-lag", loopRecord(200, 3, 3, 41), 3},
+		{"period-4096", loopRecord(3*maxLag, maxLag, maxLag+3, 0), maxLag},
+		{"period-past-maxLag", loopRecord(3*maxLag, maxLag+1, maxLag+3, 0), 0},
+		{"no-repeats", sampleRecord(500, 1), 0},
+		{"constant", loopRecord(300, 1, 1, 0), 0}, // one pair: a literal costs no bits
+	} {
+		var f frame
+		if !f.parse(Encode(c.rec)) {
+			t.Fatalf("%s: blob does not parse", c.name)
 		}
-		streams[fmt.Sprintf("window-%d", w)] = vals
-	}
-	for name, vals := range streams {
-		got, want := appendEnergyXOR(nil, vals), refAppendEnergyXOR(nil, vals)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: word-level encoding differs from the reference", name)
-		}
-		checkDecodeEnergy(t, name, want, len(vals))
-		// Every truncation fails exactly where the reference does.
-		for cut := len(want) - 1; cut >= 0 && cut >= len(want)-24; cut-- {
-			checkDecodeEnergy(t, name, want[:cut], len(vals))
-		}
-	}
-}
-
-// checkDecodeEnergy compares decodeEnergyXOR with the reference on
-// one input: the same values, the same tail and the same verdict.
-func checkDecodeEnergy(t *testing.T, name string, p []byte, n int) {
-	t.Helper()
-	wantVals, wantTail, wantOK := refDecodeEnergyXOR(p, n)
-	vals := make([]float64, n)
-	tail, ok := decodeEnergyXOR(p, vals)
-	if ok != wantOK {
-		t.Fatalf("%s: decoding %d bytes as %d values: ok %v, reference %v", name, len(p), n, ok, wantOK)
-	}
-	if !ok {
-		return
-	}
-	if !bytes.Equal(tail, wantTail) || len(tail) != len(wantTail) {
-		t.Fatalf("%s: tail of %d bytes, reference %d", name, len(tail), len(wantTail))
-	}
-	for i := range vals {
-		if math.Float64bits(vals[i]) != math.Float64bits(wantVals[i]) {
-			t.Fatalf("%s: value %d is %#x, reference %#x", name, i,
-				math.Float64bits(vals[i]), math.Float64bits(wantVals[i]))
-		}
-	}
-}
-
-// TestDecodeIssuesMatchesUvarint holds the branch-free varint path to
-// binary.Uvarint: on deltas of every varint length, on non-minimal and
-// overlong encodings, and on every prefix of random byte strings.
-func TestDecodeIssuesMatchesUvarint(t *testing.T) {
-	ref := func(p []byte, n int) ([]uint64, []byte, bool) {
-		out, prev := make([]uint64, n), uint64(0)
-		for i := range out {
-			v, k := binary.Uvarint(p)
-			if k <= 0 {
-				return nil, nil, false
-			}
-			prev ^= v
-			out[i], p = prev, p[k:]
-		}
-		return out, p, true
-	}
-	check := func(p []byte, n int) {
-		t.Helper()
-		want, wantTail, wantOK := ref(p, n)
-		got := make([]uint64, n)
-		tail, ok := decodeIssues(p, got)
-		if ok != wantOK || ok && (!bytes.Equal(tail, wantTail) || len(tail) != len(wantTail)) {
-			t.Fatalf("% x as %d words: ok %v tail %d, Uvarint says ok %v tail %d", p, n, ok, len(tail), wantOK, len(wantTail))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("% x: word %d is %#x, Uvarint says %#x", p, i, got[i], want[i])
-			}
-		}
-	}
-	var p []byte
-	for shift := 0; shift < 64; shift++ {
-		p = binary.AppendUvarint(p, 1<<shift)
-		p = binary.AppendUvarint(p, 1<<shift-1)
-	}
-	p = append(p, 0x80, 0x00, 0xff, 0x80, 0x00) // non-minimal zero and 127
-	check(p, 130)
-	check(append(p, make([]byte, 8)...), 130)
-	overflow := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0}
-	check(overflow, 1)
-	s := uint64(1)
-	for range 2000 {
-		b := make([]byte, 24)
-		for i := range b {
-			s = s*6364136223846793005 + 1442695040888963407
-			b[i] = byte(s >> 56)
-			if s>>40&3 == 0 {
-				b[i] &= 0x7f // end varints often enough to decode several
-			}
-		}
-		for cut := range len(b) + 1 {
-			for n := 0; n <= 4; n++ {
-				check(b[:cut], n)
-			}
+		if f.lag != c.lag {
+			t.Errorf("%s: lag %d, want %d", c.name, f.lag, c.lag)
 		}
 	}
 }
@@ -293,56 +251,36 @@ const v1Magic = "AUDTRC1\n"
 
 // legacyBlob fabricates a file an older binary could have left: the v1
 // magic, body, and a checksum that holds, so nothing but the magic
-// tells it from a v2 record.
+// tells it from a v3 record.
 func legacyBlob(body []byte) []byte {
 	blob := append([]byte(v1Magic), body...)
 	return appendU64(blob, fnv1a(blob))
 }
 
-// TestV1RecordIsAMiss: the v1 format is no longer read, so a store an
-// older binary left is a cold start. Each v1 file is a miss in Decode,
-// a miss in Get (which unlinks it) and refused by PutRaw; the
-// recaptured record is then stored, and served, as v2.
-func TestV1RecordIsAMiss(t *testing.T) {
-	want := sampleRecord(64, 5)
-	v2 := Encode(want)
-	for name, blob := range map[string][]byte{
-		"arbitrary":        append([]byte(v1Magic), bytes.Repeat([]byte{0xa5}, 300)...),
-		"v2-body-v1-magic": legacyBlob(v2[len(magic2) : len(v2)-8]),
-	} {
-		if _, ok := Decode(blob); ok {
-			t.Errorf("%s: Decode accepted a v1 blob", name)
-		}
-		s, err := Open(t.TempDir(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := []byte("old key")
-		p := s.path(key)
-		if err := os.WriteFile(p, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := s.Get(key); ok {
-			t.Errorf("%s: v1 file on disk served as a hit", name)
-		}
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("%s: Get left the v1 file on disk (stat: %v)", name, err)
-		}
-		if err := s.PutRaw(Addr(key), blob); err == nil {
-			t.Errorf("%s: PutRaw stored a v1 blob", name)
-		}
-		if err := s.Put(key, want); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := s.Get(key)
-		if !ok {
-			t.Fatalf("%s: miss after the recapture's Put", name)
-		}
-		recordsIdentical(t, name, got, want)
-		if disk, err := os.ReadFile(p); err != nil || !bytes.Equal(disk, v2) {
-			t.Fatalf("%s: recaptured record not stored as v2 (err %v)", name, err)
-		}
-	}
+// v2RecordHex holds the v2 records (magic "AUDTRC2\n", a DEFLATE
+// stream over XOR-compressed energies and varint issue deltas, an
+// FNV-1a trailer) the previous encoder wrote for shapeRecords' shapes.
+var v2RecordHex = map[string]string{
+	"aperiodic": "415544545243320a6264c00b5859edbf405889faff3fcc64b0513bc0c6c0c8c0" +
+		"d6ded0d0d0a000080000ffffc5ad577e54728ca3",
+	"capture-ns": "415544545243320a62606098b2e5c997d3cc0cb8011393fd0728939101100000" +
+		"ffffa05c721681c5b30d",
+	"empty": "415544545243320a62200400010000ffff07d217ce65e8a432",
+	"float-zoo": "415544545243320a62c00f787961ac03ec8cf5ff1dd8f81f3099afcedf7d8021" +
+		"8181f7d5ed771f1838ff3f00cb33354015eefffd1f0c96ff83d02ffe1f008bb3" +
+		"a0180c080000ffff9d24cf5941daff4e",
+	"full": "415544545243320a626460e8f7d3d2d6d1d5d33730644003750c0c8d4c8d4c0e" +
+		"ae10ee03fe1db6f313f61d3c74fcd0c173878f1d3cf45afe1b6bc3831b72b20d" +
+		"0f22ec581b1edf90e36d7810510716ab85883d8488fd4356f795ffff11fd03b6" +
+		"7db18fea742c377ee77e23a353a323f3c6264746efe2fe830905376ccad859db" +
+		"0f2614dfb0316367ed0789d81dfc9f6021c6df986051c6de9c602166df986061" +
+		"c6de0e11b3fc061693078bf523ab138fb47fc3744086ed800ddf0119a603354c" +
+		"0764e40ed8b081d87f20e27630713e88f8c13f68eaeb50d5cba1a93f8cae1ecd" +
+		"fc7f84ccb783ab6f008105ac8ccc8cec8ccc8cfc505a1e8d6f4f40be9e42fdff" +
+		"1907da01cc80000000ffff65945bfc0c28b9fc",
+	"single-cycle": "415544545243320a62c00f1819eb3f4058ff618011100000ffff0d4546eeea8c" +
+		"fcc5",
+	"unsupported": "415544545243320a6266200000010000ffff0dee86fc8cff5622",
 }
 
 // periodicRecordHex holds v2 records that stored one verified period
@@ -372,10 +310,10 @@ var periodicRecordHex = map[string]string{
 		"ffff2da1287e368fa67f",
 }
 
-// periodicBlobs decodes periodicRecordHex.
-func periodicBlobs(t testing.TB) map[string][]byte {
+// hexBlobs decodes a map of hex blobs.
+func hexBlobs(t testing.TB, hexes map[string]string) map[string][]byte {
 	blobs := map[string][]byte{}
-	for name, h := range periodicRecordHex {
+	for name, h := range hexes {
 		b, err := hex.DecodeString(h)
 		if err != nil {
 			t.Fatal(err)
@@ -385,97 +323,115 @@ func periodicBlobs(t testing.TB) map[string][]byte {
 	return blobs
 }
 
-// headerWith returns a v2 blob of the "aperiodic" shape whose payload
-// header varint i (0 is the flags word) is ORed with v.
-func headerWith(i int, v uint64) []byte {
-	p := encodePayload(nil, shapeRecords()["aperiodic"])
-	var b []byte
-	for k := range headerFields {
-		x, n := binary.Uvarint(p)
-		p = p[n:]
-		if k == i {
-			x |= v
+// checkLegacyIsAMiss holds a blob of a retired format to the store's
+// contract for one: a miss in Decode, refused by PutRaw, a miss in Get
+// and in GetRaw, which unlink it, and the recaptured record is then
+// stored and served as v3.
+func checkLegacyIsAMiss(t *testing.T, name string, blob []byte) {
+	t.Helper()
+	if _, ok := Decode(blob); ok {
+		t.Errorf("%s: Decode accepted a retired format", name)
+	}
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("old key")
+	if err := s.PutRaw(Addr(key), blob); err == nil {
+		t.Errorf("%s: PutRaw stored a retired format", name)
+	}
+	p := s.path(key)
+	for _, get := range []func() bool{
+		func() bool { _, ok := s.Get(key); return ok },
+		func() bool { _, ok := s.GetRaw(Addr(key)); return ok },
+	} {
+		if err := os.WriteFile(p, blob, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		b = binary.AppendUvarint(b, x)
-	}
-	return v2Frame(deflate(append(b, p...)))
-}
-
-// periodicSlots are the payload header varints that described a
-// periodic record: head and period lengths, the reference and
-// per-period stats blocks, and the reference and per-period retired
-// counts (see headerFields).
-func periodicSlots() []int {
-	slots := []int{1, 2}
-	for k := range 2 * statsWords {
-		slots = append(slots, 4+statsWords+k)
-	}
-	return append(slots, 4+3*statsWords+1, 4+3*statsWords+2)
-}
-
-// TestPeriodicRecordIsAMiss: a record holding one period instead of
-// the whole run cannot be replayed, so it reads as a miss and is
-// recaptured. Every such record an older encoder wrote, and any blob
-// that sets flag bit 2 or one of the periodic header fields, is a miss
-// in Decode, refused by PutRaw, and a miss in Get and GetRaw, which
-// unlink it; the recaptured record is then stored and served.
-func TestPeriodicRecordIsAMiss(t *testing.T) {
-	blobs := periodicBlobs(t)
-	blobs["flag-bit-2"] = headerWith(0, periodicFlag)
-	for _, i := range periodicSlots() {
-		blobs[fmt.Sprintf("header-field-%d", i)] = headerWith(i, 1)
-	}
-	// The live fields beside them still decode: capture time, the end
-	// stats block and the end retired count.
-	for _, i := range []int{3, 4, 4 + statsWords - 1, 4 + 3*statsWords} {
-		if _, ok := Decode(headerWith(i, 1)); !ok {
-			t.Fatalf("live header field %d refused", i)
+		if get() {
+			t.Errorf("%s: retired format on disk served as a hit", name)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s: the miss left the file on disk (stat: %v)", name, err)
 		}
 	}
 	want := sampleRecord(64, 5)
-	for name, blob := range blobs {
-		if _, ok := Decode(blob); ok {
-			t.Errorf("%s: Decode accepted a periodic record", name)
-		}
-		s, err := Open(t.TempDir(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := []byte("periodic key")
-		if err := s.PutRaw(Addr(key), blob); err == nil {
-			t.Errorf("%s: PutRaw stored a periodic record", name)
-		}
-		p := s.path(key)
-		for _, get := range []func() bool{
-			func() bool { _, ok := s.Get(key); return ok },
-			func() bool { _, ok := s.GetRaw(Addr(key)); return ok },
-		} {
-			if err := os.WriteFile(p, blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if get() {
-				t.Errorf("%s: periodic record on disk served as a hit", name)
-			}
-			if _, err := os.Stat(p); !os.IsNotExist(err) {
-				t.Errorf("%s: the miss left the periodic record on disk (stat: %v)", name, err)
-			}
-		}
-		if err := s.Put(key, want); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := s.Get(key)
-		if !ok {
-			t.Fatalf("%s: miss after the recapture's Put", name)
-		}
-		recordsIdentical(t, name, got, want)
+	if err := s.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(key)
+	if !ok {
+		t.Fatalf("%s: miss after the recapture's Put", name)
+	}
+	recordsIdentical(t, name, got, want)
+	if disk, err := os.ReadFile(p); err != nil || !bytes.Equal(disk, Encode(want)) {
+		t.Fatalf("%s: recaptured record not stored as v3 (err %v)", name, err)
 	}
 }
 
-// TestV2CorruptionIsAMiss hammers a v2 blob: every bit flip and every
-// truncation length must decode as a miss, never a wrong record or a
-// panic, and a Store must unlink the damaged file.
-func TestV2CorruptionIsAMiss(t *testing.T) {
-	rec := sampleRecord(48, 3)
+// TestV1RecordIsAMiss: the v1 format is no longer read, so a store an
+// older binary left is a cold start.
+func TestV1RecordIsAMiss(t *testing.T) {
+	v3 := Encode(sampleRecord(64, 5))
+	checkLegacyIsAMiss(t, "arbitrary", append([]byte(v1Magic), bytes.Repeat([]byte{0xa5}, 300)...))
+	checkLegacyIsAMiss(t, "v3-body-v1-magic", legacyBlob(v3[len(magic3):len(v3)-8]))
+}
+
+// TestV2RecordIsAMiss: nor is v2, so a store the previous binary left
+// is a cold start too, whose records are recaptured as v3.
+func TestV2RecordIsAMiss(t *testing.T) {
+	blobs := hexBlobs(t, v2RecordHex)
+	if len(blobs) != 7 {
+		t.Fatalf("%d v2 records, want 7", len(blobs))
+	}
+	for name, blob := range blobs {
+		checkLegacyIsAMiss(t, name, blob)
+	}
+}
+
+// TestPeriodicRecordIsAMiss: a record holding one period instead of
+// the whole run cannot be replayed; every such record an older encoder
+// wrote reads as a miss and is recaptured.
+func TestPeriodicRecordIsAMiss(t *testing.T) {
+	for name, blob := range hexBlobs(t, periodicRecordHex) {
+		checkLegacyIsAMiss(t, name, blob)
+	}
+}
+
+// reframe returns blob with its checksum recomputed, so a change to its
+// body reaches the structural checks.
+func reframe(blob []byte) []byte {
+	if len(blob) < 8 {
+		return blob
+	}
+	body := append([]byte(nil), blob[:len(blob)-8]...)
+	return appendU64(body, fnv1a(body))
+}
+
+// checkAccepted holds a blob Decode accepts to what replay needs:
+// Energy and Issues equally long, and a record that survives
+// re-encoding unchanged.
+func checkAccepted(t *testing.T, rec *Record) {
+	t.Helper()
+	if len(rec.Energy) != len(rec.Issues) {
+		t.Fatalf("accepted %d energy values with %d issue words", len(rec.Energy), len(rec.Issues))
+	}
+	again, ok := Decode(Encode(rec))
+	if !ok {
+		t.Fatal("re-encoded record failed to decode")
+	}
+	if !recordsEqual(again, rec) || again.CaptureNS != rec.CaptureNS {
+		t.Fatal("record changed across Encode/Decode")
+	}
+}
+
+// TestV3CorruptionIsAMiss hammers a v3 blob: every bit flip and every
+// truncation must decode as a miss, never a wrong record or a panic,
+// and a Store must unlink the damaged file. Every byte changed behind
+// a recomputed checksum must still never panic, and what it decodes to
+// must be replayable.
+func TestV3CorruptionIsAMiss(t *testing.T) {
+	rec := loopRecord(600, 37, 9, 50)
 	pristine := Encode(rec)
 	for i := 0; i < len(pristine)*8; i++ {
 		blob := append([]byte(nil), pristine...)
@@ -487,6 +443,20 @@ func TestV2CorruptionIsAMiss(t *testing.T) {
 	for n := 0; n < len(pristine); n++ {
 		if _, ok := Decode(pristine[:n]); ok {
 			t.Fatalf("truncation to %d bytes decoded", n)
+		}
+	}
+	for i := len(magic3); i < len(pristine)-8; i++ {
+		for _, x := range []byte{0x01, 0x80, 0xff} {
+			blob := append([]byte(nil), pristine...)
+			blob[i] ^= x
+			blob = reframe(blob)
+			got, ok := Decode(blob)
+			if ok != valid(blob) {
+				t.Fatalf("byte %d ^ %#x: Decode says %v, valid %v", i, x, ok, !ok)
+			}
+			if ok {
+				checkAccepted(t, got)
+			}
 		}
 	}
 
@@ -503,10 +473,86 @@ func TestV2CorruptionIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(key); ok {
-		t.Fatal("truncated v2 record served as a hit")
+		t.Fatal("truncated v3 record served as a hit")
 	}
 	if _, err := os.Stat(p); err == nil {
-		t.Fatal("truncated v2 record left on disk")
+		t.Fatal("truncated v3 record left on disk")
+	}
+}
+
+// blobV3 assembles a v3 blob, checksum included, from a header and the
+// sections after it, with every other header field zero.
+func blobV3(flags, n, k, lag uint64, table []uint64, runs []uint64, lits []byte) []byte {
+	b := binary.AppendUvarint([]byte(magic3), flags)
+	for range 1 + statsWords + 1 {
+		b = append(b, 0)
+	}
+	for _, v := range []uint64{n, k, lag} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, v := range table {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	for _, v := range runs {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = append(b, lits...)
+	return appendU64(b, fnv1a(b))
+}
+
+// TestDecodeRefusesMalformed breaks each structural rule of a small,
+// well-formed v3 blob behind a valid checksum: Decode and valid refuse
+// every one without panicking.
+func TestDecodeRefusesMalformed(t *testing.T) {
+	// Three pairs (2-bit literals) and cycles 0 1 | 0 1 0 | 2: two
+	// literals, a copy of three at lag 2, and a literal.
+	table := []uint64{
+		math.Float64bits(1.5), 7,
+		math.Float64bits(-0.0), 8,
+		math.Float64bits(math.Inf(1)), 9,
+	}
+	lits := []byte{0b10_01_00}
+	good := blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, lits)
+	rec, ok := Decode(good)
+	if !ok {
+		t.Fatal("the well-formed blob does not decode")
+	}
+	want := []uint64{7, 8, 7, 8, 7, 9}
+	for i, q := range rec.Issues {
+		if q != want[i] || math.Float64bits(rec.Energy[i]) != table[2*(q-7)] {
+			t.Fatalf("cycle %d decoded to (%v, %d), want pair %d", i, rec.Energy[i], q, want[i]-7)
+		}
+	}
+	header := good[:len(good)-8-3*pairBytes-4]
+	for name, blob := range map[string][]byte{
+		"unknown flag":             blobV3(4, 6, 3, 2, table, []uint64{2, 3, 1}, lits),
+		"cycles past MaxCycles":    blobV3(0, MaxCycles+1, 3, 2, table, []uint64{2, 3, MaxCycles - 4}, lits),
+		"more pairs than cycles":   blobV3(0, 2, 3, 0, table, []uint64{2}, lits[:1]),
+		"cycles with no pairs":     blobV3(0, 6, 0, 0, nil, []uint64{6}, nil),
+		"pairs with no cycles":     blobV3(0, 0, 1, 0, table[:2], nil, nil),
+		"lag past maxLag":          blobV3(0, 6, 3, maxLag+1, table, []uint64{2, 3, 1}, lits),
+		"table past the blob":      blobV3(0, 6, 3, 2, table[:4], nil, nil),
+		"runs short of n":          blobV3(0, 6, 3, 2, table, []uint64{2, 3}, []byte{0b01_00}),
+		"runs past n":              blobV3(0, 6, 3, 2, table, []uint64{2, 3, 2}, []byte{0b10_10_01_00}),
+		"empty run":                blobV3(0, 6, 3, 2, table, []uint64{2, 0, 4}, []byte{0b0, 0b0}),
+		"copy before cycle 0":      blobV3(0, 6, 3, 3, table, []uint64{2, 3, 1}, lits),
+		"copy with no lag":         blobV3(0, 6, 3, 0, table, []uint64{2, 3, 1}, lits),
+		"lag with no copy":         blobV3(0, 2, 2, 1, table[:4], []uint64{2}, []byte{0b10}),
+		"literal past the table":   blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, []byte{0b11_01_00}),
+		"literals short":           blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, nil),
+		"literals long":            blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, []byte{0b10_01_00, 0}),
+		"nonzero padding":          blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, []byte{0b1_10_01_00}),
+		"truncated header":         appendU64(append([]byte(nil), header[:12]...), fnv1a(header[:12])),
+		"no checksum":              good[:len(good)-8],
+		"mismatched record":        Encode(mismatchedRecords()["issues-missing"]),
+		"mismatched, empty energy": Encode(&Record{Issues: []uint64{1, 2}}),
+	} {
+		if _, ok := Decode(blob); ok {
+			t.Errorf("%s: Decode accepted it", name)
+		}
+		if valid(blob) {
+			t.Errorf("%s: valid accepted it", name)
+		}
 	}
 }
 
@@ -573,27 +619,27 @@ func TestRawBlobAPI(t *testing.T) {
 	}
 }
 
-// TestV2CompressionOnPeriodicTrace checks the codec pulls its weight on
+// TestV3CompressionOnPeriodicTrace checks the codec pulls its weight on
 // the workload it was built for: a long repetitive per-cycle stream,
 // the shape a steady stressmark loop's trace takes. The ≥4× acceptance
 // bar on real corpus traces lives in the root ratio test; this is the
 // unit-level floor.
-func TestV2CompressionOnPeriodicTrace(t *testing.T) {
+func TestV3CompressionOnPeriodicTrace(t *testing.T) {
 	const n = 4096
 	rec := &Record{Energy: make([]float64, n), Issues: make([]uint64, n), Done: true}
 	for i := range rec.Energy {
 		rec.Energy[i] = 2.5 + 0.25*float64(i%17)
 		rec.Issues[i] = uint64(0b1011 << (i % 3))
 	}
-	v2 := len(Encode(rec))
-	flat := 16 * n // the flat 16 B/cycle encoding v2 replaced
-	if ratio := float64(flat) / float64(v2); ratio < 4 {
-		t.Errorf("v2 compression ratio %.2f× on periodic trace (flat=%dB v2=%dB), want ≥4×",
-			ratio, flat, v2)
+	v3 := len(Encode(rec))
+	flat := 16 * n // the flat 16 B/cycle encoding v1 stored
+	if ratio := float64(flat) / float64(v3); ratio < 4 {
+		t.Errorf("v3 compression ratio %.2f× on periodic trace (flat=%dB v3=%dB), want ≥4×",
+			ratio, flat, v3)
 	}
 }
 
-func BenchmarkTraceEncodeV2(b *testing.B) {
+func BenchmarkTraceEncodeV3(b *testing.B) {
 	const n = 65536
 	rec := &Record{Energy: make([]float64, n), Issues: make([]uint64, n), Done: true}
 	for i := range rec.Energy {
@@ -613,10 +659,10 @@ func BenchmarkTraceEncodeV2(b *testing.B) {
 	b.ReportMetric(float64(16*n)/float64(len(blob)), "ratio")
 }
 
-// BenchmarkTraceDecodeV2 times the warm read path: one stored search
+// BenchmarkTraceDecodeV3 times the warm read path: one stored search
 // trace decoded into a fresh record, as a store or tier hit does.
-func BenchmarkTraceDecodeV2(b *testing.B) {
-	rec := aperiodicRecord()
+func BenchmarkTraceDecodeV3(b *testing.B) {
+	rec := searchRecord()
 	blob := Encode(rec)
 	b.SetBytes(int64(16 * len(rec.Energy))) // record bytes produced per op
 	b.ReportAllocs()
@@ -629,32 +675,19 @@ func BenchmarkTraceDecodeV2(b *testing.B) {
 }
 
 // TestDecodeAllocs pins the steady-state cost of a decode at the
-// record and its two arrays, with the DEFLATE reader and payload
-// buffer coming from the pool; a validate-only decode adds nothing.
-// compress/flate itself allocates overflow tables for each dynamic
-// block whose codes exceed 9 bits — about 50 per call on the walk
-// record, none on the small shapes — so that share is measured by
-// inflating the same stream alone and not counted.
+// record and its two arrays, and of a validation at nothing: both read
+// the table and literals in place.
 func TestDecodeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a share of Puts under the race detector")
-	}
 	shapes := shapeRecords()
 	shapes["aperiodic-walk"] = aperiodicRecord()
-	src := bytes.NewReader(nil)
-	zr := flate.NewReader(src)
+	shapes["search"] = searchRecord()
 	for name, rec := range shapes {
 		blob := Encode(rec)
-		inflate := testing.AllocsPerRun(20, func() {
-			src.Reset(blob[len(magic2) : len(blob)-8])
-			zr.(flate.Resetter).Reset(src, nil)
-			io.Copy(io.Discard, zr)
-		})
-		if n := testing.AllocsPerRun(20, func() { Decode(blob) }) - inflate; n > 4 {
-			t.Errorf("%s: Decode makes %.1f allocations per call beyond inflating, want ≤ 4", name, n)
+		if n := testing.AllocsPerRun(20, func() { Decode(blob) }); n > 3 {
+			t.Errorf("%s: Decode makes %.1f allocations per call, want ≤ 3", name, n)
 		}
-		if n := testing.AllocsPerRun(20, func() { valid(blob) }) - inflate; n > 0 {
-			t.Errorf("%s: valid makes %.1f allocations per call beyond inflating, want 0", name, n)
+		if n := testing.AllocsPerRun(20, func() { valid(blob) }); n > 0 {
+			t.Errorf("%s: valid makes %.1f allocations per call, want 0", name, n)
 		}
 	}
 }
@@ -668,11 +701,12 @@ func deflateBomb(mib int) []byte {
 	zw, _ := flate.NewWriter(&chunk, flate.BestCompression)
 	zw.Write(make([]byte, 1<<20))
 	zw.Flush()
-	var z []byte
+	blob := []byte("AUDTRC2\n")
 	for range mib {
-		z = append(z, chunk.Bytes()...)
+		blob = append(blob, chunk.Bytes()...)
 	}
-	return v2Frame(append(z, 0x03, 0x00)) // and a final empty block
+	blob = append(blob, 0x03, 0x00) // and a final empty block
+	return appendU64(blob, fnv1a(blob))
 }
 
 // allocatedBy reports the bytes f allocates.
@@ -684,42 +718,44 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestDeflateBombIsABoundedMiss: a 1 MiB blob inflating to 1 GiB,
-// uploaded or dropped into a store directory, must read as a miss
-// without the decoder allocating anywhere near the inflated size — nor
-// even maxPayloadBytes, the most any payload may need.
+// TestDeflateBombIsABoundedMiss: a v2 blob of 1 MiB inflating to 1
+// GiB, uploaded or dropped into a store directory by an older binary,
+// reads as a miss without being inflated; a v3 header that declares
+// MaxCycles cycles its runs do not cover is refused before the arrays
+// are allocated; and a file longer than any record is refused unread.
 func TestDeflateBombIsABoundedMiss(t *testing.T) {
 	small := deflateBomb(2)
-	zr := flate.NewReader(bytes.NewReader(small[len(magic2) : len(small)-8]))
+	zr := flate.NewReader(bytes.NewReader(small[8 : len(small)-8]))
 	if n, err := io.Copy(io.Discard, zr); err != nil || n != 2<<20 {
 		t.Fatalf("bomb construction: inflates to %d bytes (%v), want %d", n, err, 2<<20)
 	}
-
 	bomb := deflateBomb(1024)
-	var ok bool
-	if n := allocatedBy(func() { _, ok = Decode(bomb) }); ok || n >= maxPayloadBytes {
-		t.Fatalf("Decode of a %d-byte bomb: ok=%v after allocating %d bytes, want a miss under %d",
-			len(bomb), ok, n, maxPayloadBytes)
-	}
-
+	short := blobV3(0, MaxCycles, 1, 1, []uint64{0, 0}, []uint64{1, MaxCycles - 2}, nil)
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := Addr([]byte("bomb"))
-	var perr error
-	if n := allocatedBy(func() { perr = s.PutRaw(addr, bomb) }); perr == nil || n >= maxPayloadBytes {
-		t.Fatalf("PutRaw of a bomb: err=%v after allocating %d bytes", perr, n)
-	}
 	p := s.addrPath(addr)
-	if err := os.WriteFile(p, bomb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n := allocatedBy(func() { _, ok = s.GetRaw(addr) }); ok || n >= maxPayloadBytes {
-		t.Fatalf("GetRaw of a bomb on disk: ok=%v after allocating %d bytes", ok, n)
-	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatal("bomb left on disk after reading as corrupt")
+	for name, blob := range map[string][]byte{"deflate bomb": bomb, "short runs": short} {
+		var ok bool
+		if n := allocatedBy(func() { _, ok = Decode(blob) }); ok || n >= 1<<20 {
+			t.Fatalf("%s: Decode of %d bytes: ok=%v after allocating %d bytes", name, len(blob), ok, n)
+		}
+		var perr error
+		if n := allocatedBy(func() { perr = s.PutRaw(addr, blob) }); perr == nil || n >= 1<<20 {
+			t.Fatalf("%s: PutRaw: err=%v after allocating %d bytes", name, perr, n)
+		}
+		if err := os.WriteFile(p, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// GetRaw reads the file whole, and no more.
+		if n := allocatedBy(func() { _, ok = s.GetRaw(addr) }); ok || n >= uint64(len(blob))+1<<20 {
+			t.Fatalf("%s: GetRaw on disk: ok=%v after allocating %d bytes", name, ok, n)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s: left on disk after reading as corrupt", name)
+		}
 	}
 
 	// A file longer than any record is refused unread.
@@ -731,6 +767,7 @@ func TestDeflateBombIsABoundedMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	var ok bool
 	if n := allocatedBy(func() { _, ok = s.GetRaw(addr) }); ok || n >= 1<<20 {
 		t.Fatalf("GetRaw of an oversize file: ok=%v after allocating %d bytes", ok, n)
 	}
@@ -739,207 +776,47 @@ func TestDeflateBombIsABoundedMiss(t *testing.T) {
 	}
 }
 
+// blobBound is the longest blob Encode emits for a record of n cycles:
+// one with n distinct pairs (see MaxBlobBytes).
+func blobBound(n int) int {
+	return len(magic3) + headerFields*binary.MaxVarintLen64 + pairBytes*n +
+		binary.MaxVarintLen64 + (int(indexBits(uint64(n)))*n+7)/8 + 8
+}
+
 // TestBoundsDeriveFromMaxCycles ties the decoder's limits to the
-// largest legal trace: maxPayloadBytes is payloadBound(MaxCycles), a
-// worst-case record fits payloadBound and the blob margin MaxBlobBytes
-// allows, and a record of MaxCycles+1 cycles is refused.
+// largest legal trace: MaxBlobBytes is blobBound(MaxCycles), a
+// worst-case record of n distinct pairs fits blobBound(n), and a
+// header of MaxCycles+1 cycles is refused, as is a Put of that many.
 func TestBoundsDeriveFromMaxCycles(t *testing.T) {
-	if payloadBound(MaxCycles) != maxPayloadBytes {
-		t.Fatalf("payloadBound(MaxCycles) = %d, maxPayloadBytes = %d", payloadBound(MaxCycles), maxPayloadBytes)
+	if blobBound(MaxCycles) != MaxBlobBytes {
+		t.Fatalf("blobBound(MaxCycles) = %d, MaxBlobBytes = %d", blobBound(MaxCycles), MaxBlobBytes)
 	}
-	// The worst case: XORs alternate between windows neither of which
-	// fits the other, so every value opens a fresh 63-bit one (76 bits
-	// in all), and every issue delta has its top bit set (10 varint
-	// bytes). payloadBound allows 77 bits, so it is tight to n/8 bytes.
+	if indexBits(MaxCycles) != maxIndexBits || bits.Len(MaxCycles-1) != maxIndexBits {
+		t.Fatalf("maxIndexBits %d, but a table of MaxCycles pairs needs %d-bit literals", maxIndexBits, indexBits(MaxCycles))
+	}
+	// The worst case: every cycle a new pair. The bound is tight to the
+	// header's and the run length's unused varint bytes.
 	const n = 1 << 14
 	rec := &Record{Energy: make([]float64, n), Issues: make([]uint64, n)}
-	x, e, q := uint64(1), uint64(0), uint64(0)
 	for i := range rec.Energy {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		window := uint64(1<<63 | 2) // leading zeros 0, trailing 1
-		if i%2 == 1 {
-			window = 1<<62 | 1 // leading zeros 1, trailing 0
-		}
-		e ^= x&^(1<<63|1) | window
-		q ^= x | 1<<63
-		rec.Energy[i], rec.Issues[i] = math.Float64frombits(e), q
+		rec.Energy[i], rec.Issues[i] = float64(i), math.MaxUint64-uint64(i)
 	}
-	payload := encodePayload(nil, rec)
-	if bound := payloadBound(n); uint64(len(payload)) > bound || bound-uint64(len(payload)) > headerFields*binary.MaxVarintLen64+n/8 {
-		t.Fatalf("worst-case payload of %d bytes against payloadBound %d", len(payload), bound)
+	if blob := Encode(rec); len(blob) > blobBound(n) || blobBound(n)-len(blob) > (headerFields+1)*binary.MaxVarintLen64 {
+		t.Fatalf("worst-case blob of %d bytes against blobBound %d", len(blob), blobBound(n))
 	}
-	if blob := Encode(rec); len(blob) > len(magic2)+len(payload)+len(payload)/1024+64+8 {
-		t.Fatalf("DEFLATE grew a %d-byte payload to a %d-byte blob, past MaxBlobBytes' margin", len(payload), len(blob))
+	// Repeats only shorten it.
+	for i := 0; i < n; i += 3 {
+		rec.Energy[i], rec.Issues[i] = 0, math.MaxUint64
+	}
+	if blob := Encode(rec); len(blob) > blobBound(n) {
+		t.Fatalf("blob of %d bytes past blobBound %d", len(blob), blobBound(n))
 	}
 
-	var header []byte
-	for range headerFields - 2 {
-		header = binary.AppendUvarint(header, 0)
-	}
-	header = binary.AppendUvarint(header, MaxCycles+1)
-	header = binary.AppendUvarint(header, MaxCycles+1)
-	if _, ok := Decode(v2Frame(deflate(header))); ok {
+	if _, ok := Decode(blobV3(0, MaxCycles+1, 1, 0, []uint64{0, 0}, []uint64{MaxCycles + 1}, nil)); ok {
 		t.Fatal("a header of MaxCycles+1 cycles decoded")
 	}
 	long := &Record{Energy: make([]float64, MaxCycles+1), Issues: make([]uint64, MaxCycles+1)}
 	if err := (&Store{}).Put([]byte("k"), long); err == nil {
 		t.Fatal("Put accepted a record of MaxCycles+1 cycles")
 	}
-}
-
-// deflate compresses p as Encode does.
-func deflate(p []byte) []byte {
-	var z bytes.Buffer
-	zw, _ := flate.NewWriter(&z, flate.DefaultCompression)
-	zw.Write(p)
-	zw.Close()
-	return z.Bytes()
-}
-
-// v2Frame wraps a DEFLATE stream in the v2 magic and checksum.
-func v2Frame(z []byte) []byte {
-	blob := append([]byte(magic2), z...)
-	return appendU64(blob, fnv1a(blob))
-}
-
-// The reference codec: the bit-at-a-time encoder and decoder the
-// word-level ones replaced, kept verbatim as the oracle the goldens,
-// TestEnergyXORMatchesReference and FuzzEnergyXOR hold them to.
-
-func refAppendEnergyXOR(b []byte, vals []float64) []byte {
-	w := refBitWriter{buf: b}
-	if len(vals) == 0 {
-		return w.buf
-	}
-	prev := math.Float64bits(vals[0])
-	w.writeBits(prev, 64)
-	prevLZ, prevTZ := -1, -1
-	for _, v := range vals[1:] {
-		cur := math.Float64bits(v)
-		x := cur ^ prev
-		prev = cur
-		if x == 0 {
-			w.writeBits(0, 1)
-			continue
-		}
-		w.writeBits(1, 1)
-		lz := bits.LeadingZeros64(x)
-		if lz > 31 {
-			lz = 31 // 5-bit header field
-		}
-		tz := bits.TrailingZeros64(x)
-		if prevLZ >= 0 && lz >= prevLZ && tz >= prevTZ {
-			w.writeBits(0, 1)
-			w.writeBits(x>>uint(prevTZ), uint(64-prevLZ-prevTZ))
-			continue
-		}
-		mlen := 64 - lz - tz
-		w.writeBits(1, 1)
-		w.writeBits(uint64(lz), 5)
-		w.writeBits(uint64(mlen-1), 6)
-		w.writeBits(x>>uint(tz), uint(mlen))
-		prevLZ, prevTZ = lz, tz
-	}
-	w.align()
-	return w.buf
-}
-
-func refDecodeEnergyXOR(p []byte, n int) ([]float64, []byte, bool) {
-	vals := make([]float64, n)
-	if n == 0 {
-		return vals, p, true
-	}
-	r := refBitReader{buf: p}
-	prev, ok := r.readBits(64)
-	if !ok {
-		return nil, nil, false
-	}
-	vals[0] = math.Float64frombits(prev)
-	prevLZ, prevTZ := -1, -1
-	for i := 1; i < n; i++ {
-		ctrl, ok := r.readBits(1)
-		if !ok {
-			return nil, nil, false
-		}
-		if ctrl == 0 {
-			vals[i] = math.Float64frombits(prev)
-			continue
-		}
-		fresh, ok := r.readBits(1)
-		if !ok {
-			return nil, nil, false
-		}
-		lz, tz := prevLZ, prevTZ
-		if fresh == 1 {
-			h1, ok1 := r.readBits(5)
-			h2, ok2 := r.readBits(6)
-			if !ok1 || !ok2 {
-				return nil, nil, false
-			}
-			lz = int(h1)
-			tz = 64 - lz - (int(h2) + 1)
-		}
-		if lz < 0 || tz < 0 || 64-lz-tz <= 0 {
-			return nil, nil, false
-		}
-		m, ok := r.readBits(uint(64 - lz - tz))
-		if !ok {
-			return nil, nil, false
-		}
-		prev ^= m << uint(tz)
-		vals[i] = math.Float64frombits(prev)
-		prevLZ, prevTZ = lz, tz
-	}
-	return vals, r.buf[r.pos:], true
-}
-
-type refBitWriter struct {
-	buf   []byte
-	cur   uint8
-	nbits uint
-}
-
-func (w *refBitWriter) writeBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.cur = w.cur<<1 | uint8((v>>uint(i))&1)
-		w.nbits++
-		if w.nbits == 8 {
-			w.buf = append(w.buf, w.cur)
-			w.cur, w.nbits = 0, 0
-		}
-	}
-}
-
-func (w *refBitWriter) align() {
-	if w.nbits > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.nbits))
-		w.cur, w.nbits = 0, 0
-	}
-}
-
-type refBitReader struct {
-	buf   []byte
-	pos   int
-	cur   uint8
-	nbits uint
-}
-
-func (r *refBitReader) readBits(n uint) (uint64, bool) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		if r.nbits == 0 {
-			if r.pos >= len(r.buf) {
-				return 0, false
-			}
-			r.cur = r.buf[r.pos]
-			r.pos++
-			r.nbits = 8
-		}
-		v = v<<1 | uint64(r.cur>>7)
-		r.cur <<= 1
-		r.nbits--
-	}
-	return v, true
 }

@@ -2,114 +2,127 @@ package tracestore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"testing"
 )
 
 // FuzzDecode feeds arbitrary bytes to the record decoder — the bytes a
-// store file or a /v1/trace upload can hold. Decode must never panic,
-// and whatever it accepts must be replayable and canonical: Energy and
-// Issues equally long, a whole-run record (no periodic flag, every
-// periodic header field zero), and a v2 re-encoding that decodes to the
-// identical record.
+// store file or a /v1/trace upload can hold — as they come and with
+// their checksum recomputed, so that mutations reach the structural
+// checks. Decode must never panic and must agree with valid; it may
+// allocate a margin on the blob's length, plus the arrays (16 bytes a
+// cycle) only for a blob whose frame passes every check that sizes
+// them. Whatever it accepts must be replayable and canonical: Energy
+// and Issues equally long, and a record that re-encodes to a blob
+// decoding to the identical record.
 func FuzzDecode(f *testing.F) {
 	for _, rec := range shapeRecords() {
 		blob := Encode(rec)
 		f.Add(blob)
-		f.Add(legacyBlob(blob[len(magic2) : len(blob)-8]))
+		f.Add(legacyBlob(blob[len(magic3) : len(blob)-8]))
+	}
+	for _, hexes := range []map[string]string{v2RecordHex, periodicRecordHex} {
+		for _, blob := range hexBlobs(f, hexes) {
+			f.Add(blob)
+		}
 	}
 	for _, rec := range mismatchedRecords() {
 		f.Add(Encode(rec))
 	}
-	for _, blob := range periodicBlobs(f) {
-		f.Add(blob)
+	table := []uint64{math.Float64bits(1.5), 7, math.Float64bits(-0.0), 8, math.Float64bits(math.Inf(1)), 9}
+	for _, runs := range [][]uint64{{2, 3, 1}, {2, 3}, {2, 0, 4}, {6}, {1, 5}} {
+		for _, lag := range []uint64{0, 1, 2, 3, maxLag} {
+			f.Add(blobV3(0, 6, 3, lag, table, runs, []byte{0b10_01_00}))
+		}
 	}
-	f.Add(headerWith(0, periodicFlag))
-	for _, i := range periodicSlots() {
-		f.Add(headerWith(i, 1))
-	}
-	f.Add([]byte(magic2))
+	f.Add([]byte(magic3))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		rec, ok := Decode(blob)
-		if !ok {
-			return
-		}
-		if len(rec.Energy) != len(rec.Issues) {
-			t.Fatalf("accepted %d energy values with %d issue words", len(rec.Energy), len(rec.Issues))
-		}
-		header := payloadHeader(t, blob)
-		if header[0]&periodicFlag != 0 {
-			t.Fatalf("accepted a record with the periodic flag (flags %#x)", header[0])
-		}
-		for _, i := range periodicSlots() {
-			if header[i] != 0 {
-				t.Fatalf("accepted a record with periodic header field %d = %d", i, header[i])
+		for _, b := range [][]byte{blob, reframe(blob)} {
+			limit := uint64(2*len(b) + 1<<16)
+			if fr := (frame{}); fr.parse(b) {
+				limit += 16 * fr.n
 			}
-		}
-		again, ok := Decode(Encode(rec))
-		if !ok {
-			t.Fatal("re-encoded record failed to decode")
-		}
-		if !recordsEqual(again, rec) || again.CaptureNS != rec.CaptureNS {
-			t.Fatal("record changed across Encode/Decode")
+			var rec *Record
+			var ok bool
+			if n := allocatedBy(func() { rec, ok = Decode(b) }); n > limit {
+				t.Fatalf("decoding %d bytes (ok %v) allocated %d bytes, past %d", len(b), ok, n, limit)
+			}
+			if ok != valid(b) {
+				t.Fatalf("Decode says %v, valid %v", ok, !ok)
+			}
+			if ok {
+				checkAccepted(t, rec)
+			}
 		}
 	})
 }
 
-// payloadHeader returns the headerFields varints that open an accepted
-// blob's payload.
-func payloadHeader(t *testing.T, blob []byte) []uint64 {
-	d := decoders.Get().(*decoder)
-	defer d.release()
-	p, ok := d.inflate(blob[len(magic2) : len(blob)-8])
-	if !ok {
-		t.Fatal("accepted blob does not inflate")
-	}
-	header := make([]uint64, headerFields)
-	for i := range header {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			t.Fatal("accepted blob has a short header")
-		}
-		header[i], p = v, p[n:]
-	}
-	return header
+// fuzzAlphabet is the energies fuzzRecord draws from: NaN payloads,
+// both zeros, infinities and denormals among ordinary values.
+var fuzzAlphabet = [8]float64{
+	1.5, math.Copysign(0, -1), 0, math.Float64frombits(0x7ff8_dead_beef_0001),
+	math.Inf(-1), 5e-324, 2.75, math.NaN(),
 }
 
-// FuzzEnergyXOR holds the word-level energy codec to the bit-at-a-time
-// reference. The input is read two ways: as a float64 stream, which
-// must encode to identical bytes and decode back, also from a
-// truncated encoding; and as an arbitrary bit stream, from which both
-// decoders must return the same values, tail and verdict.
-func FuzzEnergyXOR(f *testing.F) {
-	f.Add([]byte{}, uint16(0), uint16(0))
-	f.Add(appendEnergyXOR(nil, []float64{1.5, 1.5, 2.25, -0.0, 3, 3}), uint16(9), uint16(6))
-	streams := [][]float64{
-		{2.0, 2.5, 2.0, 2.5},       // a two-value alternation
-		sampleRecord(96, 7).Energy, // a ramp
+// fuzzLags are the distances fuzzRecord repeats cycles from.
+var fuzzLags = [8]int{1, 2, 3, 7, 64, 97, 612, maxLag + 1}
+
+// fuzzRecord builds a record from fuzz bytes on a small alphabet, so
+// that tables, lags and runs all occur. A byte below 0x80 appends one
+// cycle: an energy from fuzzAlphabet and one of 16 issue words. A byte
+// from 0x80 repeats 1 to 61 cycles from one of fuzzLags back (or from
+// cycle 0, if the record is shorter). hdr fills the header fields.
+func fuzzRecord(data []byte, hdr uint64) *Record {
+	rec := &Record{Done: hdr&1 != 0, Unsupported: hdr&2 != 0, CaptureNS: hdr >> 2, EndRetired: hdr * 3}
+	for i := range rec.EndStats {
+		rec.EndStats[i] = hdr >> (8 * i)
 	}
-	for _, rec := range shapeRecords() {
-		streams = append(streams, rec.Energy)
-	}
-	for _, vals := range streams {
-		enc := appendEnergyXOR(nil, vals)
-		f.Add(enc, uint16(len(enc)/2), uint16(len(vals)))
-	}
-	f.Fuzz(func(t *testing.T, data []byte, cut, count uint16) {
-		vals := make([]float64, len(data)/8)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	for _, b := range data {
+		if b < 0x80 || len(rec.Energy) == 0 {
+			rec.Energy = append(rec.Energy, fuzzAlphabet[b&7])
+			rec.Issues = append(rec.Issues, uint64(b>>3&15)*0x1111_0000_0000_1111)
+			continue
 		}
-		enc := appendEnergyXOR(nil, vals)
-		if !bytes.Equal(enc, refAppendEnergyXOR(nil, vals)) {
-			t.Fatalf("encoding of %d values differs from the reference", len(vals))
+		lag := min(fuzzLags[b>>4&7], len(rec.Energy))
+		for range 1 + 4*int(b&15) {
+			n := len(rec.Energy)
+			rec.Energy = append(rec.Energy, rec.Energy[n-lag])
+			rec.Issues = append(rec.Issues, rec.Issues[n-lag])
 		}
-		checkDecodeEnergy(t, "round trip", enc, len(vals))
-		checkDecodeEnergy(t, "truncated", enc[:int(cut)%(len(enc)+1)], len(vals))
-		// Each value takes at least one bit, so counts past 8·len(data)+1
-		// fail alike and only cost allocation.
-		checkDecodeEnergy(t, "arbitrary", data, int(count)%(8*len(data)+2))
+	}
+	return rec
+}
+
+// FuzzRoundTrip holds the encoder to the format on records built from
+// fuzz bytes: Encode is deterministic and within blobBound, and Decode
+// returns every field bit for bit, NaN payloads and −0 included.
+func FuzzRoundTrip(f *testing.F) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{0x05}, uint64(1))
+	f.Add(bytes.Repeat([]byte{0x01}, 40), uint64(2))
+	f.Add([]byte{0x01, 0x02, 0x03, 0x8f, 0x8f, 0x8f}, uint64(3))           // lag 1
+	f.Add([]byte{0x01, 0x0a, 0x13, 0xaf, 0x21, 0xaf, 0xaf}, uint64(1<<40)) // lag 3, a perturbation
+	f.Add([]byte{0x00, 0x08, 0x10, 0x18, 0x20, 0x28, 0x30, 0x38, 0xff, 0xff}, uint64(0xdead_beef))
+	f.Add(bytes.Repeat([]byte{0x07, 0x0f, 0x17, 0x1f, 0xbf}, 20), uint64(7)) // NaNs, lag 7
+	f.Add(append(bytes.Repeat([]byte{0x41, 0x42}, 40), 0xcf, 0xcf, 0x43, 0xcf), uint64(64))
+	f.Add(append(bytes.Repeat([]byte{0x11, 0x22, 0x33, 0x44, 0x55}, 25), 0xdf, 0xdf, 0xdf), uint64(97))
+	f.Add(append(bytes.Repeat([]byte{0x7f, 0x6e, 0x5d}, 250), 0xef, 0xef, 0x00, 0xef), uint64(612))
+	f.Add(bytes.Repeat([]byte{0x01, 0x12, 0x23, 0x34, 0x45, 0x56, 0x67, 0x70, 0xff}, 12), uint64(1<<63))
+	f.Add(bytes.Repeat([]byte{0x3c, 0x9a, 0x7b, 0xe5, 0x06}, 30), uint64(42))
+	f.Fuzz(func(t *testing.T, data []byte, hdr uint64) {
+		rec := fuzzRecord(data, hdr)
+		blob := Encode(rec)
+		if !bytes.Equal(blob, Encode(rec)) {
+			t.Fatal("Encode is nondeterministic")
+		}
+		if len(blob) > blobBound(len(rec.Energy)) {
+			t.Fatalf("%d-byte blob for %d cycles, past blobBound %d", len(blob), len(rec.Energy), blobBound(len(rec.Energy)))
+		}
+		got, ok := Decode(blob)
+		if !ok || !valid(blob) {
+			t.Fatalf("blob of %d cycles does not decode", len(rec.Energy))
+		}
+		recordsIdentical(t, "fuzz", got, rec)
 	})
 }

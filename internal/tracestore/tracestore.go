@@ -1,7 +1,7 @@
 // Package tracestore is a persistent, content-addressed store for
 // phase-1 chip traces. Each record lives in its own file named by the
 // SHA-256 of the caller's key bytes, serialized in a checksummed
-// compressed format (encode.go) and written atomically, so concurrent
+// compact format (encode.go) and written atomically, so concurrent
 // processes can share one store directory: writers race benignly (same
 // key ⇒ same bytes; last rename wins) and readers only ever see
 // complete files.
@@ -11,9 +11,10 @@
 // reads as a cache miss, and write failures are surfaced but safe to
 // ignore. Total size is byte-bounded; when a write pushes the
 // directory over budget, the records with the oldest mtimes are
-// evicted (Get refreshes mtime, making eviction approximately LRU).
-// A store tracks its size from one directory scan plus the bytes it
-// writes, so a write far under budget does not list the directory.
+// evicted down to a low-water mark (Get refreshes mtime, making
+// eviction approximately LRU). A store tracks its size from one
+// directory scan plus the bytes it writes, so a write under budget
+// does not list the directory.
 package tracestore
 
 import (
@@ -41,10 +42,16 @@ const DefaultMaxBytes = 256 << 20
 // directory are counted.
 const rescanDivisor = 16
 
+// lowWaterDivisor sets the eviction's low-water mark: a store found
+// over budget evicts down to maxBytes − maxBytes/lowWaterDivisor, so
+// the writes that follow fit under budget without a scan each.
+const lowWaterDivisor = 8
+
 // recordExt suffixes every record file, whatever its format version:
-// a file an older binary wrote (the flat v1 format) shares the content
-// address of its replacement, reads as a miss, and is unlinked on
-// first touch, so a directory left by an older binary is a cold start.
+// a file an older binary wrote (the flat v1 or the DEFLATE v2 format)
+// shares the content address of its replacement, reads as a miss, and
+// is unlinked on first touch, so a directory left by an older binary
+// is a cold start.
 const recordExt = ".trace"
 
 // statsWords is the width of a chip-counter block.
@@ -292,14 +299,14 @@ var removeRecord = os.Remove
 var scanDir = os.ReadDir
 
 // evict accounts for a just-written blob of size wrote and, when the
-// store may be over budget, scans the directory and removes
-// oldest-mtime records until it fits, sparing the just-written file so
-// a Put can never evict itself. The first write scans; after that a
-// write scans only when the estimate passes the budget or this store
-// has written maxBytes/rescanDivisor bytes since its last scan. The
-// estimate never counts another process's writes until the next scan,
-// and over-counts a key rewritten in place, which only brings the scan
-// forward.
+// store may be over budget, scans the directory; over budget, it
+// removes oldest-mtime records down to the low-water mark, sparing the
+// just-written file so a Put can never evict itself. The first write
+// scans; after that a write scans only when the estimate passes the
+// budget or this store has written maxBytes/rescanDivisor bytes since
+// its last scan. The estimate never counts another process's writes
+// until the next scan, and over-counts a key rewritten in place, which
+// only brings the scan forward.
 func (s *Store) evict(spare string, wrote int64) {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
@@ -335,7 +342,7 @@ func (s *Store) evict(spare string, wrote int64) {
 	if total > s.maxBytes {
 		sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
 		for _, f := range files {
-			if total <= s.maxBytes {
+			if total <= s.maxBytes-s.maxBytes/lowWaterDivisor {
 				break
 			}
 			if f.path == spare {

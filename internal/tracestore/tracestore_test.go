@@ -103,13 +103,13 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	restore := func() { os.WriteFile(p, pristine, 0o644) }
 
 	mutations := map[string]func([]byte) []byte{
-		"bit-flip-header":  func(b []byte) []byte { b[len(magic2)+3] ^= 0x40; return b },
+		"bit-flip-header":  func(b []byte) []byte { b[len(magic3)+3] ^= 0x40; return b },
 		"bit-flip-payload": func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
 		"bit-flip-cksum":   func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
 		"truncated":        func(b []byte) []byte { return b[:len(b)/2] },
 		"empty":            func(b []byte) []byte { return nil },
 		"wrong-magic":      func(b []byte) []byte { copy(b, "BADMAGIC"); return b },
-		"future-version":   func(b []byte) []byte { b[len(magic2)-2] = '9'; return b },
+		"future-version":   func(b []byte) []byte { b[len(magic3)-2] = '9'; return b },
 		// Well-formed and checksummed, but 5000 cycles of energy carry
 		// only 10 issue words: replay would index past the issues.
 		"mismatched-lengths": func([]byte) []byte {
@@ -141,17 +141,20 @@ func TestCorruptionIsAMiss(t *testing.T) {
 
 func TestEvictionByMtime(t *testing.T) {
 	dir := t.TempDir()
-	// v2 record sizes are content-dependent, so every key stores the
-	// same record: the budget math stays exact.
+	// Record sizes are content-dependent, so every key stores the same
+	// record: the budget math stays exact.
 	one := sampleRecord(64, 1)
 	oneSize := int64(len(Encode(one)))
-	// Budget for three records, not four.
-	s, err := Open(dir, 3*oneSize)
+	// Budget for eight records, not nine; the low-water mark is seven.
+	s, err := Open(dir, 8*oneSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
-	for i, k := range keys[:3] {
+	keys := make([][]byte, 9)
+	for i := range keys {
+		keys[i] = []byte{'a' + byte(i)}
+	}
+	for i, k := range keys[:8] {
 		if err := s.Put(k, one); err != nil {
 			t.Fatal(err)
 		}
@@ -160,20 +163,23 @@ func TestEvictionByMtime(t *testing.T) {
 		os.Chtimes(s.path(k), mt, mt)
 	}
 	// Touch "a" (oldest mtime) via Get so it becomes newest; then the
-	// overflowing Put must evict "b".
+	// overflowing Put must evict "b" and "c", the two oldest, down to
+	// the low-water mark.
 	if _, ok := s.Get(keys[0]); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	if err := s.Put(keys[3], one); err != nil {
+	if err := s.Put(keys[8], one); err != nil {
 		t.Fatal(err)
 	}
-	if s.SizeBytes() > 3*oneSize {
-		t.Fatalf("store over budget after eviction: %d > %d", s.SizeBytes(), 3*oneSize)
+	if sz := s.SizeBytes(); sz != 7*oneSize {
+		t.Fatalf("store holds %d bytes after eviction, want the low-water mark's %d", sz, 7*oneSize)
 	}
-	if _, ok := s.Get(keys[1]); ok {
-		t.Error("b (oldest mtime) survived eviction")
+	for _, k := range keys[1:3] {
+		if _, ok := s.Get(k); ok {
+			t.Errorf("%q (oldest mtime) survived eviction", k)
+		}
 	}
-	for _, k := range [][]byte{keys[0], keys[2], keys[3]} {
+	for _, k := range append([][]byte{keys[0]}, keys[3:]...) {
 		if _, ok := s.Get(k); !ok {
 			t.Errorf("%q evicted despite newer mtime", k)
 		}
@@ -263,12 +269,15 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 	dir := t.TempDir()
 	one := sampleRecord(64, 1) // same record per key: exact budget math
 	oneSize := int64(len(Encode(one)))
-	s, err := Open(dir, 3*oneSize) // room for three records
+	s, err := Open(dir, 8*oneSize) // room for eight records, low water at seven
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
-	for i, k := range keys[:3] {
+	keys := make([][]byte, 9)
+	for i := range keys {
+		keys[i] = []byte{'a' + byte(i)}
+	}
+	for i, k := range keys[:8] {
 		if err := s.Put(k, one); err != nil {
 			t.Fatal(err)
 		}
@@ -284,15 +293,18 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 		return &os.PathError{Op: "remove", Path: path, Err: os.ErrNotExist}
 	}
 
-	// The overflowing Put needs exactly one eviction ("a", oldest).
-	if err := s.Put(keys[3], one); err != nil {
+	// The overflowing Put needs exactly two evictions ("a" and "b", the
+	// oldest) to reach the low-water mark.
+	if err := s.Put(keys[8], one); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(keys[0]); ok {
-		t.Error("a (oldest) survived eviction")
+	for _, k := range keys[:2] {
+		if _, ok := s.Get(k); ok {
+			t.Errorf("%q (oldest) survived eviction", k)
+		}
 	}
-	// "b" and "c" must survive: the ENOENT on "a" freed its bytes.
-	for _, k := range keys[1:] {
+	// The rest must survive: the ENOENTs freed their bytes.
+	for _, k := range keys[2:] {
 		if _, ok := s.Get(k); !ok {
 			t.Errorf("%q evicted to cover phantom bytes", k)
 		}
@@ -312,8 +324,10 @@ func countScans(t *testing.T) *int {
 
 // TestPutScansOnlyNearBudget pins the eviction scan's schedule: the
 // first write scans, and under budget a store rescans only after
-// writing maxBytes/rescanDivisor bytes; once its estimate passes the
-// budget, every write scans and evicts.
+// writing maxBytes/rescanDivisor bytes. A write that takes the
+// estimate past the budget scans and evicts down to the low-water
+// mark, and the writes after it scan on the rescan schedule again, not
+// each time.
 func TestPutScansOnlyNearBudget(t *testing.T) {
 	one := sampleRecord(64, 1) // same record per key: exact budget math
 	oneSize := int64(len(Encode(one)))
@@ -337,18 +351,28 @@ func TestPutScansOnlyNearBudget(t *testing.T) {
 	if want := 1 + (under-1)/perRescan; *scans != want {
 		t.Fatalf("%d puts under budget scanned %d times, want %d", under, *scans, want)
 	}
-	// Fill to the budget, then every put goes over it and must scan.
+	// Fill to the budget; the next put goes over it, scans and evicts.
 	full := int(budget / oneSize)
 	for i := under; i < full; i++ {
 		put(i)
 	}
 	before := *scans
-	const over = 5
-	for i := full; i < full+over; i++ {
+	put(full)
+	if *scans != before+1 {
+		t.Fatalf("the put over budget scanned %d times, want 1", *scans-before)
+	}
+	lowWater := budget - budget/lowWaterDivisor
+	if sz := s.SizeBytes(); sz > lowWater {
+		t.Fatalf("store holds %d bytes after eviction, want at most the low-water mark %d", sz, lowWater)
+	}
+	// The puts after it scan once per maxBytes/rescanDivisor bytes.
+	before = *scans
+	const after = 4 * perRescan
+	for i := full + 1; i <= full+after; i++ {
 		put(i)
 	}
-	if got := *scans - before; got != over {
-		t.Fatalf("%d puts at capacity scanned %d times, want %d", over, got, over)
+	if got := *scans - before; got != after/perRescan {
+		t.Fatalf("%d puts after the eviction scanned %d times, want %d", after, got, after/perRescan)
 	}
 	if sz := s.SizeBytes(); sz > budget {
 		t.Fatalf("store over budget: %d > %d", sz, budget)

@@ -38,8 +38,8 @@ gated=(
   BenchmarkStepTrace
   BenchmarkStepTraceBatch
   BenchmarkStepTraceBatchROM
-  BenchmarkTraceDecodeV2
-  BenchmarkTraceEncodeV2
+  BenchmarkTraceDecodeV3
+  BenchmarkTraceEncodeV3
   BenchmarkTraceStoreWarmVsCold
   BenchmarkTraceTierWarmVsCold
 )

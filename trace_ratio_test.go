@@ -10,13 +10,13 @@ import (
 	"repro/internal/tracestore"
 )
 
-// TestTraceCompressionOnCorpus is the acceptance bar for the v2 trace
-// record format: captured on the committed regression corpus — real
-// stressmark traces, not synthetic streams — the compressed records
-// must be at least 4× smaller than the flat 16 B/cycle encoding (one
-// float64 of energy and one issue word per cycle) they replaced. The
-// ratio is measured on the actual store files a warm distributed
-// search would move over /v1/trace.
+// TestTraceCompressionOnCorpus is the acceptance bar for the trace
+// record format (v3: a pair table and lag-copy runs): captured on the
+// committed regression corpus — real stressmark traces, not synthetic
+// streams — the records must be at least 4× smaller than the flat
+// 16 B/cycle encoding (one float64 of energy and one issue word per
+// cycle) of the v1 format. The ratio is measured on the actual store
+// files a warm distributed search would move over /v1/trace.
 func TestTraceCompressionOnCorpus(t *testing.T) {
 	db, err := corpus.Open(seedCorpusDir)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestTraceCompressionOnCorpus(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("corpus replay captured no trace records")
 	}
-	var flatTotal, v2Total int64
+	var flatTotal, total int64
 	for _, f := range files {
 		blob, err := os.ReadFile(f)
 		if err != nil {
@@ -77,13 +77,13 @@ func TestTraceCompressionOnCorpus(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: stored record does not decode", filepath.Base(f))
 		}
-		v2Total += int64(len(blob))
+		total += int64(len(blob))
 		flatTotal += int64(16 * len(rec.Energy))
 	}
-	ratio := float64(flatTotal) / float64(v2Total)
-	t.Logf("corpus traces: %d records, flat %d B → v2 %d B (%.1f×)",
-		len(files), flatTotal, v2Total, ratio)
+	ratio := float64(flatTotal) / float64(total)
+	t.Logf("corpus traces: %d records, flat %d B → v3 %d B (%.1f×)",
+		len(files), flatTotal, total, ratio)
 	if ratio < 4 {
-		t.Errorf("v2 compression on corpus traces is %.2f×, want ≥ 4×", ratio)
+		t.Errorf("v3 compression on corpus traces is %.2f×, want ≥ 4×", ratio)
 	}
 }

@@ -4,10 +4,10 @@ package circuit
 
 import "unsafe"
 
-// AVX2 assembly fast paths for the two replay hot kernels: the
-// register-blocked sparse LU substitution (solveBatch) and the ROM
-// modal step (romStepKernel) in 4-lane groups. Both map lanes to SIMD
-// slots so each lane performs exactly the scalar kernel's
+// AVX2 assembly fast paths for the two replay kernels: the fused exact
+// step (TransientBatch.StepTraceBatch, 8-lane groups, fused.go) and the
+// ROM modal step (romStepKernel) in 4-lane groups. Both map lanes to
+// SIMD slots so each lane performs exactly the Go kernel's
 // floating-point operation sequence — multiply then subtract as two
 // rounded operations, never a fused multiply-add — which makes the
 // assembly bit-identical to the pure-Go kernels by construction, not
@@ -21,7 +21,7 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func solveAVX2(b, x *float64, L int, perm *int, lower, upper *[]luEntry, diag *float64, n int)
+func fusedStepAVX2(a *fusedArgs)
 
 //go:noescape
 func romStep4AVX2(a *romStep4Args)
@@ -48,28 +48,105 @@ func detectAVX2() bool {
 	return b&(1<<5) != 0
 }
 
-// solveBatchAVX2 runs the whole solve as one call into the AVX2
-// kernel: per row, each nonzero coefficient broadcasts across SIMD
-// slots holding adjacent lanes (contiguous in the lane-minor layout),
-// exactly the amortization the Go register blocks perform — but with
-// 4 lanes per arithmetic instruction. Lanes past the last 4-lane block
-// run as one 2-lane xmm block and one VEX scalar lane, in the same
-// operation order. It beats the Go kernel from two lanes up.
-func (f *luReal) solveBatchAVX2(b, x []float64, L int) {
-	n := f.n
-	if len(b) < n*L || len(x) < n*L {
-		panic("circuit: solveBatch buffer shorter than n×L")
-	}
-	solveAVX2(&b[0], &x[0], L, &f.perm[0], &f.lower[0], &f.upper[0], &f.diag[0], n)
+// fusedArgs is the argument block for fusedStepAVX2: the compiled
+// step's records (fusedPlan), the group scratch, and each slot's drive
+// and output streams. Every field is 8 bytes, so the assembly's fixed
+// offsets follow the declaration order; the guards below pin them.
+type fusedArgs struct {
+	g      unsafe.Pointer // group scratch, [rows × 8] float64
+	stamps unsafe.Pointer // *fusedStamp
+	nStamp int64
+	lu     unsafe.Pointer // *fusedRow: nRows forward rows, then nRows back rows
+	nRows  int64
+	ents   unsafe.Pointer // *fusedEnt, in the order the rows walk them
+	caps   unsafe.Pointer // *fusedCap
+	nCaps  int64
+	inds   unsafe.Pointer // *fusedInd
+	nInds  int64
+	bOff   int64 // first b row, byte offset
+	bEnd   int64 // one past the dump row
+	ref    int64 // the driven source's row
+	drive  int64 // mul row; div and add rows follow
+	time   int64 // time row
+	die    int64 // the recorded node's x row, or the zero row
+	h      float64
+	n      int64 // steps
+	src    [groupLanes]unsafe.Pointer
+	dst    [groupLanes]unsafe.Pointer
 }
 
-// The assembly reads luReal's row lists as 24-byte slice headers of
-// 16-byte {col, val} records.
+// Compile-time layout guards for the records and the argument block,
+// and for the element kinds the stamp loop compares against.
 var (
-	_ = [1]struct{}{}[unsafe.Sizeof([]luEntry{})-24]
-	_ = [1]struct{}{}[unsafe.Sizeof(luEntry{})-16]
-	_ = [1]struct{}{}[unsafe.Offsetof(luEntry{}.val)-8]
+	_ = [1]struct{}{}[kindC-1]
+	_ = [1]struct{}{}[kindL-2]
+	_ = [1]struct{}{}[kindV-3]
+	_ = [1]struct{}{}[kindI-4]
+	_ = [1]struct{}{}[unsafe.Sizeof(fusedArgs{})-272]
+	_ = [1]struct{}{}[unsafe.Offsetof(fusedArgs{}.bOff)-80]
+	_ = [1]struct{}{}[unsafe.Offsetof(fusedArgs{}.h)-128]
+	_ = [1]struct{}{}[unsafe.Offsetof(fusedArgs{}.src)-144]
+	_ = [1]struct{}{}[unsafe.Offsetof(fusedArgs{}.dst)-208]
+	_ = [1]struct{}{}[unsafe.Sizeof(fusedStamp{})-48]
+	_ = [1]struct{}{}[unsafe.Sizeof(fusedRow{})-32]
+	_ = [1]struct{}{}[unsafe.Sizeof(fusedEnt{})-16]
+	_ = [1]struct{}{}[unsafe.Sizeof(fusedCap{})-40]
+	_ = [1]struct{}{}[unsafe.Sizeof(fusedInd{})-16]
 )
+
+// stepFusedAVX2 advances every lane n steps, one kernel call per
+// 8-lane group. A group's state is gathered into the batch's group
+// scratch, stepped, and its real lanes scattered back. The last group
+// pads with bitwise copies of its last real lane — state, drive
+// parameters and src/dst streams — so a padding slot stores exactly
+// the bits that lane stores, to the same addresses.
+func (tb *TransientBatch) stepFusedAVX2(nd Node, ref int, dst, src [][]float64, mul, div, add []float64, n int) {
+	fp := tb.cp.fused
+	L := tb.lanes
+	a := fusedArgs{
+		g:      unsafe.Pointer(&tb.group[0]),
+		stamps: first(fp.stamps),
+		nStamp: int64(len(fp.stamps)),
+		lu:     first(fp.lu),
+		nRows:  int64(tb.cp.n),
+		ents:   first(fp.ents),
+		caps:   first(fp.caps),
+		nCaps:  int64(len(fp.caps)),
+		inds:   first(fp.inds),
+		nInds:  int64(len(fp.inds)),
+		bOff:   fp.bOff,
+		bEnd:   fp.bEnd,
+		ref:    fp.srcRow[ref],
+		drive:  fp.drive,
+		time:   fp.time,
+		die:    int64(tb.cp.n) * rowBytes,
+		h:      tb.cp.h,
+		n:      int64(n),
+	}
+	if nd != Ground {
+		a.die = int64(nd-1) * rowBytes
+	}
+	arrs := tb.groupArrays(mul, div, add)
+	for l0 := 0; l0 < L; l0 += groupLanes {
+		var js [groupLanes]int
+		for k := range js {
+			js[k] = min(l0+k, L-1)
+			a.src[k] = unsafe.Pointer(&src[js[k]][0])
+			a.dst[k] = unsafe.Pointer(&dst[js[k]][0])
+		}
+		tb.loadGroup(&arrs, &js)
+		fusedStepAVX2(&a)
+		tb.storeGroup(&arrs, l0, min(groupLanes, L-l0))
+	}
+}
+
+// first returns a pointer to s[0], or nil for an empty s.
+func first[T any](s []T) unsafe.Pointer {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Pointer(&s[0])
+}
 
 // romStep4Args is the argument block for romStep4AVX2. Every field is
 // 8 bytes, so the assembly's fixed offsets follow the declaration

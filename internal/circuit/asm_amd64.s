@@ -4,9 +4,9 @@
 
 // AVX2 kernels for the batch replay hot paths. Bit-identity contract:
 // every SIMD slot executes the pure-Go kernel's floating-point
-// operations in the same order — VMULPD/VMULSD followed by
-// VSUBPD/VSUBSD or VADDPD/VADDSD, never VFMADD — so each lane's
-// result is identical to the scalar kernel's at the bit level.
+// operations in the same order — VMULPD followed by VSUBPD or VADDPD,
+// never VFMADD — so each lane's result is identical to the scalar
+// kernel's at the bit level.
 // R14/R15 are deliberately unused (g register / dynlink scratch).
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -28,191 +28,309 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func solveAVX2(b, x *float64, L int, perm *int, lower, upper *[]luEntry, diag *float64, n int)
+// func fusedStepAVX2(a *fusedArgs)
 //
-// One whole LU solve over all L lanes of the lane-minor arrays b and x
-// (luReal.solveBatch): forward substitution for rows 0..n−1, then back
-// substitution for rows n−1..0, each row walking only its nonzero
-// entries: lower[i] and upper[i] are slice headers over 16-byte
-// {col, val} records, ascending col. For each lane l of row i:
+// n whole exact steps of one 8-lane group (TransientBatch.
+// StepTraceBatch). The group scratch at R8 holds one 64-byte row per
+// state value — lanes 0–3 in its low 32 bytes, lanes 4–7 in its high
+// 32 — and every record names rows by byte offset (fused.go). Each row
+// is carried as two ymm chains. Per step:
 //
-//	forward: x[i*L+l] = b[perm[i]*L+l] − Σ_e val·x[col*L+l]
-//	back:    x[i*L+l] = (x[i*L+l] − Σ_e val·x[col*L+l]) / diag[i]
+//	drive:   [ref] = src·[mul] / [div] + [add]
+//	zero:    every b row and the dump row
+//	stamps:  C, L, V and I records in element order
+//	forward: x[i] = b[perm[i]] − Σ val·x[col]
+//	back:    x[i] = (x[i] − Σ val·x[col]) / diag[i]
+//	         (each product subtracted in turn, in entry order)
+//	time:    [time] += h
+//	caps:    v' = x[a] − x[b]; i = g·(v' − v) − i; v = v'
+//	inds:    indI = x[br]
+//	record:  dst[k][s] = [die] slot k
 //
-// Each row sweeps its lanes in 8-lane blocks (two ymm accumulators),
-// then a 4-lane block, a 2-lane xmm block and a VEX scalar lane, so
-// any width costs at most three sweeps past its 8-lane blocks. Every
-// block loads a lane group with the width it was stored with, which
-// keeps store-to-load forwarding intact between dependent rows. One
-// sweep body serves both passes: R10 selects the pass (0 forward,
-// 1 back), i.e. whether the sweep divides and where it returns.
-//
-// Registers: DI x, R11 row stride L*8, R8 row i, DX source row, R13
-// destination row, SI the row's first entry, R9 its entry count, R12
-// lane byte offset, BX/CX entry cursor and countdown, AX address
-// scratch, Y5 the broadcast diagonal.
-TEXT ·solveAVX2(SB), NOSPLIT, $0-64
-	MOVQ  x+8(FP), DI
-	MOVQ  L+16(FP), R11
-	SHLQ  $3, R11         // SoA row stride in bytes
-	XORQ  R10, R10        // forward pass
-	XORQ  R8, R8          // i = 0
-fwdrow:
-	CMPQ  R8, n+56(FP)
-	JGE   backstart
-	MOVQ  perm+24(FP), AX
-	MOVQ  (AX)(R8*8), DX
-	IMULQ R11, DX
-	ADDQ  b+0(FP), DX     // DX = &b[perm[i]*L]
-	MOVQ  R8, R13
-	IMULQ R11, R13
-	ADDQ  DI, R13         // R13 = &x[i*L]
-	LEAQ  (R8)(R8*2), AX
-	SHLQ  $3, AX          // AX = i*24: row i's slice header
-	ADDQ  lower+32(FP), AX
-	MOVQ  (AX), SI
-	MOVQ  8(AX), R9
-	JMP   sweep
-fwdnext:
-	INCQ  R8
-	JMP   fwdrow
+// Registers: DI the argument block, R8 the scratch, R12 n·8, R13 s·8,
+// SI the record cursor, CX/DX countdowns, BX the entry cursor, AX
+// offsets and pointers, Y14 h and Y15 +0.
+TEXT ·fusedStepAVX2(SB), NOSPLIT, $0-8
+	MOVQ  a+0(FP), DI
+	MOVQ  0(DI), R8
+	MOVQ  136(DI), R12
+	SHLQ  $3, R12
+	XORQ  R13, R13
+	VXORPD Y15, Y15, Y15
+	VBROADCASTSD 128(DI), Y14
 
-backstart:
-	MOVQ  $1, R10         // back pass
-	MOVQ  n+56(FP), R8
-backrow:
-	DECQ  R8
-	JLT   done
-	MOVQ  R8, R13
-	IMULQ R11, R13
-	ADDQ  DI, R13         // R13 = &x[i*L]
-	MOVQ  R13, DX         // rows update in place
-	MOVQ  diag+48(FP), AX
-	VBROADCASTSD (AX)(R8*8), Y5
-	LEAQ  (R8)(R8*2), AX
-	SHLQ  $3, AX
-	ADDQ  upper+40(FP), AX
-	MOVQ  (AX), SI
-	MOVQ  8(AX), R9
-	JMP   sweep
+step:
+	CMPQ  R13, R12
+	JGE   done
 
-// One row over every lane: DX source row, R13 destination row, SI/R9
-// the entries, Y5 the divisor when R10 = 1.
-sweep:
-	XORQ  R12, R12        // lane byte offset
-sweep8:
-	MOVQ  R11, AX
-	SUBQ  R12, AX
-	CMPQ  AX, $64
-	JLT   sweep4
-	VMOVUPD (DX)(R12*1), Y0
-	VMOVUPD 32(DX)(R12*1), Y1
-	MOVQ  SI, BX
-	MOVQ  R9, CX
+	// Drive: slot k reads src[k][s].
+	MOVQ  144(DI), AX
+	VMOVSD (AX)(R13*1), X0
+	MOVQ  152(DI), AX
+	VMOVHPD (AX)(R13*1), X0, X0
+	MOVQ  160(DI), AX
+	VMOVSD (AX)(R13*1), X1
+	MOVQ  168(DI), AX
+	VMOVHPD (AX)(R13*1), X1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	MOVQ  176(DI), AX
+	VMOVSD (AX)(R13*1), X2
+	MOVQ  184(DI), AX
+	VMOVHPD (AX)(R13*1), X2, X2
+	MOVQ  192(DI), AX
+	VMOVSD (AX)(R13*1), X3
+	MOVQ  200(DI), AX
+	VMOVHPD (AX)(R13*1), X3, X3
+	VINSERTF128 $1, X3, Y2, Y2
+	MOVQ  104(DI), AX       // mul row; div, add follow
+	VMULPD (R8)(AX*1), Y0, Y0
+	VMULPD 32(R8)(AX*1), Y2, Y2
+	VDIVPD 64(R8)(AX*1), Y0, Y0
+	VDIVPD 96(R8)(AX*1), Y2, Y2
+	VADDPD 128(R8)(AX*1), Y0, Y0
+	VADDPD 160(R8)(AX*1), Y2, Y2
+	MOVQ  96(DI), AX
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y2, 32(R8)(AX*1)
+
+	// Zero b and the dump row.
+	MOVQ  80(DI), AX
+	MOVQ  88(DI), CX
+zero:
+	VMOVUPD Y15, (R8)(AX*1)
+	VMOVUPD Y15, 32(R8)(AX*1)
+	ADDQ  $64, AX
+	CMPQ  AX, CX
+	JLT   zero
+
+	// Stamps: {kind, g, a, b, c, d}, 48 bytes.
+	MOVQ  8(DI), SI
+	MOVQ  16(DI), CX
 	TESTQ CX, CX
-	JE    sweep8out
-sweep8e:
+	JE    forward
+stamp:
+	MOVQ  (SI), AX
+	CMPQ  AX, $1
+	JEQ   stampC
+	CMPQ  AX, $2
+	JEQ   stampL
+	CMPQ  AX, $3
+	JEQ   stampV
+	// I: [c] −= [a]; [d] += [a]
+	MOVQ  16(SI), AX
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	MOVQ  32(SI), AX
+	VMOVUPD (R8)(AX*1), Y2
+	VMOVUPD 32(R8)(AX*1), Y3
+	VSUBPD Y0, Y2, Y2
+	VSUBPD Y1, Y3, Y3
+	VMOVUPD Y2, (R8)(AX*1)
+	VMOVUPD Y3, 32(R8)(AX*1)
+	MOVQ  40(SI), AX
+	VMOVUPD (R8)(AX*1), Y2
+	VMOVUPD 32(R8)(AX*1), Y3
+	VADDPD Y0, Y2, Y2
+	VADDPD Y1, Y3, Y3
+	VMOVUPD Y2, (R8)(AX*1)
+	VMOVUPD Y3, 32(R8)(AX*1)
+	JMP   stampnext
+stampC:
+	// ieq = g·[a] + [b]; [c] += ieq; [d] −= ieq
+	VBROADCASTSD 8(SI), Y4
+	MOVQ  16(SI), AX
+	VMULPD (R8)(AX*1), Y4, Y0
+	VMULPD 32(R8)(AX*1), Y4, Y1
+	MOVQ  24(SI), AX
+	VADDPD (R8)(AX*1), Y0, Y0
+	VADDPD 32(R8)(AX*1), Y1, Y1
+	MOVQ  32(SI), AX
+	VMOVUPD (R8)(AX*1), Y2
+	VMOVUPD 32(R8)(AX*1), Y3
+	VADDPD Y0, Y2, Y2
+	VADDPD Y1, Y3, Y3
+	VMOVUPD Y2, (R8)(AX*1)
+	VMOVUPD Y3, 32(R8)(AX*1)
+	MOVQ  40(SI), AX
+	VMOVUPD (R8)(AX*1), Y2
+	VMOVUPD 32(R8)(AX*1), Y3
+	VSUBPD Y0, Y2, Y2
+	VSUBPD Y1, Y3, Y3
+	VMOVUPD Y2, (R8)(AX*1)
+	VMOVUPD Y3, 32(R8)(AX*1)
+	JMP   stampnext
+stampL:
+	// [d] = g·[a] − ([b] − [c]), g = −2L/h
+	VBROADCASTSD 8(SI), Y4
+	MOVQ  16(SI), AX
+	VMULPD (R8)(AX*1), Y4, Y0
+	VMULPD 32(R8)(AX*1), Y4, Y1
+	MOVQ  24(SI), AX
+	VMOVUPD (R8)(AX*1), Y2
+	VMOVUPD 32(R8)(AX*1), Y3
+	MOVQ  32(SI), AX
+	VSUBPD (R8)(AX*1), Y2, Y2
+	VSUBPD 32(R8)(AX*1), Y3, Y3
+	VSUBPD Y2, Y0, Y0
+	VSUBPD Y3, Y1, Y1
+	MOVQ  40(SI), AX
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y1, 32(R8)(AX*1)
+	JMP   stampnext
+stampV:
+	// [d] = [a]
+	MOVQ  16(SI), AX
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	MOVQ  40(SI), AX
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y1, 32(R8)(AX*1)
+stampnext:
+	ADDQ  $48, SI
+	DECQ  CX
+	JNE   stamp
+
+	// Substitution rows: {src, dst, n, diag}, 32 bytes, walking the
+	// entries {off, val} from BX in order.
+forward:
+	MOVQ  24(DI), SI
+	MOVQ  40(DI), BX
+	MOVQ  32(DI), DX
+fwdrow:
+	MOVQ  (SI), AX
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	MOVQ  16(SI), CX
+	TESTQ CX, CX
+	JE    fwdstore
+fwdent:
 	MOVQ  (BX), AX
-	IMULQ R11, AX
-	ADDQ  R12, AX         // AX = col*L*8 + l*8
 	VBROADCASTSD 8(BX), Y2
-	VMULPD (DI)(AX*1), Y2, Y3
-	VMULPD 32(DI)(AX*1), Y2, Y4
+	VMULPD (R8)(AX*1), Y2, Y3
+	VMULPD 32(R8)(AX*1), Y2, Y4
 	VSUBPD Y3, Y0, Y0
 	VSUBPD Y4, Y1, Y1
 	ADDQ  $16, BX
 	DECQ  CX
-	JNE   sweep8e
-sweep8out:
-	TESTQ R10, R10
-	JE    sweep8st
+	JNE   fwdent
+fwdstore:
+	MOVQ  8(SI), AX
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y1, 32(R8)(AX*1)
+	ADDQ  $32, SI
+	DECQ  DX
+	JNE   fwdrow
+
+	MOVQ  32(DI), DX
+backrow:
+	MOVQ  (SI), AX
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	MOVQ  16(SI), CX
+	TESTQ CX, CX
+	JE    backdiv
+backent:
+	MOVQ  (BX), AX
+	VBROADCASTSD 8(BX), Y2
+	VMULPD (R8)(AX*1), Y2, Y3
+	VMULPD 32(R8)(AX*1), Y2, Y4
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y4, Y1, Y1
+	ADDQ  $16, BX
+	DECQ  CX
+	JNE   backent
+backdiv:
+	VBROADCASTSD 24(SI), Y5
 	VDIVPD Y5, Y0, Y0
 	VDIVPD Y5, Y1, Y1
-sweep8st:
-	VMOVUPD Y0, (R13)(R12*1)
-	VMOVUPD Y1, 32(R13)(R12*1)
-	ADDQ  $64, R12
-	JMP   sweep8
-sweep4:
-	CMPQ  AX, $32
-	JLT   sweep2
-	VMOVUPD (DX)(R12*1), Y0
-	MOVQ  SI, BX
-	MOVQ  R9, CX
+	MOVQ  8(SI), AX
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y1, 32(R8)(AX*1)
+	ADDQ  $32, SI
+	DECQ  DX
+	JNE   backrow
+
+	// time += h
+	MOVQ  112(DI), AX
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	VADDPD Y14, Y0, Y0
+	VADDPD Y14, Y1, Y1
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y1, 32(R8)(AX*1)
+
+	// Capacitor histories: {g, xa, xb, v, i}, 40 bytes.
+	MOVQ  48(DI), SI
+	MOVQ  56(DI), CX
 	TESTQ CX, CX
-	JE    sweep4out
-sweep4e:
-	MOVQ  (BX), AX
-	IMULQ R11, AX
-	ADDQ  R12, AX
-	VBROADCASTSD 8(BX), Y2
-	VMULPD (DI)(AX*1), Y2, Y3
-	VSUBPD Y3, Y0, Y0
-	ADDQ  $16, BX
+	JE    inductors
+capacitor:
+	MOVQ  8(SI), AX
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	MOVQ  16(SI), AX
+	VSUBPD (R8)(AX*1), Y0, Y0   // v' = x[a] − x[b]
+	VSUBPD 32(R8)(AX*1), Y1, Y1
+	MOVQ  24(SI), AX
+	VSUBPD (R8)(AX*1), Y0, Y2   // v' − v
+	VSUBPD 32(R8)(AX*1), Y1, Y3
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y1, 32(R8)(AX*1)
+	VBROADCASTSD (SI), Y4
+	VMULPD Y2, Y4, Y2           // g·(v' − v)
+	VMULPD Y3, Y4, Y3
+	MOVQ  32(SI), AX
+	VSUBPD (R8)(AX*1), Y2, Y2   // − i
+	VSUBPD 32(R8)(AX*1), Y3, Y3
+	VMOVUPD Y2, (R8)(AX*1)
+	VMOVUPD Y3, 32(R8)(AX*1)
+	ADDQ  $40, SI
 	DECQ  CX
-	JNE   sweep4e
-sweep4out:
-	TESTQ R10, R10
-	JE    sweep4st
-	VDIVPD Y5, Y0, Y0
-sweep4st:
-	VMOVUPD Y0, (R13)(R12*1)
-	ADDQ  $32, R12
-sweep2:
-	MOVQ  R11, AX
-	SUBQ  R12, AX
-	CMPQ  AX, $16
-	JLT   sweep1
-	VMOVUPD (DX)(R12*1), X0
-	MOVQ  SI, BX
-	MOVQ  R9, CX
+	JNE   capacitor
+
+	// Inductor histories: {dst, src}, 16 bytes.
+inductors:
+	MOVQ  64(DI), SI
+	MOVQ  72(DI), CX
 	TESTQ CX, CX
-	JE    sweep2out
-sweep2e:
-	MOVQ  (BX), AX
-	IMULQ R11, AX
-	ADDQ  R12, AX
-	VMOVDDUP 8(BX), X2
-	VMULPD (DI)(AX*1), X2, X3
-	VSUBPD X3, X0, X0
-	ADDQ  $16, BX
+	JE    record
+inductor:
+	MOVQ  8(SI), AX
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	MOVQ  (SI), AX
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y1, 32(R8)(AX*1)
+	ADDQ  $16, SI
 	DECQ  CX
-	JNE   sweep2e
-sweep2out:
-	TESTQ R10, R10
-	JE    sweep2st
-	VDIVPD X5, X0, X0
-sweep2st:
-	VMOVUPD X0, (R13)(R12*1)
-	ADDQ  $16, R12
-sweep1:
-	CMPQ  R12, R11
-	JGE   sweepdone
-	VMOVSD (DX)(R12*1), X0
-	MOVQ  SI, BX
-	MOVQ  R9, CX
-	TESTQ CX, CX
-	JE    sweep1out
-sweep1e:
-	MOVQ  (BX), AX
-	IMULQ R11, AX
-	ADDQ  R12, AX
-	VMOVSD 8(BX), X2
-	VMULSD (DI)(AX*1), X2, X3
-	VSUBSD X3, X0, X0
-	ADDQ  $16, BX
-	DECQ  CX
-	JNE   sweep1e
-sweep1out:
-	TESTQ R10, R10
-	JE    sweep1st
-	VDIVSD X5, X0, X0
-sweep1st:
-	VMOVSD X0, (R13)(R12*1)
-sweepdone:
-	TESTQ R10, R10
-	JE    fwdnext
-	JMP   backrow
+	JNE   inductor
+
+	// Record: slot k writes dst[k][s].
+record:
+	MOVQ  120(DI), AX
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	VEXTRACTF128 $1, Y0, X2
+	VEXTRACTF128 $1, Y1, X3
+	MOVQ  208(DI), AX
+	VMOVSD X0, (AX)(R13*1)
+	MOVQ  216(DI), AX
+	VMOVHPD X0, (AX)(R13*1)
+	MOVQ  224(DI), AX
+	VMOVSD X2, (AX)(R13*1)
+	MOVQ  232(DI), AX
+	VMOVHPD X2, (AX)(R13*1)
+	MOVQ  240(DI), AX
+	VMOVSD X1, (AX)(R13*1)
+	MOVQ  248(DI), AX
+	VMOVHPD X1, (AX)(R13*1)
+	MOVQ  256(DI), AX
+	VMOVSD X3, (AX)(R13*1)
+	MOVQ  264(DI), AX
+	VMOVHPD X3, (AX)(R13*1)
+
+	ADDQ  $8, R13
+	JMP   step
 
 done:
 	VZEROUPPER

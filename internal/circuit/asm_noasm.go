@@ -9,7 +9,7 @@ package circuit
 
 const haveAVX2 = false
 
-func (f *luReal) solveBatchAVX2(b, x []float64, L int) {
+func (tb *TransientBatch) stepFusedAVX2(nd Node, ref int, dst, src [][]float64, mul, div, add []float64, n int) {
 	panic("circuit: AVX2 kernels unavailable in this build")
 }
 

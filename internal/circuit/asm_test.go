@@ -8,10 +8,11 @@ import (
 )
 
 // These suites pin the asm/Go kernel equivalence contract: whatever
-// kernel solveBatch and ROMBatch.StepTraceBatch dispatch to on this
-// build (AVX2 assembly on amd64, pure Go under `noasm` or elsewhere)
-// must be bit-identical to the pure-Go reference at every batch
-// width. CI runs them both with and without the noasm tag.
+// kernel TransientBatch.StepTraceBatch and ROMBatch.StepTraceBatch
+// dispatch to on this build (AVX2 assembly on amd64, pure Go under
+// `noasm` or elsewhere) must be bit-identical to the pure-Go reference
+// at every batch width. CI runs them both with and without the noasm
+// tag.
 
 // testLU factors a random diagonally dominant n×n system.
 func testLU(t testing.TB, n int, seed int64) *luReal {
@@ -133,8 +134,13 @@ func romStepBatchGo(rb *ROMBatch, dst, src [][]float64, mul, div []float64, n in
 	}
 }
 
+// TestSolveBatchDispatchBitIdentical holds solveBatch, the Go
+// multi-lane kernel's substitution, to the serial solve bit for bit on
+// every lane and to the dense substitution by value, at widths that
+// meet every 8-, 4- and 1-lane block mix, and checks it writes nothing
+// past the last lane. The fused kernel's own substitution is held to
+// it through TestStepTraceBatchDispatchBitIdentical.
 func TestSolveBatchDispatchBitIdentical(t *testing.T) {
-	t.Logf("haveAVX2 = %v", haveAVX2)
 	factors := []struct {
 		name string
 		lu   *luReal
@@ -156,25 +162,8 @@ func TestSolveBatchDispatchBitIdentical(t *testing.T) {
 		for _, L := range []int{1, 2, 3, 4, 5, 6, 7, 8, 11, 13, 16, 32} {
 			b := signedRHS(rng, n, L)
 			got := guarded(n * L)
-			want := make([]float64, n*L)
 			lu.solveBatch(b, got, L)
-			lu.solveBatchGo(b, want, L)
-			checkGuard(t, got, fx.name+" dispatch", L)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s L=%d: dispatch[%d] = %v, pure Go %v", fx.name, L, i, got[i], want[i])
-				}
-			}
-			if haveAVX2 {
-				asm := guarded(n * L)
-				lu.solveBatchAVX2(b, asm, L)
-				checkGuard(t, asm, fx.name+" AVX2", L)
-				for i := range want {
-					if math.Float64bits(asm[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s L=%d: AVX2[%d] = %v, pure Go %v", fx.name, L, i, asm[i], want[i])
-					}
-				}
-			}
+			checkGuard(t, got, fx.name+" batch", L)
 			// Per lane: bitwise against the serial solver, by value
 			// against the dense reference.
 			bl := make([]float64, n)
@@ -241,16 +230,11 @@ func TestSparseSolveZeroContract(t *testing.T) {
 			for l := 0; l < L; l++ {
 				scatter(b, tc.b[:], L, l)
 			}
-			for _, k := range []struct {
-				name  string
-				solve func(b, x []float64, L int)
-			}{{"dispatch", lu.solveBatch}, {"go", lu.solveBatchGo}} {
-				x := make([]float64, 2*L)
-				k.solve(b, x, L)
-				for i := 0; i < 2*L; i++ {
-					if want := tc.sparse[i/L]; math.Float64bits(x[i]) != math.Float64bits(want) {
-						t.Fatalf("%s %s L=%d: x[%d] = %v, want %v", tc.name, k.name, L, i, x[i], want)
-					}
+			x := make([]float64, 2*L)
+			lu.solveBatch(b, x, L)
+			for i := 0; i < 2*L; i++ {
+				if want := tc.sparse[i/L]; math.Float64bits(x[i]) != math.Float64bits(want) {
+					t.Fatalf("%s L=%d: x[%d] = %v, want %v", tc.name, L, i, x[i], want)
 				}
 			}
 		}
@@ -341,42 +325,6 @@ func TestROMStepBatchDispatchBitIdentical(t *testing.T) {
 					t.Fatalf("lanes=%d lane %d coord %d: mu %v != %v", lanes, live[k], i, gm[i], wm[i])
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkSolveBatchKernel compares the pure-Go register-blocked
-// substitution against the single-call AVX2 kernel at replay-realistic
-// sizes. The dense random factor (n=15, the shipped PDN's MNA
-// dimension, no zeros) shows what walking row lists costs when nothing
-// is skipped; pdn3 is the pdnLadder3 transient factor, whose zeros the
-// kernels skip.
-func BenchmarkSolveBatchKernel(b *testing.B) {
-	for _, fx := range []struct {
-		name string
-		lu   *luReal
-	}{{"", testLU(b, 15, 42)}, {"pdn3/", ladderLU(b)}} {
-		lu, n := fx.lu, fx.lu.n
-		for _, L := range []int{2, 3, 8, 32} {
-			rhs := make([]float64, n*L)
-			x := make([]float64, n*L)
-			rng := rand.New(rand.NewSource(9))
-			for i := range rhs {
-				rhs[i] = rng.NormFloat64()
-			}
-			b.Run(fmt.Sprintf("%sgo/Lanes%d", fx.name, L), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					lu.solveBatchGo(rhs, x, L)
-				}
-			})
-			b.Run(fmt.Sprintf("%sasm/Lanes%d", fx.name, L), func(b *testing.B) {
-				if !haveAVX2 {
-					b.Skip("AVX2 kernels unavailable in this build")
-				}
-				for i := 0; i < b.N; i++ {
-					lu.solveBatchAVX2(rhs, x, L)
-				}
-			})
 		}
 	}
 }

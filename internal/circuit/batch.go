@@ -27,6 +27,10 @@ type TransientBatch struct {
 	capI    []float64
 	indI    []float64
 	time    []float64 // per lane
+
+	// group is the fused kernel's [rows × 8] scratch (fused.go); nil
+	// when the kernel is unavailable or the batch has one lane.
+	group []float64
 }
 
 // NewBatch returns a batch of `lanes` states, each at the compiled DC
@@ -37,10 +41,13 @@ func (cp *Compiled) NewBatch(lanes int) *TransientBatch {
 		panic("circuit: batch needs at least one lane")
 	}
 	ne := len(cp.sources0)
+	// The group scratch shares the right-hand side's allocation.
+	nb := cp.n * lanes
+	rhs := make([]float64, nb, nb+cp.groupScratch(lanes))
 	tb := &TransientBatch{
 		cp:      cp,
 		lanes:   lanes,
-		rhs:     make([]float64, cp.n*lanes),
+		rhs:     rhs,
 		x:       make([]float64, cp.n*lanes),
 		sources: make([]float64, ne*lanes),
 		capV:    make([]float64, ne*lanes),
@@ -55,7 +62,19 @@ func (cp *Compiled) NewBatch(lanes int) *TransientBatch {
 		scatter(tb.capI, cp.capI0, lanes, l)
 		scatter(tb.indI, cp.indI0, lanes, l)
 	}
+	if cap(rhs) > nb {
+		tb.group = rhs[nb:cap(rhs)]
+	}
 	return tb
+}
+
+// groupScratch is the fused kernel's scratch length for a batch of
+// `lanes` lanes: zero unless the kernel runs here and lanes > 1.
+func (cp *Compiled) groupScratch(lanes int) int {
+	if cp.fused == nil || lanes < 2 {
+		return 0
+	}
+	return cp.fused.rows * groupLanes
 }
 
 // Lanes returns the current number of lanes (shrinks via DropLane).
@@ -143,8 +162,9 @@ func dropCol(a []float64, L, l int) []float64 {
 // A single lane runs Transient.StepTrace itself: at one lane the
 // lane-minor layout is the scalar layout, so a Transient view over the
 // batch arrays needs no copy, and a one-lane replay (or the last
-// survivor of a pass) costs what the serial kernel costs instead of
-// paying the lane loops' overhead.
+// survivor of a pass) costs what the serial kernel costs. Wider
+// batches run the fused AVX2 kernel in 8-lane groups where it is
+// available (fused.go), and the Go lane loops otherwise.
 func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64, mul, div, add []float64, n int) {
 	cp := tb.cp
 	L := tb.lanes
@@ -159,13 +179,31 @@ func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64,
 			panic("circuit: StepTraceBatch lane buffer shorter than n")
 		}
 	}
-	if L == 1 {
+	if k := cp.c.elements[ref].kind; k != kindV && k != kindI {
+		panic("circuit: StepTraceBatch ref is not a source")
+	}
+	cp.c.checkNode(nd)
+	switch {
+	case L == 1:
 		t := Transient{cp: cp, rhs: tb.rhs, x: tb.x, sources: tb.sources,
 			capV: tb.capV, capI: tb.capI, indI: tb.indI, time: tb.time[0]}
 		t.StepTrace(nd, ref, dst[0], src[0][:n], mul[0], div[0], add[0])
 		tb.time[0] = t.time
-		return
+	case haveAVX2 && tb.group != nil:
+		tb.stepFusedAVX2(nd, ref, dst, src, mul, div, add, n)
+	default:
+		tb.stepGo(nd, ref, dst, src, mul, div, add, n)
 	}
+}
+
+// stepGo is the multi-lane Go kernel: the reference the fused AVX2
+// kernel is held bit-identical to, and the path noasm, non-amd64 and
+// pre-AVX2 builds run. Each step stamps the right-hand side lane by
+// lane, solves every lane through the register-blocked substitution,
+// and updates the companion histories.
+func (tb *TransientBatch) stepGo(nd Node, ref int, dst, src [][]float64, mul, div, add []float64, n int) {
+	cp := tb.cp
+	L := tb.lanes
 	ops, capOps, indOps := cp.stepOps, cp.capOps, cp.indOps
 	b, x := tb.rhs, tb.x
 	capV, capI, indI, sources := tb.capV, tb.capI, tb.indI, tb.sources

@@ -142,27 +142,10 @@ func (f *luReal) solve(b, x []float64) {
 // whole coefficient sweep: each coefficient is loaded once per block
 // instead of once per lane, and the block's independent
 // multiply-subtract chains keep the FP units busy where the serial
-// solve's single chain stalls on latency. That blocking — not thread
-// parallelism — is the multi-lane replay kernel's speedup.
-//
-// On amd64 with AVX2 (and without the `noasm` tag), the whole solve is
-// one call into a hand-written vector kernel (asm_amd64.s) that keeps
-// this exact per-lane operation order — multiply then subtract as two
-// rounded ops, no FMA contraction — so the dispatch below never
-// changes a single output bit, only how many lanes each instruction
-// carries.
+// solve's single chain stalls on latency. It is the Go multi-lane
+// kernel's solve; the fused AVX2 kernel runs the same substitution
+// inside its step (fused.go).
 func (f *luReal) solveBatch(b, x []float64, L int) {
-	if haveAVX2 && L >= 2 {
-		f.solveBatchAVX2(b, x, L)
-		return
-	}
-	f.solveBatchGo(b, x, L)
-}
-
-// solveBatchGo is the pure-Go register-blocked kernel — the reference
-// the assembly path is verified bit-identical against, and the path
-// taken on non-amd64, noasm, pre-AVX2 hardware, and one-lane batches.
-func (f *luReal) solveBatchGo(b, x []float64, L int) {
 	// Forward substitution (unit lower): row i starts from row perm[i]
 	// of b.
 	for i, p := range f.perm {

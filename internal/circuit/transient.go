@@ -36,6 +36,10 @@ type Compiled struct {
 	stepOps []stepOp // RHS assembly, element order (R elements skipped)
 	capOps  []stepOp // capacitor companion updates, capIdx order
 	indOps  []stepOp // inductor companion updates, element order
+
+	// fused is the same step compiled for the fused AVX2 kernel
+	// (fused.go); nil where that kernel does not run.
+	fused *fusedPlan
 }
 
 // stepOp is one flattened element record for the trace kernel. Node
@@ -156,6 +160,9 @@ func Compile(c *Circuit, h float64) (*Compiled, error) {
 	}
 	cp.lu = lu
 	cp.buildStepOps()
+	if haveAVX2 {
+		cp.fused = cp.buildFused()
+	}
 	return cp, nil
 }
 

@@ -93,8 +93,7 @@ func (rs ResonanceSweep) Run(lo, hi, step int) ([]SweepPoint, SweepPoint, error)
 		}
 		r = cp
 	}
-	var points []SweepPoint
-	best := SweepPoint{}
+	var rcs []testbed.RunConfig
 	for n := lo; n <= hi; n += step {
 		prog, err := ProbeProgram(n, rs.Platform.Chip.DecodeWidth, 1<<40, rs.Platform.Chip.HasFMA)
 		if err != nil {
@@ -104,14 +103,20 @@ func (rs ResonanceSweep) Run(lo, hi, step int) ([]SweepPoint, SweepPoint, error)
 		if err != nil {
 			return nil, SweepPoint{}, err
 		}
-		m, err := r.Run(testbed.RunConfig{
+		rcs = append(rcs, testbed.RunConfig{
 			Threads:      specs,
 			MaxCycles:    warmup + measure,
 			WarmupCycles: warmup,
 		})
-		if err != nil {
-			return nil, SweepPoint{}, err
+	}
+	ms, errs := measureProbes(r, rcs)
+	var points []SweepPoint
+	best := SweepPoint{}
+	for i, m := range ms {
+		if errs[i] != nil {
+			return nil, SweepPoint{}, errs[i]
 		}
+		n := lo + i*step
 		p := SweepPoint{
 			LoopCycles: n,
 			DroopV:     m.MaxDroopV,
@@ -123,4 +128,24 @@ func (rs ResonanceSweep) Run(lo, hi, step int) ([]SweepPoint, SweepPoint, error)
 		}
 	}
 	return points, best, nil
+}
+
+// measureProbes measures the sweep's probes: as one batch when r
+// batches, so their replays share multi-lane passes, and one Run each
+// otherwise (a Platform, the reference loop). The batch uses one
+// worker, a constant, so its passes and their counters do not follow
+// GOMAXPROCS.
+func measureProbes(r testbed.Runner, rcs []testbed.RunConfig) ([]*testbed.Measurement, []error) {
+	if br, ok := r.(testbed.BatchRunner); ok {
+		return br.MeasureBatch(rcs, 0, 1)
+	}
+	ms := make([]*testbed.Measurement, len(rcs))
+	errs := make([]error, len(rcs))
+	for i, rc := range rcs {
+		ms[i], errs[i] = r.Run(rc)
+		if errs[i] != nil {
+			break
+		}
+	}
+	return ms, errs
 }

@@ -2,12 +2,10 @@ package testbed
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file is the generation-batched evaluation pipeline: the GA hands
@@ -28,16 +26,15 @@ import (
 // driver, each lane picks its kernel by the same per-lane rule, and a
 // lane's output never depends on its pass-mates.
 
-// DefaultBatchLanes is the fixed lane width callers may pass when they
-// want to bypass automatic selection. Eight lanes is where the blocked
-// multi-RHS solve saturates on the PDN-sized systems this repo ships —
-// but fixing the width can idle workers when a generation doesn't
-// split evenly (see autoLanes), which is why lanes <= 0 now selects
-// the width automatically instead of defaulting here.
+// DefaultBatchLanes is a fixed lane width tests pass to show that the
+// width never moves a result: one group of the fused exact kernel,
+// which steps eight lanes per call (internal/circuit). Production
+// callers pass 0 and let autoLanes size each pass.
 const DefaultBatchLanes = 8
 
-// maxBatchLanes bounds the lane width; wider batches spill the solve's
-// register blocks without adding throughput.
+// maxBatchLanes bounds the lane width at four fused-kernel groups. A
+// pass steps its groups one after another, so per-lane cost is flat
+// past one group.
 const maxBatchLanes = 32
 
 // BatchRunner is a Runner that can evaluate a whole generation at once.
@@ -49,10 +46,9 @@ type BatchRunner interface {
 	// MeasureBatch measures every config, returning slot-aligned
 	// measurements and errors (exactly one of ms[i], errs[i] is
 	// non-nil). lanes <= 0 selects the lane width automatically from
-	// the batch shape and a per-platform kernel calibration, and every
-	// production caller passes 0; a fixed width exists so tests can
-	// show the width never affects results, only throughput. workers
-	// <= 0 selects GOMAXPROCS.
+	// the batch shape, and every production caller passes 0; a fixed
+	// width exists so tests can show the width never affects results,
+	// only throughput. workers <= 0 selects GOMAXPROCS.
 	MeasureBatch(rcs []RunConfig, lanes, workers int) ([]*Measurement, []error)
 }
 
@@ -238,7 +234,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 		}
 	}
 	if autoWidth {
-		lanes = cp.autoLanes(len(byKernel[0])+len(byKernel[1]), workers)
+		lanes = autoLanes(len(byKernel[0])+len(byKernel[1]), workers)
 	}
 	var passes [][]*replayLane
 	for _, kl := range byKernel {
@@ -293,68 +289,13 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 }
 
 // autoLanes picks the multi-lane kernel width for a generation of
-// `jobs` lane-eligible replays over `workers` goroutines. The fixed
-// default width idles workers whenever the job count doesn't cover
-// workers × lanes (the BENCH_eval L8xW8 > L4xW8 regression: 32 jobs at
-// 8 lanes is only 4 batches over 8 workers), so the width starts from
-// the narrowest value that still gives every worker a batch,
-// ceil(jobs/workers), and is then clamped to the platform's measured
-// best kernel width once batches are deep enough for the clamp to
-// matter. The width only moves throughput, never results.
-func (cp *CompiledPlatform) autoLanes(jobs, workers int) int {
-	if jobs <= 1 {
-		return 1
-	}
-	L := (jobs + workers - 1) / workers
-	if L <= 1 {
-		return 1
-	}
-	if L > 4 {
-		if w := cp.kernelLanes(); L > w {
-			L = w
-		}
-	}
-	if L > maxBatchLanes {
-		L = maxBatchLanes
-	}
-	return L
-}
-
-// kernelLanes measures, once per platform, which lane width gives the
-// exact multi-lane kernel its best per-lane throughput on this
-// machine, over a short synthetic drive. The exact kernel is the one
-// calibrated — it dominates wherever the width choice matters, and the
-// reduced-order kernel's per-lane cost is width-flat so any clamp is
-// safe for it. The measurement is wall-clock derived but feeds only
-// the width choice, which never affects results.
-func (cp *CompiledPlatform) kernelLanes() int {
-	cp.laneOnce.Do(func() {
-		const steps = 1024
-		src := make([]float64, steps)
-		for i := range src {
-			src[i] = 20 + 10*math.Sin(2*math.Pi*float64(i)/36)
-		}
-		best, bestNS := DefaultBatchLanes, math.MaxFloat64
-		for _, w := range []int{4, 8, 16, 32} {
-			pb := cp.net.NewBatch(w)
-			dst := make([][]float64, w)
-			srcs := make([][]float64, w)
-			mul := make([]float64, w)
-			div := make([]float64, w)
-			add := make([]float64, w)
-			for l := 0; l < w; l++ {
-				dst[l] = make([]float64, steps)
-				srcs[l] = src
-				mul[l], div[l], add[l] = 1, 1, 0
-			}
-			start := time.Now()
-			pb.StepTraceBatch(dst, srcs, mul, div, add, steps)
-			perLane := float64(time.Since(start).Nanoseconds()) / float64(w)
-			if perLane < bestNS {
-				best, bestNS = w, perLane
-			}
-		}
-		cp.laneWidth = best
-	})
-	return cp.laneWidth
+// `jobs` lane-eligible replays over `workers` goroutines: the narrowest
+// width that still hands every worker a pass, ceil(jobs/workers), so a
+// generation that does not fill workers × lanes leaves no worker idle
+// (the BENCH_eval L8xW8 > L4xW8 regression: 32 jobs at 8 lanes is only
+// 4 passes over 8 workers), clamped at maxBatchLanes. The width
+// depends on the batch shape alone and only moves throughput, never
+// results.
+func autoLanes(jobs, workers int) int {
+	return min(max((jobs+workers-1)/workers, 1), maxBatchLanes)
 }

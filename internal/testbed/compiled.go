@@ -49,12 +49,6 @@ type CompiledPlatform struct {
 	store     *tracestore.Store
 	tier      TraceTier
 	storeSalt []byte
-
-	// laneOnce/laneWidth cache the measured best multi-lane kernel
-	// width, which caps the batch pipeline's automatic lane width (see
-	// kernelLanes in batch.go).
-	laneOnce  sync.Once
-	laneWidth int
 }
 
 // romOK reports whether the platform's declared voltage tolerance

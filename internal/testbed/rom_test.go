@@ -257,36 +257,26 @@ func TestROMTinyToleranceFallsBackExact(t *testing.T) {
 	}
 }
 
-// TestAutoLanesShape pins the automatic width policy: narrowest width
-// that still hands every worker a batch, clamped by the calibrated
-// kernel width and the hard lane cap.
+// TestAutoLanesShape pins the automatic width policy: the narrowest
+// width that still hands every worker a batch, clamped at
+// maxBatchLanes and at nothing else.
 func TestAutoLanesShape(t *testing.T) {
-	cp, err := Bulldozer().Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cp.autoLanes(1, 8); got != 1 {
-		t.Errorf("autoLanes(1, 8) = %d, want 1 (solo job)", got)
-	}
-	if got := cp.autoLanes(6, 2); got != 3 {
-		t.Errorf("autoLanes(6, 2) = %d, want 3", got)
-	}
-	// The regression shape: 32 jobs over 8 workers must split into 8
-	// batches of 4, not 4 batches of 8.
-	if got := cp.autoLanes(32, 8); got != 4 {
-		t.Errorf("autoLanes(32, 8) = %d, want 4", got)
-	}
-	w := cp.kernelLanes()
-	switch w {
-	case 4, 8, 16, 32:
-	default:
-		t.Fatalf("kernelLanes() = %d, not a calibrated width", w)
-	}
-	if got := cp.autoLanes(64*w, 2); got != w {
-		t.Errorf("autoLanes(%d, 2) = %d, want clamp to kernel width %d", 64*w, got, w)
-	}
-	if got := cp.autoLanes(10000, 1); got > maxBatchLanes {
-		t.Errorf("autoLanes(10000, 1) = %d, exceeds maxBatchLanes", got)
+	for _, tc := range []struct{ jobs, workers, want int }{
+		{0, 1, 1},
+		{1, 8, 1}, // a solo job
+		{6, 2, 3},
+		// The regression shape: 32 jobs over 8 workers must split into
+		// 8 batches of 4, not 4 batches of 8.
+		{32, 8, 4},
+		{24, 1, 24},
+		{33, 2, 17},
+		{64, 2, maxBatchLanes},
+		{65, 2, maxBatchLanes},
+		{10000, 1, maxBatchLanes},
+	} {
+		if got := autoLanes(tc.jobs, tc.workers); got != tc.want {
+			t.Errorf("autoLanes(%d, %d) = %d, want %d", tc.jobs, tc.workers, got, tc.want)
+		}
 	}
 }
 

@@ -34,7 +34,6 @@ gated=(
   BenchmarkMedianOfKReplay
   BenchmarkROMStepBatchKernel
   BenchmarkReplayFold
-  BenchmarkSolveBatchKernel
   BenchmarkStepTrace
   BenchmarkStepTraceBatch
   BenchmarkStepTraceBatchROM

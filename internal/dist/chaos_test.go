@@ -68,7 +68,6 @@ func TestDistWorkerProcess(t *testing.T) {
 	w, err := NewWorker(WorkerConfig{
 		ID: id, BaseURL: url, Runner: cp,
 		Platform:   testbed.PlatformDigest(testbed.Bulldozer()),
-		Poll:       5 * time.Millisecond,
 		HTTPClient: client,
 	})
 	if err != nil {

@@ -531,7 +531,10 @@ func (c *Coordinator) runLocal(ctx context.Context, u *unit, workers int) {
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", jsonEndpoint(c.register))
-	mux.HandleFunc("/v1/lease", jsonEndpoint(c.lease))
+	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		// A lease may be held; the request's end ends the hold.
+		jsonEndpoint(func(req *leaseRequest) *leaseReply { return c.lease(r.Context(), req) })(w, r)
+	})
 	mux.HandleFunc("/v1/heartbeat", jsonEndpoint(c.heartbeat))
 	mux.HandleFunc("/v1/result", jsonEndpoint(c.result))
 	if c.cfg.TraceStore != nil {
@@ -586,39 +589,60 @@ func (c *Coordinator) register(req *registerRequest) *registerReply {
 	return &registerReply{OK: true}
 }
 
-// lease hands the oldest pending unit to a polling worker.
-func (c *Coordinator) lease(req *leaseRequest) *leaseReply {
+// lease hands the oldest pending unit to a polling worker. With none
+// pending it holds the request until a unit is queued or requeued, ctx
+// (the request's) ends, or a sixth of a lease TTL passes (500 ms at the
+// default), and then replies with no unit and no RetryMs, so the worker
+// asks again at once: a worker that polls before a batch exists leases
+// from it as soon as it is queued. A suspended worker is not held; its
+// reply's RetryMs is the pause.
+func (c *Coordinator) lease(ctx context.Context, req *leaseRequest) *leaseReply {
+	hold := max(c.cfg.LeaseTTL/6, time.Millisecond)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.workers[req.WorkerID]
-	if w == nil {
-		return &leaseReply{Unregistered: true}
-	}
-	if w.evicted {
-		return &leaseReply{Evicted: true}
-	}
-	w.lastSeen = c.now()
-	idle := &leaseReply{RetryMs: (c.cfg.LeaseTTL / 6).Milliseconds()}
-	if idle.RetryMs < 1 {
-		idle.RetryMs = 1
-	}
-	if c.now().Before(w.suspendedUntil) {
-		return idle
-	}
-	c.expireLocked() // a revoked lease may be re-issuable right now
-	for len(c.pending) > 0 {
-		u := c.pending[0]
-		c.pending = c.pending[1:]
-		if u.state != unitPending || u.local {
-			continue // withdrawn, raced done, or demoted to local
+	for held := false; ; held = true {
+		w := c.workers[req.WorkerID]
+		if w == nil {
+			return &leaseReply{Unregistered: true}
 		}
-		u.state = unitLeased
-		u.worker = w.id
-		u.deadline = c.now().Add(c.cfg.LeaseTTL)
-		u.attempts++
-		return &leaseReply{Unit: u.wire, LeaseMs: c.cfg.LeaseTTL.Milliseconds()}
+		if w.evicted {
+			return &leaseReply{Evicted: true}
+		}
+		w.lastSeen = c.now()
+		if c.now().Before(w.suspendedUntil) {
+			return &leaseReply{RetryMs: hold.Milliseconds()}
+		}
+		c.expireLocked() // a revoked lease may be re-issuable right now
+		for len(c.pending) > 0 {
+			u := c.pending[0]
+			c.pending = c.pending[1:]
+			if u.state != unitPending || u.local {
+				continue // withdrawn, raced done, or demoted to local
+			}
+			u.state = unitLeased
+			u.worker = w.id
+			u.deadline = c.now().Add(c.cfg.LeaseTTL)
+			u.attempts++
+			return &leaseReply{Unit: u.wire, LeaseMs: c.cfg.LeaseTTL.Milliseconds()}
+		}
+		if ctx.Err() != nil {
+			return &leaseReply{}
+		}
+		if !held {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, hold)
+			defer cancel()
+			// Wake the wait below when the hold ends; the lock keeps the
+			// wake from landing before the wait.
+			stop := context.AfterFunc(ctx, func() {
+				c.mu.Lock()
+				c.cond.Broadcast()
+				c.mu.Unlock()
+			})
+			defer stop()
+		}
+		c.cond.Wait()
 	}
-	return idle
 }
 
 // heartbeat extends a live lease; OK=false tells the worker its lease

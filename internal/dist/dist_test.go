@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,8 +75,7 @@ func fastCoordinator(t *testing.T, local LocalRunner, mut func(*Config)) (*Coord
 func startWorker(t *testing.T, url, id string, runner testbed.ContextBatchRunner) (cancel func(), done chan error) {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
-		ID: id, BaseURL: url, Runner: runner,
-		Poll: 5 * time.Millisecond, Logf: t.Logf,
+		ID: id, BaseURL: url, Runner: runner, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,6 +324,109 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	checkMatchesLocal(t, rcs, o.ms, o.errs)
 	if st := co.Stats(); st.LeaseExpiries == 0 || st.Requeues == 0 {
 		t.Errorf("ghost's lease never expired: %+v", st)
+	}
+}
+
+// firstMeasure records when its worker first measured a unit.
+type firstMeasure struct {
+	testbed.ContextBatchRunner
+	once sync.Once
+	at   chan time.Time
+}
+
+func (f *firstMeasure) MeasureBatchContext(ctx context.Context, rcs []testbed.RunConfig, lanes, workers int) ([]*testbed.Measurement, []error) {
+	f.once.Do(func() { f.at <- time.Now() })
+	return f.ContextBatchRunner.MeasureBatchContext(ctx, rcs, lanes, workers)
+}
+
+// leaseCounting serves co's API and counts the lease requests it gets.
+func leaseCounting(t *testing.T, co *Coordinator) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	var polls atomic.Int32
+	h := co.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/lease" {
+			polls.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &polls
+}
+
+// waitPolls blocks until the coordinator has had n lease requests.
+func waitPolls(t *testing.T, polls *atomic.Int32, n int32) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); polls.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d lease requests", polls.Load(), n)
+		}
+	}
+}
+
+// TestFirstBatchLeasedAtOnce: a worker whose lease request reaches the
+// coordinator before the search's first batch exists is held, not told
+// to sleep, so at the default lease TTL its unit is leased within
+// 150 ms of MeasureBatchContext, not after the 500 ms pause an empty
+// reply used to prescribe.
+func TestFirstBatchLeasedAtOnce(t *testing.T) {
+	co, err := NewCoordinator(Config{Local: compiled(t), UnitSize: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, polls := leaseCounting(t, co)
+	runner := &firstMeasure{ContextBatchRunner: compiled(t), at: make(chan time.Time, 1)}
+	startWorker(t, srv.URL, "early", runner)
+	waitPolls(t, polls, 1)
+	time.Sleep(20 * time.Millisecond) // the request is held, or its reply is in
+
+	rcs := distSlate(t, 2)
+	start := time.Now()
+	type out struct {
+		ms   []*testbed.Measurement
+		errs []error
+	}
+	res := make(chan out, 1)
+	go func() {
+		ms, errs := co.MeasureBatchContext(context.Background(), rcs, 0, 1)
+		res <- out{ms, errs}
+	}()
+	select {
+	case at := <-runner.at:
+		if d := at.Sub(start); d > 150*time.Millisecond {
+			t.Errorf("the worker measured its first unit %v after the batch began, want within 150ms", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never measured a unit")
+	}
+	o := <-res
+	checkMatchesLocal(t, rcs, o.ms, o.errs)
+	if st := co.Stats(); st.UnitsRemote != 1 || st.LeaseExpiries != 0 {
+		t.Errorf("stats %+v, want the one unit remote and no expiry", st)
+	}
+}
+
+// TestHeldLeaseEndsWithRequest: a held lease request ends when its
+// request does. A worker cancelled mid-hold returns at once, and the
+// server then closes without waiting out the 500 ms hold.
+func TestHeldLeaseEndsWithRequest(t *testing.T) {
+	co, err := NewCoordinator(Config{Local: compiled(t), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, polls := leaseCounting(t, co)
+	stop, done := startWorker(t, srv.URL, "leaving", compiled(t))
+	waitPolls(t, polls, 1)
+	time.Sleep(20 * time.Millisecond)
+	start := time.Now()
+	stop()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("worker returned %v, want context.Canceled", err)
+	}
+	done <- nil // for startWorker's cleanup
+	srv.Close()
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Errorf("worker exit and server close took %v; the hold outlived its request", d)
 	}
 }
 

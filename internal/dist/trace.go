@@ -113,7 +113,7 @@ func (c *Coordinator) traceGet(w http.ResponseWriter, addr, worker string) {
 	if f := c.flights[addr]; f != nil && f.owner != worker {
 		if c.flightOwnerLiveLocked(f, now) {
 			// Someone else is capturing this very trace. Tell the asker
-			// to wait; the poll cadence mirrors the lease idle poll.
+			// to wait as long as an empty lease request is held.
 			c.traceStats.Waits++
 			retry := (c.cfg.LeaseTTL / 6).Milliseconds()
 			if retry < 1 {

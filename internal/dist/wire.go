@@ -91,7 +91,9 @@ type leaseReply struct {
 	// LeaseMs is the lease TTL; the worker must heartbeat well inside
 	// it or the unit is revoked and reissued.
 	LeaseMs int64 `json:"lease_ms,omitempty"`
-	// RetryMs is the suggested idle poll delay when Unit is nil.
+	// RetryMs, when Unit is nil, is how long the worker should pause
+	// before it asks again: set for a suspended worker, and 0 after a
+	// held request found no work (ask again at once).
 	RetryMs int64 `json:"retry_ms,omitempty"`
 	// Unregistered tells the worker the coordinator does not know it
 	// (e.g. the coordinator restarted); the worker re-registers.

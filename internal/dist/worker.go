@@ -39,9 +39,6 @@ type WorkerConfig struct {
 	// Parallel is the capture parallelism handed to MeasureBatchContext
 	// (default 1).
 	Parallel int
-	// Poll is the idle poll floor (default 25ms; the coordinator's
-	// RetryMs suggestion is used when larger).
-	Poll time.Duration
 	// HTTPClient, when non-nil, carries the RPCs — the seam where the
 	// chaos tests splice in faults.NetFaults.
 	HTTPClient *http.Client
@@ -83,9 +80,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = 1
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 25 * time.Millisecond
 	}
 	client := cfg.HTTPClient
 	if client == nil {
@@ -203,12 +197,13 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		case lease.Unit == nil:
-			idle := w.cfg.Poll
-			if d := time.Duration(lease.RetryMs) * time.Millisecond; d > idle {
-				idle = d
-			}
-			if err := sleepCtx(ctx, idle); err != nil {
-				return err
+			// The coordinator held the request while it had no work, so
+			// ask again at once, unless it asks for a pause (a suspended
+			// worker).
+			if lease.RetryMs > 0 {
+				if err := sleepCtx(ctx, time.Duration(lease.RetryMs)*time.Millisecond); err != nil {
+					return err
+				}
 			}
 			continue
 		}

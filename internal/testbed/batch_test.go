@@ -133,7 +133,7 @@ func mixedROMTol(t *testing.T, p Platform, rcs []RunConfig) float64 {
 	}
 	var bounds []float64
 	for _, rc := range rcs {
-		key, ok := traceKey(rc)
+		key, ok := traceKey(rc, nil)
 		tr := cp.traces.get(key)
 		if !ok || tr == nil {
 			continue

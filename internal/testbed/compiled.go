@@ -36,6 +36,7 @@ type CompiledPlatform struct {
 
 	scopeBufs sync.Pool // []float64 waveform storage
 	vbufs     sync.Pool // []float64 replay voltage buffers
+	traceBufs sync.Pool // *traceBuf capture and decode arrays
 
 	// traces caches phase-1 chip traces keyed by traceKey, shared by
 	// every replay-eligible run of this platform.
@@ -158,16 +159,25 @@ func (rc RunConfig) sampleConsumers() bool {
 // replayKeys returns rc's trace key and, for a run with no sample
 // consumers, its finished-measurement memo key: the trace key extended
 // with the replay-side parameters (supply, warmup) such a Measurement
-// depends on. memoKey is "" when the run is not memoable; ok is false
-// when the run has no trace key.
+// depends on. The trace key is a prefix of the memo key's string, not
+// a copy. memoKey is "" when the run is not memoable; ok is false when
+// the run has no trace key.
 func replayKeys(rc RunConfig) (key, memoKey string, ok bool) {
-	if key, ok = traceKey(rc); ok && !rc.sampleConsumers() {
-		var w [16]byte
+	var w [16]byte
+	var tail []byte
+	if !rc.sampleConsumers() {
 		binary.LittleEndian.PutUint64(w[:8], math.Float64bits(rc.SupplyVolts))
 		binary.LittleEndian.PutUint64(w[8:], rc.WarmupCycles)
-		memoKey = key + string(w[:])
+		tail = w[:]
 	}
-	return key, memoKey, ok
+	full, ok := traceKey(rc, tail)
+	if !ok {
+		return "", "", false
+	}
+	if tail != nil {
+		memoKey = full
+	}
+	return full[:len(full)-len(tail)], memoKey, true
 }
 
 // runReplay executes rc through the trace pipeline as a one-lane pass,

@@ -170,9 +170,15 @@ type replayLane struct {
 	supply  float64 // RunConfig.SupplyVolts (0 = nominal)
 	div     float64 // amps conversion: dt·supply
 	add     float64 // leakage amps
-	n       uint64  // cycles to stream: len(tr.energy)
+	n       uint64  // cycles to stream: tr.cycles()
 	cyc     uint64  // next cycle to stream
 	vbuf    []float64
+	// energy and issues are the trace's cycles while the lane is in a
+	// pass: the trace's own arrays, or buf's, into which the pass
+	// decoded a trace that rests as bytes.
+	energy []float64
+	issues []uint64
+	buf    *traceBuf
 }
 
 // newLane prepares rc's replay of tr. The lane's kernel follows one
@@ -186,7 +192,7 @@ func (cp *CompiledPlatform) newLane(slot int, tr *chipTrace, rc RunConfig, memoK
 	}
 	ln := &replayLane{slot: slot, memoKey: memoKey, tr: tr, supply: rc.SupplyVolts,
 		div: p.Chip.CycleSeconds() * supply, add: p.Power.LeakageAmps(p.Chip.Modules, supply),
-		n: uint64(len(tr.energy))}
+		n: tr.cycles()}
 	ln.fold = replayFold{p: p, m: &Measurement{MinV: supply}, vNom: p.PDN.VNom,
 		warm: rc.WarmupCycles, hist: rc.Histogram}
 	if rc.RecordWaveform {
@@ -256,6 +262,12 @@ func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
 		cp.net.Put(net)
 		muls[l] = 1e-12
 		ln.vbuf = cp.getVBuf(replayChunk)
+		ln.energy, ln.issues = ln.tr.energy, ln.tr.issues
+		if enc := ln.tr.enc; enc != nil {
+			ln.buf = cp.getTraceBuf(int(ln.n))
+			enc.DecodeInto(ln.buf.energy, ln.buf.issues)
+			ln.energy, ln.issues = ln.buf.energy, ln.buf.issues
+		}
 	}
 	for {
 		// Retire finished lanes (high to low so swap-ins are already
@@ -285,7 +297,7 @@ func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
 		}
 		for l, ln := range live {
 			dsts[l] = ln.vbuf[:n]
-			srcs[l] = ln.tr.energy[ln.cyc : ln.cyc+n]
+			srcs[l] = ln.energy[ln.cyc : ln.cyc+n]
 			divs[l], adds[l] = ln.div, ln.add
 		}
 		if rom {
@@ -294,15 +306,15 @@ func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
 			pb.StepTraceBatch(dsts[:w], srcs[:w], muls[:w], divs[:w], adds[:w], int(n))
 		}
 		for l, ln := range live {
-			ln.fold.scan(ln.cyc, srcs[l], ln.tr.issues[ln.cyc:ln.cyc+n], dsts[l])
+			ln.fold.scan(ln.cyc, srcs[l], ln.issues[ln.cyc:ln.cyc+n], dsts[l])
 			ln.cyc += n
 		}
 	}
 }
 
 // finishLane completes a retired lane's Measurement — chip counters,
-// mean voltage and power, the scope waveform and droop events — and
-// memoizes it.
+// mean voltage and power, the scope waveform and droop events —
+// memoizes it, and returns the lane's buffers to their pools.
 func (cp *CompiledPlatform) finishLane(ln *replayLane) {
 	f := &ln.fold
 	f.finish(ln.tr, ln.n, cp.p.Chip.CycleSeconds())
@@ -319,4 +331,9 @@ func (cp *CompiledPlatform) finishLane(ln *replayLane) {
 		cp.traces.putResult(ln.memoKey, *m)
 	}
 	cp.vbufs.Put(ln.vbuf[:0])
+	if ln.buf != nil {
+		cp.putTraceBuf(ln.buf)
+		ln.buf = nil
+	}
+	ln.energy, ln.issues = nil, nil
 }

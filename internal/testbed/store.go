@@ -16,6 +16,9 @@ import (
 // keyed by the full trace key salted with a capture digest, so two
 // platforms (or two binaries with different chip/power calibrations)
 // sharing one store directory can never serve each other's traces.
+// Whatever the store holds rests in memory as the store's bytes: a
+// store hit keeps the bytes it read, and a capture or tier hit written
+// through keeps the bytes the store wrote.
 
 // captureDigest fingerprints everything trace content depends on
 // beyond the trace key: the chip configuration and the power model
@@ -80,7 +83,8 @@ func (cp *CompiledPlatform) TraceStore() *tracestore.Store { return cp.store }
 // the tier may have registered a single-flight claim on the caller's
 // behalf, which the follow-up Publish releases. wire is the payload
 // bytes moved for the call (zero on a claim grant or an unreachable
-// tier), feeding TraceStats.WireBytes.
+// tier), feeding TraceStats.WireBytes. Publish must not keep rec's
+// arrays once it returns: they go back to the platform's pool.
 type TraceTier interface {
 	Fetch(key []byte) (rec *tracestore.Record, wire int, ok bool)
 	Publish(key []byte, rec *tracestore.Record) (wire int)
@@ -108,17 +112,19 @@ func (cp *CompiledPlatform) storeLoad(key string) *chipTrace {
 	if cp.store == nil {
 		return nil
 	}
-	rec, ok := cp.store.Get(cp.storeKeyBytes(key))
+	enc, ok := cp.store.Get(cp.storeKeyBytes(key))
 	if !ok {
 		cp.traces.count(func(s *TraceStats) { s.StoreMisses++ })
 		return nil
 	}
-	cp.traces.count(func(s *TraceStats) { s.StoreHits++; s.CaptureNSSaved += rec.CaptureNS })
-	return traceFromRecord(rec)
+	tr := traceFromEncoded(enc)
+	cp.traces.count(func(s *TraceStats) { s.StoreHits++; s.CaptureNSSaved += tr.captureNS })
+	return tr
 }
 
 // tierLoad consults the shared trace tier. A hit is written through to
-// the local store so the next cold start of this worker skips the wire.
+// the local store so the next cold start of this worker skips the wire,
+// and then rests as the bytes the store wrote.
 func (cp *CompiledPlatform) tierLoad(key string) *chipTrace {
 	if cp.tier == nil {
 		return nil
@@ -130,7 +136,9 @@ func (cp *CompiledPlatform) tierLoad(key string) *chipTrace {
 	}
 	cp.traces.count(func(s *TraceStats) { s.TierHits++; s.CaptureNSSaved += rec.CaptureNS; s.WireBytes += uint64(wire) })
 	if cp.store != nil {
-		cp.store.Put(cp.storeKeyBytes(key), rec)
+		if enc, err := cp.store.Put(cp.storeKeyBytes(key), rec); err == nil {
+			return traceFromEncoded(enc)
+		}
 	}
 	return traceFromRecord(rec)
 }
@@ -138,18 +146,25 @@ func (cp *CompiledPlatform) tierLoad(key string) *chipTrace {
 // storeSave writes a fresh capture through to the persistent store and
 // the shared tier, best-effort: a full disk or unreachable coordinator
 // costs nothing but the warm start. The tier Publish also releases any
-// single-flight claim the preceding Fetch registered.
+// single-flight claim the preceding Fetch registered. Once the store
+// holds the capture, tr rests as the bytes it wrote and its arrays go
+// back to the pool, so it must not be shared yet.
 func (cp *CompiledPlatform) storeSave(key string, tr *chipTrace) {
 	if cp.store == nil && cp.tier == nil {
 		return
 	}
 	rec := recordFromTrace(tr)
+	var enc *tracestore.Encoded
 	if cp.store != nil {
-		cp.store.Put(cp.storeKeyBytes(key), rec)
+		enc, _ = cp.store.Put(cp.storeKeyBytes(key), rec)
 	}
 	if cp.tier != nil {
 		wire := cp.tier.Publish(cp.storeKeyBytes(key), rec)
 		cp.traces.count(func(s *TraceStats) { s.WireBytes += uint64(wire) })
+	}
+	if enc != nil {
+		cp.putTraceBuf(&traceBuf{tr.energy, tr.issues})
+		tr.energy, tr.issues, tr.enc = nil, nil, enc
 	}
 }
 
@@ -196,7 +211,23 @@ func recordFromTrace(tr *chipTrace) *tracestore.Record {
 	}
 }
 
-// traceFromRecord rebuilds a replayable chipTrace.
+// traceFromEncoded rebuilds a replayable chipTrace that rests as the
+// store's bytes.
+func traceFromEncoded(enc *tracestore.Encoded) *chipTrace {
+	h := enc.Header()
+	return &chipTrace{
+		enc:         enc,
+		done:        h.Done,
+		unsupported: h.Unsupported,
+		endStats:    statsFromWords(h.EndStats),
+		endRetired:  h.EndRetired,
+		maxEnergy:   enc.MaxEnergy(),
+		captureNS:   h.CaptureNS,
+	}
+}
+
+// traceFromRecord rebuilds a replayable chipTrace that keeps rec's
+// arrays.
 func traceFromRecord(rec *tracestore.Record) *chipTrace {
 	tr := &chipTrace{
 		energy:      rec.Energy,

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -392,7 +394,7 @@ func TestStorePeriodicRecordRecaptured(t *testing.T) {
 	rc := periodicRecordConfig(t, p)
 	dir := t.TempDir()
 	warm := compiledWithStore(t, p, dir)
-	key, ok := traceKey(rc)
+	key, ok := traceKey(rc, nil)
 	if !ok {
 		t.Fatal("no trace key")
 	}
@@ -472,5 +474,166 @@ func TestBatchUsesStore(t *testing.T) {
 		if !reflect.DeepEqual(gotMs[i], wantMs[i]) {
 			t.Errorf("warm batch slot %d diverged from cold batch", i)
 		}
+	}
+}
+
+// storeSlate is a generation whose traces differ in length, so pooled
+// arrays pass between shorter and longer traces: dec/jnz loops of
+// 2,000 to 16,000 cycles, one trace replayed at two supplies (two lanes
+// decoding one trace at once), and a waveform and a trigger consumer,
+// which no finished-measurement memo serves.
+func storeSlate(t *testing.T, p Platform) []RunConfig {
+	t.Helper()
+	base := resonancePeriodCycles(p)
+	place := func(name string, period int) []ThreadSpec {
+		threads, err := SpreadPlacement(p.Chip, mulLoop(name, period), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return threads
+	}
+	var rcs []RunConfig
+	for i, cycles := range []uint64{2000, 16000, 5000, 11000, 3000, 8000} {
+		rcs = append(rcs, RunConfig{
+			Threads:      place(fmt.Sprintf("rest%d", i), base+3*i),
+			MaxCycles:    cycles,
+			WarmupCycles: 500,
+			SupplyVolts:  p.Nominal() - 0.06,
+		})
+	}
+	shared := place("rest-shared", base/2)
+	return append(rcs,
+		RunConfig{Threads: shared, MaxCycles: 7000, WarmupCycles: 500},
+		RunConfig{Threads: shared, MaxCycles: 7000, WarmupCycles: 500, SupplyVolts: p.Nominal() - 0.1},
+		RunConfig{Threads: place("rest-wave", base), MaxCycles: 6000, WarmupCycles: 1000, RecordWaveform: true},
+		RunConfig{Threads: place("rest-trig", base+1), MaxCycles: 9000, WarmupCycles: 1000, TriggerThreshold: p.Nominal() - 0.02},
+	)
+}
+
+// restingForms counts the cached traces of cp that rest as record
+// bytes and those that keep their arrays.
+func restingForms(cp *CompiledPlatform) (enc, arrays int) {
+	cp.traces.mu.Lock()
+	defer cp.traces.mu.Unlock()
+	for _, tr := range cp.traces.m {
+		switch {
+		case tr.enc != nil && tr.energy == nil && tr.issues == nil:
+			enc++
+		case tr.enc == nil:
+			arrays++
+		}
+	}
+	return enc, arrays
+}
+
+// TestStoreBackedBatchMatchesPlatformRun runs one slate on a
+// store-backed platform three times — cold (every trace captured and
+// written through), warm (the trace cache cleared, so every trace is a
+// store hit) and warm again (the memo cleared, so the resident traces
+// replay from the cache) — at lane widths 1, 2, 4 and 8 and 1 and 4
+// workers. Every trace the store holds rests as its bytes and every
+// replay decodes them into pooled arrays, and every slot must equal
+// Platform.Run. Run under -race in CI.
+func TestStoreBackedBatchMatchesPlatformRun(t *testing.T) {
+	p := Bulldozer()
+	rcs := storeSlate(t, p)
+	want := make([]*Measurement, len(rcs))
+	for i, rc := range rcs {
+		m, err := p.Run(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+	const traces = 9 // the shared trace serves two slots
+	for _, lanes := range []int{1, 2, 4, 8} {
+		for _, workers := range []int{1, 4} {
+			cp := compiledWithStore(t, p, t.TempDir())
+			for _, pass := range []string{"cold", "warm", "warm again"} {
+				tag := fmt.Sprintf("lanes=%d workers=%d %s", lanes, workers, pass)
+				switch pass {
+				case "warm":
+					cp.ClearTraceCache()
+				case "warm again":
+					cp.traces.mu.Lock()
+					cp.traces.results, cp.traces.resultFifo = nil, nil
+					cp.traces.mu.Unlock()
+				}
+				before := cp.TraceStats()
+				ms, errs := cp.MeasureBatch(rcs, lanes, workers)
+				for i := range rcs {
+					if errs[i] != nil {
+						t.Fatalf("%s slot %d: %v", tag, i, errs[i])
+					}
+					if !reflect.DeepEqual(ms[i], want[i]) {
+						t.Fatalf("%s slot %d differs from Platform.Run:\n got %+v\nwant %+v", tag, i, ms[i], want[i])
+					}
+				}
+				ts := cp.TraceStats()
+				hits, captures := ts.StoreHits-before.StoreHits, ts.Captures-before.Captures
+				switch {
+				case pass == "cold" && captures != traces,
+					pass == "warm" && (hits != traces || captures != 0),
+					pass == "warm again" && (hits != 0 || captures != 0):
+					t.Fatalf("%s: %d store hits and %d captures", tag, hits, captures)
+				}
+				if enc, arrays := restingForms(cp); enc != traces || arrays != 0 {
+					t.Errorf("%s: %d traces as bytes, %d as arrays, want %d and 0", tag, enc, arrays, traces)
+				}
+				resident := 0
+				cp.traces.mu.Lock()
+				for _, tr := range cp.traces.m {
+					resident += tr.sizeBytes()
+				}
+				cp.traces.mu.Unlock()
+				if ts.Bytes != resident {
+					t.Errorf("%s: cache counts %d bytes, its traces hold %d", tag, ts.Bytes, resident)
+				}
+			}
+		}
+	}
+}
+
+// TestStoreHitRunAllocs pins what a store hit costs to replay: once a
+// first hit has filled the pools, a Run of a 23,000-cycle search
+// candidate whose trace the store holds allocates the record's bytes
+// and the pass's small state, under 4 bytes a cycle, not the 16 a
+// cycle of two fresh trace arrays.
+func TestStoreHitRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its Puts under the race detector")
+	}
+	p := Bulldozer()
+	threads, err := SpreadPlacement(p.Chip, searchShapeProgram(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 23000
+	rc := RunConfig{Threads: threads, MaxCycles: cycles, WarmupCycles: 3000, SupplyVolts: p.Nominal()}
+	cp := compiledWithStore(t, p, t.TempDir())
+	run := func() {
+		cp.ClearTraceCache()
+		if _, err := cp.Run(rc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // capture and write through
+	run() // the warm-up store hit
+	// A collection empties the pools; keep it out of the measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if ts := cp.TraceStats(); ts.StoreHits != 1+runs || ts.Captures != 1 {
+		t.Fatalf("%d store hits and %d captures, want %d and 1", ts.StoreHits, ts.Captures, 1+runs)
+	}
+	perCycle := float64(after.TotalAlloc-before.TotalAlloc) / runs / cycles
+	t.Logf("a store hit's Run allocates %.2f bytes a cycle", perCycle)
+	if perCycle >= 4 {
+		t.Errorf("a store hit's Run allocates %.2f bytes a cycle, want under 4", perCycle)
 	}
 }

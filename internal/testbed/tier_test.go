@@ -89,6 +89,9 @@ func TestTierResolutionOrder(t *testing.T) {
 	if tier.publishes != 1 {
 		t.Fatalf("tier got %d publishes, want 1", tier.publishes)
 	}
+	if enc, arrays := restingForms(a); enc != 1 || arrays != 0 {
+		t.Errorf("written-through capture: %d traces as bytes, %d as arrays, want 1 and 0", enc, arrays)
+	}
 
 	// Worker B: cold local store, warm tier. Served over the wire, no
 	// capture, and written through to B's local store.
@@ -110,6 +113,9 @@ func TestTierResolutionOrder(t *testing.T) {
 	}
 	if b.TraceStore().Len() != 1 {
 		t.Error("tier hit not written through to the local store")
+	}
+	if enc, arrays := restingForms(b); enc != 1 || arrays != 0 {
+		t.Errorf("written-through tier hit: %d traces as bytes, %d as arrays, want 1 and 0", enc, arrays)
 	}
 
 	// Worker C shares B's directory with no tier: the write-through
@@ -172,6 +178,11 @@ func TestBatchUsesTier(t *testing.T) {
 	for i := range rcs {
 		if !reflect.DeepEqual(gotMs[i], wantMs[i]) {
 			t.Errorf("warm batch slot %d diverged from cold batch", i)
+		}
+	}
+	for _, cp := range []*CompiledPlatform{cold, warm} {
+		if enc, arrays := restingForms(cp); enc != 0 || arrays != 2 {
+			t.Errorf("store-less platform: %d traces as bytes, %d as arrays, want 0 and 2", enc, arrays)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package testbed
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -55,9 +57,16 @@ func packIssues(res *cpu.CycleResult) (uint64, bool) {
 // packed unit issues for every simulated cycle, plus the end-of-run
 // chip counters. Immutable once built; shared read-only by concurrent
 // replays.
+//
+// The cycles rest in one of two forms. A trace the platform's store
+// holds keeps the store's bytes (enc, about 0.9 bytes a cycle on a
+// search trace), which each replay decodes into pooled arrays of its
+// own; any other trace keeps its arrays (energy and issues, 16 bytes a
+// cycle).
 type chipTrace struct {
 	energy []float64
 	issues []uint64
+	enc    *tracestore.Encoded
 
 	// done: the program finished at cycle len(energy).
 	done bool
@@ -93,8 +102,54 @@ func (tr *chipTrace) noteMaxEnergy() {
 	tr.maxEnergy = m
 }
 
-// sizeBytes approximates the trace's cache footprint.
-func (tr *chipTrace) sizeBytes() int { return 16*len(tr.energy) + 256 }
+// cycles is the trace's length.
+func (tr *chipTrace) cycles() uint64 {
+	if tr.enc != nil {
+		return uint64(tr.enc.Cycles())
+	}
+	return uint64(len(tr.energy))
+}
+
+// sizeBytes approximates what the trace keeps resident in the cache.
+func (tr *chipTrace) sizeBytes() int {
+	if tr.enc != nil {
+		return tr.enc.Size() + 256
+	}
+	return 16*len(tr.energy) + 256
+}
+
+// traceBuf is a pair of trace arrays from the platform's pool: a
+// capture records into one, and a replay of a trace that rests as the
+// store's bytes decodes into one.
+type traceBuf struct {
+	energy []float64
+	issues []uint64
+}
+
+// traceBufMaxCycles caps the arrays the pool keeps (16 MiB a pair); a
+// rare longer trace's are left to the collector.
+const traceBufMaxCycles = 1 << 20
+
+// getTraceBuf returns pooled trace arrays of length n.
+func (cp *CompiledPlatform) getTraceBuf(n int) *traceBuf {
+	b, _ := cp.traceBufs.Get().(*traceBuf)
+	if b == nil {
+		b = new(traceBuf)
+	}
+	if cap(b.energy) < n || cap(b.issues) < n {
+		b.energy, b.issues = make([]float64, n), make([]uint64, n)
+	}
+	b.energy, b.issues = b.energy[:n], b.issues[:n]
+	return b
+}
+
+// putTraceBuf returns b's arrays to the pool; nothing may use them
+// after.
+func (cp *CompiledPlatform) putTraceBuf(b *traceBuf) {
+	if cap(b.energy) <= traceBufMaxCycles {
+		cp.traceBufs.Put(b)
+	}
+}
 
 // buildTrace is phase 1: run the chip alone (no PDN, no scope) and
 // record its per-cycle trace. It mirrors Platform.measure's chip-side ordering exactly —
@@ -131,14 +186,8 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 	}
 
 	maxCycles := rc.MaxCycles // caller guarantees 0 < maxCycles ≤ traceMaxCycles
-	est := maxCycles
-	if est > 1<<16 {
-		est = 1 << 16
-	}
-	tr := &chipTrace{
-		energy: make([]float64, 0, est),
-		issues: make([]uint64, 0, est),
-	}
+	buf := cp.getTraceBuf(int(min(maxCycles, 1<<16)))
+	tr := &chipTrace{energy: buf.energy[:0], issues: buf.issues[:0]}
 	for cyc := uint64(0); cyc < maxCycles; cyc++ {
 		if chip.Done() {
 			tr.done = true
@@ -178,33 +227,38 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 // voltage-at-failure ladder replay one cached trace. ok is false when
 // the run has no trace: an OS model injects interference the key does
 // not carry, a run that is unbounded or longer than traceMaxCycles is
-// not recorded, and an unencodable program has no key.
-func traceKey(rc RunConfig) (string, bool) {
+// not recorded, and an unencodable program has no key. The returned
+// string is the key followed by tail.
+func traceKey(rc RunConfig, tail []byte) (string, bool) {
 	if rc.OS != nil || rc.MaxCycles == 0 || rc.MaxCycles > traceMaxCycles {
 		return "", false
 	}
-	b := make([]byte, 0, 512)
-	var w [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		b = append(b, w[:]...)
-	}
-	var encs map[*asm.Program][]byte
-	for _, ts := range rc.Threads {
-		enc, ok := encs[ts.Program]
-		if !ok {
-			var err error
-			enc, err = asm.Encode(ts.Program)
+	// A search candidate's key runs to about 18 KB, so it is built once
+	// at its exact size.
+	encs := make([][]byte, len(rc.Threads))
+	size := 8*(3+3*len(rc.Dither)) + len(tail)
+	for i, ts := range rc.Threads {
+		if j := slices.IndexFunc(rc.Threads[:i], func(o ThreadSpec) bool { return o.Program == ts.Program }); j >= 0 {
+			encs[i] = encs[j]
+		} else {
+			enc, err := asm.Encode(ts.Program)
 			if err != nil {
 				return "", false
 			}
-			if encs == nil {
-				encs = map[*asm.Program][]byte{}
-			}
-			encs[ts.Program] = enc
+			encs[i] = enc
 		}
-		put(uint64(len(enc)))
-		b = append(b, enc...)
+		size += 8*5 + len(encs[i])
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var w [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(w[:], v)
+		b.Write(w[:])
+	}
+	for i, ts := range rc.Threads {
+		put(uint64(len(encs[i])))
+		b.Write(encs[i])
 		put(uint64(ts.Module))
 		put(uint64(ts.Core))
 		put(ts.MaxInstrs)
@@ -218,7 +272,8 @@ func traceKey(rc RunConfig) (string, bool) {
 		put(d.PeriodCycles)
 		put(d.PadCycles)
 	}
-	return string(b), true
+	b.Write(tail)
+	return b.String(), true
 }
 
 // TraceStats reports trace-cache and fast-path activity.

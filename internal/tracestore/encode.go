@@ -33,7 +33,9 @@ package tracestore
 // and the blob length before it allocates them (a literal's table
 // index is checked as it is read), and reads the table and the
 // literals straight out of the blob, so a decode allocates the record
-// and its two arrays and a validation nothing. v3 is the only format read: a blob under
+// and its two arrays and a validation nothing. An Encoded view keeps a
+// validated blob as it is and decodes it into arrays its caller owns.
+// v3 is the only format read: a blob under
 // any other magic (the flat v1 records and the DEFLATE-compressed v2
 // records older binaries wrote, or a future version) is a miss, as is a
 // corrupt or truncated blob, which fails the checksum or a structural
@@ -351,7 +353,55 @@ func Decode(blob []byte) (*Record, bool) {
 // building the arrays.
 func valid(blob []byte) bool {
 	var f frame
-	return f.parse(blob) && f.walk(nil, nil)
+	return f.check(blob)
+}
+
+// Encoded is a record at rest in its encoded form: a blob that passed
+// every check Decode makes, the literals' table indices included, so
+// decoding it cannot fail. Store.Get returns one and Store.Put returns
+// the one it wrote. A search trace's blob is about 0.9 bytes a cycle
+// against the 16 of its arrays, so a caller that keeps traces in
+// memory keeps these bytes and decodes them into arrays of its own
+// when it needs the cycles. An Encoded is immutable and safe for
+// concurrent use.
+type Encoded struct {
+	f    frame
+	size int
+}
+
+// parseEncoded returns the view of blob, or false wherever Decode
+// would refuse it. The view reads blob in place.
+func parseEncoded(blob []byte) (*Encoded, bool) {
+	e := &Encoded{size: len(blob)}
+	if !e.f.check(blob) {
+		return nil, false
+	}
+	return e, true
+}
+
+// Header returns the record's header fields, with Energy and Issues nil.
+func (e *Encoded) Header() Record { return e.f.rec }
+
+// Cycles is the record's cycle count, the length of its Energy and
+// Issues.
+func (e *Encoded) Cycles() int { return int(e.f.n) }
+
+// Size is the blob's length in bytes.
+func (e *Encoded) Size() int { return e.size }
+
+// MaxEnergy is the largest per-cycle energy of the record, or 0 when
+// none is positive; a NaN never counts. It is read from the table
+// entries the literals index: every other cycle copies an earlier one,
+// so it equals a scan over the decoded Energy.
+func (e *Encoded) MaxEnergy() float64 { return e.f.maxEnergy }
+
+// DecodeInto writes the record's cycles to energy[:n] and issues[:n],
+// n = Cycles(); both must hold at least n values. It only walks the
+// runs: the view was checked when it was made.
+func (e *Encoded) DecodeInto(energy []float64, issues []uint64) {
+	if n := e.f.n; n > 0 { // nil arrays would ask walk to check, not decode
+		e.f.walk(energy[:n:n], issues[:n:n])
+	}
 }
 
 // frame is a parsed v3 blob: the header and the sections it bounds,
@@ -364,6 +414,15 @@ type frame struct {
 	table []byte // k pairs
 	runs  []byte // the run-length uvarints
 	lits  []byte // the packed literals and the 8 checksum bytes after them
+	// maxEnergy is the largest energy, from 0, a literal reads; check
+	// sets it.
+	maxEnergy float64
+}
+
+// check runs every check Decode makes: parse, then walk's check that
+// each literal indexes the table, which also sets maxEnergy.
+func (f *frame) check(blob []byte) bool {
+	return f.parse(blob) && f.walk(nil, nil)
 }
 
 // parse checks blob's magic, checksum, header and run lengths, and
@@ -433,12 +492,14 @@ func (f *frame) parse(blob []byte) bool {
 }
 
 // walk decodes the runs and literals into energy and issues, or, with
-// both nil, only checks that every literal indexes the table.
+// both nil, only checks that every literal indexes the table and notes
+// the largest energy a literal reads in f.maxEnergy.
 func (f *frame) walk(energy []float64, issues []uint64) bool {
 	lits, runs := f.lits, f.runs
 	var acc uint64 // nacc unread literal bits, then bits of lits not yet counted
 	var nacc uint
 	n, lag, w := int(f.n), f.lag, f.w
+	maxE := 0.0
 	for i, run := 0, 0; i < n; run++ {
 		v, k := binary.Uvarint(runs)
 		runs = runs[k:]
@@ -458,10 +519,13 @@ func (f *frame) walk(energy []float64, issues []uint64) bool {
 				if x >= f.k {
 					return false
 				}
+				pair := f.table[pairBytes*x : pairBytes*x+pairBytes]
+				e := math.Float64frombits(binary.LittleEndian.Uint64(pair))
 				if energy != nil {
-					pair := f.table[pairBytes*x : pairBytes*x+pairBytes]
-					energy[i] = math.Float64frombits(binary.LittleEndian.Uint64(pair))
+					energy[i] = e
 					issues[i] = binary.LittleEndian.Uint64(pair[8:])
+				} else if e > maxE {
+					maxE = e
 				}
 			}
 		case energy == nil:
@@ -483,6 +547,9 @@ func (f *frame) walk(energy []float64, issues []uint64) bool {
 				i += c
 			}
 		}
+	}
+	if energy == nil {
+		f.maxEnergy = maxE
 	}
 	return true
 }

@@ -356,14 +356,14 @@ func checkLegacyIsAMiss(t *testing.T, name string, blob []byte) {
 		}
 	}
 	want := sampleRecord(64, 5)
-	if err := s.Put(key, want); err != nil {
+	if _, err := s.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.Get(key)
 	if !ok {
 		t.Fatalf("%s: miss after the recapture's Put", name)
 	}
-	recordsIdentical(t, name, got, want)
+	recordsIdentical(t, name, got.record(), want)
 	if disk, err := os.ReadFile(p); err != nil || !bytes.Equal(disk, Encode(want)) {
 		t.Fatalf("%s: recaptured record not stored as v3 (err %v)", name, err)
 	}
@@ -465,7 +465,7 @@ func TestV3CorruptionIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := []byte("k")
-	if err := s.Put(key, rec); err != nil {
+	if _, err := s.Put(key, rec); err != nil {
 		t.Fatal(err)
 	}
 	p := s.path(key)
@@ -564,7 +564,7 @@ func TestRawBlobAPI(t *testing.T) {
 	key := []byte("raw key")
 	rec := sampleRecord(80, 11)
 	rec.CaptureNS = 42
-	if err := s.Put(key, rec); err != nil {
+	if _, err := s.Put(key, rec); err != nil {
 		t.Fatal(err)
 	}
 	addr := Addr(key)
@@ -589,7 +589,7 @@ func TestRawBlobAPI(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after PutRaw")
 	}
-	recordsIdentical(t, "raw", got, rec)
+	recordsIdentical(t, "raw", got.record(), rec)
 
 	// Hostile inputs: bad addresses and undecodable blobs are rejected
 	// before touching the filesystem.
@@ -612,6 +612,12 @@ func TestRawBlobAPI(t *testing.T) {
 	for name, rec := range mismatchedRecords() {
 		if err := s2.PutRaw(addr, Encode(rec)); err == nil {
 			t.Errorf("PutRaw accepted mismatched record %s", name)
+		}
+		if enc, err := s2.Put([]byte(name), rec); err == nil || enc != nil {
+			t.Errorf("Put accepted mismatched record %s", name)
+		}
+		if _, ok := s2.GetRaw(Addr([]byte(name))); ok {
+			t.Errorf("Put wrote mismatched record %s", name)
 		}
 	}
 	if err := s2.PutRaw(addr, nil); err == nil {
@@ -659,8 +665,8 @@ func BenchmarkTraceEncodeV3(b *testing.B) {
 	b.ReportMetric(float64(16*n)/float64(len(blob)), "ratio")
 }
 
-// BenchmarkTraceDecodeV3 times the warm read path: one stored search
-// trace decoded into a fresh record, as a store or tier hit does.
+// BenchmarkTraceDecodeV3 times Decode: one stored search trace decoded
+// into a fresh record, as a tier hit does.
 func BenchmarkTraceDecodeV3(b *testing.B) {
 	rec := searchRecord()
 	blob := Encode(rec)
@@ -674,9 +680,28 @@ func BenchmarkTraceDecodeV3(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceDecodeInto times what a replay of a stored search
+// trace pays for its cycles: the view's decode into arrays it reuses.
+// The view was checked once, when the store read it.
+func BenchmarkTraceDecodeInto(b *testing.B) {
+	rec := searchRecord()
+	enc, ok := parseEncoded(Encode(rec))
+	if !ok {
+		b.Fatal("search record does not decode")
+	}
+	energy, issues := make([]float64, enc.Cycles()), make([]uint64, enc.Cycles())
+	b.SetBytes(int64(16 * len(rec.Energy))) // record bytes produced per op
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.DecodeInto(energy, issues)
+	}
+}
+
 // TestDecodeAllocs pins the steady-state cost of a decode at the
-// record and its two arrays, and of a validation at nothing: both read
-// the table and literals in place.
+// record and its two arrays, and of a validation and a view's decode
+// into its caller's arrays at nothing: all read the table and literals
+// in place.
 func TestDecodeAllocs(t *testing.T) {
 	shapes := shapeRecords()
 	shapes["aperiodic-walk"] = aperiodicRecord()
@@ -688,6 +713,14 @@ func TestDecodeAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(20, func() { valid(blob) }); n > 0 {
 			t.Errorf("%s: valid makes %.1f allocations per call, want 0", name, n)
+		}
+		enc, ok := parseEncoded(blob)
+		if !ok {
+			t.Fatalf("%s: no view of its own blob", name)
+		}
+		energy, issues := make([]float64, enc.Cycles()), make([]uint64, enc.Cycles())
+		if n := testing.AllocsPerRun(20, func() { enc.DecodeInto(energy, issues) }); n > 0 {
+			t.Errorf("%s: DecodeInto makes %.1f allocations per call, want 0", name, n)
 		}
 	}
 }
@@ -816,7 +849,7 @@ func TestBoundsDeriveFromMaxCycles(t *testing.T) {
 		t.Fatal("a header of MaxCycles+1 cycles decoded")
 	}
 	long := &Record{Energy: make([]float64, MaxCycles+1), Issues: make([]uint64, MaxCycles+1)}
-	if err := (&Store{}).Put([]byte("k"), long); err == nil {
+	if _, err := (&Store{}).Put([]byte("k"), long); err == nil {
 		t.Fatal("Put accepted a record of MaxCycles+1 cycles")
 	}
 }

@@ -9,12 +9,13 @@ import (
 // FuzzDecode feeds arbitrary bytes to the record decoder — the bytes a
 // store file or a /v1/trace upload can hold — as they come and with
 // their checksum recomputed, so that mutations reach the structural
-// checks. Decode must never panic and must agree with valid; it may
-// allocate a margin on the blob's length, plus the arrays (16 bytes a
-// cycle) only for a blob whose frame passes every check that sizes
-// them. Whatever it accepts must be replayable and canonical: Energy
-// and Issues equally long, and a record that re-encodes to a blob
-// decoding to the identical record.
+// checks. Decode must never panic and must agree with valid and with
+// the view; it may allocate a margin on the blob's length, plus the
+// arrays (16 bytes a cycle) only for a blob whose frame passes every
+// check that sizes them. Whatever it accepts must be replayable and
+// canonical: Energy and Issues equally long, a record that re-encodes
+// to a blob decoding to the identical record, and a view that decodes
+// to the same bits (checkView).
 func FuzzDecode(f *testing.F) {
 	for _, rec := range shapeRecords() {
 		blob := Encode(rec)
@@ -51,11 +52,63 @@ func FuzzDecode(f *testing.F) {
 			if ok != valid(b) {
 				t.Fatalf("Decode says %v, valid %v", ok, !ok)
 			}
+			if _, vok := parseEncoded(b); vok != ok {
+				t.Fatalf("Decode says %v, the view %v", ok, vok)
+			}
 			if ok {
 				checkAccepted(t, rec)
+				checkView(t, b, rec)
 			}
 		}
 	})
+}
+
+// checkView holds the view of an accepted blob to rec, what Decode
+// returns for it: the same header and cycle count, a decode into
+// arrays full of garbage that equals rec bit for bit and leaves the
+// arrays' spare tail alone, and the largest energy a scan over
+// rec.Energy finds.
+func checkView(t *testing.T, blob []byte, rec *Record) {
+	t.Helper()
+	e, ok := parseEncoded(blob)
+	if !ok {
+		t.Fatal("no view of an accepted blob")
+	}
+	h := e.Header()
+	if h.Energy != nil || h.Issues != nil || h.Done != rec.Done || h.Unsupported != rec.Unsupported ||
+		h.EndStats != rec.EndStats || h.EndRetired != rec.EndRetired || h.CaptureNS != rec.CaptureNS {
+		t.Fatalf("view header %+v, want the record's", h)
+	}
+	n := e.Cycles()
+	if n != len(rec.Energy) || e.Size() != len(blob) {
+		t.Fatalf("view of %d cycles in %d bytes, want %d in %d", n, e.Size(), len(rec.Energy), len(blob))
+	}
+	const spare = 3
+	energy, issues := make([]float64, n+spare), make([]uint64, n+spare)
+	for i := range energy {
+		energy[i] = math.Float64frombits(0x7ff4_dead_0000_0000 | uint64(i))
+		issues[i] = ^uint64(i)
+	}
+	e.DecodeInto(energy, issues)
+	for i := range energy {
+		we, wq := math.Float64frombits(0x7ff4_dead_0000_0000|uint64(i)), ^uint64(i)
+		if i < n {
+			we, wq = rec.Energy[i], rec.Issues[i]
+		}
+		if math.Float64bits(energy[i]) != math.Float64bits(we) || issues[i] != wq {
+			t.Fatalf("cycle %d of %d: view decodes (%x, %x), want (%x, %x)",
+				i, n, math.Float64bits(energy[i]), issues[i], math.Float64bits(we), wq)
+		}
+	}
+	m := 0.0
+	for _, v := range rec.Energy {
+		if v > m {
+			m = v
+		}
+	}
+	if math.Float64bits(e.MaxEnergy()) != math.Float64bits(m) {
+		t.Fatalf("view's largest energy %v, a scan finds %v", e.MaxEnergy(), m)
+	}
 }
 
 // fuzzAlphabet is the energies fuzzRecord draws from: NaN payloads,
@@ -96,7 +149,8 @@ func fuzzRecord(data []byte, hdr uint64) *Record {
 
 // FuzzRoundTrip holds the encoder to the format on records built from
 // fuzz bytes: Encode is deterministic and within blobBound, and Decode
-// returns every field bit for bit, NaN payloads and −0 included.
+// and the view return every field bit for bit, NaN payloads and −0
+// included.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Add([]byte{0x05}, uint64(1))
@@ -124,5 +178,6 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("blob of %d cycles does not decode", len(rec.Energy))
 		}
 		recordsIdentical(t, "fuzz", got, rec)
+		checkView(t, blob, rec)
 	})
 }

@@ -147,17 +147,18 @@ func (s *Store) addrPath(addr string) string {
 	return filepath.Join(s.dir, addr+recordExt)
 }
 
-// Get loads the record stored under key. Every failure mode — absent,
-// truncated, corrupt, foreign version — returns (nil, false); the
-// caller rebuilds and overwrites. A hit refreshes the file's mtime so
-// byte-budget eviction approximates LRU.
-func (s *Store) Get(key []byte) (*Record, bool) {
-	var rec *Record
+// Get loads the record stored under key as a view of the bytes it
+// read (Encoded), validated as Decode validates. Every failure mode —
+// absent, truncated, corrupt, foreign version — returns (nil, false);
+// the caller rebuilds and overwrites. A hit refreshes the file's mtime
+// so byte-budget eviction approximates LRU.
+func (s *Store) Get(key []byte) (*Encoded, bool) {
+	var enc *Encoded
 	ok := s.load(s.path(key), func(blob []byte) (ok bool) {
-		rec, ok = Decode(blob)
+		enc, ok = parseEncoded(blob)
 		return ok
 	})
-	return rec, ok
+	return enc, ok
 }
 
 // GetRaw returns the validated encoded blob stored under addr, for
@@ -218,14 +219,24 @@ func readRecordFile(p string) ([]byte, error) {
 	return blob, nil
 }
 
-// Put stores rec under key, atomically, then enforces the byte budget.
-// Failures leave the store no worse than before; callers treating the
-// store as a cache may ignore the error.
-func (s *Store) Put(key []byte, rec *Record) error {
+// Put stores rec under key, atomically, then enforces the byte budget,
+// and returns the view of the bytes it wrote. It refuses a record that
+// would not decode (Energy and Issues of different lengths). Failures
+// leave the store no worse than before; callers treating the store as
+// a cache may ignore the error.
+func (s *Store) Put(key []byte, rec *Record) (*Encoded, error) {
 	if len(rec.Energy) > MaxCycles {
-		return fmt.Errorf("tracestore: record of %d cycles exceeds MaxCycles", len(rec.Energy))
+		return nil, fmt.Errorf("tracestore: record of %d cycles exceeds MaxCycles", len(rec.Energy))
 	}
-	return s.write(s.path(key), Encode(rec))
+	blob := Encode(rec)
+	enc, ok := parseEncoded(blob)
+	if !ok {
+		return nil, fmt.Errorf("tracestore: refusing to store undecodable record")
+	}
+	if err := s.write(s.path(key), blob); err != nil {
+		return nil, err
+	}
+	return enc, nil
 }
 
 // PutRaw stores an already-encoded blob (e.g. one received over the

@@ -28,6 +28,14 @@ func sampleRecord(n int, seed uint64) *Record {
 	return rec
 }
 
+// record decodes a view into a fresh record, as Decode would.
+func (e *Encoded) record() *Record {
+	rec := e.Header()
+	rec.Energy, rec.Issues = make([]float64, e.Cycles()), make([]uint64, e.Cycles())
+	e.DecodeInto(rec.Energy, rec.Issues)
+	return &rec
+}
+
 func recordsEqual(a, b *Record) bool {
 	if a.Done != b.Done || a.Unsupported != b.Unsupported ||
 		a.EndStats != b.EndStats || a.EndRetired != b.EndRetired ||
@@ -57,14 +65,18 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal("hit on empty store")
 	}
 	want := sampleRecord(64, 9)
-	if err := s.Put(key, want); err != nil {
+	put, err := s.Put(key, want)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !recordsEqual(put.record(), want) || put.Size() != len(Encode(want)) {
+		t.Fatal("Put's view is not the record it wrote")
 	}
 	got, ok := s.Get(key)
 	if !ok {
 		t.Fatal("miss after Put")
 	}
-	if !recordsEqual(got, want) {
+	if !recordsEqual(got.record(), want) {
 		t.Fatal("record changed across the store round trip")
 	}
 	// A different key must not alias.
@@ -73,10 +85,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// Unsupported verdicts round-trip with empty arrays.
 	ukey := []byte("unsupported")
-	if err := s.Put(ukey, &Record{Unsupported: true}); err != nil {
+	if _, err := s.Put(ukey, &Record{Unsupported: true}); err != nil {
 		t.Fatal(err)
 	}
-	if u, ok := s.Get(ukey); !ok || !u.Unsupported || len(u.Energy) != 0 {
+	if u, ok := s.Get(ukey); !ok || !u.Header().Unsupported || u.Cycles() != 0 {
 		t.Fatalf("unsupported verdict lost: %+v ok=%v", u, ok)
 	}
 }
@@ -92,7 +104,7 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	}
 	key := []byte("k")
 	rec := sampleRecord(32, 1)
-	if err := s.Put(key, rec); err != nil {
+	if _, err := s.Put(key, rec); err != nil {
 		t.Fatal(err)
 	}
 	p := s.path(key)
@@ -134,7 +146,7 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	// checksum must still fail (structural checks), or pass only by
 	// actually decoding to the written values — never panic.
 	restore()
-	if got, ok := s.Get(key); !ok || !recordsEqual(got, rec) {
+	if got, ok := s.Get(key); !ok || !recordsEqual(got.record(), rec) {
 		t.Fatal("pristine record no longer reads back")
 	}
 }
@@ -155,7 +167,7 @@ func TestEvictionByMtime(t *testing.T) {
 		keys[i] = []byte{'a' + byte(i)}
 	}
 	for i, k := range keys[:8] {
-		if err := s.Put(k, one); err != nil {
+		if _, err := s.Put(k, one); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct, strictly increasing mtimes without sleeping.
@@ -168,7 +180,7 @@ func TestEvictionByMtime(t *testing.T) {
 	if _, ok := s.Get(keys[0]); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	if err := s.Put(keys[8], one); err != nil {
+	if _, err := s.Put(keys[8], one); err != nil {
 		t.Fatal(err)
 	}
 	if sz := s.SizeBytes(); sz != 7*oneSize {
@@ -191,7 +203,7 @@ func TestOversizeRecordRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("big"), sampleRecord(4096, 1)); err == nil {
+	if _, err := s.Put([]byte("big"), sampleRecord(4096, 1)); err == nil {
 		t.Fatal("oversize Put succeeded")
 	}
 	if s.Len() != 0 {
@@ -227,7 +239,7 @@ func TestConcurrentSharedDirectory(t *testing.T) {
 					s.Put(k, want)
 					continue
 				}
-				if got, ok := s.Get(k); ok && !recordsEqual(got, want) {
+				if got, ok := s.Get(k); ok && !recordsEqual(got.record(), want) {
 					t.Errorf("goroutine %d: stale or foreign record under %s", g, k)
 				}
 			}
@@ -249,7 +261,7 @@ func TestStrayFilesIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("k"), one); err != nil {
+	if _, err := s.Put([]byte("k"), one); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get([]byte("k")); !ok {
@@ -278,7 +290,7 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 		keys[i] = []byte{'a' + byte(i)}
 	}
 	for i, k := range keys[:8] {
-		if err := s.Put(k, one); err != nil {
+		if _, err := s.Put(k, one); err != nil {
 			t.Fatal(err)
 		}
 		mt := time.Now().Add(time.Duration(i-10) * time.Second)
@@ -295,7 +307,7 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 
 	// The overflowing Put needs exactly two evictions ("a" and "b", the
 	// oldest) to reach the low-water mark.
-	if err := s.Put(keys[8], one); err != nil {
+	if _, err := s.Put(keys[8], one); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range keys[:2] {
@@ -340,7 +352,7 @@ func TestPutScansOnlyNearBudget(t *testing.T) {
 	scans := countScans(t)
 	put := func(i int) {
 		t.Helper()
-		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), one); err != nil {
+		if _, err := s.Put([]byte(fmt.Sprintf("k%d", i)), one); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,16 +409,16 @@ func TestRescanCountsOtherWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Put([]byte("first"), one); err != nil {
+	if _, err := s1.Put([]byte("first"), one); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < budget/oneSize+10; i++ {
-		if err := s2.Put([]byte(fmt.Sprintf("other%d", i)), one); err != nil {
+		if _, err := s2.Put([]byte(fmt.Sprintf("other%d", i)), one); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < perRescan; i++ {
-		if err := s1.Put([]byte(fmt.Sprintf("mine%d", i)), one); err != nil {
+		if _, err := s1.Put([]byte(fmt.Sprintf("mine%d", i)), one); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,12 +465,12 @@ func TestTwoStoresRacingOnOneDir(t *testing.T) {
 				n := (g*7 + i) % keys
 				k := []byte(fmt.Sprintf("key-%d", n))
 				if i%2 == 0 {
-					if err := s.Put(k, sampleRecord(64, uint64(n))); err != nil {
+					if _, err := s.Put(k, sampleRecord(64, uint64(n))); err != nil {
 						t.Errorf("goroutine %d: Put: %v", g, err)
 					}
 					continue
 				}
-				if got, ok := s.Get(k); ok && !recordsEqual(got, sampleRecord(64, uint64(n))) {
+				if got, ok := s.Get(k); ok && !recordsEqual(got.record(), sampleRecord(64, uint64(n))) {
 					t.Errorf("goroutine %d: foreign record under %s", g, k)
 				}
 			}

@@ -37,6 +37,7 @@ gated=(
   BenchmarkStepTrace
   BenchmarkStepTraceBatch
   BenchmarkStepTraceBatchROM
+  BenchmarkTraceDecodeInto
   BenchmarkTraceDecodeV3
   BenchmarkTraceEncodeV3
   BenchmarkTraceStoreWarmVsCold

@@ -71,8 +71,8 @@ type fusedArgs struct {
 	die    int64 // the recorded node's x row, or the zero row
 	h      float64
 	n      int64 // steps
-	src    [groupLanes]unsafe.Pointer
-	dst    [groupLanes]unsafe.Pointer
+	src    [GroupLanes]unsafe.Pointer
+	dst    [GroupLanes]unsafe.Pointer
 }
 
 // Compile-time layout guards for the records and the argument block,
@@ -127,8 +127,8 @@ func (tb *TransientBatch) stepFusedAVX2(nd Node, ref int, dst, src [][]float64, 
 		a.die = int64(nd-1) * rowBytes
 	}
 	arrs := tb.groupArrays(mul, div, add)
-	for l0 := 0; l0 < L; l0 += groupLanes {
-		var js [groupLanes]int
+	for l0 := 0; l0 < L; l0 += GroupLanes {
+		var js [GroupLanes]int
 		for k := range js {
 			js[k] = min(l0+k, L-1)
 			a.src[k] = unsafe.Pointer(&src[js[k]][0])
@@ -136,7 +136,7 @@ func (tb *TransientBatch) stepFusedAVX2(nd Node, ref int, dst, src [][]float64, 
 		}
 		tb.loadGroup(&arrs, &js)
 		fusedStepAVX2(&a)
-		tb.storeGroup(&arrs, l0, min(groupLanes, L-l0))
+		tb.storeGroup(&arrs, l0, min(GroupLanes, L-l0))
 	}
 }
 

@@ -74,7 +74,7 @@ func (cp *Compiled) groupScratch(lanes int) int {
 	if cp.fused == nil || lanes < 2 {
 		return 0
 	}
-	return cp.fused.rows * groupLanes
+	return cp.fused.rows * GroupLanes
 }
 
 // Lanes returns the current number of lanes (shrinks via DropLane).

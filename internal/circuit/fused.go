@@ -20,12 +20,14 @@ package circuit
 // exactly the Go batch kernel's floating-point operations in the same
 // order, so every lane stays bit-identical to Transient.StepTrace.
 
-// groupLanes is the fused kernel's group width: two ymm registers per
-// scratch row.
-const groupLanes = 8
+// GroupLanes is the fused kernel's group width: two ymm registers per
+// scratch row. One call steps a whole group, padded or not, so callers
+// sizing multi-lane passes cut them in whole groups; the Go lane loops
+// (stepGo, solveBatch) are register-blocked by the same eight.
+const GroupLanes = 8
 
-// rowBytes is one scratch row, groupLanes float64s.
-const rowBytes = groupLanes * 8
+// rowBytes is one scratch row, GroupLanes float64s.
+const rowBytes = GroupLanes * 8
 
 // fusedStamp is one right-hand-side stamp in element order; a–d are
 // scratch byte offsets and kind selects the form:
@@ -196,11 +198,11 @@ func (tb *TransientBatch) groupArrays(mul, div, add []float64) [9][]float64 {
 
 // loadGroup gathers lanes js into the group scratch, slot k from lane
 // js[k]: a padded tail repeats its last real lane.
-func (tb *TransientBatch) loadGroup(arrs *[9][]float64, js *[groupLanes]int) {
+func (tb *TransientBatch) loadGroup(arrs *[9][]float64, js *[GroupLanes]int) {
 	g, L := tb.group, tb.lanes
 	for _, s := range tb.cp.fused.slots {
 		a := arrs[s.arr][s.ei*L:]
-		r := g[s.row*groupLanes : s.row*groupLanes+groupLanes]
+		r := g[s.row*GroupLanes : s.row*GroupLanes+GroupLanes]
 		for k, j := range js {
 			r[k] = a[j]
 		}
@@ -213,6 +215,6 @@ func (tb *TransientBatch) storeGroup(arrs *[9][]float64, l0, real int) {
 	g, L, fp := tb.group, tb.lanes, tb.cp.fused
 	for _, s := range fp.slots[:fp.nOut] {
 		a := arrs[s.arr][s.ei*L+l0:]
-		copy(a[:real], g[s.row*groupLanes:])
+		copy(a[:real], g[s.row*GroupLanes:])
 	}
 }

@@ -50,6 +50,10 @@ const romErrSafety = 32
 // drive comparison.
 const romCalibrateSteps = 16384
 
+// romCalibrateChunk is how many steps of every calibration drive one
+// kernel call runs, which bounds the output buffers.
+const romCalibrateChunk = 4096
+
 // romPair is one 2×2 modal section for a complex eigenvalue pair
 // α ± iβ: state (m0, m1) advances by the rotation-scale block
 // [[α, β], [−β, α]] plus the projected drive (h0, h1), and contributes
@@ -441,7 +445,10 @@ func (r *ROM) Order() int { return r.m }
 // resonance, and broadband noise — over romCalibrateSteps cycles, and
 // records the worst deviation scaled by romErrSafety. Error is linear
 // in drive amplitude for this LTI model, so the bound scales to any
-// trace by its peak current.
+// trace by its peak current. The drives are the lanes of one exact
+// batch and one ROM batch, both started at the DC point and stepped in
+// romCalibrateChunk-step chunks; each lane is bit-identical to its
+// one-lane replay, so batching moves no bit of the bound.
 func (r *ROM) calibrate() {
 	h := romCalibrateSteps
 	drives := make([][]float64, 0, 3+len(r.pairs))
@@ -482,19 +489,32 @@ func (r *ROM) calibrate() {
 	}
 	drives = append(drives, noise)
 
-	dstE := make([]float64, h)
-	dstR := make([]float64, h)
-	one := []float64{1}
+	L := len(drives)
+	tb := r.cp.NewBatch(L)
+	rb := r.NewBatch(L)
+	dc := r.cp.NewState()
+	ones, zeros := make([]float64, L), make([]float64, L)
+	srcs := make([][]float64, L)
+	dstE, dstR := make([][]float64, L), make([][]float64, L)
+	for l := range drives {
+		rb.LoadLane(l, dc, 0)
+		ones[l] = 1
+		dstE[l] = make([]float64, romCalibrateChunk)
+		dstR[l] = make([]float64, romCalibrateChunk)
+	}
 	worst := 0.0
-	for _, drive := range drives {
-		te := r.cp.NewState()
-		te.StepTrace(r.nd, r.ref, dstE, drive, 1, 1, 0)
-		rb := r.NewBatch(1)
-		rb.LoadLane(0, r.cp.NewState(), 0)
-		rb.StepTraceBatch([][]float64{dstR}, [][]float64{drive}, one, one, h)
-		for i := range dstE {
-			if d := math.Abs(dstE[i] - dstR[i]); d > worst {
-				worst = d
+	for s0 := 0; s0 < h; s0 += romCalibrateChunk {
+		n := min(romCalibrateChunk, h-s0)
+		for l, drive := range drives {
+			srcs[l] = drive[s0 : s0+n]
+		}
+		tb.StepTraceBatch(r.nd, r.ref, dstE, srcs, ones, ones, zeros, n)
+		rb.StepTraceBatch(dstR, srcs, ones, ones, n)
+		for l := range drives {
+			for i, e := range dstE[l][:n] {
+				if d := math.Abs(e - dstR[l][i]); d > worst {
+					worst = d
+				}
 			}
 		}
 	}

@@ -2,6 +2,11 @@ package pdn
 
 import "repro/internal/circuit"
 
+// GroupLanes is the exact kernel's group width: StepTraceBatch steps a
+// batch in groups of this many lanes, and a partial group costs what a
+// full one costs (circuit.GroupLanes).
+const GroupLanes = circuit.GroupLanes
+
 // Batch is the multi-lane PDN replay kernel: up to Lanes independent
 // network states advancing in lockstep over one Compiled system, each
 // lane bit-identical to a serial PDN.StepTrace of the same state (see

@@ -120,3 +120,22 @@ func BenchmarkStepTraceBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompileROM measures what a platform compile pays to build
+// its reduced-order model: the network compile, the eigendecomposition
+// and the calibration drives through both kernels. A ROM search pays
+// it once per process, inside its set-up.
+func BenchmarkCompileROM(b *testing.B) {
+	cfg := Bulldozer()
+	dt := 1 / 3.3e9
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cp, err := Compile(cfg, dt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cp.ROM(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

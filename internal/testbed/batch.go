@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/pdn"
 )
 
 // This file is the generation-batched evaluation pipeline: the GA hands
@@ -19,7 +21,8 @@ import (
 // the lanes into multi-lane passes per kernel, so one pass advances up
 // to `lanes` candidate networks over the shared factorization (or the
 // ROM); only configs no trace can carry run outside the driver, on
-// Platform.Run from the same pool.
+// Platform.Run from the same pool. Each kernel's passes are sized from
+// that kernel's own lane count (autoLanes).
 //
 // Every measurement is bit-identical to CompiledPlatform.Run of the
 // same config, at any ROM tolerance: Run is a one-lane pass of the same
@@ -27,15 +30,22 @@ import (
 // lane's output never depends on its pass-mates.
 
 // DefaultBatchLanes is a fixed lane width tests pass to show that the
-// width never moves a result: one group of the fused exact kernel,
-// which steps eight lanes per call (internal/circuit). Production
-// callers pass 0 and let autoLanes size each pass.
-const DefaultBatchLanes = 8
+// width never moves a result: one group of the exact kernel, which
+// steps pdn.GroupLanes lanes per call. Production callers pass 0 and
+// let autoLanes size each pass.
+const DefaultBatchLanes = pdn.GroupLanes
 
-// maxBatchLanes bounds the lane width at four fused-kernel groups. A
+// maxBatchLanes bounds the lane width at four exact-kernel groups. A
 // pass steps its groups one after another, so per-lane cost is flat
 // past one group.
-const maxBatchLanes = 32
+const maxBatchLanes = 4 * pdn.GroupLanes
+
+// kernelGroup is the group width autoLanes cuts each kernel's passes
+// in: whole exact-kernel groups, whose calls cost the same padded or
+// full, and single ROM lanes. The ROM kernel steps 4-lane groups, but
+// cutting all-ROM batches in them lost throughput (DESIGN.md §10), so
+// its passes stay ⌈jobs/workers⌉ wide.
+var kernelGroup = [2]int{pdn.GroupLanes, 1}
 
 // BatchRunner is a Runner that can evaluate a whole generation at once.
 // The GA feeds it populations when available; decorators that cannot
@@ -207,9 +217,9 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 
 	// Stage 2: every ready slot becomes a lane (post-build unsupported
 	// traces go to Platform.Run). Lanes are packed per kernel — exact,
-	// then ROM — longest stream first, and cut at the lane width so each
-	// kernel pass stays wide; the pool runs the passes and the
-	// Platform.Run slots.
+	// then ROM — longest stream first, and cut at the lane width, which
+	// autoLanes sizes from each kernel's own lane count; the pool runs
+	// the passes and the Platform.Run slots.
 	var byKernel [2][]*replayLane
 	for _, key := range keys {
 		tr := ready[key]
@@ -233,15 +243,14 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 			byKernel[k] = append(byKernel[k], ln)
 		}
 	}
-	if autoWidth {
-		lanes = autoLanes(len(byKernel[0])+len(byKernel[1]), workers)
-	}
 	var passes [][]*replayLane
-	for _, kl := range byKernel {
-		sort.SliceStable(kl, func(a, b int) bool { return kl[a].n > kl[b].n })
-		for lo := 0; lo < len(kl); lo += lanes {
-			passes = append(passes, kl[lo:min(lo+lanes, len(kl))])
+	for k, kl := range byKernel {
+		width := lanes
+		if autoWidth {
+			width = autoLanes(len(kl), workers, kernelGroup[k])
 		}
+		sort.SliceStable(kl, func(a, b int) bool { return kl[a].n > kl[b].n })
+		passes = cutPasses(passes, kl, width)
 	}
 	runParallelCtx(ctx, workers, len(passes)+len(untraced), func(t int) {
 		if t >= len(passes) {
@@ -288,14 +297,26 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 	return ms, errs
 }
 
-// autoLanes picks the multi-lane kernel width for a generation of
-// `jobs` lane-eligible replays over `workers` goroutines: the narrowest
-// width that still hands every worker a pass, ceil(jobs/workers), so a
-// generation that does not fill workers × lanes leaves no worker idle
-// (the BENCH_eval L8xW8 > L4xW8 regression: 32 jobs at 8 lanes is only
-// 4 passes over 8 workers), clamped at maxBatchLanes. The width
-// depends on the batch shape alone and only moves throughput, never
-// results.
-func autoLanes(jobs, workers int) int {
-	return min(max((jobs+workers-1)/workers, 1), maxBatchLanes)
+// autoLanes picks one kernel's lane width for its `jobs` lanes over
+// `workers` goroutines, in whole groups of `group` lanes:
+// group·⌈⌈jobs/group⌉/workers⌉, clamped at maxBatchLanes (a whole
+// number of exact-kernel groups). Because ⌈⌈j/G⌉/w⌉ = ⌈j/(G·w)⌉, the
+// widest pass has as many groups as under ⌈jobs/workers⌉, which hands
+// every worker a pass (the BENCH_eval L8xW8 > L4xW8 regression: 32
+// jobs at 8 lanes is only 4 passes over 8 workers), while all passes
+// together make ⌈jobs/group⌉ groups: no pass but the last pads a
+// group. At group 1 it is ⌈jobs/workers⌉. The width depends on the
+// batch shape alone and only moves throughput, never results.
+func autoLanes(jobs, workers, group int) int {
+	groups := (jobs + group - 1) / group
+	return min(max(group*((groups+workers-1)/workers), group), maxBatchLanes)
+}
+
+// cutPasses appends lanes to passes in consecutive passes of at most
+// width lanes.
+func cutPasses(passes [][]*replayLane, lanes []*replayLane, width int) [][]*replayLane {
+	for lo := 0; lo < len(lanes); lo += width {
+		passes = append(passes, lanes[lo:min(lo+width, len(lanes))])
+	}
+	return passes
 }

@@ -257,3 +257,41 @@ func TestMeasureBatchSharesCaptures(t *testing.T) {
 		t.Errorf("lane batches = %d, want 2", st.LaneBatches)
 	}
 }
+
+// TestMeasureBatchWholeGroupPasses: 24 exact lanes over 4 workers are
+// three full fused-kernel groups, so the automatic width runs them as
+// three 8-lane passes, not four of 6 (⌈jobs/workers⌉), which would pay
+// four group calls. Every slot still equals Run bit for bit.
+func TestMeasureBatchWholeGroupPasses(t *testing.T) {
+	p := Bulldozer()
+	base := resonancePeriodCycles(p)
+	rcs := make([]RunConfig, 24)
+	for i := range rcs {
+		rcs[i] = RunConfig{
+			Threads:      []ThreadSpec{{Program: mulLoop(fmt.Sprintf("group%d", i), base+i), Module: 0, Core: 0}},
+			MaxCycles:    3000 + 100*uint64(i),
+			WarmupCycles: 500,
+		}
+	}
+	ref, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, errs := cp.MeasureBatch(rcs, 0, 4)
+	for i, rc := range rcs {
+		want, err := ref.Run(rc)
+		if err != nil || errs[i] != nil {
+			t.Fatalf("slot %d: batch err %v, Run err %v", i, errs[i], err)
+		}
+		if !reflect.DeepEqual(ms[i], want) {
+			t.Fatalf("slot %d: batched measurement differs from Run:\n got %+v\nwant %+v", i, ms[i], want)
+		}
+	}
+	if st := cp.TraceStats(); st.LaneBatches != 3 || st.LaneRuns != 24 || st.ExactReplays != 24 {
+		t.Errorf("lane batches/runs/exact = %d/%d/%d, want 3/24/24", st.LaneBatches, st.LaneRuns, st.ExactReplays)
+	}
+}

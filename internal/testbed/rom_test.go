@@ -258,24 +258,80 @@ func TestROMTinyToleranceFallsBackExact(t *testing.T) {
 }
 
 // TestAutoLanesShape pins the automatic width policy: the narrowest
-// width that still hands every worker a batch, clamped at
-// maxBatchLanes and at nothing else.
+// width in whole groups that still hands every worker a pass, clamped
+// at maxBatchLanes and at nothing else. ROM passes (group 1) are
+// ⌈jobs/workers⌉; exact passes (group 8) are cut in whole fused-kernel
+// groups.
 func TestAutoLanesShape(t *testing.T) {
-	for _, tc := range []struct{ jobs, workers, want int }{
-		{0, 1, 1},
-		{1, 8, 1}, // a solo job
-		{6, 2, 3},
-		// The regression shape: 32 jobs over 8 workers must split into
-		// 8 batches of 4, not 4 batches of 8.
-		{32, 8, 4},
-		{24, 1, 24},
-		{33, 2, 17},
-		{64, 2, maxBatchLanes},
-		{65, 2, maxBatchLanes},
-		{10000, 1, maxBatchLanes},
+	for _, tc := range []struct{ jobs, workers, group, want int }{
+		{0, 1, 1, 1},
+		{1, 8, 1, 1}, // a solo job
+		{6, 2, 1, 3},
+		// The regression shape: 32 ROM jobs over 8 workers split into 8
+		// passes of 4, not 4 passes of 8.
+		{32, 8, 1, 4},
+		{24, 1, 1, 24},
+		{33, 2, 1, 17},
+		{64, 2, 1, maxBatchLanes},
+		{65, 2, 1, maxBatchLanes},
+		{10000, 1, 1, maxBatchLanes},
+		// Exact passes: a generation of 19 over 2 workers is 16 + 3
+		// (three group calls), not 10 + 9 (four).
+		{19, 2, 8, 16},
+		{24, 4, 8, 8},
+		// 32 exact jobs over 8 workers: 4 passes of one full group each.
+		// A 4-lane exact pass would pay a whole group call.
+		{32, 8, 8, 8},
+		{1, 8, 8, 8},
+		{9, 1, 8, 16},
+		{33, 2, 8, 24},
+		{65, 2, 8, maxBatchLanes},
 	} {
-		if got := autoLanes(tc.jobs, tc.workers); got != tc.want {
-			t.Errorf("autoLanes(%d, %d) = %d, want %d", tc.jobs, tc.workers, got, tc.want)
+		if got := autoLanes(tc.jobs, tc.workers, tc.group); got != tc.want {
+			t.Errorf("autoLanes(%d, %d, %d) = %d, want %d", tc.jobs, tc.workers, tc.group, got, tc.want)
+		}
+	}
+}
+
+// TestAutoLanesExactGroups checks the exact-kernel sizing rule over
+// every batch of 0–200 lanes and 1–16 workers: the passes cover every
+// lane once, none exceeds maxBatchLanes, the widest has as many
+// fused-kernel groups as a ⌈jobs/workers⌉ pass would, ⌈jobs/(8·workers)⌉
+// clamped at four, and all of them together make ⌈jobs/8⌉ groups, so
+// no pass but the last pays for a padded group.
+func TestAutoLanesExactGroups(t *testing.T) {
+	const g = DefaultBatchLanes
+	ceil := func(a, b int) int { return (a + b - 1) / b }
+	for jobs := 0; jobs <= 200; jobs++ {
+		lanes := make([]*replayLane, jobs)
+		for i := range lanes {
+			lanes[i] = &replayLane{slot: i}
+		}
+		for workers := 1; workers <= 16; workers++ {
+			passes := cutPasses(nil, lanes, autoLanes(jobs, workers, g))
+			seen := make([]int, jobs)
+			widest, groups := 0, 0
+			for _, pass := range passes {
+				if len(pass) == 0 || len(pass) > maxBatchLanes {
+					t.Fatalf("jobs %d workers %d: a pass of %d lanes", jobs, workers, len(pass))
+				}
+				for _, ln := range pass {
+					seen[ln.slot]++
+				}
+				widest = max(widest, ceil(len(pass), g))
+				groups += ceil(len(pass), g)
+			}
+			for i, n := range seen {
+				if n != 1 {
+					t.Fatalf("jobs %d workers %d: lane %d rides %d passes", jobs, workers, i, n)
+				}
+			}
+			if want := min(ceil(jobs, g*workers), maxBatchLanes/g); widest != want {
+				t.Errorf("jobs %d workers %d: widest pass %d groups, want %d", jobs, workers, widest, want)
+			}
+			if want := ceil(jobs, g); groups != want {
+				t.Errorf("jobs %d workers %d: %d group calls, want %d", jobs, workers, groups, want)
+			}
 		}
 	}
 }

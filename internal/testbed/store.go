@@ -100,6 +100,25 @@ func (cp *CompiledPlatform) SetTraceTier(t TraceTier) {
 	}
 }
 
+// storeAddr is the store address of a trace key: the SHA-256 of the
+// salt and then the key, which it streams through the hash in slices,
+// so the ~18 KB key is never copied whole. It equals
+// tracestore.Addr(cp.storeKeyBytes(key)).
+func (cp *CompiledPlatform) storeAddr(key string) string {
+	h := sha256.New()
+	h.Write(cp.storeSalt)
+	var buf [512]byte
+	for len(key) > 0 {
+		n := copy(buf[:], key)
+		h.Write(buf[:n])
+		key = key[n:]
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// storeKeyBytes is the key a trace travels under to the shared tier:
+// the salt, then the trace key.
 func (cp *CompiledPlatform) storeKeyBytes(key string) []byte {
 	b := make([]byte, 0, len(cp.storeSalt)+len(key))
 	b = append(b, cp.storeSalt...)
@@ -108,11 +127,8 @@ func (cp *CompiledPlatform) storeKeyBytes(key string) []byte {
 
 // storeLoad consults the persistent store for a trace missing from
 // memory. Any store-side failure is a miss; nil means "keep resolving".
-func (cp *CompiledPlatform) storeLoad(key string) *chipTrace {
-	if cp.store == nil {
-		return nil
-	}
-	enc, ok := cp.store.Get(cp.storeKeyBytes(key))
+func (cp *CompiledPlatform) storeLoad(addr string) *chipTrace {
+	enc, ok := cp.store.Get(addr)
 	if !ok {
 		cp.traces.count(func(s *TraceStats) { s.StoreMisses++ })
 		return nil
@@ -122,44 +138,43 @@ func (cp *CompiledPlatform) storeLoad(key string) *chipTrace {
 	return tr
 }
 
-// tierLoad consults the shared trace tier. A hit is written through to
-// the local store so the next cold start of this worker skips the wire,
-// and then rests as the bytes the store wrote.
-func (cp *CompiledPlatform) tierLoad(key string) *chipTrace {
-	if cp.tier == nil {
-		return nil
-	}
-	rec, wire, ok := cp.tier.Fetch(cp.storeKeyBytes(key))
+// tierLoad consults the shared trace tier under tierKey. A hit is
+// written through to the local store at addr so the next cold start of
+// this worker skips the wire, and then rests as the bytes the store
+// wrote.
+func (cp *CompiledPlatform) tierLoad(addr string, tierKey []byte) *chipTrace {
+	rec, wire, ok := cp.tier.Fetch(tierKey)
 	if !ok {
 		cp.traces.count(func(s *TraceStats) { s.TierMisses++; s.WireBytes += uint64(wire) })
 		return nil
 	}
 	cp.traces.count(func(s *TraceStats) { s.TierHits++; s.CaptureNSSaved += rec.CaptureNS; s.WireBytes += uint64(wire) })
 	if cp.store != nil {
-		if enc, err := cp.store.Put(cp.storeKeyBytes(key), rec); err == nil {
+		if enc, err := cp.store.Put(addr, rec); err == nil {
 			return traceFromEncoded(enc)
 		}
 	}
 	return traceFromRecord(rec)
 }
 
-// storeSave writes a fresh capture through to the persistent store and
-// the shared tier, best-effort: a full disk or unreachable coordinator
-// costs nothing but the warm start. The tier Publish also releases any
-// single-flight claim the preceding Fetch registered. Once the store
-// holds the capture, tr rests as the bytes it wrote and its arrays go
-// back to the pool, so it must not be shared yet.
-func (cp *CompiledPlatform) storeSave(key string, tr *chipTrace) {
+// storeSave writes a fresh capture through to the persistent store at
+// addr and to the shared tier under tierKey, best-effort: a full disk
+// or unreachable coordinator costs nothing but the warm start. The
+// tier Publish also releases any single-flight claim the preceding
+// Fetch registered. Once the store holds the capture, tr rests as the
+// bytes it wrote and its arrays go back to the pool, so it must not be
+// shared yet.
+func (cp *CompiledPlatform) storeSave(addr string, tierKey []byte, tr *chipTrace) {
 	if cp.store == nil && cp.tier == nil {
 		return
 	}
 	rec := recordFromTrace(tr)
 	var enc *tracestore.Encoded
 	if cp.store != nil {
-		enc, _ = cp.store.Put(cp.storeKeyBytes(key), rec)
+		enc, _ = cp.store.Put(addr, rec)
 	}
 	if cp.tier != nil {
-		wire := cp.tier.Publish(cp.storeKeyBytes(key), rec)
+		wire := cp.tier.Publish(tierKey, rec)
 		cp.traces.count(func(s *TraceStats) { s.WireBytes += uint64(wire) })
 	}
 	if enc != nil {
@@ -171,19 +186,29 @@ func (cp *CompiledPlatform) storeSave(key string, tr *chipTrace) {
 // resolveTrace is the full miss path for a trace absent from memory:
 // local store, then shared tier, then phase-1 capture with
 // write-through to both. The result is identical whichever level
-// serves it — the levels only change who pays the capture.
+// serves it — the levels only change who pays the capture. The store
+// address is hashed once, and the tier's salted key built once, only
+// when a store or a tier is attached.
 func (cp *CompiledPlatform) resolveTrace(key string, rc RunConfig) (*chipTrace, error) {
-	if tr := cp.storeLoad(key); tr != nil {
-		return tr, nil
+	var addr string
+	if cp.store != nil {
+		addr = cp.storeAddr(key)
+		if tr := cp.storeLoad(addr); tr != nil {
+			return tr, nil
+		}
 	}
-	if tr := cp.tierLoad(key); tr != nil {
-		return tr, nil
+	var tierKey []byte
+	if cp.tier != nil {
+		tierKey = cp.storeKeyBytes(key)
+		if tr := cp.tierLoad(addr, tierKey); tr != nil {
+			return tr, nil
+		}
 	}
 	tr, err := cp.buildTrace(rc)
 	if err != nil {
 		return nil, err
 	}
-	cp.storeSave(key, tr)
+	cp.storeSave(addr, tierKey, tr)
 	return tr, nil
 }
 

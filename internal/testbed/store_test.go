@@ -398,7 +398,7 @@ func TestStorePeriodicRecordRecaptured(t *testing.T) {
 	if !ok {
 		t.Fatal("no trace key")
 	}
-	if addr := tracestore.Addr(warm.storeKeyBytes(key)); addr != periodicRecordAddr {
+	if addr := warm.storeAddr(key); addr != periodicRecordAddr {
 		t.Fatalf("record address %s, want %s: the trace key or capture digest moved", addr, periodicRecordAddr)
 	}
 	blob, err := hex.DecodeString(periodicRecordHex)
@@ -430,6 +430,23 @@ func TestStorePeriodicRecordRecaptured(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recaptured measurement differs from Platform.Run:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestStoreAddrStreamsKey: the address storeAddr streams through the
+// hash is the address of the salted key bytes, at key lengths on both
+// sides of its slice boundaries and at a search candidate's.
+func TestStoreAddrStreamsKey(t *testing.T) {
+	cp := compiledWithStore(t, Bulldozer(), t.TempDir())
+	key := make([]byte, 18500)
+	for i := range key {
+		key[i] = byte(i*7 + i>>8)
+	}
+	for _, n := range []int{0, 1, 511, 512, 513, 1024, 1500, len(key)} {
+		k := string(key[:n])
+		if got, want := cp.storeAddr(k), tracestore.Addr(cp.storeKeyBytes(k)); got != want {
+			t.Errorf("key of %d bytes: storeAddr %s, want %s", n, got, want)
+		}
 	}
 }
 

@@ -340,9 +340,9 @@ func checkLegacyIsAMiss(t *testing.T, name string, blob []byte) {
 	if err := s.PutRaw(Addr(key), blob); err == nil {
 		t.Errorf("%s: PutRaw stored a retired format", name)
 	}
-	p := s.path(key)
+	p := s.addrPath(Addr(key))
 	for _, get := range []func() bool{
-		func() bool { _, ok := s.Get(key); return ok },
+		func() bool { _, ok := s.Get(Addr(key)); return ok },
 		func() bool { _, ok := s.GetRaw(Addr(key)); return ok },
 	} {
 		if err := os.WriteFile(p, blob, 0o644); err != nil {
@@ -356,10 +356,10 @@ func checkLegacyIsAMiss(t *testing.T, name string, blob []byte) {
 		}
 	}
 	want := sampleRecord(64, 5)
-	if _, err := s.Put(key, want); err != nil {
+	if _, err := s.Put(Addr(key), want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(key)
+	got, ok := s.Get(Addr(key))
 	if !ok {
 		t.Fatalf("%s: miss after the recapture's Put", name)
 	}
@@ -465,14 +465,14 @@ func TestV3CorruptionIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := []byte("k")
-	if _, err := s.Put(key, rec); err != nil {
+	if _, err := s.Put(Addr(key), rec); err != nil {
 		t.Fatal(err)
 	}
-	p := s.path(key)
+	p := s.addrPath(Addr(key))
 	if err := os.WriteFile(p, pristine[:len(pristine)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(key); ok {
+	if _, ok := s.Get(Addr(key)); ok {
 		t.Fatal("truncated v3 record served as a hit")
 	}
 	if _, err := os.Stat(p); err == nil {
@@ -564,7 +564,7 @@ func TestRawBlobAPI(t *testing.T) {
 	key := []byte("raw key")
 	rec := sampleRecord(80, 11)
 	rec.CaptureNS = 42
-	if _, err := s.Put(key, rec); err != nil {
+	if _, err := s.Put(Addr(key), rec); err != nil {
 		t.Fatal(err)
 	}
 	addr := Addr(key)
@@ -585,14 +585,14 @@ func TestRawBlobAPI(t *testing.T) {
 	if err := s2.PutRaw(addr, blob); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.Get(key)
+	got, ok := s2.Get(Addr(key))
 	if !ok {
 		t.Fatal("miss after PutRaw")
 	}
 	recordsIdentical(t, "raw", got.record(), rec)
 
-	// Hostile inputs: bad addresses and undecodable blobs are rejected
-	// before touching the filesystem.
+	// Hostile inputs: bad addresses, for every entry point, and
+	// undecodable blobs are rejected before touching the filesystem.
 	for _, bad := range []string{
 		"", "short", "../../../../etc/passwd",
 		"ZZ" + addr[2:], addr[:63] + "G", addr + "00",
@@ -602,6 +602,12 @@ func TestRawBlobAPI(t *testing.T) {
 		}
 		if _, ok := s2.GetRaw(bad); ok {
 			t.Errorf("GetRaw served address %q", bad)
+		}
+		if enc, err := s2.Put(bad, rec); err == nil || enc != nil {
+			t.Errorf("Put accepted address %q", bad)
+		}
+		if _, ok := s2.Get(bad); ok {
+			t.Errorf("Get served address %q", bad)
 		}
 	}
 	if err := s2.PutRaw(addr, blob[:len(blob)/2]); err == nil {
@@ -613,7 +619,7 @@ func TestRawBlobAPI(t *testing.T) {
 		if err := s2.PutRaw(addr, Encode(rec)); err == nil {
 			t.Errorf("PutRaw accepted mismatched record %s", name)
 		}
-		if enc, err := s2.Put([]byte(name), rec); err == nil || enc != nil {
+		if enc, err := s2.Put(Addr([]byte(name)), rec); err == nil || enc != nil {
 			t.Errorf("Put accepted mismatched record %s", name)
 		}
 		if _, ok := s2.GetRaw(Addr([]byte(name))); ok {
@@ -849,7 +855,7 @@ func TestBoundsDeriveFromMaxCycles(t *testing.T) {
 		t.Fatal("a header of MaxCycles+1 cycles decoded")
 	}
 	long := &Record{Energy: make([]float64, MaxCycles+1), Issues: make([]uint64, MaxCycles+1)}
-	if _, err := (&Store{}).Put([]byte("k"), long); err == nil {
+	if _, err := (&Store{}).Put(Addr([]byte("k")), long); err == nil {
 		t.Fatal("Put accepted a record of MaxCycles+1 cycles")
 	}
 }

@@ -1,10 +1,10 @@
 // Package tracestore is a persistent, content-addressed store for
-// phase-1 chip traces. Each record lives in its own file named by the
-// SHA-256 of the caller's key bytes, serialized in a checksummed
-// compact format (encode.go) and written atomically, so concurrent
-// processes can share one store directory: writers race benignly (same
-// key ⇒ same bytes; last rename wins) and readers only ever see
-// complete files.
+// phase-1 chip traces. Each record lives in its own file named by its
+// address, the SHA-256 of the caller's key bytes (Addr), serialized in
+// a checksummed compact format (encode.go) and written atomically, so
+// concurrent processes can share one store directory: writers race
+// benignly (same key ⇒ same bytes; last rename wins) and readers only
+// ever see complete files.
 //
 // The store is an optimisation layer, never a source of truth: any
 // file that is missing, truncated, version-skewed or checksum-corrupt
@@ -138,33 +138,31 @@ func ValidAddr(addr string) bool {
 	return true
 }
 
-// path maps key bytes to the record's content address.
-func (s *Store) path(key []byte) string {
-	return s.addrPath(Addr(key))
-}
-
 func (s *Store) addrPath(addr string) string {
 	return filepath.Join(s.dir, addr+recordExt)
 }
 
-// Get loads the record stored under key as a view of the bytes it
-// read (Encoded), validated as Decode validates. Every failure mode —
-// absent, truncated, corrupt, foreign version — returns (nil, false);
-// the caller rebuilds and overwrites. A hit refreshes the file's mtime
-// so byte-budget eviction approximates LRU.
-func (s *Store) Get(key []byte) (*Encoded, bool) {
+// Get loads the record stored at addr (Addr of its key) as a view of
+// the bytes it read (Encoded), validated as Decode validates. Every
+// failure mode — an invalid address, absent, truncated, corrupt,
+// foreign version — returns (nil, false); the caller rebuilds and
+// overwrites. A hit refreshes the file's mtime so byte-budget eviction
+// approximates LRU.
+func (s *Store) Get(addr string) (*Encoded, bool) {
+	if !ValidAddr(addr) {
+		return nil, false
+	}
 	var enc *Encoded
-	ok := s.load(s.path(key), func(blob []byte) (ok bool) {
+	ok := s.load(s.addrPath(addr), func(blob []byte) (ok bool) {
 		enc, ok = parseEncoded(blob)
 		return ok
 	})
 	return enc, ok
 }
 
-// GetRaw returns the validated encoded blob stored under addr, for
-// serving over the wire without a re-encode. Same
-// failure semantics as Get: anything unreadable is a miss, corrupt
-// files are unlinked.
+// GetRaw returns the validated encoded blob stored at addr, for
+// serving over the wire without a re-encode. Same failure semantics as
+// Get: anything unreadable is a miss, corrupt files are unlinked.
 func (s *Store) GetRaw(addr string) ([]byte, bool) {
 	if !ValidAddr(addr) {
 		return nil, false
@@ -219,12 +217,16 @@ func readRecordFile(p string) ([]byte, error) {
 	return blob, nil
 }
 
-// Put stores rec under key, atomically, then enforces the byte budget,
-// and returns the view of the bytes it wrote. It refuses a record that
-// would not decode (Energy and Issues of different lengths). Failures
-// leave the store no worse than before; callers treating the store as
-// a cache may ignore the error.
-func (s *Store) Put(key []byte, rec *Record) (*Encoded, error) {
+// Put stores rec at addr (Addr of its key), atomically, then enforces
+// the byte budget, and returns the view of the bytes it wrote. It
+// refuses an invalid address and a record that would not decode
+// (Energy and Issues of different lengths). Failures leave the store
+// no worse than before; callers treating the store as a cache may
+// ignore the error.
+func (s *Store) Put(addr string, rec *Record) (*Encoded, error) {
+	if !ValidAddr(addr) {
+		return nil, fmt.Errorf("tracestore: invalid record address %q", addr)
+	}
 	if len(rec.Energy) > MaxCycles {
 		return nil, fmt.Errorf("tracestore: record of %d cycles exceeds MaxCycles", len(rec.Energy))
 	}
@@ -233,7 +235,7 @@ func (s *Store) Put(key []byte, rec *Record) (*Encoded, error) {
 	if !ok {
 		return nil, fmt.Errorf("tracestore: refusing to store undecodable record")
 	}
-	if err := s.write(s.path(key), blob); err != nil {
+	if err := s.write(s.addrPath(addr), blob); err != nil {
 		return nil, err
 	}
 	return enc, nil

@@ -27,6 +27,7 @@ fi
 gated=(
   BenchmarkCaptureHotLoop
   BenchmarkCaptureSearchShape
+  BenchmarkCompileROM
   BenchmarkEvalColdVsCompiled
   BenchmarkGARunMemoized
   BenchmarkGenerationBatch

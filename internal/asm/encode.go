@@ -62,17 +62,27 @@ func (w *writer) reg(r isa.Reg) {
 
 // Encode serialises the program.
 func Encode(p *Program) ([]byte, error) {
+	return AppendEncode(nil, p)
+}
+
+// AppendEncode appends the program's encoding, Encode's bytes, to dst
+// and returns the extended slice. On an error dst is returned as it
+// came.
+func AppendEncode(dst []byte, p *Program) ([]byte, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	// Room for every fixed-size field of the format above; label text
 	// grows the image as needed.
-	w := writer{b: make([]byte, 0, 18+len(p.Name)+18*len(p.InitRegs)+6*len(p.Labels)+28*len(p.Code))}
+	w := writer{b: slices.Grow(dst, 18+len(p.Name)+18*len(p.InitRegs)+6*len(p.Labels)+28*len(p.Code))}
 	w.b = append(w.b, magic...)
 	w.str(p.Name)
 	w.u32(uint32(p.MemBytes))
 
-	regs := make([]isa.Reg, 0, len(p.InitRegs))
+	// Programs name few registers and labels, so the sorts run on the
+	// stack.
+	var regBuf [isa.NumGPR + isa.NumXMM]isa.Reg
+	regs := regBuf[:0]
 	for r := range p.InitRegs {
 		regs = append(regs, r)
 	}
@@ -85,7 +95,8 @@ func Encode(p *Program) ([]byte, error) {
 		w.u64(v.Hi)
 	}
 
-	labels := make([]string, 0, len(p.Labels))
+	var labelBuf [16]string
+	labels := labelBuf[:0]
 	for l := range p.Labels {
 		labels = append(labels, l)
 	}
@@ -101,7 +112,7 @@ func Encode(p *Program) ([]byte, error) {
 		in := &p.Code[i]
 		idx, ok := opcodeIndex[in.Op.Name]
 		if !ok {
-			return nil, fmt.Errorf("asm: encode: unknown opcode %q", in.Op.Name)
+			return dst, fmt.Errorf("asm: encode: unknown opcode %q", in.Op.Name)
 		}
 		w.u16(idx)
 		w.reg(in.Dst)

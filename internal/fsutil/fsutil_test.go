@@ -105,3 +105,31 @@ func TestWriteFileAtomicMissingDir(t *testing.T) {
 		t.Logf("note: error was %v", err)
 	}
 }
+
+// TestReplaceFile: the fsync-free write replaces a file whole and, on
+// a failed rename, leaves neither a temp file nor a changed destination.
+func TestReplaceFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rec.trace")
+	for _, data := range []string{"first", "second, longer"} {
+		if err := ReplaceFile(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if blob, err := os.ReadFile(path); err != nil || string(blob) != data {
+			t.Fatalf("read back %q, %v; want %q", blob, err, data)
+		}
+	}
+	if extra := lingering(t, dir, "rec.trace"); len(extra) > 0 {
+		t.Errorf("leftover files after success: %v", extra)
+	}
+	occupied := filepath.Join(dir, "occupied")
+	if err := os.MkdirAll(filepath.Join(occupied, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplaceFile(occupied, []byte("x")); err == nil {
+		t.Fatal("rename onto a non-empty directory succeeded?")
+	}
+	if extra := lingering(t, dir, "rec.trace", "occupied"); len(extra) > 0 {
+		t.Errorf("temp file lingers after rename error: %v", extra)
+	}
+}

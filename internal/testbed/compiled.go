@@ -36,7 +36,8 @@ type CompiledPlatform struct {
 
 	scopeBufs sync.Pool // []float64 waveform storage
 	vbufs     sync.Pool // []float64 replay voltage buffers
-	traceBufs sync.Pool // *traceBuf capture and decode arrays
+	traceBufs sync.Pool // *traceBuf capture arrays
+	windows   sync.Pool // *traceBuf replay windows over stored traces
 
 	// traces caches phase-1 chip traces keyed by traceKey, shared by
 	// every replay-eligible run of this platform.

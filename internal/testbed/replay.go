@@ -6,6 +6,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pdn"
 	"repro/internal/scope"
+	"repro/internal/tracestore"
 )
 
 // This file is phase 2 of the two-phase measurement pipeline: stream
@@ -22,6 +23,19 @@ import (
 
 // replayChunk is the pass length, in cycles, of one kernel call.
 const replayChunk = 4096
+
+// getWindow returns a pooled replay window of n ≤ tracestore.MaxLag +
+// replayChunk cycles, the most a record's lag and one chunk need: the
+// pool's arrays are all that long, 128 KiB a pair.
+func (cp *CompiledPlatform) getWindow(n int) *traceBuf {
+	b, _ := cp.windows.Get().(*traceBuf)
+	if b == nil {
+		const size = tracestore.MaxLag + replayChunk
+		b = &traceBuf{make([]float64, size), make([]uint64, size)}
+	}
+	b.energy, b.issues = b.energy[:n], b.issues[:n]
+	return b
+}
 
 // getVBuf returns a pooled voltage buffer of length n.
 func (cp *CompiledPlatform) getVBuf(n int) []float64 {
@@ -173,12 +187,12 @@ type replayLane struct {
 	n       uint64  // cycles to stream: tr.cycles()
 	cyc     uint64  // next cycle to stream
 	vbuf    []float64
-	// energy and issues are the trace's cycles while the lane is in a
-	// pass: the trace's own arrays, or buf's, into which the pass
-	// decoded a trace that rests as bytes.
-	energy []float64
-	issues []uint64
-	buf    *traceBuf
+	// win, over a trace that rests as the store's bytes, is the lane's
+	// window while it is in a pass: the record's lag plus replayChunk
+	// cycles, into which stream decodes each chunk just before the
+	// kernel reads it.
+	win    *traceBuf
+	stream tracestore.Stream
 }
 
 // newLane prepares rc's replay of tr. The lane's kernel follows one
@@ -252,6 +266,7 @@ func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
 	adds := make([]float64, L)
 	dsts := make([][]float64, L)
 	srcs := make([][]float64, L)
+	qsrcs := make([][]uint64, L)
 	for l, ln := range live {
 		net := cp.getNet(ln.supply)
 		if rom {
@@ -261,13 +276,7 @@ func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
 		}
 		cp.net.Put(net)
 		muls[l] = 1e-12
-		ln.vbuf = cp.getVBuf(replayChunk)
-		ln.energy, ln.issues = ln.tr.energy, ln.tr.issues
-		if enc := ln.tr.enc; enc != nil {
-			ln.buf = cp.getTraceBuf(int(ln.n))
-			enc.DecodeInto(ln.buf.energy, ln.buf.issues)
-			ln.energy, ln.issues = ln.buf.energy, ln.buf.issues
-		}
+		cp.openLane(ln)
 	}
 	for {
 		// Retire finished lanes (high to low so swap-ins are already
@@ -297,7 +306,7 @@ func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
 		}
 		for l, ln := range live {
 			dsts[l] = ln.vbuf[:n]
-			srcs[l] = ln.energy[ln.cyc : ln.cyc+n]
+			srcs[l], qsrcs[l] = ln.next(n)
 			divs[l], adds[l] = ln.div, ln.add
 		}
 		if rom {
@@ -306,10 +315,32 @@ func (cp *CompiledPlatform) replayPass(lanes []*replayLane) {
 			pb.StepTraceBatch(dsts[:w], srcs[:w], muls[:w], divs[:w], adds[:w], int(n))
 		}
 		for l, ln := range live {
-			ln.fold.scan(ln.cyc, srcs[l], ln.issues[ln.cyc:ln.cyc+n], dsts[l])
+			ln.fold.scan(ln.cyc, srcs[l], qsrcs[l], dsts[l])
 			ln.cyc += n
 		}
 	}
+}
+
+// openLane gives a lane entering a pass its voltage buffer and, over a
+// trace that rests as the store's bytes, its window and a stream of the
+// record; finishLane returns them.
+func (cp *CompiledPlatform) openLane(ln *replayLane) {
+	ln.vbuf = cp.getVBuf(replayChunk)
+	if enc := ln.tr.enc; enc != nil {
+		ln.win = cp.getWindow(enc.Lag() + replayChunk)
+		ln.stream = enc.Stream()
+	}
+}
+
+// next returns the lane's next n cycles: a slice of the trace's
+// arrays, or, over a trace that rests as the store's bytes, the next n
+// cycles decoded into the lane's window.
+func (ln *replayLane) next(n uint64) ([]float64, []uint64) {
+	if ln.win == nil {
+		tr := ln.tr
+		return tr.energy[ln.cyc : ln.cyc+n], tr.issues[ln.cyc : ln.cyc+n]
+	}
+	return ln.stream.Next(ln.win.energy, ln.win.issues, int(n))
 }
 
 // finishLane completes a retired lane's Measurement — chip counters,
@@ -331,9 +362,8 @@ func (cp *CompiledPlatform) finishLane(ln *replayLane) {
 		cp.traces.putResult(ln.memoKey, *m)
 	}
 	cp.vbufs.Put(ln.vbuf[:0])
-	if ln.buf != nil {
-		cp.putTraceBuf(ln.buf)
-		ln.buf = nil
+	if ln.win != nil {
+		cp.windows.Put(ln.win)
+		ln.win, ln.stream = nil, tracestore.Stream{}
 	}
-	ln.energy, ln.issues = nil, nil
 }

@@ -3,6 +3,7 @@ package testbed
 import (
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -652,5 +653,141 @@ func TestStoreHitRunAllocs(t *testing.T) {
 	t.Logf("a store hit's Run allocates %.2f bytes a cycle", perCycle)
 	if perCycle >= 4 {
 		t.Errorf("a store hit's Run allocates %.2f bytes a cycle, want under 4", perCycle)
+	}
+}
+
+// TestStoreTornRecordRecaptured: trace records are written without an
+// fsync, so a power cut can leave one truncated, empty or zeroed on
+// disk. Each such record must read as a miss, be recaptured with the
+// measurement Platform.Run gives, and be rewritten whole, so a third
+// platform hits it.
+func TestStoreTornRecordRecaptured(t *testing.T) {
+	p := Bulldozer()
+	rc := storeRunConfig(t, p, "torn", 96)
+	want, err := p.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tear := range map[string]func([]byte) []byte{
+		"empty":     func([]byte) []byte { return nil },
+		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
+		"zeroed":    func(b []byte) []byte { return make([]byte, len(b)) },
+		"zero tail": func(b []byte) []byte { clear(b[len(b)/2:]); return b },
+	} {
+		dir := t.TempDir()
+		if _, err := compiledWithStore(t, p, dir).Run(rc); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("%s: store holds %d entries (err %v), want 1 record", name, len(ents), err)
+		}
+		path := filepath.Join(dir, ents[0].Name())
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, tear(append([]byte(nil), whole...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		warm := compiledWithStore(t, p, dir)
+		got, err := warm.Run(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts := warm.TraceStats(); ts.StoreHits != 0 || ts.StoreMisses != 1 || ts.Captures != 1 {
+			t.Errorf("%s: store hits %d, misses %d, captures %d, want 0, 1 and 1",
+				name, ts.StoreHits, ts.StoreMisses, ts.Captures)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recaptured measurement differs from Platform.Run", name)
+		}
+		third := compiledWithStore(t, p, dir)
+		if _, err := third.Run(rc); err != nil {
+			t.Fatal(err)
+		}
+		if ts := third.TraceStats(); ts.StoreHits != 1 || ts.Captures != 0 {
+			t.Errorf("%s: rewritten record not served: %d store hits, %d captures", name, ts.StoreHits, ts.Captures)
+		}
+		// The record's bytes differ in the capture time alone.
+		disk, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, aok := tracestore.Decode(disk)
+		b, bok := tracestore.Decode(whole)
+		if !aok || !bok {
+			t.Fatalf("%s: a record does not decode (rewritten %v, original %v)", name, aok, bok)
+		}
+		a.CaptureNS, b.CaptureNS = 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: the recapture did not rewrite the record whole", name)
+		}
+	}
+}
+
+// TestEncodedLaneWindow: a lane over a trace that rests as the store's
+// bytes holds a window of the record's lag plus one chunk, never the
+// whole trace, and the cycles it streams through it, in full chunks and
+// in the shorter ones a pass cuts when another lane ends, are the
+// stored record's.
+func TestEncodedLaneWindow(t *testing.T) {
+	p := Bulldozer()
+	threads, err := SpreadPlacement(p.Chip, searchShapeProgram(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := RunConfig{Threads: threads, MaxCycles: 23000, WarmupCycles: 3000, SupplyVolts: p.Nominal()}
+	cp := compiledWithStore(t, p, t.TempDir())
+	if _, err := cp.Run(rc); err != nil {
+		t.Fatal(err)
+	}
+	key, ok := traceKey(rc, nil)
+	if !ok {
+		t.Fatal("no trace key")
+	}
+	tr := cp.traces.get(key)
+	if tr == nil || tr.enc == nil {
+		t.Fatal("the written-through trace does not rest as the store's bytes")
+	}
+	blob, ok := cp.TraceStore().GetRaw(cp.storeAddr(key))
+	if !ok {
+		t.Fatal("store miss")
+	}
+	want, ok := tracestore.Decode(blob)
+	if !ok {
+		t.Fatal("stored record does not decode")
+	}
+	lag := tr.enc.Lag()
+	ln, err := cp.newLane(0, tr, rc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.openLane(ln)
+	if len(ln.win.energy) != lag+replayChunk || len(ln.win.issues) != lag+replayChunk ||
+		cap(ln.win.energy) > tracestore.MaxLag+replayChunk || cap(ln.win.issues) > tracestore.MaxLag+replayChunk {
+		t.Fatalf("a lane over a trace of lag %d holds a window of %d/%d cycles (capacity %d/%d), want %d",
+			lag, len(ln.win.energy), len(ln.win.issues), cap(ln.win.energy), cap(ln.win.issues), lag+replayChunk)
+	}
+	for i := 0; ln.cyc < ln.n; i++ {
+		n := min(uint64(replayChunk), ln.n-ln.cyc)
+		if i%3 == 1 {
+			n = min(n, uint64(97*i))
+		}
+		es, qs := ln.next(n)
+		if uint64(len(es)) != n || uint64(len(qs)) != n {
+			t.Fatalf("cycle %d: a chunk of %d cycles returned %d and %d", ln.cyc, n, len(es), len(qs))
+		}
+		for j := range es {
+			c := ln.cyc + uint64(j)
+			if math.Float64bits(es[j]) != math.Float64bits(want.Energy[c]) || qs[j] != want.Issues[c] {
+				t.Fatalf("cycle %d streams (%v, %x), the record holds (%v, %x)", c, es[j], qs[j], want.Energy[c], want.Issues[c])
+			}
+		}
+		ln.cyc += n
+	}
+	cp.finishLane(ln)
+	if ln.win != nil {
+		t.Error("finishLane kept the lane's window")
 	}
 }

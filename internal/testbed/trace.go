@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -60,9 +59,9 @@ func packIssues(res *cpu.CycleResult) (uint64, bool) {
 //
 // The cycles rest in one of two forms. A trace the platform's store
 // holds keeps the store's bytes (enc, about 0.9 bytes a cycle on a
-// search trace), which each replay decodes into pooled arrays of its
-// own; any other trace keeps its arrays (energy and issues, 16 bytes a
-// cycle).
+// search trace), which each replay decodes a chunk at a time into a
+// pooled window of its own; any other trace keeps its arrays (energy
+// and issues, 16 bytes a cycle).
 type chipTrace struct {
 	energy []float64
 	issues []uint64
@@ -118,9 +117,10 @@ func (tr *chipTrace) sizeBytes() int {
 	return 16*len(tr.energy) + 256
 }
 
-// traceBuf is a pair of trace arrays from the platform's pool: a
-// capture records into one, and a replay of a trace that rests as the
-// store's bytes decodes into one.
+// traceBuf is a pair of trace arrays from one of the platform's
+// pools: a capture records into one, and a replay of a trace that
+// rests as the store's bytes decodes into one sized as a window
+// (getWindow).
 type traceBuf struct {
 	energy []float64
 	issues []uint64
@@ -228,53 +228,62 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 // the run has no trace: an OS model injects interference the key does
 // not carry, a run that is unbounded or longer than traceMaxCycles is
 // not recorded, and an unencodable program has no key. The returned
-// string is the key followed by tail.
+// string is the key followed by tail. A search candidate's key runs to
+// about 18 KB: it is assembled in a pooled buffer, each distinct
+// program encoded straight into it, so the string is its one
+// allocation.
 func traceKey(rc RunConfig, tail []byte) (string, bool) {
 	if rc.OS != nil || rc.MaxCycles == 0 || rc.MaxCycles > traceMaxCycles {
 		return "", false
 	}
-	// A search candidate's key runs to about 18 KB, so it is built once
-	// at its exact size.
-	encs := make([][]byte, len(rc.Threads))
-	size := 8*(3+3*len(rc.Dither)) + len(tail)
+	ks := keyScratches.Get().(*keyScratch)
+	b, encs := ks.b[:0], ks.encs[:0]
+	defer func() {
+		if cap(b) <= keyScratchMaxBytes {
+			ks.b, ks.encs = b, encs
+			keyScratches.Put(ks)
+		}
+	}()
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+	}
 	for i, ts := range rc.Threads {
+		put(0) // the encoding's length, set below
+		at := len(b)
 		if j := slices.IndexFunc(rc.Threads[:i], func(o ThreadSpec) bool { return o.Program == ts.Program }); j >= 0 {
-			encs[i] = encs[j]
+			b = append(b, b[encs[j][0]:encs[j][1]]...)
 		} else {
-			enc, err := asm.Encode(ts.Program)
-			if err != nil {
+			var err error
+			if b, err = asm.AppendEncode(b, ts.Program); err != nil {
 				return "", false
 			}
-			encs[i] = enc
 		}
-		size += 8*5 + len(encs[i])
+		encs = append(encs, [2]int{at, len(b)})
+		binary.LittleEndian.PutUint64(b[at-8:], uint64(len(b)-at))
+		put(uint64(ts.Module), uint64(ts.Core), ts.MaxInstrs, ts.StartSkew)
 	}
-	var b strings.Builder
-	b.Grow(size)
-	var w [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		b.Write(w[:])
-	}
-	for i, ts := range rc.Threads {
-		put(uint64(len(encs[i])))
-		b.Write(encs[i])
-		put(uint64(ts.Module))
-		put(uint64(ts.Core))
-		put(ts.MaxInstrs)
-		put(ts.StartSkew)
-	}
-	put(rc.MaxCycles)
-	put(uint64(rc.FPThrottle))
-	put(uint64(len(rc.Dither)))
+	put(rc.MaxCycles, uint64(rc.FPThrottle), uint64(len(rc.Dither)))
 	for _, d := range rc.Dither {
-		put(uint64(d.Core))
-		put(d.PeriodCycles)
-		put(d.PadCycles)
+		put(uint64(d.Core), d.PeriodCycles, d.PadCycles)
 	}
-	b.Write(tail)
-	return b.String(), true
+	b = append(b, tail...)
+	return string(b), true
 }
+
+// keyScratch is the buffer traceKey assembles a key in, and where each
+// thread's program encoding lies in it.
+type keyScratch struct {
+	b    []byte
+	encs [][2]int
+}
+
+// keyScratchMaxBytes caps the buffer the pool keeps; a rare longer
+// key's is left to the collector.
+const keyScratchMaxBytes = 1 << 20
+
+var keyScratches = sync.Pool{New: func() any { return new(keyScratch) }}
 
 // TraceStats reports trace-cache and fast-path activity.
 type TraceStats struct {

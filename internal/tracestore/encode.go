@@ -22,7 +22,7 @@ package tracestore
 //	          LSB first and zero-padded to a byte
 //	checksum  FNV-1a 64 of everything before it, little-endian
 //
-// P is one lag per record, 1 to maxLag, or 0 when the record has no
+// P is one lag per record, 1 to MaxLag, or 0 when the record has no
 // copy run. Encode picks it by a vote: every 8-cycle window of table
 // indices votes for the distance back to its last occurrence, and of
 // the 8 most-voted lags the one that repeats the most cycles exactly
@@ -30,12 +30,13 @@ package tracestore
 // recurs at one period.
 //
 // Decode checks every bound that sizes its arrays against the header
-// and the blob length before it allocates them (a literal's table
-// index is checked as it is read), and reads the table and the
-// literals straight out of the blob, so a decode allocates the record
-// and its two arrays and a validation nothing. An Encoded view keeps a
-// validated blob as it is and decodes it into arrays its caller owns.
-// v3 is the only format read: a blob under
+// and the blob length, and that the literals index the table in order
+// of first appearance, the order Encode writes them in, before it
+// allocates them. It reads the table and the literals straight out of
+// the blob, so a decode allocates the record and its two arrays and a
+// validation nothing. An Encoded view keeps a validated blob as it is,
+// and a Stream decodes it a span at a time into a window its caller
+// owns. v3 is the only format read: a blob under
 // any other magic (the flat v1 records and the DEFLATE-compressed v2
 // records older binaries wrote, or a future version) is a miss, as is a
 // corrupt or truncated blob, which fails the checksum or a structural
@@ -54,7 +55,6 @@ const (
 	magic3       = "AUDTRC3\n"
 	headerFields = 2 + statsWords + 4 // uvarints in a header
 	pairBytes    = 16                 // a table entry: energy bits, issue word
-	maxLag       = 4096               // the furthest a copy run reaches back
 	maxIndexBits = 22                 // ⌈log2 MaxCycles⌉, the widest literal
 	// window is the length of the index windows that vote for a lag,
 	// and topLags how many of the most-voted lags are counted exactly.
@@ -63,6 +63,10 @@ const (
 	// hold; a rare long trace's buffers are left to the collector.
 	poolMaxBytes = 4 << 20
 )
+
+// MaxLag is the furthest back a copy run reaches, and so the most
+// cycles a Stream's window holds ahead of the span it decodes.
+const MaxLag = 4096
 
 // MaxCycles is the longest trace a record may hold; Decode refuses a
 // longer one and Put will not write it. It is the testbed's replay
@@ -85,7 +89,7 @@ type encoder struct {
 	pe, pq []uint64 // the distinct pairs, in first-appearance order
 	idx    []int32  // each cycle's table index
 	wins   []winSlot
-	votes  [maxLag + 1]int32
+	votes  [MaxLag + 1]int32
 	runs   []int // run lengths, literal first
 	cand   []int // lags with votes
 }
@@ -227,7 +231,7 @@ func (e *encoder) find(eb, q uint64) int {
 
 // chooseLag returns the lag that repeats the most cycles among the
 // topLags lags the window vote favours, the lowest on a tie, or 0 if
-// no window recurs within maxLag cycles.
+// no window recurs within MaxLag cycles.
 func (e *encoder) chooseLag() int {
 	idx := e.idx
 	if len(idx) <= window {
@@ -246,7 +250,7 @@ func (e *encoder) chooseLag() int {
 	for i := 0; ; i++ {
 		// h hashes idx[i : i+window].
 		ws := &e.wins[(h*0x9e3779b97f4a7c15)>>(64-wbits)]
-		if d := i + 1 - int(ws.at); ws.at != 0 && ws.h == h && d <= maxLag {
+		if d := i + 1 - int(ws.at); ws.at != 0 && ws.h == h && d <= MaxLag {
 			e.votes[d]++
 		}
 		ws.h, ws.at = h, int32(i+1)
@@ -258,7 +262,7 @@ func (e *encoder) chooseLag() int {
 
 	// The most-voted lags, the lower first on a tie.
 	cand := e.cand[:0]
-	for d := 1; d <= maxLag; d++ {
+	for d := 1; d <= MaxLag; d++ {
 		if e.votes[d] > 0 {
 			cand = append(cand, d)
 		}
@@ -334,17 +338,17 @@ func resize[T any](s []T, n int) []T {
 }
 
 // Decode is Encode's inverse. ok is false on any magic, structural or
-// checksum mismatch.
+// checksum mismatch, and on literals out of first-appearance order.
+// It runs the record's decoder once, over arrays of its own.
 func Decode(blob []byte) (*Record, bool) {
 	var f frame
-	if !f.parse(blob) {
+	if !f.check(blob) {
 		return nil, false
 	}
 	rec := f.rec
 	rec.Energy, rec.Issues = make([]float64, f.n), make([]uint64, f.n)
-	if !f.walk(rec.Energy, rec.Issues) {
-		return nil, false
-	}
+	s := f.stream()
+	s.fill(rec.Energy, rec.Issues, 0, int(f.n))
 	return &rec, true
 }
 
@@ -357,16 +361,16 @@ func valid(blob []byte) bool {
 }
 
 // Encoded is a record at rest in its encoded form: a blob that passed
-// every check Decode makes, the literals' table indices included, so
-// decoding it cannot fail. Store.Get returns one and Store.Put returns
-// the one it wrote. A search trace's blob is about 0.9 bytes a cycle
-// against the 16 of its arrays, so a caller that keeps traces in
-// memory keeps these bytes and decodes them into arrays of its own
-// when it needs the cycles. An Encoded is immutable and safe for
-// concurrent use.
+// every check Decode makes, so decoding it cannot fail. Store.Get
+// returns one and Store.Put returns the one it wrote. A search trace's
+// blob is about 0.9 bytes a cycle against the 16 of its arrays, so a
+// caller that keeps traces in memory keeps these bytes and streams
+// their cycles (Stream) when it needs them. An Encoded is immutable and
+// safe for concurrent use.
 type Encoded struct {
-	f    frame
-	size int
+	f         frame
+	size      int
+	maxEnergy float64
 }
 
 // parseEncoded returns the view of blob, or false wherever Decode
@@ -376,6 +380,7 @@ func parseEncoded(blob []byte) (*Encoded, bool) {
 	if !e.f.check(blob) {
 		return nil, false
 	}
+	e.maxEnergy = e.f.tableMax()
 	return e, true
 }
 
@@ -389,19 +394,120 @@ func (e *Encoded) Cycles() int { return int(e.f.n) }
 // Size is the blob's length in bytes.
 func (e *Encoded) Size() int { return e.size }
 
-// MaxEnergy is the largest per-cycle energy of the record, or 0 when
-// none is positive; a NaN never counts. It is read from the table
-// entries the literals index: every other cycle copies an earlier one,
-// so it equals a scan over the decoded Energy.
-func (e *Encoded) MaxEnergy() float64 { return e.f.maxEnergy }
+// Lag is the record's copy distance, at most MaxLag (0 when it has no
+// copy run): how many cycles a Stream's window holds ahead of a span.
+func (e *Encoded) Lag() int { return e.f.lag }
 
-// DecodeInto writes the record's cycles to energy[:n] and issues[:n],
-// n = Cycles(); both must hold at least n values. It only walks the
-// runs: the view was checked when it was made.
-func (e *Encoded) DecodeInto(energy []float64, issues []uint64) {
-	if n := e.f.n; n > 0 { // nil arrays would ask walk to check, not decode
-		e.f.walk(energy[:n:n], issues[:n:n])
+// MaxEnergy is the largest per-cycle energy of the record, or 0 when
+// none is positive; a NaN never counts. It is read from the pair
+// table: the literals index every entry, and every other cycle copies
+// an earlier one, so it equals a scan over the decoded Energy.
+func (e *Encoded) MaxEnergy() float64 { return e.maxEnergy }
+
+// Stream returns a decoder positioned at the record's first cycle.
+func (e *Encoded) Stream() Stream { return e.f.stream() }
+
+// A Stream decodes a record's cycles in order, a span at a time, into
+// a window its caller owns, so a reader holds the record's lag plus
+// one span of decoded cycles rather than the whole record. It is a
+// value, and a copy carries on from the same cycle independently.
+type Stream struct {
+	table      []byte // the pair table
+	runs, lits []byte // the run lengths and literal bits not yet read
+	lag        int
+	w          uint   // literal width
+	rest       int    // cycles not yet decoded
+	prev       int    // the last span's length
+	left       int    // cycles left in the current run
+	lit        bool   // the current run is a literal run
+	acc        uint64 // nacc unread literal bits
+	nacc       uint
+}
+
+// Next decodes the next span cycles, or as many as are left, into a
+// window: energy and issues, each at least lag + span long, lag being
+// the record's (Encoded.Lag), and passed unchanged to every call of
+// one Stream. It first slides the last lag cycles the window holds to
+// its front, where the span's copy runs read them, then writes the
+// span after them and returns it, energy[lag:lag+m] and
+// issues[lag:lag+m]; once every cycle is decoded, the slices are
+// empty.
+func (s *Stream) Next(energy []float64, issues []uint64, span int) ([]float64, []uint64) {
+	// Capped at their lengths, a window too short for the span panics
+	// rather than spill into the arrays' capacity.
+	energy, issues = energy[:len(energy):len(energy)], issues[:len(issues):len(issues)]
+	lag, m := s.lag, max(min(span, s.rest), 0)
+	if p := s.prev; p > 0 && lag > 0 {
+		copy(energy[:lag], energy[p:p+lag])
+		copy(issues[:lag], issues[p:p+lag])
 	}
+	s.fill(energy, issues, lag, m)
+	s.prev, s.rest = m, s.rest-m
+	return energy[lag : lag+m : lag+m], issues[lag : lag+m : lag+m]
+}
+
+// fill is the decoder: it writes the next n cycles to energy[at:at+n]
+// and issues[at:at+n], where a copy run reads the cycle lag places
+// back, so the lag cycles before them must sit just below at. The
+// cursor lives in locals for the span and is stored back once; a run
+// the span cuts short carries on in the next (left).
+func (s *Stream) fill(energy []float64, issues []uint64, at, n int) {
+	runs, lits, acc, nacc := s.runs, s.lits, s.acc, s.nacc
+	left, lit, lag, w := s.left, s.lit, s.lag, s.w
+	stop := at + n
+	energy, issues = energy[:stop], issues[:stop]
+	for i := at; i < stop; {
+		end := i + left
+		if left == 0 {
+			v, k := binary.Uvarint(runs)
+			runs = runs[k:]
+			end, lit = i+int(v), !lit
+		}
+		left = 0
+		if end > stop {
+			left, end = end-stop, stop
+		}
+		switch {
+		case lit:
+			for ; i < end; i++ {
+				// lits runs on through the checksum, so while a literal
+				// bit is unread, 8 bytes are.
+				if nacc < w {
+					acc |= binary.LittleEndian.Uint64(lits) << nacc
+					k := (63 - nacc) / 8 // whole bytes that fit above nacc
+					lits, nacc = lits[k:], nacc+8*k
+				}
+				x := acc & (1<<w - 1)
+				acc, nacc = acc>>w, nacc-w
+				pair := s.table[pairBytes*x : pairBytes*x+pairBytes]
+				energy[i] = math.Float64frombits(binary.LittleEndian.Uint64(pair))
+				issues[i] = binary.LittleEndian.Uint64(pair[8:])
+			}
+		case end-i < 8:
+			// Most runs are short: a loop beats two memmove calls, and
+			// copying forward repeats the cycles a lag shorter than the
+			// run has just written. The shortest index in place, the
+			// rest loop over slices cut once.
+			for ; i < end; i++ {
+				energy[i], issues[i] = energy[i-lag], issues[i-lag]
+			}
+		case end-i < 64:
+			de, se := energy[i:end], energy[i-lag:end-lag]
+			dq, sq := issues[i:end], issues[i-lag:end-lag]
+			for j := range de {
+				de[j], dq[j] = se[j], sq[j]
+			}
+			i = end
+		default:
+			for i < end {
+				c := copy(energy[i:end], energy[i-lag:i])
+				copy(issues[i:i+c], issues[i-lag:i])
+				i += c
+			}
+		}
+	}
+	s.runs, s.lits, s.acc, s.nacc = runs, lits, acc, nacc
+	s.left, s.lit = left, lit
 }
 
 // frame is a parsed v3 blob: the header and the sections it bounds,
@@ -411,18 +517,20 @@ type frame struct {
 	n, k  uint64
 	lag   int
 	w     uint   // literal width
+	nlits uint64 // literal cycles
 	table []byte // k pairs
 	runs  []byte // the run-length uvarints
 	lits  []byte // the packed literals and the 8 checksum bytes after them
-	// maxEnergy is the largest energy, from 0, a literal reads; check
-	// sets it.
-	maxEnergy float64
 }
 
-// check runs every check Decode makes: parse, then walk's check that
-// each literal indexes the table, which also sets maxEnergy.
+// check runs every check Decode makes: parse, then ordered.
 func (f *frame) check(blob []byte) bool {
-	return f.parse(blob) && f.walk(nil, nil)
+	return f.parse(blob) && f.ordered()
+}
+
+// stream returns the decoder of f's cycles from the first.
+func (f *frame) stream() Stream {
+	return Stream{table: f.table, runs: f.runs, lits: f.lits, lag: f.lag, w: f.w, rest: int(f.n)}
 }
 
 // parse checks blob's magic, checksum, header and run lengths, and
@@ -459,7 +567,7 @@ func (f *frame) parse(blob []byte) bool {
 	// Every cycle needs a pair, and no table holds more pairs than
 	// cycles or more bytes than the blob.
 	if !ok || flags > 3 || f.n > MaxCycles || f.k > f.n || (f.k == 0) != (f.n == 0) ||
-		lag > maxLag || f.k > uint64(len(p))/pairBytes {
+		lag > MaxLag || f.k > uint64(len(p))/pairBytes {
 		return false
 	}
 	f.lag, f.w = int(lag), indexBits(f.k)
@@ -483,7 +591,7 @@ func (f *frame) parse(blob []byte) bool {
 		at += v
 	}
 	f.runs = start[:len(start)-len(p)]
-	f.lits = blob[len(blob)-8-len(p):]
+	f.lits, f.nlits = blob[len(blob)-8-len(p):], lits
 	nbits := lits * uint64(f.w)
 	if copies != (lag != 0) || uint64(len(p)) != (nbits+7)/8 {
 		return false
@@ -491,65 +599,41 @@ func (f *frame) parse(blob []byte) bool {
 	return nbits%8 == 0 || p[len(p)-1]>>(nbits%8) == 0
 }
 
-// walk decodes the runs and literals into energy and issues, or, with
-// both nil, only checks that every literal indexes the table and notes
-// the largest energy a literal reads in f.maxEnergy.
-func (f *frame) walk(energy []float64, issues []uint64) bool {
-	lits, runs := f.lits, f.runs
-	var acc uint64 // nacc unread literal bits, then bits of lits not yet counted
+// ordered reports whether the literals index the table in order of
+// first appearance, the order Encode writes: each index is at most
+// the number of distinct indices before it, and all k appear. It costs
+// a compare a literal and reads no table; an index it passes is in the
+// table, and every table entry is some cycle's pair.
+func (f *frame) ordered() bool {
+	lits, w, mask := f.lits, f.w, uint64(1)<<f.w-1
+	var acc, seen uint64
 	var nacc uint
-	n, lag, w := int(f.n), f.lag, f.w
-	maxE := 0.0
-	for i, run := 0, 0; i < n; run++ {
-		v, k := binary.Uvarint(runs)
-		runs = runs[k:]
-		end := i + int(v)
-		switch {
-		case run%2 == 0:
-			for ; i < end; i++ {
-				// lits runs on through the checksum, so while a literal
-				// bit is unread, 8 bytes are.
-				if nacc < w {
-					acc |= binary.LittleEndian.Uint64(lits) << nacc
-					k := (63 - nacc) / 8 // whole bytes that fit above nacc
-					lits, nacc = lits[k:], nacc+8*k
-				}
-				x := acc & (1<<w - 1)
-				acc, nacc = acc>>w, nacc-w
-				if x >= f.k {
-					return false
-				}
-				pair := f.table[pairBytes*x : pairBytes*x+pairBytes]
-				e := math.Float64frombits(binary.LittleEndian.Uint64(pair))
-				if energy != nil {
-					energy[i] = e
-					issues[i] = binary.LittleEndian.Uint64(pair[8:])
-				} else if e > maxE {
-					maxE = e
-				}
-			}
-		case energy == nil:
-			i = end
-		case end-i < 64:
-			// Most runs are short: a loop beats two memmove calls, and
-			// copying forward repeats the cycles a lag shorter than the
-			// run has just written.
-			de, se := energy[i:end], energy[i-lag:end-lag]
-			dq, sq := issues[i:end], issues[i-lag:end-lag]
-			for j := range de {
-				de[j], dq[j] = se[j], sq[j]
-			}
-			i = end
-		default:
-			for i < end {
-				c := copy(energy[i:end], energy[i-lag:i])
-				copy(issues[i:i+c], issues[i-lag:i])
-				i += c
-			}
+	for range f.nlits {
+		if nacc < w { // as in fill
+			acc |= binary.LittleEndian.Uint64(lits) << nacc
+			k := (63 - nacc) / 8
+			lits, nacc = lits[k:], nacc+8*k
+		}
+		x := acc & mask
+		acc, nacc = acc>>w, nacc-w
+		if x > seen {
+			return false
+		}
+		if x == seen {
+			seen++
 		}
 	}
-	if energy == nil {
-		f.maxEnergy = maxE
+	return seen == f.k
+}
+
+// tableMax is the largest energy in the pair table, from 0; a NaN
+// never counts.
+func (f *frame) tableMax() float64 {
+	m := 0.0
+	for t := f.table; len(t) > 0; t = t[pairBytes:] {
+		if e := math.Float64frombits(binary.LittleEndian.Uint64(t)); e > m {
+			m = e
+		}
 	}
-	return true
+	return m
 }

@@ -218,8 +218,8 @@ func TestEncodeGolden(t *testing.T) {
 }
 
 // TestEncodeChoosesLag checks the lag vote on records whose best lag is
-// known: a loop's period, up to maxLag, and not a multiple of it; and
-// no lag where nothing repeats within maxLag, or where a literal costs
+// known: a loop's period, up to MaxLag, and not a multiple of it; and
+// no lag where nothing repeats within MaxLag, or where a literal costs
 // no bits.
 func TestEncodeChoosesLag(t *testing.T) {
 	for _, c := range []struct {
@@ -229,8 +229,8 @@ func TestEncodeChoosesLag(t *testing.T) {
 	}{
 		{"loop", loopRecord(3000, 97, 12, 250), 97},
 		{"short-lag", loopRecord(200, 3, 3, 41), 3},
-		{"period-4096", loopRecord(3*maxLag, maxLag, maxLag+3, 0), maxLag},
-		{"period-past-maxLag", loopRecord(3*maxLag, maxLag+1, maxLag+3, 0), 0},
+		{"period-4096", loopRecord(3*MaxLag, MaxLag, MaxLag+3, 0), MaxLag},
+		{"period-past-MaxLag", loopRecord(3*MaxLag, MaxLag+1, MaxLag+3, 0), 0},
 		{"no-repeats", sampleRecord(500, 1), 0},
 		{"constant", loopRecord(300, 1, 1, 0), 0}, // one pair: a literal costs no bits
 	} {
@@ -323,14 +323,15 @@ func hexBlobs(t testing.TB, hexes map[string]string) map[string][]byte {
 	return blobs
 }
 
-// checkLegacyIsAMiss holds a blob of a retired format to the store's
-// contract for one: a miss in Decode, refused by PutRaw, a miss in Get
-// and in GetRaw, which unlink it, and the recaptured record is then
-// stored and served as v3.
-func checkLegacyIsAMiss(t *testing.T, name string, blob []byte) {
+// checkIsAMiss holds a blob the store must refuse, such as one of a
+// retired format, to the store's contract for one: a miss in Decode
+// and valid, refused by PutRaw, a miss in Get and in GetRaw, which
+// unlink it, and the recaptured record is then stored and served as
+// v3.
+func checkIsAMiss(t *testing.T, name string, blob []byte) {
 	t.Helper()
-	if _, ok := Decode(blob); ok {
-		t.Errorf("%s: Decode accepted a retired format", name)
+	if _, ok := Decode(blob); ok || valid(blob) {
+		t.Errorf("%s: Decode or valid accepted it", name)
 	}
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -338,7 +339,7 @@ func checkLegacyIsAMiss(t *testing.T, name string, blob []byte) {
 	}
 	key := []byte("old key")
 	if err := s.PutRaw(Addr(key), blob); err == nil {
-		t.Errorf("%s: PutRaw stored a retired format", name)
+		t.Errorf("%s: PutRaw stored it", name)
 	}
 	p := s.addrPath(Addr(key))
 	for _, get := range []func() bool{
@@ -349,7 +350,7 @@ func checkLegacyIsAMiss(t *testing.T, name string, blob []byte) {
 			t.Fatal(err)
 		}
 		if get() {
-			t.Errorf("%s: retired format on disk served as a hit", name)
+			t.Errorf("%s: served as a hit from disk", name)
 		}
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s: the miss left the file on disk (stat: %v)", name, err)
@@ -373,8 +374,8 @@ func checkLegacyIsAMiss(t *testing.T, name string, blob []byte) {
 // older binary left is a cold start.
 func TestV1RecordIsAMiss(t *testing.T) {
 	v3 := Encode(sampleRecord(64, 5))
-	checkLegacyIsAMiss(t, "arbitrary", append([]byte(v1Magic), bytes.Repeat([]byte{0xa5}, 300)...))
-	checkLegacyIsAMiss(t, "v3-body-v1-magic", legacyBlob(v3[len(magic3):len(v3)-8]))
+	checkIsAMiss(t, "arbitrary", append([]byte(v1Magic), bytes.Repeat([]byte{0xa5}, 300)...))
+	checkIsAMiss(t, "v3-body-v1-magic", legacyBlob(v3[len(magic3):len(v3)-8]))
 }
 
 // TestV2RecordIsAMiss: nor is v2, so a store the previous binary left
@@ -385,7 +386,7 @@ func TestV2RecordIsAMiss(t *testing.T) {
 		t.Fatalf("%d v2 records, want 7", len(blobs))
 	}
 	for name, blob := range blobs {
-		checkLegacyIsAMiss(t, name, blob)
+		checkIsAMiss(t, name, blob)
 	}
 }
 
@@ -394,7 +395,7 @@ func TestV2RecordIsAMiss(t *testing.T) {
 // wrote reads as a miss and is recaptured.
 func TestPeriodicRecordIsAMiss(t *testing.T) {
 	for name, blob := range hexBlobs(t, periodicRecordHex) {
-		checkLegacyIsAMiss(t, name, blob)
+		checkIsAMiss(t, name, blob)
 	}
 }
 
@@ -530,7 +531,7 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		"more pairs than cycles":   blobV3(0, 2, 3, 0, table, []uint64{2}, lits[:1]),
 		"cycles with no pairs":     blobV3(0, 6, 0, 0, nil, []uint64{6}, nil),
 		"pairs with no cycles":     blobV3(0, 0, 1, 0, table[:2], nil, nil),
-		"lag past maxLag":          blobV3(0, 6, 3, maxLag+1, table, []uint64{2, 3, 1}, lits),
+		"lag past MaxLag":          blobV3(0, 6, 3, MaxLag+1, table, []uint64{2, 3, 1}, lits),
 		"table past the blob":      blobV3(0, 6, 3, 2, table[:4], nil, nil),
 		"runs short of n":          blobV3(0, 6, 3, 2, table, []uint64{2, 3}, []byte{0b01_00}),
 		"runs past n":              blobV3(0, 6, 3, 2, table, []uint64{2, 3, 2}, []byte{0b10_10_01_00}),
@@ -552,6 +553,151 @@ func TestDecodeRefusesMalformed(t *testing.T) {
 		}
 		if valid(blob) {
 			t.Errorf("%s: valid accepted it", name)
+		}
+	}
+}
+
+// TestLiteralOrderRule: an accepted blob's literals index its table in
+// order of first appearance, the order Encode writes. Literals that
+// skip an index, or that leave a table entry unreferenced, make a blob
+// every reader refuses, though each literal indexes the table and the
+// blob is otherwise the well-formed one of TestDecodeRefusesMalformed.
+func TestLiteralOrderRule(t *testing.T) {
+	table := []uint64{
+		math.Float64bits(1.5), 7,
+		math.Float64bits(-0.0), 8,
+		math.Float64bits(math.Inf(1)), 9,
+	}
+	// Three 2-bit literals around a copy of three cycles at lag 2.
+	lits := func(a, b, c byte) []byte { return []byte{c<<4 | b<<2 | a} }
+	if _, ok := Decode(blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, lits(0, 1, 2))); !ok {
+		t.Fatal("the blob in first-appearance order does not decode")
+	}
+	for name, blob := range map[string][]byte{
+		"skips an index":        blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, lits(0, 2, 1)),
+		"starts past 0":         blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, lits(1, 0, 2)),
+		"unreferenced entry":    blobV3(0, 6, 3, 2, table, []uint64{2, 3, 1}, lits(0, 1, 0)),
+		"unreferenced, no copy": blobV3(0, 3, 3, 0, table, []uint64{3}, lits(0, 1, 1)),
+	} {
+		checkIsAMiss(t, name, blob)
+	}
+	// Every record Encode writes obeys the rule.
+	shapes := shapeRecords()
+	shapes["aperiodic-walk"] = aperiodicRecord()
+	shapes["search"] = searchRecord()
+	for name, rec := range shapes {
+		if !valid(Encode(rec)) {
+			t.Errorf("%s: Encode wrote a blob out of first-appearance order", name)
+		}
+	}
+}
+
+// maxSpan is the longest span the window tests decode, the testbed's
+// chunk.
+const maxSpan = 4096
+
+// spanPicker returns a sequence of window spans drawn from seed: 4,096
+// spans, spans of any length from 1 to 4,096, short ones, ones shorter
+// than the lag, and empty ones.
+func spanPicker(seed uint64, lag int) func() int {
+	return func() int {
+		seed = seed*6364136223846793005 + 1442695040888963407 // 64-bit LCG
+		r := int(seed >> 33)
+		switch r % 6 {
+		case 0:
+			return maxSpan
+		case 1:
+			return 1 + r>>3%maxSpan
+		case 2:
+			return 1 + r>>3%16
+		case 3:
+			return 1 + r>>3%max(lag-1, 1)
+		case 4:
+			return 0
+		default:
+			return 1 + r>>3%512
+		}
+	}
+}
+
+// streamAll decodes e through one window of e.Lag()+maxSpan cycles,
+// in the spans next picks, and returns the cycles the spans returned,
+// end to end. It fails t if a span returns other than as many cycles
+// as it asked for, or as are left, if Next writes past the window, or
+// if a drained Stream returns a cycle.
+func streamAll(t testing.TB, e *Encoded, next func() int) ([]float64, []uint64) {
+	t.Helper()
+	const spare = 3
+	lag := e.Lag()
+	win := lag + maxSpan
+	energy, issues := make([]float64, win+spare), make([]uint64, win+spare)
+	for i := range energy {
+		energy[i] = math.Float64frombits(0x7ff4_dead_0000_0000 | uint64(i))
+		issues[i] = ^uint64(i)
+	}
+	var outE []float64
+	var outQ []uint64
+	s := e.Stream()
+	for left := e.Cycles(); left > 0; {
+		span := next()
+		es, qs := s.Next(energy[:win], issues[:win], span)
+		if len(es) != min(span, left) || len(qs) != len(es) {
+			t.Fatalf("a span of %d with %d cycles left returned %d and %d", span, left, len(es), len(qs))
+		}
+		outE, outQ = append(outE, es...), append(outQ, qs...)
+		left -= len(es)
+	}
+	if es, qs := s.Next(energy[:win], issues[:win], maxSpan); len(es) != 0 || len(qs) != 0 {
+		t.Fatalf("a drained Stream returned %d cycles", len(es))
+	}
+	for i := win; i < len(energy); i++ {
+		if math.Float64bits(energy[i]) != 0x7ff4_dead_0000_0000|uint64(i) || issues[i] != ^uint64(i) {
+			t.Fatalf("Next wrote cycle %d of a %d-cycle window", i, win)
+		}
+	}
+	return outE, outQ
+}
+
+// checkStream holds e's windowed decode in next's spans to rec bit for
+// bit.
+func checkStream(t testing.TB, e *Encoded, rec *Record, next func() int) {
+	t.Helper()
+	energy, issues := streamAll(t, e, next)
+	if len(energy) != len(rec.Energy) {
+		t.Fatalf("streamed %d cycles, want %d", len(energy), len(rec.Energy))
+	}
+	for i := range energy {
+		if math.Float64bits(energy[i]) != math.Float64bits(rec.Energy[i]) || issues[i] != rec.Issues[i] {
+			t.Fatalf("cycle %d of %d (lag %d): streamed (%x, %x), want (%x, %x)", i, len(energy), e.Lag(),
+				math.Float64bits(energy[i]), issues[i], math.Float64bits(rec.Energy[i]), rec.Issues[i])
+		}
+	}
+}
+
+// TestStreamMatchesDecode decodes every shape and the search-shaped
+// record through a window in span sequences: whole 4,096-cycle spans
+// with a partial last one, spans of one cycle, spans one shorter than
+// the lag, and random sequences of every length from 0 to 4,096. Each
+// equals Decode bit for bit.
+func TestStreamMatchesDecode(t *testing.T) {
+	shapes := shapeRecords()
+	shapes["aperiodic-walk"] = aperiodicRecord()
+	shapes["search"] = searchRecord()
+	shapes["period-4096"] = loopRecord(3*MaxLag+123, MaxLag, MaxLag+3, 0)
+	for name, rec := range shapes {
+		blob := Encode(rec)
+		want, ok := Decode(blob)
+		e, eok := parseEncoded(blob)
+		if !ok || !eok {
+			t.Fatalf("%s: does not decode", name)
+		}
+		lag := e.Lag()
+		fixed := func(n int) func() int { return func() int { return n } }
+		for _, span := range []int{maxSpan, 1, max(lag-1, 1), min(lag+1, maxSpan), 97} {
+			checkStream(t, e, want, fixed(span))
+		}
+		for seed := range uint64(16) {
+			checkStream(t, e, want, spanPicker(seed, lag))
 		}
 	}
 }
@@ -686,28 +832,55 @@ func BenchmarkTraceDecodeV3(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceDecodeInto times what a replay of a stored search
-// trace pays for its cycles: the view's decode into arrays it reuses.
-// The view was checked once, when the store read it.
-func BenchmarkTraceDecodeInto(b *testing.B) {
+// BenchmarkTraceStream times what a replay of a stored search trace
+// pays for its cycles: the whole record streamed through one window in
+// the replay's 4,096-cycle spans. The view was checked once, when the
+// store read it.
+func BenchmarkTraceStream(b *testing.B) {
 	rec := searchRecord()
 	enc, ok := parseEncoded(Encode(rec))
 	if !ok {
 		b.Fatal("search record does not decode")
 	}
-	energy, issues := make([]float64, enc.Cycles()), make([]uint64, enc.Cycles())
+	win := enc.Lag() + maxSpan
+	energy, issues := make([]float64, win), make([]uint64, win)
 	b.SetBytes(int64(16 * len(rec.Energy))) // record bytes produced per op
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.DecodeInto(energy, issues)
+		s := enc.Stream()
+		for es, _ := s.Next(energy, issues, maxSpan); len(es) > 0; es, _ = s.Next(energy, issues, maxSpan) {
+		}
+	}
+}
+
+// BenchmarkStoreGet times a store hit on the search-shaped record: the
+// file read and every check Decode makes, which yield the view a
+// replay streams.
+func BenchmarkStoreGet(b *testing.B) {
+	s, err := Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr := Addr([]byte("search"))
+	enc, err := s.Put(addr, searchRecord())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(enc.Size())) // record bytes read per op
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(addr); !ok {
+			b.Fatal("miss")
+		}
 	}
 }
 
 // TestDecodeAllocs pins the steady-state cost of a decode at the
-// record and its two arrays, and of a validation and a view's decode
-// into its caller's arrays at nothing: all read the table and literals
-// in place.
+// record and its two arrays, and of a validation and a span a Stream
+// decodes into its caller's window at nothing: all read the table and
+// literals in place.
 func TestDecodeAllocs(t *testing.T) {
 	shapes := shapeRecords()
 	shapes["aperiodic-walk"] = aperiodicRecord()
@@ -724,9 +897,15 @@ func TestDecodeAllocs(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no view of its own blob", name)
 		}
-		energy, issues := make([]float64, enc.Cycles()), make([]uint64, enc.Cycles())
-		if n := testing.AllocsPerRun(20, func() { enc.DecodeInto(energy, issues) }); n > 0 {
-			t.Errorf("%s: DecodeInto makes %.1f allocations per call, want 0", name, n)
+		win := enc.Lag() + maxSpan
+		energy, issues := make([]float64, win), make([]uint64, win)
+		st := enc.Stream()
+		if n := testing.AllocsPerRun(20, func() {
+			s := st
+			s.Next(energy, issues, maxSpan)
+			s.Next(energy, issues, maxSpan)
+		}); n > 0 {
+			t.Errorf("%s: a Stream's span makes %.1f allocations, want 0", name, n)
 		}
 	}
 }

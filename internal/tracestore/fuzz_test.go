@@ -14,31 +14,36 @@ import (
 // arrays (16 bytes a cycle) only for a blob whose frame passes every
 // check that sizes them. Whatever it accepts must be replayable and
 // canonical: Energy and Issues equally long, a record that re-encodes
-// to a blob decoding to the identical record, and a view that decodes
-// to the same bits (checkView).
+// to a blob decoding to the identical record, and a view that streams
+// the same bits through a window in the spans spans picks (checkView).
 func FuzzDecode(f *testing.F) {
+	var seed uint64
+	add := func(blob []byte) {
+		f.Add(blob, seed)
+		seed++
+	}
 	for _, rec := range shapeRecords() {
 		blob := Encode(rec)
-		f.Add(blob)
-		f.Add(legacyBlob(blob[len(magic3) : len(blob)-8]))
+		add(blob)
+		add(legacyBlob(blob[len(magic3) : len(blob)-8]))
 	}
 	for _, hexes := range []map[string]string{v2RecordHex, periodicRecordHex} {
 		for _, blob := range hexBlobs(f, hexes) {
-			f.Add(blob)
+			add(blob)
 		}
 	}
 	for _, rec := range mismatchedRecords() {
-		f.Add(Encode(rec))
+		add(Encode(rec))
 	}
 	table := []uint64{math.Float64bits(1.5), 7, math.Float64bits(-0.0), 8, math.Float64bits(math.Inf(1)), 9}
 	for _, runs := range [][]uint64{{2, 3, 1}, {2, 3}, {2, 0, 4}, {6}, {1, 5}} {
-		for _, lag := range []uint64{0, 1, 2, 3, maxLag} {
-			f.Add(blobV3(0, 6, 3, lag, table, runs, []byte{0b10_01_00}))
+		for _, lag := range []uint64{0, 1, 2, 3, MaxLag} {
+			add(blobV3(0, 6, 3, lag, table, runs, []byte{0b10_01_00}))
 		}
 	}
-	f.Add([]byte(magic3))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, blob []byte) {
+	add([]byte(magic3))
+	add([]byte{})
+	f.Fuzz(func(t *testing.T, blob []byte, spans uint64) {
 		for _, b := range [][]byte{blob, reframe(blob)} {
 			limit := uint64(2*len(b) + 1<<16)
 			if fr := (frame{}); fr.parse(b) {
@@ -57,18 +62,18 @@ func FuzzDecode(f *testing.F) {
 			}
 			if ok {
 				checkAccepted(t, rec)
-				checkView(t, b, rec)
+				checkView(t, b, rec, spans)
 			}
 		}
 	})
 }
 
 // checkView holds the view of an accepted blob to rec, what Decode
-// returns for it: the same header and cycle count, a decode into
-// arrays full of garbage that equals rec bit for bit and leaves the
-// arrays' spare tail alone, and the largest energy a scan over
-// rec.Energy finds.
-func checkView(t *testing.T, blob []byte, rec *Record) {
+// returns for it: the same header and cycle count, a decode through a
+// window full of garbage, in the spans spanPicker draws from spans,
+// that equals rec bit for bit and never writes past the window, and
+// the largest energy a scan over rec.Energy finds.
+func checkView(t *testing.T, blob []byte, rec *Record, spans uint64) {
 	t.Helper()
 	e, ok := parseEncoded(blob)
 	if !ok {
@@ -83,23 +88,7 @@ func checkView(t *testing.T, blob []byte, rec *Record) {
 	if n != len(rec.Energy) || e.Size() != len(blob) {
 		t.Fatalf("view of %d cycles in %d bytes, want %d in %d", n, e.Size(), len(rec.Energy), len(blob))
 	}
-	const spare = 3
-	energy, issues := make([]float64, n+spare), make([]uint64, n+spare)
-	for i := range energy {
-		energy[i] = math.Float64frombits(0x7ff4_dead_0000_0000 | uint64(i))
-		issues[i] = ^uint64(i)
-	}
-	e.DecodeInto(energy, issues)
-	for i := range energy {
-		we, wq := math.Float64frombits(0x7ff4_dead_0000_0000|uint64(i)), ^uint64(i)
-		if i < n {
-			we, wq = rec.Energy[i], rec.Issues[i]
-		}
-		if math.Float64bits(energy[i]) != math.Float64bits(we) || issues[i] != wq {
-			t.Fatalf("cycle %d of %d: view decodes (%x, %x), want (%x, %x)",
-				i, n, math.Float64bits(energy[i]), issues[i], math.Float64bits(we), wq)
-		}
-	}
+	checkStream(t, e, rec, spanPicker(spans, e.Lag()))
 	m := 0.0
 	for _, v := range rec.Energy {
 		if v > m {
@@ -119,7 +108,7 @@ var fuzzAlphabet = [8]float64{
 }
 
 // fuzzLags are the distances fuzzRecord repeats cycles from.
-var fuzzLags = [8]int{1, 2, 3, 7, 64, 97, 612, maxLag + 1}
+var fuzzLags = [8]int{1, 2, 3, 7, 64, 97, 612, MaxLag + 1}
 
 // fuzzRecord builds a record from fuzz bytes on a small alphabet, so
 // that tables, lags and runs all occur. A byte below 0x80 appends one
@@ -149,22 +138,22 @@ func fuzzRecord(data []byte, hdr uint64) *Record {
 
 // FuzzRoundTrip holds the encoder to the format on records built from
 // fuzz bytes: Encode is deterministic and within blobBound, and Decode
-// and the view return every field bit for bit, NaN payloads and −0
-// included.
+// and the view, streamed in the spans spans picks, return every field
+// bit for bit, NaN payloads and −0 included.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add([]byte{}, uint64(0))
-	f.Add([]byte{0x05}, uint64(1))
-	f.Add(bytes.Repeat([]byte{0x01}, 40), uint64(2))
-	f.Add([]byte{0x01, 0x02, 0x03, 0x8f, 0x8f, 0x8f}, uint64(3))           // lag 1
-	f.Add([]byte{0x01, 0x0a, 0x13, 0xaf, 0x21, 0xaf, 0xaf}, uint64(1<<40)) // lag 3, a perturbation
-	f.Add([]byte{0x00, 0x08, 0x10, 0x18, 0x20, 0x28, 0x30, 0x38, 0xff, 0xff}, uint64(0xdead_beef))
-	f.Add(bytes.Repeat([]byte{0x07, 0x0f, 0x17, 0x1f, 0xbf}, 20), uint64(7)) // NaNs, lag 7
-	f.Add(append(bytes.Repeat([]byte{0x41, 0x42}, 40), 0xcf, 0xcf, 0x43, 0xcf), uint64(64))
-	f.Add(append(bytes.Repeat([]byte{0x11, 0x22, 0x33, 0x44, 0x55}, 25), 0xdf, 0xdf, 0xdf), uint64(97))
-	f.Add(append(bytes.Repeat([]byte{0x7f, 0x6e, 0x5d}, 250), 0xef, 0xef, 0x00, 0xef), uint64(612))
-	f.Add(bytes.Repeat([]byte{0x01, 0x12, 0x23, 0x34, 0x45, 0x56, 0x67, 0x70, 0xff}, 12), uint64(1<<63))
-	f.Add(bytes.Repeat([]byte{0x3c, 0x9a, 0x7b, 0xe5, 0x06}, 30), uint64(42))
-	f.Fuzz(func(t *testing.T, data []byte, hdr uint64) {
+	f.Add([]byte{}, uint64(0), uint64(0))
+	f.Add([]byte{0x05}, uint64(1), uint64(1))
+	f.Add(bytes.Repeat([]byte{0x01}, 40), uint64(2), uint64(2))
+	f.Add([]byte{0x01, 0x02, 0x03, 0x8f, 0x8f, 0x8f}, uint64(3), uint64(3))           // lag 1
+	f.Add([]byte{0x01, 0x0a, 0x13, 0xaf, 0x21, 0xaf, 0xaf}, uint64(1<<40), uint64(4)) // lag 3, a perturbation
+	f.Add([]byte{0x00, 0x08, 0x10, 0x18, 0x20, 0x28, 0x30, 0x38, 0xff, 0xff}, uint64(0xdead_beef), uint64(5))
+	f.Add(bytes.Repeat([]byte{0x07, 0x0f, 0x17, 0x1f, 0xbf}, 20), uint64(7), uint64(6)) // NaNs, lag 7
+	f.Add(append(bytes.Repeat([]byte{0x41, 0x42}, 40), 0xcf, 0xcf, 0x43, 0xcf), uint64(64), uint64(7))
+	f.Add(append(bytes.Repeat([]byte{0x11, 0x22, 0x33, 0x44, 0x55}, 25), 0xdf, 0xdf, 0xdf), uint64(97), uint64(8))
+	f.Add(append(bytes.Repeat([]byte{0x7f, 0x6e, 0x5d}, 250), 0xef, 0xef, 0x00, 0xef), uint64(612), uint64(9))
+	f.Add(bytes.Repeat([]byte{0x01, 0x12, 0x23, 0x34, 0x45, 0x56, 0x67, 0x70, 0xff}, 12), uint64(1<<63), uint64(10))
+	f.Add(bytes.Repeat([]byte{0x3c, 0x9a, 0x7b, 0xe5, 0x06}, 30), uint64(42), uint64(11))
+	f.Fuzz(func(t *testing.T, data []byte, hdr, spans uint64) {
 		rec := fuzzRecord(data, hdr)
 		blob := Encode(rec)
 		if !bytes.Equal(blob, Encode(rec)) {
@@ -178,6 +167,6 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("blob of %d cycles does not decode", len(rec.Energy))
 		}
 		recordsIdentical(t, "fuzz", got, rec)
-		checkView(t, blob, rec)
+		checkView(t, blob, rec, spans)
 	})
 }

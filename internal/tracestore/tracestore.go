@@ -4,15 +4,16 @@
 // a checksummed compact format (encode.go) and written atomically, so
 // concurrent processes can share one store directory: writers race
 // benignly (same key ⇒ same bytes; last rename wins) and readers only
-// ever see complete files.
+// ever see complete files. Records are not fsynced: a power cut may
+// tear one, and a torn record fails its checksum.
 //
 // The store is an optimisation layer, never a source of truth: any
-// file that is missing, truncated, version-skewed or checksum-corrupt
-// reads as a cache miss, and write failures are surfaced but safe to
-// ignore. Total size is byte-bounded; when a write pushes the
-// directory over budget, the records with the oldest mtimes are
-// evicted down to a low-water mark (Get refreshes mtime, making
-// eviction approximately LRU). A store tracks its size from one
+// file that is missing, truncated, torn, version-skewed or
+// checksum-corrupt reads as a cache miss, and write failures are
+// surfaced but safe to ignore. Total size is byte-bounded; when a
+// write pushes the directory over budget, the records with the oldest
+// mtimes are evicted down to a low-water mark (Get refreshes mtime,
+// making eviction approximately LRU). A store tracks its size from one
 // directory scan plus the bytes it writes, so a write under budget
 // does not list the directory.
 package tracestore
@@ -254,15 +255,16 @@ func (s *Store) PutRaw(addr string, blob []byte) error {
 	return s.write(s.addrPath(addr), blob)
 }
 
+// write puts blob at p through a temp file and a rename, so a reader
+// sees the whole record or none, and fsyncs neither the file nor the
+// directory: a record torn by a power cut fails its checksum, is
+// unlinked by the first Get, and reads as a miss, and the store is a
+// cache, so the loss costs one recapture.
 func (s *Store) write(p string, blob []byte) error {
 	if int64(len(blob)) > s.maxBytes {
 		return fmt.Errorf("tracestore: record (%d bytes) exceeds store budget", len(blob))
 	}
-	err := fsutil.WriteFileAtomic(p, func(w io.Writer) error {
-		_, werr := w.Write(blob)
-		return werr
-	})
-	if err != nil {
+	if err := fsutil.ReplaceFile(p, blob); err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	s.evict(p, int64(len(blob)))

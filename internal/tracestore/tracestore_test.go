@@ -28,11 +28,14 @@ func sampleRecord(n int, seed uint64) *Record {
 	return rec
 }
 
-// record decodes a view into a fresh record, as Decode would.
+// record decodes a view into a fresh record, as Decode would, in one
+// span through a window of the view's lag and its cycles.
 func (e *Encoded) record() *Record {
 	rec := e.Header()
-	rec.Energy, rec.Issues = make([]float64, e.Cycles()), make([]uint64, e.Cycles())
-	e.DecodeInto(rec.Energy, rec.Issues)
+	n, lag := e.Cycles(), e.Lag()
+	s := e.Stream()
+	energy, issues := s.Next(make([]float64, lag+n), make([]uint64, lag+n), n)
+	rec.Energy, rec.Issues = append([]float64{}, energy...), append([]uint64{}, issues...)
 	return &rec
 }
 

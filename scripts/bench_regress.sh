@@ -38,10 +38,11 @@ gated=(
   BenchmarkStepTrace
   BenchmarkStepTraceBatch
   BenchmarkStepTraceBatchROM
-  BenchmarkTraceDecodeInto
+  BenchmarkStoreGet
   BenchmarkTraceDecodeV3
   BenchmarkTraceEncodeV3
   BenchmarkTraceStoreWarmVsCold
+  BenchmarkTraceStream
   BenchmarkTraceTierWarmVsCold
 )
 pattern="$(IFS='|'; echo "${gated[*]}")"

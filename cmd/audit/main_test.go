@@ -234,6 +234,13 @@ func TestDamagedCheckpointRefused(t *testing.T) {
 		{"hetero member short of threads", true, func(ga map[string]any) {
 			member(ga)["PerThread"] = member(ga)["PerThread"].([]any)[:1]
 		}, "genome 0 does not have the shape"},
+		// A resume replays the RNG to this position a draw at a time.
+		{"RNG position past its generations", false, func(ga map[string]any) {
+			ga["rng_draws"] = 1e15
+		}, "RNG position 1000000000000000 lies past"},
+		{"hetero RNG position past its generations", true, func(ga map[string]any) {
+			ga["rng_draws"] = 1e15
+		}, "RNG position 1000000000000000 lies past"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := homo

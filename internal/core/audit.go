@@ -310,6 +310,9 @@ func identify[G any](opt Options, hetero bool) (*setup, *ga.Checkpoint[G], error
 	if err := resume.Fits(opt.GA); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
+	if err := resume.DrawsFit(opt.GA, su.drawsPerGenome()); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
 	for i, g := range resume.Population {
 		if !su.fits(g) {
 			return nil, nil, fmt.Errorf("core: resume: checkpoint genome %d does not have the shape this search builds", i)
@@ -359,6 +362,21 @@ func (su *setup) split() error {
 		MemBytes:  4096,
 	}
 	return su.cg.Validate()
+}
+
+// drawsPerGenome bounds the RNG values one genome's Random, or one
+// child's Crossover and Mutate together, draw (CodeGen.NewGenome,
+// Crossover and Mutate): five a slot to build a genome; one a slot to
+// cross two; one, then three times at most seven, to mutate one. A
+// heterogeneous genome holds one genome a thread, and one more draw
+// picks the thread to mutate.
+func (su *setup) drawsPerGenome() uint64 {
+	slots := uint64(su.k * su.cg.Width)
+	threads := uint64(1)
+	if su.hetero {
+		threads = uint64(su.opt.Threads)
+	}
+	return max(threads*5*slots, threads*slots+1+1+3*7)
 }
 
 // fits reports whether g, a Genome or a HeteroGenome, has the shape

@@ -85,16 +85,16 @@ func TestSearchGolden(t *testing.T) {
 		opt        Options
 		want       string
 	}{
-		{name: "sweep", opt: Options{GA: ga3(3, nil), Seed: 3}, want: "f1d7b717ee82caaa"},
-		{name: "resonance", opt: Options{LoopCycles: 36, GA: ga3(5, nil), Seed: 5}, want: "0dd5a94ac3b978d3"},
-		{name: "excitation", opt: Options{LoopCycles: 36, Mode: Excitation, GA: ga3(9, nil), Seed: 9}, want: "d568f0a49e4110a1"},
-		{name: "parallel", opt: Options{LoopCycles: 36, GA: ga3(11, func(c *ga.Config) { c.Parallel = 3 }), Seed: 11}, want: "cf2b69402e589b8f"},
-		{name: "faults", opt: Options{LoopCycles: 36, GA: ga3(31, faulty), WrapRunner: lab(31), Seed: 31}, want: "146b2a1e4132d070"},
-		{name: "checkpointed", checkpoint: true, opt: Options{LoopCycles: 36, GA: ga3(17, nil), Name: "golden-ck", Seed: 17}, want: "e5d85357ef0db0c2"},
-		{name: "hetero-8t", hetero: true, opt: Options{LoopCycles: 36, Threads: 8, GA: ga3(61, nil), Name: "golden-8t", Seed: 61}, want: "1679ba721331a7a8"},
-		{name: "hetero-2t-parallel", hetero: true, opt: Options{LoopCycles: 36, Threads: 2, GA: ga3(5, func(c *ga.Config) { c.Parallel = 4 }), Seed: 5}, want: "d4842edaa96d0e7b"},
-		{name: "hetero-checkpointed", hetero: true, checkpoint: true, opt: Options{LoopCycles: 36, Threads: 2, GA: ga3(41, nil), Seed: 41}, want: "7df08f659e6e3803"},
-		{name: "hetero-4t-faults", hetero: true, opt: Options{LoopCycles: 36, Threads: 4, GA: ga3(43, faulty), WrapRunner: lab(43), Seed: 43}, want: "449e0041395c12ec"},
+		{name: "sweep", opt: Options{GA: ga3(3, nil), Seed: 3}, want: "b0d2112431618b1d"},
+		{name: "resonance", opt: Options{LoopCycles: 36, GA: ga3(5, nil), Seed: 5}, want: "c9d0f3d8ab0e160c"},
+		{name: "excitation", opt: Options{LoopCycles: 36, Mode: Excitation, GA: ga3(9, nil), Seed: 9}, want: "b311b37882d58952"},
+		{name: "parallel", opt: Options{LoopCycles: 36, GA: ga3(11, func(c *ga.Config) { c.Parallel = 3 }), Seed: 11}, want: "bfabbbb5aad81abe"},
+		{name: "faults", opt: Options{LoopCycles: 36, GA: ga3(31, faulty), WrapRunner: lab(31), Seed: 31}, want: "56fd2d91db8ebf51"},
+		{name: "checkpointed", checkpoint: true, opt: Options{LoopCycles: 36, GA: ga3(17, nil), Name: "golden-ck", Seed: 17}, want: "60add9668c2240a8"},
+		{name: "hetero-8t", hetero: true, opt: Options{LoopCycles: 36, Threads: 8, GA: ga3(61, nil), Name: "golden-8t", Seed: 61}, want: "01c089c73810ddcd"},
+		{name: "hetero-2t-parallel", hetero: true, opt: Options{LoopCycles: 36, Threads: 2, GA: ga3(5, func(c *ga.Config) { c.Parallel = 4 }), Seed: 5}, want: "1eb20c638b8a41db"},
+		{name: "hetero-checkpointed", hetero: true, checkpoint: true, opt: Options{LoopCycles: 36, Threads: 2, GA: ga3(41, nil), Seed: 41}, want: "cf445a7caf6fcf45"},
+		{name: "hetero-4t-faults", hetero: true, opt: Options{LoopCycles: 36, Threads: 4, GA: ga3(43, faulty), WrapRunner: lab(43), Seed: 43}, want: "8faed3a50da0af36"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

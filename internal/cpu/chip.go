@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/power"
@@ -29,6 +30,9 @@ type Chip struct {
 
 	cycle    uint64
 	throttle int // live FP throttle limit; 0 = off
+	// feTurn is the core whose turn it is at a shared front end this
+	// cycle: the cycle number modulo CoresPerModule.
+	feTurn int
 
 	// Barrier registry. Barrier ids are registered at Attach (from the
 	// thread's pre-decoded templates) into dense slots so the per-cycle
@@ -42,6 +46,12 @@ type Chip struct {
 	partsScratch []*core
 
 	res CycleResult // scratch for the current cycle
+
+	// Aligned-module classes (GroupAligned). grouping: the chip opted in
+	// and its classes form at the first Step; grouped: some module is a
+	// class member, stepped through its representative; diverged: a
+	// member left lockstep, so the run no longer is the chip's.
+	grouping, grouped, diverged bool
 }
 
 // barrierState is one registered barrier id's waiting set.
@@ -55,6 +65,7 @@ type module struct {
 	chip  *Chip
 	idx   int
 	cores []*core
+	live  []*core // the cores holding a thread, in core order
 	l2    *Cache
 
 	// Shared-FPU state.
@@ -62,6 +73,40 @@ type module struct {
 	fpLastSrc isa.Value
 	fpLastRes isa.Value
 	fpIssued  bool // any FP issue this cycle (for FP idle energy)
+
+	// rep, on a class member, is the representative that steps for it,
+	// and base how far the member's addresses lie above the
+	// representative's. log, on a representative, records each cycle's
+	// work for its members to re-add; logBuf keeps that log's arrays
+	// across Reset. weight is how many modules the module's issues and
+	// decodes count for: 1 plus its members. The counts are integers, so
+	// a representative adds its members' share with its own.
+	rep    *module
+	base   uint64
+	log    *stepLog
+	logBuf stepLog
+	weight int
+}
+
+// stepLog is what a class representative did in one cycle: its energy
+// addends in the order it added them (decodeEnd splits the decode
+// phase's from the issue phase's) and the L3 lookups of its issue
+// phase.
+type stepLog struct {
+	addends   []float64
+	decodeEnd int
+	l3        []l3Lookup
+}
+
+// l3Lookup is one access that reached the shared L3, and the level
+// that served it.
+type l3Lookup struct {
+	addr  uint64
+	level memLevel
+}
+
+func (l *stepLog) reset() {
+	l.addends, l.l3, l.decodeEnd = l.addends[:0], l.l3[:0], 0
 }
 
 // entry is one queued uop in a core's issue-queue slab: what issue and
@@ -112,8 +157,10 @@ type core struct {
 	intN    int
 	fpN     int
 	ready   [isa.NumUnits]readyList
-	picks   []int32 // issueInt's per-cycle selection
-	lsq     int     // mem ops currently queued
+	// readyMask has bit u set while ready[u] is not empty.
+	readyMask uint8
+	picks     []int32 // issueInt's per-cycle selection
+	lsq       int     // mem ops currently queued
 
 	// Readiness is pushed, not polled. regWriter[r] is the queued entry
 	// that last renamed r as its destination, while that entry has not
@@ -128,8 +175,12 @@ type core struct {
 	// mshr[i] is the cycle at which outstanding miss i completes.
 	mshr []uint64
 
+	// busUsed and busCycle are the result-bus ring: a power of two
+	// long, at least the longest latency plus 64 cycles, indexed by the
+	// write-back cycle masked with busMask.
 	busUsed  []uint8
 	busCycle []uint64
+	busMask  uint64
 
 	waitBarrier int64 // -1 when not waiting
 
@@ -167,14 +218,14 @@ func NewChip(cfg uarch.ChipConfig, pm power.Model) (*Chip, error) {
 		barrierIdx:   map[int64]int32{},
 		partsScratch: make([]*core, 0, cfg.Threads()),
 	}
-	horizon := cfg.MemLat + 64
+	horizon := 1 << bits.Len(uint(cfg.MemLat+64-1))
 	g := 0
 	for mi := 0; mi < cfg.Modules; mi++ {
 		l2, err := NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes)
 		if err != nil {
 			return nil, err
 		}
-		m := &module{chip: ch, idx: mi, l2: l2}
+		m := &module{chip: ch, idx: mi, l2: l2, live: make([]*core, 0, cfg.CoresPerModule), weight: 1}
 		for ci := 0; ci < cfg.CoresPerModule; ci++ {
 			l1, err := NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes)
 			if err != nil {
@@ -190,6 +241,7 @@ func NewChip(cfg uarch.ChipConfig, pm power.Model) (*Chip, error) {
 				mshr:        make([]uint64, cfg.MSHRs),
 				busUsed:     make([]uint8, horizon),
 				busCycle:    make([]uint64, horizon),
+				busMask:     uint64(horizon - 1),
 				waitBarrier: -1,
 			}
 			c.resetQueues()
@@ -216,7 +268,9 @@ func NewChip(cfg uarch.ChipConfig, pm power.Model) (*Chip, error) {
 func (ch *Chip) Reset() {
 	ch.cycle = 0
 	ch.throttle = ch.cfg.FPThrottleLimit
+	ch.feTurn = 0
 	ch.res = CycleResult{}
+	ch.grouping, ch.grouped, ch.diverged = false, false, false
 	ch.barriers = ch.barriers[:0]
 	for id := range ch.barrierIdx {
 		delete(ch.barrierIdx, id)
@@ -226,6 +280,8 @@ func (ch *Chip) Reset() {
 	ch.l3.Reset()
 	for _, m := range ch.modules {
 		m.l2.Reset()
+		m.live = m.live[:0]
+		m.rep, m.base, m.log, m.weight = nil, 0, nil, 1
 		m.fpToken = 0
 		m.fpLastSrc = isa.Value{}
 		m.fpLastRes = isa.Value{}
@@ -284,6 +340,12 @@ func (ch *Chip) Attach(moduleIdx, coreIdx int, th *Thread) error {
 	}
 	th.SetGlobalBase(uint64(c.gidx+1) << 32)
 	c.th = th
+	m.live = m.live[:0]
+	for _, c := range m.cores {
+		if c.th != nil {
+			m.live = append(m.live, c)
+		}
+	}
 	// Register the program's barrier ids into dense slots and annotate
 	// the thread's templates with them, so barrier decode and release
 	// never consult a map.
@@ -323,6 +385,9 @@ func (ch *Chip) InjectStall(globalCore int, cycles uint64) error {
 	if until > c.stallUntil {
 		c.stallUntil = until
 	}
+	if m := c.mod; m.rep != nil || m.log != nil {
+		ch.diverged = true // a grouped module's stall after the classes formed
+	}
 	return nil
 }
 
@@ -345,10 +410,13 @@ type Stats struct {
 	L3Hits, L3Misses      uint64
 }
 
-// Stats aggregates counters across cores and cache levels.
+// Stats aggregates counters across cores and cache levels. A class
+// member's L1, L2 and branch counters are its representative's; the L3
+// counters are the shared L3's own.
 func (ch *Chip) Stats() Stats {
 	var s Stats
 	for _, m := range ch.modules {
+		m = m.self()
 		h, mi := m.l2.Stats()
 		s.L2Hits += h
 		s.L2Misses += mi
@@ -368,7 +436,7 @@ func (ch *Chip) Stats() Stats {
 func (ch *Chip) Retired() uint64 {
 	var n uint64
 	for _, m := range ch.modules {
-		for _, c := range m.cores {
+		for _, c := range m.self().live {
 			n += c.retired
 		}
 	}
@@ -381,17 +449,17 @@ func (ch *Chip) CoreRetired(globalCore int) uint64 {
 	if err != nil {
 		return 0
 	}
-	return c.retired
+	return c.mod.self().cores[c.idx].retired
 }
 
 // Done reports whether every attached thread has finished and all
 // queues have drained.
 func (ch *Chip) Done() bool {
 	for _, m := range ch.modules {
-		for _, c := range m.cores {
-			if c.th == nil {
-				continue
-			}
+		if m.rep != nil {
+			continue // done when its representative is
+		}
+		for _, c := range m.live {
 			if !c.th.Done() || c.intN > 0 || c.fpN > 0 || c.waitBarrier >= 0 {
 				return false
 			}
@@ -401,28 +469,54 @@ func (ch *Chip) Done() bool {
 }
 
 // Step advances the chip by one clock cycle and returns the cycle's
-// activity and energy.
-func (ch *Chip) Step() CycleResult {
+// activity and energy. The result is the chip's own: it holds until the
+// next Step or Reset.
+//
+// Every module adds its energy to one accumulator, module by module
+// within each phase: decode, then issue and execute, then the end of
+// the cycle. A class member adds, at its own place in that order, the
+// addends its representative logged for the phase, so the float sum
+// is the one stepping every module would give.
+func (ch *Chip) Step() *CycleResult {
+	if ch.grouping {
+		ch.formClasses()
+	}
 	ch.res = CycleResult{}
 	now := ch.cycle
 
 	for _, m := range ch.modules {
 		m.fpIssued = false
-		for _, c := range m.cores {
+		for _, c := range m.live {
 			c.activeNow = false
+		}
+		if m.log != nil {
+			m.log.reset()
 		}
 	}
 
 	// Front ends.
 	for _, m := range ch.modules {
-		m.decode(now)
+		switch {
+		case m.rep != nil:
+			l := m.rep.log
+			ch.readd(l.addends[:l.decodeEnd])
+		case m.log != nil:
+			m.decode(now)
+			m.log.decodeEnd = len(m.log.addends)
+		default:
+			m.decode(now)
+		}
+	}
+	if ch.feTurn++; ch.feTurn == ch.cfg.CoresPerModule {
+		ch.feTurn = 0
 	}
 	// Back ends: integer clusters then the FP cluster(s).
 	for _, m := range ch.modules {
-		for _, c := range m.cores {
-			c.issueInt(now)
+		if m.rep != nil {
+			m.replayIssue()
+		} else {
+			m.issue(now)
 		}
-		m.issueFP(now)
 	}
 	// Barrier release check.
 	ch.releaseBarriers(now)
@@ -431,10 +525,11 @@ func (ch *Chip) Step() CycleResult {
 	e := &ch.res.EnergyPJ
 	*e += float64(len(ch.modules)) * ch.pm.ClockPJPerModuleCycle
 	for _, m := range ch.modules {
+		m = m.self()
 		if !m.fpIssued {
 			*e += ch.pm.FPIdlePJPerCycle
 		}
-		for _, c := range m.cores {
+		for _, c := range m.live {
 			if c.activeNow {
 				*e += ch.pm.CorePJPerActiveCycle
 			}
@@ -442,57 +537,197 @@ func (ch *Chip) Step() CycleResult {
 	}
 
 	ch.cycle++
-	return ch.res
+	return &ch.res
+}
+
+// issue is the module's back end for one cycle: each core's integer
+// cluster, then the FP cluster.
+func (m *module) issue(now uint64) {
+	for _, c := range m.live {
+		c.issueInt(now)
+	}
+	m.issueFP(now)
+}
+
+// charge adds one energy addend to the cycle's total and, on a class
+// representative, logs it for the members to re-add.
+func (m *module) charge(pj float64) {
+	m.chip.res.EnergyPJ += pj
+	if m.log != nil {
+		m.log.addends = append(m.log.addends, pj)
+	}
+}
+
+// readd adds a representative's logged addends to the cycle's total,
+// one at a time, in the order it added them.
+func (ch *Chip) readd(addends []float64) {
+	e := ch.res.EnergyPJ
+	for _, v := range addends {
+		e += v
+	}
+	ch.res.EnergyPJ = e
+}
+
+// ---- aligned modules ----
+
+// GroupAligned opts the chip into stepping each class of aligned,
+// identical modules once. Call it before the first Step, where the
+// classes form: two modules group when, core slot by core slot, both
+// are empty or both hold threads that share their compiled templates
+// (Thread.Sibling), their MaxInstrs bound, their progress and their
+// decode stall, the program holds no lea and no barrier, and some slot
+// holds a thread. The lowest-index module of a class, the
+// representative, steps and counts its members' issues and decodes
+// with its own; every other member re-adds the representative's energy
+// addends at the member's own place in module order, and replays its
+// L3 lookups into the shared L3 at the member's own addresses. Stats,
+// Retired, CoreRetired and Done answer for a member from its
+// representative. Results equal stepping every module, bit for bit,
+// unless Diverged reports otherwise.
+func (ch *Chip) GroupAligned() {
+	if ch.cycle == 0 {
+		ch.grouping = true
+	}
+}
+
+// Grouped reports whether some module steps through a representative.
+func (ch *Chip) Grouped() bool { return ch.grouped }
+
+// Diverged reports that a grouped run left lockstep: a member's L3
+// lookup was served by another level than its representative's, or a
+// stall was injected into a grouped module after the classes formed.
+// The results of such a run are not the chip's; run it again without
+// GroupAligned.
+func (ch *Chip) Diverged() bool { return ch.diverged }
+
+// formClasses groups the modules at the first Step of a chip that
+// opted in. A chip with barriers groups nothing: the barrier registry
+// couples every module.
+func (ch *Chip) formClasses() {
+	ch.grouping = false
+	if len(ch.barriers) > 0 {
+		return
+	}
+	// Done primes threads only up to the first live one, so prime the
+	// rest: a thread's lookahead is computed once, whenever it is first
+	// asked for, and the stream is the same either way.
+	for _, m := range ch.modules {
+		for _, c := range m.live {
+			c.th.prime()
+		}
+	}
+	cpm := uint64(ch.cfg.CoresPerModule)
+	for i, m := range ch.modules {
+		for _, r := range ch.modules[:i] {
+			if r.rep == nil && aligned(r, m) {
+				m.rep = r
+				m.base = uint64(m.idx-r.idx) * cpm << 32
+				r.log = &r.logBuf
+				r.weight++
+				ch.grouped = true
+				break
+			}
+		}
+	}
+}
+
+// aligned reports whether module m runs in lockstep with module r, and
+// holds a thread: empty modules cost too little to group.
+func aligned(r, m *module) bool {
+	if len(r.live) == 0 {
+		return false
+	}
+	for ci, a := range r.cores {
+		b := m.cores[ci]
+		if a.th == nil || b.th == nil {
+			if a.th != b.th {
+				return false
+			}
+			continue
+		}
+		if !a.th.lockstep(b.th) || a.stallUntil != b.stallUntil {
+			return false
+		}
+	}
+	return true
+}
+
+// replayIssue is a member's issue phase: it re-adds the
+// representative's issue addends and replays its L3 lookups at the
+// member's own addresses. A lookup served by another level than the
+// representative's means the member has left lockstep.
+func (m *module) replayIssue() {
+	ch := m.chip
+	l := m.rep.log
+	ch.readd(l.addends[l.decodeEnd:])
+	for _, lk := range l.l3 {
+		level := levelMem
+		if ch.l3.Access(lk.addr + m.base) {
+			level = levelL3
+		}
+		if level != lk.level {
+			ch.diverged = true
+		}
+	}
+}
+
+// self is the module whose state stands for m: its representative, or
+// m itself.
+func (m *module) self() *module {
+	if m.rep != nil {
+		return m.rep
+	}
+	return m
 }
 
 // ---- front end ----
 
 func (m *module) decode(now uint64) {
 	cfg := &m.chip.cfg
-	if cfg.SharedFrontEnd && len(m.cores) > 1 {
+	if cfg.SharedFrontEnd && len(m.live) > 1 {
 		// Sibling threads alternate decode cycles; if the scheduled
 		// thread cannot use the slot at all, the partner takes it.
 		n := len(m.cores)
-		first := int(now % uint64(n))
+		first := m.chip.feTurn
 		for k := 0; k < n; k++ {
 			ci := first + k
 			if ci >= n {
 				ci -= n
 			}
-			if m.cores[ci].decodeReady(now) {
-				m.cores[ci].decode(now, cfg.DecodeWidth)
+			if u, ok := m.cores[ci].decodeReady(now); ok {
+				m.cores[ci].decode(now, cfg.DecodeWidth, u)
 				return
 			}
 		}
 		return
 	}
-	for _, c := range m.cores {
-		if c.decodeReady(now) {
-			c.decode(now, cfg.DecodeWidth)
+	// Private front ends, or a shared one with a single thread, which
+	// then decodes every cycle it can.
+	for _, c := range m.live {
+		if u, ok := c.decodeReady(now); ok {
+			c.decode(now, cfg.DecodeWidth, u)
 		}
 	}
 }
 
-// decodeReady reports whether the core can consume any decode slot.
-func (c *core) decodeReady(now uint64) bool {
+// decodeReady returns the uop the core would decode first, if the core
+// can consume any decode slot.
+func (c *core) decodeReady(now uint64) (*Uop, bool) {
 	if c.th == nil || c.waitBarrier >= 0 || now < c.stallUntil {
-		return false
+		return nil, false
 	}
-	_, ok := c.th.Peek()
-	return ok
+	return c.th.Peek()
 }
 
-func (c *core) decode(now uint64, width int) {
-	ch := c.mod.chip
+// decode decodes up to width uops, u (from decodeReady) first.
+func (c *core) decode(now uint64, width int, u *Uop) {
+	m := c.mod
+	ch := m.chip
 	cfg := &ch.cfg
 	pm := &ch.pm
 	decoded := 0
 	intDisp, fpDisp := cfg.IntDispatch, cfg.FPDispatch
-	for decoded < width {
-		u, ok := c.th.Peek()
-		if !ok {
-			break
-		}
+	for {
 		tpl := u.tpl
 		switch {
 		case tpl.class == isa.ClassNOP:
@@ -502,7 +737,7 @@ func (c *core) decode(now uint64, width int) {
 			n := c.th.ConsumeNops(width - decoded)
 			e := pm.FrontEndPJPerOp + tpl.energyPJ
 			for i := 0; i < n; i++ {
-				ch.res.EnergyPJ += e
+				m.charge(e)
 			}
 			c.retired += uint64(n)
 			decoded += n
@@ -523,8 +758,8 @@ func (c *core) decode(now uint64, width int) {
 		case tpl.class == isa.ClassBranch:
 			// Branches resolve at decode in this model; a wrong
 			// prediction costs a front-end bubble.
-			ch.res.EnergyPJ += pm.FrontEndPJPerOp + tpl.energyPJ
-			ch.res.UnitIssues[isa.UnitBranch]++
+			m.charge(pm.FrontEndPJPerOp + tpl.energyPJ)
+			ch.res.UnitIssues[isa.UnitBranch] += m.weight
 			taken := u.Taken
 			predictTaken := c.predictBranch(u)
 			c.recordBranch(u, taken, predictTaken)
@@ -547,7 +782,7 @@ func (c *core) decode(now uint64, width int) {
 				return
 			}
 			fpDisp--
-			ch.res.EnergyPJ += pm.FrontEndPJPerOp
+			m.charge(pm.FrontEndPJPerOp)
 			c.fpN++
 			c.enqueue(u)
 			c.th.Consume()
@@ -566,7 +801,7 @@ func (c *core) decode(now uint64, width int) {
 				return
 			}
 			intDisp--
-			ch.res.EnergyPJ += pm.FrontEndPJPerOp
+			m.charge(pm.FrontEndPJPerOp)
 			if tpl.isMem {
 				c.lsq++
 			}
@@ -575,6 +810,13 @@ func (c *core) decode(now uint64, width int) {
 			c.th.Consume()
 			decoded++
 		}
+		if decoded >= width {
+			break
+		}
+		var ok bool
+		if u, ok = c.th.Peek(); !ok {
+			break
+		}
 	}
 	c.markDecoded(decoded)
 }
@@ -582,7 +824,7 @@ func (c *core) decode(now uint64, width int) {
 func (c *core) markDecoded(n int) {
 	if n > 0 {
 		c.activeNow = true
-		c.mod.chip.res.Decoded += n
+		c.mod.chip.res.Decoded += n * c.mod.weight
 	}
 }
 
@@ -633,6 +875,7 @@ func (c *core) resetQueues() {
 	for u := range c.ready {
 		c.ready[u] = readyList{head: -1, tail: -1}
 	}
+	c.readyMask = 0
 	for i := range c.ents {
 		c.ents[i].next = int32(i + 1)
 	}
@@ -680,6 +923,7 @@ func (c *core) enqueue(u *Uop) {
 func (c *core) joinReady(id int32) {
 	e := &c.ents[id]
 	l := &c.ready[e.tpl.unit]
+	c.readyMask |= 1 << e.tpl.unit
 	p := l.tail
 	for p >= 0 && c.ents[p].seq > e.seq {
 		p = c.ents[p].prev
@@ -712,6 +956,9 @@ func (c *core) leaveReady(id int32) {
 		c.ents[e.next].prev = e.prev
 	} else {
 		l.tail = e.prev
+	}
+	if l.head < 0 {
+		c.readyMask &^= 1 << e.tpl.unit
 	}
 }
 
@@ -767,13 +1014,18 @@ func (c *core) issueInt(now uint64) {
 	budget[isa.UnitAGU] = cfg.NumAGU
 	budget[isa.UnitIMul] = 1
 	budget[isa.UnitLSU] = cfg.LSUPorts
+	units := c.readyMask & intUnits
 	if now >= c.idivBusyUntil {
 		// A free divider takes one uop, then stays busy for at least
 		// a cycle (isa validates RecipThroughput ≥ 1).
 		budget[isa.UnitIDiv] = 1
+	} else {
+		units &^= 1 << isa.UnitIDiv
 	}
 	picks := c.picks[:0]
-	for unit, n := range budget {
+	for ; units != 0; units &= units - 1 {
+		unit := bits.TrailingZeros8(units)
+		n := budget[unit]
 		for id := c.ready[unit].head; id >= 0 && n > 0; {
 			e := &c.ents[id]
 			next := e.next
@@ -797,6 +1049,9 @@ func (c *core) issueInt(now uint64) {
 	c.intN -= len(picks)
 	c.picks = picks[:0]
 }
+
+// intUnits are the integer cluster's units, which issueInt serves.
+const intUnits = 1<<isa.UnitALU | 1<<isa.UnitAGU | 1<<isa.UnitIMul | 1<<isa.UnitIDiv | 1<<isa.UnitLSU
 
 // claim applies the unit-specific issue conditions beyond the budget:
 // the divider turns busy for its reciprocal throughput, and a miss
@@ -854,18 +1109,19 @@ func (c *core) execute(id int32, now uint64) {
 		0.3*isa.ToggleFractionOf(c.lastRes[unit], e.result)
 	c.lastSrc[unit], c.lastRes[unit] = e.srcA, e.result
 	eff := tpl.energyPJ * (tpl.oneMinusTF + tpl.toggleTF*frac)
-	ch.res.EnergyPJ += eff + ch.pm.SchedPJPerIssue + extraPJ
-	ch.res.UnitIssues[unit]++
+	// The conversion rounds the addend once, so a representative logs
+	// the value it adds: Go may otherwise fuse a multiply into the add.
+	c.mod.charge(float64(eff + ch.pm.SchedPJPerIssue + extraPJ))
+	ch.res.UnitIssues[unit] += c.mod.weight
 	c.retired++
 	c.activeNow = true
 }
 
 // busSlot books a register-file write port at or after cycle cc.
 func (c *core) busSlot(cc uint64) uint64 {
-	h := uint64(len(c.busUsed))
 	max := c.mod.chip.cfg.ResultBuses
 	for {
-		s := cc % h
+		s := cc & c.busMask
 		if c.busCycle[s] != cc {
 			c.busCycle[s] = cc
 			c.busUsed[s] = 0
@@ -909,7 +1165,7 @@ func (m *module) issueFP(now uint64) {
 		return
 	}
 	// Private FPUs: per-core budget, per-core throttle.
-	for _, c := range m.cores {
+	for _, c := range m.live {
 		budget := cfg.NumFPPipes
 		if t := m.chip.throttle; t > 0 && t < budget {
 			budget = t
@@ -948,8 +1204,8 @@ func (c *core) executeFP(id int32, now uint64) {
 		0.3*isa.ToggleFractionOf(m.fpLastRes, e.result)
 	m.fpLastSrc, m.fpLastRes = e.srcA, e.result
 	eff := tpl.energyPJ * (tpl.oneMinusTF + tpl.toggleTF*frac)
-	ch.res.EnergyPJ += eff + ch.pm.SchedPJPerIssue
-	ch.res.UnitIssues[isa.UnitFPU]++
+	m.charge(float64(eff + ch.pm.SchedPJPerIssue)) // see execute
+	ch.res.UnitIssues[isa.UnitFPU] += m.weight
 	m.fpIssued = true
 	c.retired++
 	c.activeNow = true
@@ -986,10 +1242,14 @@ func (ch *Chip) memAccess(c *core, addr uint64) memLevel {
 	if c.mod.l2.Access(addr) {
 		return levelL2
 	}
+	level := levelMem
 	if ch.l3.Access(addr) {
-		return levelL3
+		level = levelL3
 	}
-	return levelMem
+	if l := c.mod.log; l != nil {
+		l.l3 = append(l.l3, l3Lookup{addr, level})
+	}
+	return level
 }
 
 // ---- barriers ----
@@ -1008,8 +1268,8 @@ func (ch *Chip) releaseBarriers(now uint64) {
 	// loop never allocates.
 	participants := ch.partsScratch[:0]
 	for _, m := range ch.modules {
-		for _, c := range m.cores {
-			if c.th != nil && (c.waitBarrier >= 0 || !c.th.Done() || c.intN > 0 || c.fpN > 0) {
+		for _, c := range m.live {
+			if c.waitBarrier >= 0 || !c.th.Done() || c.intN > 0 || c.fpN > 0 {
 				participants = append(participants, c)
 			}
 		}

@@ -41,9 +41,13 @@ const defaultMemBytes = 4096
 type Thread struct {
 	prog *asm.Program
 	tmpl []uopTemplate
-	pc   int
-	regs [isa.TotalRegs]isa.Value
-	mem  []byte
+	// aligned reports that the program holds no lea and no barrier: its
+	// stream does not depend on where the thread sits, so threads of it
+	// on aligned modules run in lockstep (see Chip.GroupAligned).
+	aligned bool
+	pc      int
+	regs    [isa.TotalRegs]isa.Value
+	mem     []byte
 	// zeroFlag models the subset of RFLAGS jnz consumes: set by the
 	// most recent flag-writing integer op.
 	zeroFlag bool
@@ -72,11 +76,40 @@ func NewThread(p *asm.Program, maxInstrs uint64) (*Thread, error) {
 	}
 	// Round to a multiple of 16 so 128-bit accesses can wrap cleanly.
 	memBytes = (memBytes + 15) &^ 15
-	t := &Thread{prog: p, tmpl: compileTemplates(p), mem: make([]byte, memBytes), maxInstrs: maxInstrs}
+	tmpl := compileTemplates(p)
+	aligned := true
+	for i := range tmpl {
+		if c := tmpl[i].class; c == isa.ClassLEA || c == isa.ClassBarrier {
+			aligned = false
+		}
+	}
+	return newThread(p, tmpl, aligned, memBytes, maxInstrs), nil
+}
+
+func newThread(p *asm.Program, tmpl []uopTemplate, aligned bool, memBytes int, maxInstrs uint64) *Thread {
+	t := &Thread{prog: p, tmpl: tmpl, aligned: aligned, mem: make([]byte, memBytes), maxInstrs: maxInstrs}
 	for r, v := range p.InitRegs {
 		t.regs[r.FlatIndex()] = v
 	}
-	return t, nil
+	return t
+}
+
+// Sibling returns a fresh thread of t's program bounded by maxInstrs.
+// It shares t's compiled templates, so it must run on the chip t runs
+// on: Attach annotates the shared templates with that chip's barrier
+// slots.
+func (t *Thread) Sibling(maxInstrs uint64) *Thread {
+	return newThread(t.prog, t.tmpl, t.aligned, len(t.mem), maxInstrs)
+}
+
+// lockstep reports whether t and o run the same stream from here on:
+// siblings (one set of compiled templates) of a program with no lea and
+// no barrier, at the same progress under the same bound. Such threads
+// differ only in their global base, which nothing they compute reads.
+func (t *Thread) lockstep(o *Thread) bool {
+	return t.aligned && len(t.tmpl) > 0 && len(t.tmpl) == len(o.tmpl) && &t.tmpl[0] == &o.tmpl[0] &&
+		t.maxInstrs == o.maxInstrs && t.seq == o.seq && t.pc == o.pc &&
+		t.primed == o.primed && t.done == o.done
 }
 
 // SetGlobalBase assigns the thread's base in the global physical

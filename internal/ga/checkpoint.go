@@ -1,8 +1,10 @@
 package ga
 
 import (
+	"context"
 	"encoding/base64"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -97,9 +99,52 @@ func (ck *Checkpoint[G]) Fits(cfg Config) error {
 	return nil
 }
 
+// DrawsFit reports why ck's RNG position lies past what a search of cfg
+// can have drawn by the end of generation ck.Gen, or nil. perGenome
+// bounds the values one genome's Random, or one child's Crossover and
+// Mutate together, draw. A resume replays the source to that position
+// one draw at a time, so a corrupt count would otherwise spin for as
+// long as it says.
+func (ck *Checkpoint[G]) DrawsFit(cfg Config, perGenome uint64) error {
+	if ck.Gen < 0 {
+		return fmt.Errorf("ga: resume: checkpoint generation %d is negative", ck.Gen)
+	}
+	if max := cfg.maxDraws(ck.Gen, perGenome); ck.RNGDraws > max {
+		return fmt.Errorf("ga: resume: checkpoint's RNG position %d lies past the %d draws %d generations can make",
+			ck.RNGDraws, max, ck.Gen)
+	}
+	return nil
+}
+
+// maxDraws bounds the values a search of cfg draws from its source by
+// the end of generation gen: PopSize genomes' Random for the initial
+// population, then per child two tournaments of TournamentK picks, its
+// Crossover and Mutate, and the mutation coin. Each Intn or Float64
+// call takes one draw except for a rejection (math/rand) whose odds
+// are below 2^-24 at these ranges, so the count is doubled. It
+// saturates instead of overflowing.
+func (c Config) maxDraws(gen int, perGenome uint64) uint64 {
+	mul := func(a, b uint64) uint64 {
+		if a != 0 && b > math.MaxUint64/a {
+			return math.MaxUint64
+		}
+		return a * b
+	}
+	add := func(a, b uint64) uint64 {
+		if b > math.MaxUint64-a {
+			return math.MaxUint64
+		}
+		return a + b
+	}
+	child := add(add(mul(2, uint64(c.TournamentK)), perGenome), 1)
+	n := add(mul(uint64(c.PopSize), perGenome), mul(mul(uint64(gen), uint64(c.PopSize-c.Elites)), child))
+	return mul(2, n)
+}
+
 // restore rebuilds the search state from a checkpoint that Fits cfg:
-// population, result counters, fitness cache, and the RNG position.
-func restore[G any](ck *Checkpoint[G], cfg Config, res *Result[G], cache map[string]float64, src *countingSource) ([]scored[G], int, int, error) {
+// population, result counters, fitness cache, and the RNG position. A
+// cancelled ctx stops the RNG replay.
+func restore[G any](ctx context.Context, ck *Checkpoint[G], cfg Config, res *Result[G], cache map[string]float64, src *countingSource) ([]scored[G], int, int, error) {
 	if err := ck.Fits(cfg); err != nil {
 		return nil, 0, 0, err
 	}
@@ -122,7 +167,9 @@ func restore[G any](ck *Checkpoint[G], cfg Config, res *Result[G], cache map[str
 			cache[string(raw)] = e.Fit
 		}
 	}
-	src.fastForward(ck.RNGDraws)
+	if err := src.fastForward(ctx, ck.RNGDraws); err != nil {
+		return nil, 0, 0, err
+	}
 	return pop, ck.Gen, ck.Stagnant, nil
 }
 
@@ -165,13 +212,24 @@ func (s *countingSource) draws() uint64 { return s.n }
 
 // fastForward advances the underlying source by n draws. Int63 and
 // Uint64 step the stdlib generator identically, so replaying with
-// either reproduces the stream position.
-func (s *countingSource) fastForward(n uint64) {
+// either reproduces the stream position. It checks ctx every
+// fastForwardCheck draws and returns ctx.Err() once it is cancelled.
+func (s *countingSource) fastForward(ctx context.Context, n uint64) error {
 	for i := uint64(0); i < n; i++ {
+		if i%fastForwardCheck == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		s.src.Uint64()
 	}
 	s.n = n
+	return nil
 }
+
+// fastForwardCheck is how many draws fastForward makes between looks
+// at its context: a few milliseconds.
+const fastForwardCheck = 1 << 20
 
 type source64Shim struct{ rand.Source }
 

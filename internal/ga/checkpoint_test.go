@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // runCollectingCheckpoints runs the toy search, keeping every emitted
@@ -165,9 +166,71 @@ func TestCountingSourcePassthrough(t *testing.T) {
 	}
 	// Fast-forwarding a fresh source to a's position resynchronises.
 	c := newCountingSource(42)
-	c.fastForward(a.draws())
+	if err := c.fastForward(context.Background(), a.draws()); err != nil {
+		t.Fatal(err)
+	}
 	rc := rand.New(c)
 	if ra.Float64() != rc.Float64() {
 		t.Fatal("fast-forwarded source out of position")
+	}
+}
+
+// TestResumeReplayStopsOnCancel resumes a checkpoint whose RNG position
+// would take years to replay: cancelling the search's context must stop
+// the replay promptly, with the context's error.
+func TestResumeReplayStopsOnCancel(t *testing.T) {
+	cfg := Config{PopSize: 4, Elites: 1, TournamentK: 2, MutationProb: 0.5, MaxGenerations: 3, Seed: 1}
+	ck := &Checkpoint[uint8]{Gen: 1, RNGDraws: 1e15,
+		Population: make([]uint8, 4), Fitnesses: make([]float64, 4)}
+	ops := Ops[uint8]{
+		Random:    func(r *rand.Rand) uint8 { return uint8(r.Intn(256)) },
+		Crossover: func(_ *rand.Rand, a, _ uint8) uint8 { return a },
+		Mutate:    func(r *rand.Rand, g uint8) uint8 { return g ^ uint8(r.Intn(256)) },
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunCheckpointed(ctx, cfg, ops, nil, func(g uint8) (float64, error) { return float64(g), nil }, ck, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("resume returned %v, want the context's deadline error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("resume kept replaying the RNG 10 s after its context was cancelled")
+	}
+}
+
+// TestDrawsFit refuses an RNG position no search of the configuration
+// can reach by the checkpoint's generation, and accepts the position a
+// real search reached.
+func TestDrawsFit(t *testing.T) {
+	cfg := Config{PopSize: 6, Elites: 1, TournamentK: 3, MutationProb: 0.3, MaxGenerations: 4, Seed: 9}
+	var last *Checkpoint[uint8]
+	ops := Ops[uint8]{
+		Random:    func(r *rand.Rand) uint8 { return uint8(r.Intn(256)) },
+		Crossover: func(r *rand.Rand, a, b uint8) uint8 { return a&0xf0 | b&0x0f ^ uint8(r.Intn(2)) },
+		Mutate:    func(r *rand.Rand, g uint8) uint8 { return g ^ 1<<uint(r.Intn(8)) },
+	}
+	if _, err := RunCheckpointed(context.Background(), cfg, ops, nil, func(g uint8) (float64, error) { return float64(g), nil }, nil,
+		func(ck *Checkpoint[uint8]) error { last = ck; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	const perGenome = 2 // Crossover and Mutate draw one value each
+	if err := last.DrawsFit(cfg, perGenome); err != nil {
+		t.Fatalf("a real checkpoint (gen %d, %d draws) refused: %v", last.Gen, last.RNGDraws, err)
+	}
+	for _, bad := range []struct {
+		gen   int
+		draws uint64
+	}{{last.Gen, 1e15}, {0, 1000}, {-1, 0}} {
+		ck := *last
+		ck.Gen, ck.RNGDraws = bad.gen, bad.draws
+		if err := ck.DrawsFit(cfg, perGenome); err == nil {
+			t.Errorf("gen %d at %d draws accepted", bad.gen, bad.draws)
+		}
 	}
 }

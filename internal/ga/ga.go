@@ -260,7 +260,7 @@ func RunCheckpointed[G any](ctx context.Context, cfg Config, ops Ops[G], seeds [
 	startGen, stagnant := 0, 0
 	if resume != nil {
 		var err error
-		pop, startGen, stagnant, err = restore(resume, cfg, res, cache, src)
+		pop, startGen, stagnant, err = restore(ctx, resume, cfg, res, cache, src)
 		if err != nil {
 			return nil, err
 		}

@@ -322,8 +322,16 @@ func BenchmarkTraceStoreWarmVsCold(b *testing.B) {
 // 6-cycle by 4-slot sub-block of random opcodes with a quarter of the
 // slots left as NOPs, replicated 3 times into the high-power region,
 // a 68-NOP low-power run and the dec/jnz closer. Register pools and
-// memory displacements follow CodeGen.instr.
-func searchShapeProgram() *asm.Program {
+// memory displacements follow CodeGen.instr. Its sub-block holds 3
+// lea, so its threads never run in lockstep.
+func searchShapeProgram() *asm.Program { return searchShape(false) }
+
+// alignedSearchShapeProgram is searchShapeProgram with each lea slot
+// turned into a GPR load of the same operands: a lockstep candidate,
+// whose aligned copies a capture steps once.
+func alignedSearchShapeProgram() *asm.Program { return searchShape(true) }
+
+func searchShape(noLEA bool) *asm.Program {
 	var ops []*isa.Opcode
 	for _, op := range isa.AllOpcodes() {
 		switch op.Class {
@@ -339,6 +347,9 @@ func searchShapeProgram() *asm.Program {
 			continue
 		}
 		op := ops[rng.Intn(len(ops))]
+		if noLEA && op.Class == isa.ClassLEA {
+			op = isa.MustLookup("load")
+		}
 		a, bb, c := rng.Intn(256), rng.Intn(256), rng.Intn(256)
 		xacc, xsrc := isa.XMM(a%12), isa.XMM(12+bb%4)
 		gacc, gsrc := isa.GPR(8+a%8), isa.GPR(6+bb%2)
@@ -398,35 +409,52 @@ func searchShapeProgram() *asm.Program {
 // BenchmarkCaptureSearchShape times phase-1 capture (buildTrace) of one
 // search candidate: four threads spread one per module, 23,000 cycles
 // (the benchmark search's warmup plus measured window), the whole
-// window captured as a search-cold capture does.
+// window captured as a search-cold capture does. /lea is
+// searchShapeProgram, whose modules every capture steps; /aligned is
+// its lockstep variant, whose four modules a capture steps once.
 func BenchmarkCaptureSearchShape(b *testing.B) {
-	p := Bulldozer()
-	cp, err := p.Compile()
-	if err != nil {
-		b.Fatal(err)
+	for _, v := range []struct {
+		name       string
+		prog       *asm.Program
+		replicated bool
+	}{
+		{"lea", searchShapeProgram(), false},
+		{"aligned", alignedSearchShapeProgram(), true},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			p := Bulldozer()
+			cp, err := p.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			threads, err := SpreadPlacement(p.Chip, v.prog, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rc := RunConfig{Threads: threads, MaxCycles: 23000, WarmupCycles: 3000, SupplyVolts: p.Nominal()}
+			if _, err := cp.buildTrace(rc); err != nil { // fill the chip pool
+				b.Fatal(err)
+			}
+			cycles := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr, err := cp.buildTrace(rc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tr.energy) != 23000 {
+					b.Fatalf("capture of %d cycles, want the full window", len(tr.energy))
+				}
+				cycles += len(tr.energy)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+			b.StopTimer()
+			if st := cp.TraceStats(); (st.Replicated == st.Captures) != v.replicated || st.Recaptures != 0 {
+				b.Fatalf("%d of %d captures replicated, %d recaptured", st.Replicated, st.Captures, st.Recaptures)
+			}
+		})
 	}
-	threads, err := SpreadPlacement(p.Chip, searchShapeProgram(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rc := RunConfig{Threads: threads, MaxCycles: 23000, WarmupCycles: 3000, SupplyVolts: p.Nominal()}
-	if _, err := cp.buildTrace(rc); err != nil { // fill the chip pool
-		b.Fatal(err)
-	}
-	cycles := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr, err := cp.buildTrace(rc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tr.energy) != 23000 {
-			b.Fatalf("capture of %d cycles, want the full window", len(tr.energy))
-		}
-		cycles += len(tr.energy)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 }
 
 // BenchmarkReplayFold times the replay fold alone (replayFold.scan and

@@ -1,11 +1,13 @@
 package testbed
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/scope"
 )
@@ -186,8 +188,88 @@ func TestCompiledRunConcurrent(t *testing.T) {
 }
 
 // TestChipResetMatchesFresh checks the pooled-chip invariant directly:
-// a reset chip must step exactly like a newly built one.
+// a reset chip must step exactly like a newly built one. First one
+// shape through the pool, then one chip through a sequence of shapes,
+// reset between captures as the pool resets it: 1, 4 and 8 threads,
+// odd run lengths, lea and barrier programs, skewed and dithered runs,
+// and a grouped capture that diverges. Each capture must equal a fresh
+// chip's, trace and end counters.
 func TestChipResetMatchesFresh(t *testing.T) {
+	t.Run("pool", testPooledRunMatchesFresh)
+	for _, tiny := range []bool{false, true} {
+		cp := replicatePlatform(t, tiny)
+		pooled, err := cpu.NewChip(cp.p.Chip, cp.p.Power)
+		if err != nil {
+			t.Fatal(err)
+		}
+		period := resonancePeriodCycles(cp.p)
+		mul := mulLoop("reset", period)
+		diverged := false
+		for _, sh := range []struct {
+			name      string
+			prog      *asm.Program
+			n         int
+			maxCycles uint64
+			skew      bool
+			dither    bool
+			sibling   *asm.Program // when set, what the modules' second cores run
+		}{
+			{"1T", mul, 1, 2000, false, false, nil},
+			{"4T", mul, 4, 2000, false, false, nil},
+			{"8T-odd", mul, 8, 1001, false, false, nil},
+			{"8T-mixed", mul, 8, 2000, false, false, plainLoop()},
+			{"8T", mul, 8, 2000, false, false, nil},
+			{"lea", leaLoop(), 4, 1503, false, false, nil},
+			{"barrier", barrierLoop(), 8, 1500, false, false, nil},
+			{"skewed", mul, 4, 1777, true, false, nil},
+			{"dithered", mul, 4, 2001, false, true, nil},
+			{"conflict", conflictProgram(0x0e), 2, 2999, false, false, nil},
+			{"4T-after", mul, 4, 2000, false, false, nil},
+			{"2T-conflict-after", conflictProgram(0x0f), 2, 999, false, false, nil},
+		} {
+			threads, err := SpreadPlacement(cp.p.Chip, sh.prog, sh.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range threads {
+				if threads[i].Core == 1 && sh.sibling != nil {
+					threads[i].Program = sh.sibling
+				}
+			}
+			rc := RunConfig{Threads: threads, MaxCycles: sh.maxCycles}
+			if sh.skew {
+				for i := range rc.Threads {
+					rc.Threads[i].StartSkew = uint64(3 * (i % 2))
+				}
+			}
+			if sh.dither {
+				rc.Dither = []DitherSpec{{Core: 2, PeriodCycles: 97, PadCycles: 2}}
+			}
+			group := len(rc.Dither) == 0
+			fresh, err := cpu.NewChip(cp.p.Chip, cp.p.Power)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := new(chipTrace), new(chipTrace)
+			_, werr := cp.capture(fresh, want, rc, group)
+			pooled.Reset()
+			_, gerr := cp.capture(pooled, got, rc, group)
+			if werr != gerr {
+				t.Fatalf("tiny=%v %s: pooled chip's capture returned %v, a fresh chip's %v", tiny, sh.name, gerr, werr)
+			}
+			if werr != nil && werr != errDiverged {
+				t.Fatal(werr)
+			}
+			diverged = diverged || werr == errDiverged
+			sameTrace(t, fmt.Sprintf("tiny=%v %s: pooled chip", tiny, sh.name), got, want)
+		}
+		if diverged != tiny {
+			t.Errorf("tiny=%v: a grouped capture diverged: %v", tiny, diverged)
+		}
+	}
+}
+
+func testPooledRunMatchesFresh(t *testing.T) {
 	p := Bulldozer()
 	period := resonancePeriodCycles(p)
 	prog := mulLoop("reset", period)

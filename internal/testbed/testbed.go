@@ -11,6 +11,7 @@ package testbed
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
@@ -232,17 +233,24 @@ func (p Platform) Run(rc RunConfig) (*Measurement, error) {
 }
 
 // attachThreads validates and places the run's threads on the chip and
-// applies the run-level FP throttle.
+// applies the run-level FP throttle. The threads of one program share
+// its compiled templates (Thread.Sibling).
 func (p Platform) attachThreads(chip *cpu.Chip, rc RunConfig) error {
-	for _, ts := range rc.Threads {
-		if err := p.checkISASupport(ts.Program); err != nil {
-			return err
+	ths := make([]*cpu.Thread, len(rc.Threads))
+	for i, ts := range rc.Threads {
+		if j := slices.IndexFunc(rc.Threads[:i], func(o ThreadSpec) bool { return o.Program == ts.Program }); j >= 0 {
+			ths[i] = ths[j].Sibling(ts.MaxInstrs)
+		} else {
+			if err := p.checkISASupport(ts.Program); err != nil {
+				return err
+			}
+			th, err := cpu.NewThread(ts.Program, ts.MaxInstrs)
+			if err != nil {
+				return err
+			}
+			ths[i] = th
 		}
-		th, err := cpu.NewThread(ts.Program, ts.MaxInstrs)
-		if err != nil {
-			return err
-		}
-		if err := chip.Attach(ts.Module, ts.Core, th); err != nil {
+		if err := chip.Attach(ts.Module, ts.Core, ths[i]); err != nil {
 			return err
 		}
 	}
@@ -365,7 +373,7 @@ func (p Platform) measure(chip *cpu.Chip, net *pdn.PDN, rc RunConfig, supply flo
 				rc.Histogram.Add(v)
 			}
 			if !m.Failed {
-				if bad, _ := p.Failure.Check(v, &res); bad {
+				if bad, _ := p.Failure.Check(v, res); bad {
 					m.Failed = true
 					m.FailCycle = cyc
 				}

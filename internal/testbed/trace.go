@@ -152,30 +152,73 @@ func (cp *CompiledPlatform) putTraceBuf(b *traceBuf) {
 }
 
 // buildTrace is phase 1: run the chip alone (no PDN, no scope) and
-// record its per-cycle trace. It mirrors Platform.measure's chip-side ordering exactly —
-// start-skew stalls, Done check, dither injections, Step — so a replay
-// of the trace is bit-identical to the exact loop.
+// record its per-cycle trace. It mirrors Platform.measure's chip-side
+// ordering exactly — start-skew stalls, Done check, dither injections,
+// Step — so a replay of the trace is bit-identical to the exact loop.
+// A run without dither steps each class of aligned, identical modules
+// once (cpu.Chip.GroupAligned); a grouped run that leaves lockstep is
+// captured again with every module stepped, so the trace is the same
+// either way.
 func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error) {
 	start := time.Now()
+	var grouped, diverged bool
 	defer func() {
 		d := uint64(time.Since(start).Nanoseconds())
 		if tr_ != nil {
 			tr_.captureNS = d
 		}
-		cp.traces.count(func(s *TraceStats) { s.Captures++; s.CaptureNS += d })
+		cp.traces.count(func(s *TraceStats) {
+			s.Captures++
+			s.CaptureNS += d
+			if grouped {
+				s.Replicated++
+			}
+			if diverged {
+				s.Recaptures++
+			}
+		})
 	}()
 	chip, err := cp.getChip()
 	if err != nil {
 		return nil, err
 	}
-	if err := cp.p.attachThreads(chip, rc); err != nil {
+	defer cp.chips.Put(chip)
+	// The caller guarantees 0 < MaxCycles ≤ traceMaxCycles.
+	buf := cp.getTraceBuf(int(min(rc.MaxCycles, 1<<16)))
+	tr := &chipTrace{energy: buf.energy[:0], issues: buf.issues[:0]}
+	g, err := cp.capture(chip, tr, rc, len(rc.Dither) == 0)
+	if err == errDiverged {
+		diverged = true
+		chip.Reset()
+		*tr = chipTrace{energy: tr.energy[:0], issues: tr.issues[:0]}
+		g, err = cp.capture(chip, tr, rc, false)
+	}
+	if err != nil {
 		return nil, err
+	}
+	grouped = g
+	return tr, nil
+}
+
+// errDiverged reports a grouped capture that left lockstep.
+var errDiverged = errors.New("testbed: grouped capture diverged")
+
+// capture steps rc's run on a new or reset chip and appends its cycles
+// to tr, grouping aligned modules when group is set. grouped reports
+// that some module stepped through a representative; errDiverged, a
+// grouped run that left lockstep, whose cycles tr must not keep.
+func (cp *CompiledPlatform) capture(chip *cpu.Chip, tr *chipTrace, rc RunConfig, group bool) (grouped bool, err error) {
+	if err := cp.p.attachThreads(chip, rc); err != nil {
+		return false, err
+	}
+	if group {
+		chip.GroupAligned()
 	}
 	cfg := cp.p.Chip
 	for _, ts := range rc.Threads {
 		if ts.StartSkew > 0 {
 			if err := chip.InjectStall(ts.GlobalCore(cfg), ts.StartSkew); err != nil {
-				return nil, err
+				return false, err
 			}
 		}
 	}
@@ -185,10 +228,7 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 		nextPad[i] = d.PeriodCycles
 	}
 
-	maxCycles := rc.MaxCycles // caller guarantees 0 < maxCycles ≤ traceMaxCycles
-	buf := cp.getTraceBuf(int(min(maxCycles, 1<<16)))
-	tr := &chipTrace{energy: buf.energy[:0], issues: buf.issues[:0]}
-	for cyc := uint64(0); cyc < maxCycles; cyc++ {
+	for cyc := uint64(0); cyc < rc.MaxCycles; cyc++ {
 		if chip.Done() {
 			tr.done = true
 			break
@@ -196,25 +236,26 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 		for i := range rc.Dither {
 			if cyc >= nextPad[i] {
 				if err := chip.InjectStall(rc.Dither[i].Core, rc.Dither[i].PadCycles); err != nil {
-					return nil, err
+					return false, err
 				}
 				nextPad[i] += rc.Dither[i].PeriodCycles
 			}
 		}
 		res := chip.Step()
-		packed, ok := packIssues(&res)
+		if chip.Diverged() {
+			return false, errDiverged
+		}
+		packed, ok := packIssues(res)
 		if !ok {
 			tr.unsupported = true
-			cp.chips.Put(chip)
-			return tr, nil
+			return chip.Grouped(), nil
 		}
 		tr.energy = append(tr.energy, res.EnergyPJ)
 		tr.issues = append(tr.issues, packed)
 	}
 	tr.endStats, tr.endRetired = chip.Stats(), chip.Retired()
 	tr.noteMaxEnergy()
-	cp.chips.Put(chip)
-	return tr, nil
+	return chip.Grouped(), nil
 }
 
 // traceKey fingerprints everything phase 1 depends on: per-thread
@@ -333,6 +374,11 @@ type TraceStats struct {
 	// Captures counts phase-1 buildTrace invocations — the recaptures
 	// the caches failed to prevent. A warm run reports zero.
 	Captures uint64
+	// Replicated counts the captures that stepped some module once for
+	// an aligned, identical one (cpu.Chip.GroupAligned). Recaptures
+	// counts the grouped captures that left lockstep and were captured
+	// again with every module stepped; neither adds to Captures.
+	Replicated, Recaptures uint64
 	// CaptureNS and ReplayNS split the fast path's wall time between
 	// phase-1 capture (buildTrace) and phase-2 PDN replay, in
 	// nanoseconds summed across workers. Wall-clock derived: excluded

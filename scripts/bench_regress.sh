@@ -46,6 +46,13 @@ gated=(
   BenchmarkTraceTierWarmVsCold
 )
 pattern="$(IFS='|'; echo "${gated[*]}")"
+# Sub-benchmark rows the gate must see by name: the capture of a
+# candidate whose modules all step (/lea) and of one whose aligned
+# modules step once (/aligned).
+gated_rows=(
+  BenchmarkCaptureSearchShape/lea
+  BenchmarkCaptureSearchShape/aligned
+)
 
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
@@ -59,6 +66,12 @@ missing=0
 for b in "${gated[@]}"; do
   if ! grep -q "^${b}[/[:space:]-]" "$out"; then
     echo "bench_regress: gated benchmark ${b} produced no result (renamed or deleted?)" >&2
+    missing=1
+  fi
+done
+for b in "${gated_rows[@]}"; do
+  if ! grep -q "^${b}[[:space:]-]" "$out"; then
+    echo "bench_regress: gated row ${b} produced no result (renamed or deleted?)" >&2
     missing=1
   fi
 done

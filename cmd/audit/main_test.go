@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -241,6 +242,26 @@ func TestDamagedCheckpointRefused(t *testing.T) {
 		{"hetero RNG position past its generations", true, func(ga map[string]any) {
 			ga["rng_draws"] = 1e15
 		}, "RNG position 1000000000000000 lies past"},
+		// The scores must agree with each other as the engine keeps them.
+		{"best fitness past its history", false, func(ga map[string]any) {
+			ga["best_fitness"] = 5.0
+		}, "best fitness 5 is not its history's last"},
+		{"hetero best fitness past its history", true, func(ga map[string]any) {
+			ga["best_fitness"] = 5.0
+		}, "best fitness 5 is not its history's last"},
+		{"fitnesses reversed", false, func(ga map[string]any) {
+			slices.Reverse(ga["fitnesses"].([]any))
+		}, "fitnesses are not best first"},
+		{"best fitness below the population's", false, func(ga map[string]any) {
+			ga["best_fitness"] = ga["fitnesses"].([]any)[0].(float64) / 2
+		}, "lies below its population's best"},
+		{"history of the wrong length", false, func(ga map[string]any) {
+			ga["history"] = ga["history"].([]any)[1:]
+		}, "checkpoint of generation 2 holds a history of 1 generations"},
+		{"history that falls", false, func(ga map[string]any) {
+			h := ga["history"].([]any)
+			h[0] = 2 * h[1].(float64)
+		}, "history falls at generation 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := homo

@@ -117,9 +117,9 @@ func TestGenerateSharedTraceCache(t *testing.T) {
 	if ts.Misses == 0 {
 		t.Fatal("no trace-cache misses: fast path never engaged")
 	}
-	// Distinct genomes have distinct trace keys, and fitness memoization
-	// keeps duplicate genomes from reaching Run, so trace misses cannot
-	// exceed fitness misses...
+	// Distinct genomes have distinct trace addresses, and fitness
+	// memoization keeps duplicate genomes from reaching Run, so trace
+	// misses cannot exceed fitness misses...
 	if ts.Misses > uint64(res.CacheMisses) {
 		t.Errorf("trace misses %d > fitness misses %d", ts.Misses, res.CacheMisses)
 	}

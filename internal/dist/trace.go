@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -208,9 +210,9 @@ type TraceTierConfig struct {
 
 // TraceTierClient is the worker side of the trace data plane. It
 // implements testbed.TraceTier over /v1/trace: Fetch resolves a trace
-// key against the coordinator, waiting out another worker's in-flight
-// capture when told to, and Publish uploads a fresh capture. Every
-// failure path — coordinator down, request dropped, owner never
+// address against the coordinator, waiting out another worker's
+// in-flight capture when told to, and Publish uploads a fresh capture.
+// Every failure path — coordinator down, request dropped, owner never
 // publishing — ends in (nil, 0, false) within a bounded time, which
 // the testbed treats as "capture it yourself": the tier can only ever
 // save work, never lose it or hang it.
@@ -249,11 +251,16 @@ func (tc *TraceTierClient) url(addr string) string {
 	return tc.cfg.BaseURL + "/v1/trace?addr=" + addr + "&worker=" + tc.cfg.WorkerID
 }
 
-// Fetch resolves one trace key against the tier. ok=false means the
-// caller should capture locally — a miss with the claim granted, or
-// any failure to get a straight answer within the wait budget.
+// Fetch resolves one trace address against the tier, sending it as the
+// hex name the coordinator's store gives the record. ok=false means the
+// caller should capture locally — a miss with the claim granted, a key
+// that is not a 32-byte address (no request is sent), or any failure
+// to get a straight answer within the wait budget.
 func (tc *TraceTierClient) Fetch(key []byte) (*tracestore.Record, int, bool) {
-	addr := tracestore.Addr(key)
+	if len(key) != sha256.Size {
+		return nil, 0, false
+	}
+	addr := hex.EncodeToString(key)
 	// The wait budget bounds how long we trust "someone else is on it"
 	// before capturing ourselves. A dead owner is detected by the
 	// coordinator within two lease TTLs, so the budget only has to
@@ -378,9 +385,13 @@ func (cb *cancelBody) Close() error {
 
 // Publish uploads a fresh capture, releasing the single-flight claim.
 // Best-effort: a failed publish costs other workers a recapture, not
-// correctness, so it retries only briefly.
+// correctness, so it retries only briefly. A key that is not a 32-byte
+// address publishes nothing.
 func (tc *TraceTierClient) Publish(key []byte, rec *tracestore.Record) int {
-	addr := tracestore.Addr(key)
+	if len(key) != sha256.Size {
+		return 0
+	}
+	addr := hex.EncodeToString(key)
 	blob := tracestore.Encode(rec)
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {

@@ -2,12 +2,15 @@ package dist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +53,13 @@ func tierClient(t testing.TB, url, id string, ttl time.Duration) *TraceTierClien
 	return tc
 }
 
+// testAddr returns a trace address made from name, as the 32 bytes a
+// platform hands the tier and as the hex the wire and the store use.
+func testAddr(name string) ([]byte, string) {
+	sum := sha256.Sum256([]byte(name))
+	return sum[:], hex.EncodeToString(sum[:])
+}
+
 // traceHTTP drives /v1/trace by hand.
 func traceHTTP(t *testing.T, method, url, addr, worker string, body []byte) *http.Response {
 	t.Helper()
@@ -80,8 +90,7 @@ func TestTraceEndpointProtocol(t *testing.T) {
 		}
 	}
 
-	key := []byte("protocol key")
-	addr := tracestore.Addr(key)
+	_, addr := testAddr("protocol key")
 	rec := &tracestore.Record{Energy: []float64{1, 2, 1, 2}, Issues: []uint64{3, 3, 3, 3}, Done: true}
 	blob := tracestore.Encode(rec)
 
@@ -182,7 +191,7 @@ func TestTraceClaimStolenFromDeadOwner(t *testing.T) {
 		rpcJSON(t, srv.URL, "/v1/register", &registerRequest{WorkerID: id}, &reg)
 	}
 
-	addr := tracestore.Addr([]byte("steal key"))
+	_, addr := testAddr("steal key")
 	if resp := traceHTTP(t, http.MethodGet, srv.URL, addr, "dead", nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("claim GET: HTTP %d, want 204", resp.StatusCode)
 	}
@@ -254,7 +263,7 @@ func TestTraceFetchWaitsOutCapture(t *testing.T) {
 		var reg registerReply
 		rpcJSON(t, srv.URL, "/v1/register", &registerRequest{WorkerID: id}, &reg)
 	}
-	key := []byte("waited key")
+	key, _ := testAddr("waited key")
 	rec := &tracestore.Record{Energy: []float64{4, 4, 4}, Issues: []uint64{1, 1, 1}, Done: true, CaptureNS: 777}
 
 	owner := tierClient(t, srv.URL, "owner", 250*time.Millisecond)
@@ -293,7 +302,7 @@ func TestTraceFetchFallsBackOnDeadOwner(t *testing.T) {
 		var reg registerReply
 		rpcJSON(t, srv.URL, "/v1/register", &registerRequest{WorkerID: id}, &reg)
 	}
-	key := []byte("orphaned key")
+	key, _ := testAddr("orphaned key")
 	if _, _, ok := tierClient(t, srv.URL, "owner", ttl).Fetch(key); ok {
 		t.Fatal("empty tier served a record")
 	}
@@ -307,6 +316,35 @@ func TestTraceFetchFallsBackOnDeadOwner(t *testing.T) {
 	}
 	if el := time.Since(start); el > 10*ttl {
 		t.Errorf("fallback took %v, want ≤ %v", el, 10*ttl)
+	}
+}
+
+// TestTraceTierKeyNotAnAddress: a key that is not a 32-byte trace
+// address is a miss for Fetch and a no-op for Publish, and neither
+// sends a request.
+func TestTraceTierKeyNotAnAddress(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	t.Cleanup(srv.Close)
+	tc := tierClient(t, srv.URL, "w", 100*time.Millisecond)
+	rec := &tracestore.Record{Energy: []float64{1, 2}, Issues: []uint64{3, 4}, Done: true}
+	key, _ := testAddr("short and long")
+	for _, k := range [][]byte{key[:31], append(key, 0)} {
+		if got, wire, ok := tc.Fetch(k); ok || got != nil || wire != 0 {
+			t.Errorf("Fetch of a %d-byte key: (%v, %d, %v), want a miss", len(k), got, wire, ok)
+		}
+		if wire := tc.Publish(k, rec); wire != 0 {
+			t.Errorf("Publish of a %d-byte key moved %d bytes, want 0", len(k), wire)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("keys that are not addresses sent %d requests, want 0", n)
+	}
+	if _, _, ok := tc.Fetch(key); ok || requests.Load() != 1 {
+		t.Errorf("a 32-byte address sent %d requests (hit %v), want 1 and a miss", requests.Load(), ok)
 	}
 }
 

@@ -90,11 +90,35 @@ func snapshot[G any](gen, stagnant int, pop []scored[G], res *Result[G], cache m
 }
 
 // Fits reports why ck cannot resume a search of cfg, or nil: its
-// population must be the PopSize scored genomes the search breeds from.
+// population must be the PopSize scored genomes the search breeds from,
+// best first, and its scores must agree as the engine keeps them:
+// BestFitness no lower than the population's best, and History one
+// best-so-far per generation run, never falling and ending at
+// BestFitness.
 func (ck *Checkpoint[G]) Fits(cfg Config) error {
 	if len(ck.Population) != cfg.PopSize || len(ck.Fitnesses) != cfg.PopSize {
 		return fmt.Errorf("ga: resume: checkpoint has %d genomes and %d fitnesses; this search breeds %d",
 			len(ck.Population), len(ck.Fitnesses), cfg.PopSize)
+	}
+	fs, h := ck.Fitnesses, ck.History
+	for i := 1; i < len(fs); i++ {
+		if fs[i] > fs[i-1] {
+			return fmt.Errorf("ga: resume: checkpoint's fitnesses are not best first (%v at %d after %v)", fs[i], i, fs[i-1])
+		}
+	}
+	if len(fs) > 0 && ck.BestFitness < fs[0] {
+		return fmt.Errorf("ga: resume: checkpoint's best fitness %v lies below its population's best %v", ck.BestFitness, fs[0])
+	}
+	if len(h) != ck.Gen {
+		return fmt.Errorf("ga: resume: checkpoint of generation %d holds a history of %d generations", ck.Gen, len(h))
+	}
+	for i := 1; i < len(h); i++ {
+		if h[i] < h[i-1] {
+			return fmt.Errorf("ga: resume: checkpoint's best-so-far history falls at generation %d (%v after %v)", i+1, h[i], h[i-1])
+		}
+	}
+	if len(h) > 0 && h[len(h)-1] != ck.BestFitness {
+		return fmt.Errorf("ga: resume: checkpoint's best fitness %v is not its history's last %v", ck.BestFitness, h[len(h)-1])
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,6 +155,42 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 	}
 }
 
+// TestEmittedCheckpointsFit: every checkpoint the engine emits, with
+// and without elites (without them the best-so-far can leave the
+// population), passes Fits after a JSON round trip, and each of its
+// scores, made to contradict the others, is refused.
+func TestEmittedCheckpointsFit(t *testing.T) {
+	for _, elites := range []int{0, 2} {
+		cfg := defaultCfg()
+		cfg.Elites, cfg.MaxGenerations = elites, 12
+		_, cks := runCollectingCheckpoints(t, cfg, bitOps(20), onemax)
+		for _, ck := range cks {
+			if err := ck.Fits(cfg); err != nil {
+				t.Errorf("elites %d, generation %d: %v", elites, ck.Gen, err)
+			}
+		}
+		last := cks[len(cks)-1]
+		for _, damage := range []struct {
+			name string
+			edit func(ck *Checkpoint[bits])
+		}{
+			{"fitnesses reversed", func(ck *Checkpoint[bits]) { slices.Reverse(ck.Fitnesses) }},
+			{"best below the population's", func(ck *Checkpoint[bits]) { ck.BestFitness = ck.Fitnesses[0] - 1 }},
+			{"best past its history", func(ck *Checkpoint[bits]) { ck.BestFitness++ }},
+			{"history short", func(ck *Checkpoint[bits]) { ck.History = ck.History[1:] }},
+			{"history falls", func(ck *Checkpoint[bits]) { ck.History[0] = ck.History[len(ck.History)-1] + 1 }},
+		} {
+			ck := *last
+			ck.Fitnesses = slices.Clone(last.Fitnesses)
+			ck.History = slices.Clone(last.History)
+			damage.edit(&ck)
+			if err := ck.Fits(cfg); err == nil {
+				t.Errorf("elites %d: a checkpoint with its %s fits", elites, damage.name)
+			}
+		}
+	}
+}
+
 func TestCountingSourcePassthrough(t *testing.T) {
 	// The counting wrapper must not change the stream rand.New produces.
 	a := newCountingSource(42)
@@ -181,7 +218,7 @@ func TestCountingSourcePassthrough(t *testing.T) {
 func TestResumeReplayStopsOnCancel(t *testing.T) {
 	cfg := Config{PopSize: 4, Elites: 1, TournamentK: 2, MutationProb: 0.5, MaxGenerations: 3, Seed: 1}
 	ck := &Checkpoint[uint8]{Gen: 1, RNGDraws: 1e15,
-		Population: make([]uint8, 4), Fitnesses: make([]float64, 4)}
+		Population: make([]uint8, 4), Fitnesses: make([]float64, 4), History: []float64{0}}
 	ops := Ops[uint8]{
 		Random:    func(r *rand.Rand) uint8 { return uint8(r.Intn(256)) },
 		Crossover: func(_ *rand.Rand, a, _ uint8) uint8 { return a },

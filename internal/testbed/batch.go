@@ -148,69 +148,67 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 
 	// Classify each slot. Slots that share a finished-measurement memo
 	// key are evaluated once (dups serve from the memo afterwards);
-	// slots that share a trace key share one capture.
-	untraced := make([]int, 0, n)       // slots for Platform.Run
-	memoRep := make(map[string]int, n)  // memoKey -> representative slot
-	dupOf := make(map[int]int, n)       // duplicate slot -> representative
-	groups := make(map[string][]int, n) // traceKey -> member slots
-	memoKeys := make([]string, n)       // per-slot memo key ("" = not memoable)
-	var keys []string                   // group keys in first-seen order
+	// slots that share a trace address share one capture.
+	untraced := make([]int, 0, n)          // slots for Platform.Run
+	memoRep := make(map[memoKey]int, n)    // memo key -> representative slot
+	dupOf := make(map[int]memoKey, n)      // duplicate slot -> its memo key
+	groups := make(map[traceAddr][]int, n) // trace address -> member slots
+	var addrs []traceAddr                  // group addresses in first-seen order
 	for i, rc := range rcs {
 		if err := rc.Validate(); err != nil {
 			errs[i] = err
 			continue
 		}
-		key, mk, ok := replayKeys(rc)
+		a, ok := cp.traceAddr(rc)
 		if !ok {
 			untraced = append(untraced, i)
 			continue
 		}
-		if mk != "" {
-			memoKeys[i] = mk
+		if mk, ok := rc.memoKey(a); ok {
 			if m, ok := cp.traces.getResult(mk); ok {
 				ms[i] = &m
 				continue
 			}
-			if rep, seen := memoRep[mk]; seen {
-				dupOf[i] = rep
+			if _, seen := memoRep[mk]; seen {
+				dupOf[i] = mk
 				continue
 			}
 			memoRep[mk] = i
 		}
-		if _, seen := groups[key]; !seen {
-			keys = append(keys, key)
+		if _, seen := groups[a]; !seen {
+			addrs = append(addrs, a)
 		}
-		groups[key] = append(groups[key], i)
+		groups[a] = append(groups[a], i)
 	}
 
 	// Stage 1: resolve each group's trace — one cache lookup per group
 	// (siblings would all have hit, so they count as hits), then a
 	// worker pool captures the missing ones.
-	ready := make(map[string]*chipTrace, len(groups))
-	var missing []string
-	for _, key := range keys {
-		members := groups[key]
-		if tr := cp.traces.get(key); tr != nil {
-			ready[key] = tr
+	ready := make(map[traceAddr]*chipTrace, len(groups))
+	var missing []traceAddr
+	for _, a := range addrs {
+		members := groups[a]
+		if tr := cp.traces.get(a); tr != nil {
+			ready[a] = tr
 			cp.traces.count(func(s *TraceStats) { s.Hits += uint64(len(members) - 1) })
 		} else {
-			missing = append(missing, key)
+			missing = append(missing, a)
 		}
 	}
 	var readyMu sync.Mutex
 	runParallelCtx(ctx, workers, len(missing), func(gi int) {
-		key := missing[gi]
-		members := groups[key]
-		tr, err := cp.resolveTrace(key, rcs[members[0]])
+		a := missing[gi]
+		members := groups[a]
+		tr, err := cp.resolveTrace(a, rcs[members[0]])
 		if err != nil {
 			for _, i := range members {
 				errs[i] = err
 			}
 			return
 		}
-		cp.traces.put(key, tr)
+		cp.traces.put(a, tr)
 		readyMu.Lock()
-		ready[key] = tr
+		ready[a] = tr
 		readyMu.Unlock()
 		cp.traces.count(func(s *TraceStats) { s.Hits += uint64(len(members) - 1) })
 	})
@@ -221,17 +219,17 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 	// autoLanes sizes from each kernel's own lane count; the pool runs
 	// the passes and the Platform.Run slots.
 	var byKernel [2][]*replayLane
-	for _, key := range keys {
-		tr := ready[key]
+	for _, a := range addrs {
+		tr := ready[a]
 		if tr == nil {
 			continue // capture failed; members already hold the error
 		}
-		for _, i := range groups[key] {
+		for _, i := range groups[a] {
 			if tr.unsupported {
 				untraced = append(untraced, i)
 				continue
 			}
-			ln, err := cp.newLane(i, tr, rcs[i], memoKeys[i])
+			ln, err := cp.newLane(i, tr, rcs[i], a)
 			if err != nil {
 				errs[i] = err
 				continue
@@ -282,12 +280,13 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 	// Serve memo duplicates from their representative's finished
 	// measurement (via the memo, so the hit counts as it would have
 	// serially; fall back to a direct copy if the memo evicted it).
-	for i, rep := range dupOf {
+	for i, mk := range dupOf {
+		rep := memoRep[mk]
 		if errs[rep] != nil {
 			errs[i] = errs[rep]
 			continue
 		}
-		if m, ok := cp.traces.getResult(memoKeys[i]); ok {
+		if m, ok := cp.traces.getResult(mk); ok {
 			ms[i] = &m
 			continue
 		}

@@ -133,8 +133,8 @@ func mixedROMTol(t *testing.T, p Platform, rcs []RunConfig) float64 {
 	}
 	var bounds []float64
 	for _, rc := range rcs {
-		key, ok := traceKey(rc, nil)
-		tr := cp.traces.get(key)
+		a, ok := cp.traceAddr(rc)
+		tr := cp.traces.get(a)
 		if !ok || tr == nil {
 			continue
 		}

@@ -184,9 +184,9 @@ func BenchmarkGenerationBatch(b *testing.B) {
 		return cp, rcs
 	}
 	// vary dodges the finished-measurement memo: WarmupCycles is part of
-	// the memo key but not the trace key, so every iteration replays the
-	// cached traces for real. The modulus recycles keys only after the
-	// memo's FIFO has long evicted them.
+	// the memo key but not the trace address, so every iteration
+	// replays the cached traces for real. The modulus recycles keys only
+	// after the memo's FIFO has long evicted them.
 	vary := func(rcs []RunConfig, iter int) {
 		w := 1000 + 2*uint64(iter%500+1)
 		for i := range rcs {
@@ -477,7 +477,7 @@ func BenchmarkReplayFold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ln, err := cp.newLane(0, tr, rc, "")
+	ln, err := cp.newLane(0, tr, rc, traceAddr{})
 	if err != nil {
 		b.Fatal(err)
 	}

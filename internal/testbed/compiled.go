@@ -1,9 +1,7 @@
 package testbed
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/cpu"
@@ -39,18 +37,17 @@ type CompiledPlatform struct {
 	traceBufs sync.Pool // *traceBuf capture arrays
 	windows   sync.Pool // *traceBuf replay windows over stored traces
 
-	// traces caches phase-1 chip traces keyed by traceKey, shared by
-	// every replay-eligible run of this platform.
+	// traces caches phase-1 chip traces by address, shared by every
+	// replay-eligible run of this platform. digest is captureDigest,
+	// the first bytes traceAddr hashes.
 	traces traceCache
+	digest []byte
 
 	// store, when attached, persists traces across processes beneath
 	// the in-memory cache; tier, when attached, shares them across
 	// machines (resolution order: memory → store → tier → capture).
-	// storeSalt is the platform digest prefixed to every store and
-	// tier key (see store.go).
-	store     *tracestore.Store
-	tier      TraceTier
-	storeSalt []byte
+	store *tracestore.Store
+	tier  TraceTier
 }
 
 // romOK reports whether the platform's declared voltage tolerance
@@ -88,7 +85,7 @@ func (p Platform) Compile() (*CompiledPlatform, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := &CompiledPlatform{p: p, net: net, settled: map[float64]*pdn.PDN{}}
+	cp := &CompiledPlatform{p: p, net: net, settled: map[float64]*pdn.PDN{}, digest: captureDigest(p)}
 	cp.chips.Put(chip)
 	return cp, nil
 }
@@ -157,30 +154,6 @@ func (rc RunConfig) sampleConsumers() bool {
 	return rc.RecordWaveform || rc.TriggerThreshold > 0 || rc.Histogram != nil
 }
 
-// replayKeys returns rc's trace key and, for a run with no sample
-// consumers, its finished-measurement memo key: the trace key extended
-// with the replay-side parameters (supply, warmup) such a Measurement
-// depends on. The trace key is a prefix of the memo key's string, not
-// a copy. memoKey is "" when the run is not memoable; ok is false when
-// the run has no trace key.
-func replayKeys(rc RunConfig) (key, memoKey string, ok bool) {
-	var w [16]byte
-	var tail []byte
-	if !rc.sampleConsumers() {
-		binary.LittleEndian.PutUint64(w[:8], math.Float64bits(rc.SupplyVolts))
-		binary.LittleEndian.PutUint64(w[8:], rc.WarmupCycles)
-		tail = w[:]
-	}
-	full, ok := traceKey(rc, tail)
-	if !ok {
-		return "", "", false
-	}
-	if tail != nil {
-		memoKey = full
-	}
-	return full[:len(full)-len(tail)], memoKey, true
-}
-
 // runReplay executes rc through the trace pipeline as a one-lane pass,
 // building and caching the chip trace on first sight of this
 // configuration. Runs with no sample consumers are memoized outright:
@@ -188,27 +161,27 @@ func replayKeys(rc RunConfig) (key, memoKey string, ok bool) {
 // run — the GA's median-of-K scoring, a fault-injected retry — returns
 // a copy of the finished Measurement without touching the PDN.
 func (cp *CompiledPlatform) runReplay(rc RunConfig) (*Measurement, error) {
-	key, memoKey, ok := replayKeys(rc)
+	a, ok := cp.traceAddr(rc)
 	if !ok {
 		return nil, errTraceUnsupported
 	}
-	if memoKey != "" {
-		if m, ok := cp.traces.getResult(memoKey); ok {
+	if mk, ok := rc.memoKey(a); ok {
+		if m, ok := cp.traces.getResult(mk); ok {
 			return &m, nil
 		}
 	}
-	tr := cp.traces.get(key)
+	tr := cp.traces.get(a)
 	if tr == nil {
 		var err error
-		if tr, err = cp.resolveTrace(key, rc); err != nil {
+		if tr, err = cp.resolveTrace(a, rc); err != nil {
 			return nil, err
 		}
-		cp.traces.put(key, tr)
+		cp.traces.put(a, tr)
 	}
 	if tr.unsupported {
 		return nil, errTraceUnsupported
 	}
-	ln, err := cp.newLane(0, tr, rc, memoKey)
+	ln, err := cp.newLane(0, tr, rc, a)
 	if err != nil {
 		return nil, err
 	}

@@ -176,17 +176,18 @@ func (f *replayFold) finish(tr *chipTrace, N uint64, dt float64) {
 // it feeds (scope, trigger and histogram included), its memo key and
 // result slot, and a cursor over its source trace.
 type replayLane struct {
-	slot    int    // MeasureBatch result slot
-	memoKey string // "" when sample consumers rule out the memo
-	tr      *chipTrace
-	fold    replayFold
-	rom     bool    // rides the reduced-order kernel
-	supply  float64 // RunConfig.SupplyVolts (0 = nominal)
-	div     float64 // amps conversion: dt·supply
-	add     float64 // leakage amps
-	n       uint64  // cycles to stream: tr.cycles()
-	cyc     uint64  // next cycle to stream
-	vbuf    []float64
+	slot   int     // MeasureBatch result slot
+	memo   memoKey // the finished-measurement memo's key, when memoOK
+	memoOK bool    // false when sample consumers rule out the memo
+	tr     *chipTrace
+	fold   replayFold
+	rom    bool    // rides the reduced-order kernel
+	supply float64 // RunConfig.SupplyVolts (0 = nominal)
+	div    float64 // amps conversion: dt·supply
+	add    float64 // leakage amps
+	n      uint64  // cycles to stream: tr.cycles()
+	cyc    uint64  // next cycle to stream
+	vbuf   []float64
 	// win, over a trace that rests as the store's bytes, is the lane's
 	// window while it is in a pass: the record's lag plus replayChunk
 	// cycles, into which stream decodes each chunk just before the
@@ -195,18 +196,19 @@ type replayLane struct {
 	stream tracestore.Stream
 }
 
-// newLane prepares rc's replay of tr. The lane's kernel follows one
-// rule: the reduced-order kernel whenever the platform tolerance admits
-// the trace (romOK), the exact kernel otherwise.
-func (cp *CompiledPlatform) newLane(slot int, tr *chipTrace, rc RunConfig, memoKey string) (*replayLane, error) {
+// newLane prepares rc's replay of tr, the trace at a. The lane's kernel
+// follows one rule: the reduced-order kernel whenever the platform
+// tolerance admits the trace (romOK), the exact kernel otherwise.
+func (cp *CompiledPlatform) newLane(slot int, tr *chipTrace, rc RunConfig, a traceAddr) (*replayLane, error) {
 	p := cp.p
 	supply := p.PDN.VNom
 	if rc.SupplyVolts > 0 {
 		supply = rc.SupplyVolts
 	}
-	ln := &replayLane{slot: slot, memoKey: memoKey, tr: tr, supply: rc.SupplyVolts,
+	ln := &replayLane{slot: slot, tr: tr, supply: rc.SupplyVolts,
 		div: p.Chip.CycleSeconds() * supply, add: p.Power.LeakageAmps(p.Chip.Modules, supply),
 		n: tr.cycles()}
+	ln.memo, ln.memoOK = rc.memoKey(a)
 	ln.fold = replayFold{p: p, m: &Measurement{MinV: supply}, vNom: p.PDN.VNom,
 		warm: rc.WarmupCycles, hist: rc.Histogram}
 	if rc.RecordWaveform {
@@ -358,8 +360,8 @@ func (cp *CompiledPlatform) finishLane(ln *replayLane) {
 	if f.trig != nil {
 		m.DroopEvents = f.trig.EventCount()
 	}
-	if ln.memoKey != "" {
-		cp.traces.putResult(ln.memoKey, *m)
+	if ln.memoOK {
+		cp.traces.putResult(ln.memo, *m)
 	}
 	cp.vbufs.Put(ln.vbuf[:0])
 	if ln.win != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -358,7 +359,7 @@ func TestReplayInstrumentedPeriodic(t *testing.T) {
 	}
 }
 
-// TestReplayFailureLadderSharesOneTrace: the trace key excludes the
+// TestReplayFailureLadderSharesOneTrace: the trace address excludes the
 // supply voltage, so the whole voltage-at-failure ladder must build
 // phase 1 exactly once and agree with the slow path's verdict.
 func TestReplayFailureLadderSharesOneTrace(t *testing.T) {
@@ -389,6 +390,51 @@ func TestReplayFailureLadderSharesOneTrace(t *testing.T) {
 	if st := cp.TraceStats(); st.Misses != 1 || st.Hits < 1 {
 		t.Errorf("ladder trace cache misses/hits = %d/%d, want 1 build shared by ≥1 replays", st.Misses, st.Hits)
 	}
+}
+
+// TestMemoKeepsNoKeyCopies runs a failure ladder's shape, one 2,000-cycle
+// search candidate at 200 supplies, so the memo holds 200 measurements
+// of one trace. Each entry keys the trace by its 32-byte address, so
+// the heap the platform retains stays under 1 MiB: the trace, the memo
+// and one settled network per supply. An 18 KB key kept per entry
+// would retain 3.6 MB.
+func TestMemoKeepsNoKeyCopies(t *testing.T) {
+	p := Bulldozer()
+	threads, err := SpreadPlacement(p.Chip, searchShapeProgram(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := RunConfig{Threads: threads, MaxCycles: 2000, WarmupCycles: 200}
+	cp, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const supplies = 200
+	before := heap()
+	for i := range supplies {
+		rc.SupplyVolts = p.Nominal() - 0.001*float64(i)
+		if _, err := cp.Run(rc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	ts := cp.TraceStats()
+	if ts.Misses != 1 || ts.Hits != supplies-1 || ts.MemoHits != 0 {
+		t.Fatalf("%d misses, %d hits and %d memo hits, want 1, %d and 0", ts.Misses, ts.Hits, ts.MemoHits, supplies-1)
+	}
+	retained := int64(after) - int64(before)
+	t.Logf("%d supplies retain %d bytes; the trace cache counts %d", supplies, retained, ts.Bytes)
+	if retained >= 1<<20 {
+		t.Errorf("%d supplies retain %d bytes, want under 1 MiB", supplies, retained)
+	}
+	runtime.KeepAlive(cp)
 }
 
 // TestUntraceableRunsUsePlatformRun: a run with an OS model and a run

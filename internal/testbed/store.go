@@ -13,18 +13,18 @@ import (
 // the persistent store (internal/tracestore). The store sits strictly
 // below the FIFO: a lookup consults memory first, then disk, and only
 // then runs phase 1; fresh captures are written through. Records are
-// keyed by the full trace key salted with a capture digest, so two
-// platforms (or two binaries with different chip/power calibrations)
-// sharing one store directory can never serve each other's traces.
-// Whatever the store holds rests in memory as the store's bytes: a
-// store hit keeps the bytes it read, and a capture or tier hit written
-// through keeps the bytes the store wrote.
+// named by the trace's address (traceAddr), which starts from a capture
+// digest, so two platforms (or two binaries with different chip/power
+// calibrations) sharing one store directory can never serve each
+// other's traces. Whatever the store holds rests in memory as the
+// store's bytes: a store hit keeps the bytes it read, and a capture or
+// tier hit written through keeps the bytes the store wrote.
 
 // captureDigest fingerprints everything trace content depends on
-// beyond the trace key: the chip configuration and the power model
-// (both flat scalar structs, so %#v is canonical). The PDN and failure
-// model are deliberately absent — phase 1 runs the chip alone, so
-// platforms differing only on the network side still share stored
+// beyond the rest of its address: the chip configuration and the power
+// model (both flat scalar structs, so %#v is canonical). The PDN and
+// failure model are deliberately absent — phase 1 runs the chip alone,
+// so platforms differing only on the network side still share stored
 // traces. Changes to the trace semantics themselves are covered by the
 // store's format version, which must be bumped whenever capture output
 // changes meaning without changing these structs.
@@ -61,15 +61,10 @@ func PlatformDigest(p Platform) string {
 }
 
 // SetTraceStore attaches a persistent trace store beneath the
-// in-memory cache. Call before the platform is shared across
-// goroutines (alongside SetTraceCacheLimit); a nil store detaches.
-func (cp *CompiledPlatform) SetTraceStore(s *tracestore.Store) {
-	cp.store = s
-	cp.storeSalt = nil
-	if s != nil || cp.tier != nil {
-		cp.storeSalt = captureDigest(cp.p)
-	}
-}
+// in-memory cache, which names each record by its trace's address in
+// hex. Call before the platform is shared across goroutines (alongside
+// SetTraceCacheLimit); a nil store detaches.
+func (cp *CompiledPlatform) SetTraceStore(s *tracestore.Store) { cp.store = s }
 
 // TraceStore returns the attached persistent store, or nil.
 func (cp *CompiledPlatform) TraceStore() *tracestore.Store { return cp.store }
@@ -78,13 +73,15 @@ func (cp *CompiledPlatform) TraceStore() *tracestore.Store { return cp.store }
 // in the distributed fabric, the coordinator's store served over
 // /v1/trace. Implementations must be safe for concurrent use.
 //
-// Fetch may block (bounded by the implementation) while another worker
-// holding the same key captures: ok=false always means "you capture" —
-// the tier may have registered a single-flight claim on the caller's
-// behalf, which the follow-up Publish releases. wire is the payload
-// bytes moved for the call (zero on a claim grant or an unreachable
-// tier), feeding TraceStats.WireBytes. Publish must not keep rec's
-// arrays once it returns: they go back to the platform's pool.
+// key is the trace's 32-byte address, the one the store names its
+// record by. Fetch may block (bounded by the implementation) while
+// another worker holding the same key captures: ok=false always means
+// "you capture" — the tier may have registered a single-flight claim on
+// the caller's behalf, which the follow-up Publish releases. wire is
+// the payload bytes moved for the call (zero on a claim grant or an
+// unreachable tier), feeding TraceStats.WireBytes. Publish must not
+// keep rec's arrays once it returns: they go back to the platform's
+// pool.
 type TraceTier interface {
 	Fetch(key []byte) (rec *tracestore.Record, wire int, ok bool)
 	Publish(key []byte, rec *tracestore.Record) (wire int)
@@ -93,42 +90,12 @@ type TraceTier interface {
 // SetTraceTier attaches a shared trace tier, consulted after the local
 // store and written through alongside it. Call before the platform is
 // shared across goroutines; a nil tier detaches.
-func (cp *CompiledPlatform) SetTraceTier(t TraceTier) {
-	cp.tier = t
-	if cp.storeSalt == nil && (t != nil || cp.store != nil) {
-		cp.storeSalt = captureDigest(cp.p)
-	}
-}
-
-// storeAddr is the store address of a trace key: the SHA-256 of the
-// salt and then the key, which it streams through the hash in slices,
-// so the ~18 KB key is never copied whole. It equals
-// tracestore.Addr(cp.storeKeyBytes(key)).
-func (cp *CompiledPlatform) storeAddr(key string) string {
-	h := sha256.New()
-	h.Write(cp.storeSalt)
-	var buf [512]byte
-	for len(key) > 0 {
-		n := copy(buf[:], key)
-		h.Write(buf[:n])
-		key = key[n:]
-	}
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
-}
-
-// storeKeyBytes is the key a trace travels under to the shared tier:
-// the salt, then the trace key.
-func (cp *CompiledPlatform) storeKeyBytes(key string) []byte {
-	b := make([]byte, 0, len(cp.storeSalt)+len(key))
-	b = append(b, cp.storeSalt...)
-	return append(b, key...)
-}
+func (cp *CompiledPlatform) SetTraceTier(t TraceTier) { cp.tier = t }
 
 // storeLoad consults the persistent store for a trace missing from
 // memory. Any store-side failure is a miss; nil means "keep resolving".
-func (cp *CompiledPlatform) storeLoad(addr string) *chipTrace {
-	enc, ok := cp.store.Get(addr)
+func (cp *CompiledPlatform) storeLoad(a traceAddr) *chipTrace {
+	enc, ok := cp.store.Get(a.String())
 	if !ok {
 		cp.traces.count(func(s *TraceStats) { s.StoreMisses++ })
 		return nil
@@ -138,43 +105,41 @@ func (cp *CompiledPlatform) storeLoad(addr string) *chipTrace {
 	return tr
 }
 
-// tierLoad consults the shared trace tier under tierKey. A hit is
-// written through to the local store at addr so the next cold start of
-// this worker skips the wire, and then rests as the bytes the store
-// wrote.
-func (cp *CompiledPlatform) tierLoad(addr string, tierKey []byte) *chipTrace {
-	rec, wire, ok := cp.tier.Fetch(tierKey)
+// tierLoad consults the shared trace tier. A hit is written through to
+// the local store so the next cold start of this worker skips the wire,
+// and then rests as the bytes the store wrote.
+func (cp *CompiledPlatform) tierLoad(a traceAddr) *chipTrace {
+	rec, wire, ok := cp.tier.Fetch(a[:])
 	if !ok {
 		cp.traces.count(func(s *TraceStats) { s.TierMisses++; s.WireBytes += uint64(wire) })
 		return nil
 	}
 	cp.traces.count(func(s *TraceStats) { s.TierHits++; s.CaptureNSSaved += rec.CaptureNS; s.WireBytes += uint64(wire) })
 	if cp.store != nil {
-		if enc, err := cp.store.Put(addr, rec); err == nil {
+		if enc, err := cp.store.Put(a.String(), rec); err == nil {
 			return traceFromEncoded(enc)
 		}
 	}
 	return traceFromRecord(rec)
 }
 
-// storeSave writes a fresh capture through to the persistent store at
-// addr and to the shared tier under tierKey, best-effort: a full disk
-// or unreachable coordinator costs nothing but the warm start. The
-// tier Publish also releases any single-flight claim the preceding
-// Fetch registered. Once the store holds the capture, tr rests as the
-// bytes it wrote and its arrays go back to the pool, so it must not be
-// shared yet.
-func (cp *CompiledPlatform) storeSave(addr string, tierKey []byte, tr *chipTrace) {
+// storeSave writes a fresh capture through to the persistent store and
+// to the shared tier, best-effort: a full disk or unreachable
+// coordinator costs nothing but the warm start. The tier Publish also
+// releases any single-flight claim the preceding Fetch registered. Once
+// the store holds the capture, tr rests as the bytes it wrote and its
+// arrays go back to the pool, so it must not be shared yet.
+func (cp *CompiledPlatform) storeSave(a traceAddr, tr *chipTrace) {
 	if cp.store == nil && cp.tier == nil {
 		return
 	}
 	rec := recordFromTrace(tr)
 	var enc *tracestore.Encoded
 	if cp.store != nil {
-		enc, _ = cp.store.Put(addr, rec)
+		enc, _ = cp.store.Put(a.String(), rec)
 	}
 	if cp.tier != nil {
-		wire := cp.tier.Publish(tierKey, rec)
+		wire := cp.tier.Publish(a[:], rec)
 		cp.traces.count(func(s *TraceStats) { s.WireBytes += uint64(wire) })
 	}
 	if enc != nil {
@@ -186,21 +151,15 @@ func (cp *CompiledPlatform) storeSave(addr string, tierKey []byte, tr *chipTrace
 // resolveTrace is the full miss path for a trace absent from memory:
 // local store, then shared tier, then phase-1 capture with
 // write-through to both. The result is identical whichever level
-// serves it — the levels only change who pays the capture. The store
-// address is hashed once, and the tier's salted key built once, only
-// when a store or a tier is attached.
-func (cp *CompiledPlatform) resolveTrace(key string, rc RunConfig) (*chipTrace, error) {
-	var addr string
+// serves it — the levels only change who pays the capture.
+func (cp *CompiledPlatform) resolveTrace(a traceAddr, rc RunConfig) (*chipTrace, error) {
 	if cp.store != nil {
-		addr = cp.storeAddr(key)
-		if tr := cp.storeLoad(addr); tr != nil {
+		if tr := cp.storeLoad(a); tr != nil {
 			return tr, nil
 		}
 	}
-	var tierKey []byte
 	if cp.tier != nil {
-		tierKey = cp.storeKeyBytes(key)
-		if tr := cp.tierLoad(addr, tierKey); tr != nil {
+		if tr := cp.tierLoad(a); tr != nil {
 			return tr, nil
 		}
 	}
@@ -208,7 +167,7 @@ func (cp *CompiledPlatform) resolveTrace(key string, rc RunConfig) (*chipTrace, 
 	if err != nil {
 		return nil, err
 	}
-	cp.storeSave(addr, tierKey, tr)
+	cp.storeSave(a, tr)
 	return tr, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/tracestore"
 )
 
@@ -157,8 +158,8 @@ func TestStoreBitIdentity(t *testing.T) {
 
 // TestStorePlatformDigestIsolation shares one directory between two
 // platforms that differ only in a power-model coefficient — identical
-// trace keys, different trace content. The digest salt must keep them
-// from serving each other's records.
+// runs, different trace content. The capture digest each address starts
+// from must keep them from serving each other's records.
 func TestStorePlatformDigestIsolation(t *testing.T) {
 	dir := t.TempDir()
 	pa := Bulldozer()
@@ -328,8 +329,8 @@ func TestStoreMismatchedRecordRecaptured(t *testing.T) {
 // periodicRecordHex is the store record an encoder that still wrote
 // periodic records left for periodicRecordConfig: flag bit 2, a
 // 449-cycle head and one 476-cycle period instead of the whole run.
-// periodicRecordAddr is its file name, the content address of the
-// Bulldozer capture digest and the config's trace key.
+// periodicRecordAddr is its file name, the config's trace address on
+// Bulldozer.
 const (
 	periodicRecordAddr = "e749b82b0e4344f859b0d5458cff358147fa8bd0e6d89b4859fbc37a669de17f"
 	periodicRecordHex  = "415544545243320aec54fb4f5367036e4fcfb1c00bb507a4050b58229f1ff3d2" +
@@ -395,12 +396,12 @@ func TestStorePeriodicRecordRecaptured(t *testing.T) {
 	rc := periodicRecordConfig(t, p)
 	dir := t.TempDir()
 	warm := compiledWithStore(t, p, dir)
-	key, ok := traceKey(rc, nil)
+	a, ok := warm.traceAddr(rc)
 	if !ok {
-		t.Fatal("no trace key")
+		t.Fatal("no trace address")
 	}
-	if addr := warm.storeAddr(key); addr != periodicRecordAddr {
-		t.Fatalf("record address %s, want %s: the trace key or capture digest moved", addr, periodicRecordAddr)
+	if addr := a.String(); addr != periodicRecordAddr {
+		t.Fatalf("record address %s, want %s: the trace address moved", addr, periodicRecordAddr)
 	}
 	blob, err := hex.DecodeString(periodicRecordHex)
 	if err != nil {
@@ -434,19 +435,64 @@ func TestStorePeriodicRecordRecaptured(t *testing.T) {
 	}
 }
 
-// TestStoreAddrStreamsKey: the address storeAddr streams through the
-// hash is the address of the salted key bytes, at key lengths on both
-// sides of its slice boundaries and at a search candidate's.
-func TestStoreAddrStreamsKey(t *testing.T) {
-	cp := compiledWithStore(t, Bulldozer(), t.TempDir())
-	key := make([]byte, 18500)
-	for i := range key {
-		key[i] = byte(i*7 + i>>8)
+// TestTraceAddrPinned: the address of every shape of run a trace
+// covers — one program on every thread, a distinct program per thread,
+// a program that recurs after another, thread bounds and start skew, a
+// dither plan, an FP throttle — is the store address an older binary
+// gave it (the SHA-256 of the capture digest and then the trace key it
+// built in full), so store directories and coordinator stores it filled
+// still hit. A program that does not encode gets no address.
+func TestTraceAddrPinned(t *testing.T) {
+	p := Bulldozer()
+	cp, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range []int{0, 1, 511, 512, 513, 1024, 1500, len(key)} {
-		k := string(key[:n])
-		if got, want := cp.storeAddr(k), tracestore.Addr(cp.storeKeyBytes(k)); got != want {
-			t.Errorf("key of %d bytes: storeAddr %s, want %s", n, got, want)
+	spread := func(progs ...*asm.Program) []ThreadSpec {
+		threads, err := SpreadPlacement(p.Chip, progs[0], len(progs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range threads {
+			threads[i].Program = progs[i]
+		}
+		return threads
+	}
+	run := func(threads []ThreadSpec) RunConfig {
+		return RunConfig{Threads: threads, MaxCycles: 23000, WarmupCycles: 3000, SupplyVolts: p.Nominal()}
+	}
+	s := searchShapeProgram()
+	a, b := mulLoop("pin-a", 16), jmpLoop("pin-b", 24)
+	bounded := spread(s, s, s, s)
+	for i := range bounded {
+		bounded[i].MaxInstrs = uint64(4000 + 1000*i)
+		bounded[i].StartSkew = uint64(7 * i)
+	}
+	dither := run(spread(s, s, s, s))
+	dither.Dither = []DitherSpec{{Core: 0, PeriodCycles: 500, PadCycles: 3}, {Core: 5, PeriodCycles: 700, PadCycles: 1}}
+	throttled := run(spread(s, s, s, s))
+	throttled.FPThrottle = 2
+	bad := a.Clone()
+	bad.Labels["past-the-end"] = len(bad.Code) + 1
+	for _, tc := range []struct {
+		name string
+		rc   RunConfig
+		want string
+	}{
+		{"search candidate", run(spread(s, s, s, s)), "694db65dca70b61958f63b5da13f848cfeabaae14c2fb878e02d86ef54a6d36e"},
+		{"hetero candidate", run(spread(s, a, b, alignedSearchShapeProgram())), "c1e932542fa9d22c57c63b570e34e9904b5c445fd416f9f137834a0954a58c08"},
+		{"A, B, A", run(spread(a, b, a)), "d8794c5023fc23f7b5a15f3c533b976d0b8520beeb9d979bfb1e0d8819271d6d"},
+		{"bounds and skew", run(bounded), "a757824889419aee92c0725f162d595d8ad88ec5d9b46f0839736cf984fce457"},
+		{"dither plan", dither, "e3be77d41c3af3ea65416995dbac0da389380581d6f40652309b168b6a85e242"},
+		{"FP throttle", throttled, "3c52660b6b4824e8ae61a62f12eb6ecb9e2a08d13c116261d2fbe033a27c18e2"},
+		{"unencodable program", run(spread(s, bad)), ""},
+	} {
+		got := ""
+		if a, ok := cp.traceAddr(tc.rc); ok {
+			got = a.String()
+		}
+		if got != tc.want {
+			t.Errorf("%s: address %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }
@@ -742,15 +788,15 @@ func TestEncodedLaneWindow(t *testing.T) {
 	if _, err := cp.Run(rc); err != nil {
 		t.Fatal(err)
 	}
-	key, ok := traceKey(rc, nil)
+	a, ok := cp.traceAddr(rc)
 	if !ok {
-		t.Fatal("no trace key")
+		t.Fatal("no trace address")
 	}
-	tr := cp.traces.get(key)
+	tr := cp.traces.get(a)
 	if tr == nil || tr.enc == nil {
 		t.Fatal("the written-through trace does not rest as the store's bytes")
 	}
-	blob, ok := cp.TraceStore().GetRaw(cp.storeAddr(key))
+	blob, ok := cp.TraceStore().GetRaw(a.String())
 	if !ok {
 		t.Fatal("store miss")
 	}
@@ -759,7 +805,7 @@ func TestEncodedLaneWindow(t *testing.T) {
 		t.Fatal("stored record does not decode")
 	}
 	lag := tr.enc.Lag()
-	ln, err := cp.newLane(0, tr, rc, "")
+	ln, err := cp.newLane(0, tr, rc, a)
 	if err != nil {
 		t.Fatal(err)
 	}

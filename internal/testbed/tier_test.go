@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,7 +14,8 @@ import (
 )
 
 // fakeTier is an in-memory TraceTier: the coordinator's store without
-// the HTTP in between. It stores encoded blobs so wire-byte accounting
+// the HTTP in between, keyed by each trace address in hex as the store
+// names its records. It stores encoded blobs so wire-byte accounting
 // matches the real tier's.
 type fakeTier struct {
 	mu        sync.Mutex
@@ -26,7 +28,7 @@ func (ft *fakeTier) Fetch(key []byte) (*tracestore.Record, int, bool) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	ft.fetches++
-	blob, ok := ft.m[tracestore.Addr(key)]
+	blob, ok := ft.m[hex.EncodeToString(key)]
 	if !ok {
 		return nil, 0, false
 	}
@@ -44,7 +46,7 @@ func (ft *fakeTier) Publish(key []byte, rec *tracestore.Record) int {
 	if ft.m == nil {
 		ft.m = map[string][]byte{}
 	}
-	ft.m[tracestore.Addr(key)] = blob
+	ft.m[hex.EncodeToString(key)] = blob
 	ft.publishes++
 	return len(blob)
 }
@@ -88,6 +90,11 @@ func TestTierResolutionOrder(t *testing.T) {
 	}
 	if tier.publishes != 1 {
 		t.Fatalf("tier got %d publishes, want 1", tier.publishes)
+	}
+	for addr := range tier.m {
+		if _, err := os.Stat(filepath.Join(dirA, addr+".trace")); err != nil {
+			t.Errorf("the tier's address %s names no record in the store: %v", addr, err)
+		}
 	}
 	if enc, arrays := restingForms(a); enc != 1 || arrays != 0 {
 		t.Errorf("written-through capture: %d traces as bytes, %d as arrays, want 1 and 0", enc, arrays)

@@ -1,9 +1,12 @@
 package testbed
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"slices"
+	"hash"
+	"math"
 	"sync"
 	"time"
 
@@ -28,7 +31,7 @@ const (
 )
 
 // errTraceUnsupported routes a run to Platform.Run, the reference
-// cycle loop, when it has no trace key (see traceKey) or its trace
+// cycle loop, when it has no trace address (see traceAddr) or its trace
 // cannot be represented (per-cycle unit-issue count > 255). The
 // unsupported-trace verdict is cached so repeats skip the doomed
 // phase-1 attempt.
@@ -258,73 +261,77 @@ func (cp *CompiledPlatform) capture(chip *cpu.Chip, tr *chipTrace, rc RunConfig,
 	return chip.Grouped(), nil
 }
 
-// traceKey fingerprints everything phase 1 depends on: per-thread
-// program bytes (asm.Encode is canonical: sorted init registers and
-// labels), placement, instruction bounds and start skew, plus
-// MaxCycles, the FP throttle and the dither plan. SupplyVolts and
-// WarmupCycles are deliberately absent — chip execution is
-// supply-independent and warmup only gates phase-2 statistics — which
-// is why median-of-K repeats, fault retries and the whole
-// voltage-at-failure ladder replay one cached trace. ok is false when
-// the run has no trace: an OS model injects interference the key does
-// not carry, a run that is unbounded or longer than traceMaxCycles is
-// not recorded, and an unencodable program has no key. The returned
-// string is the key followed by tail. A search candidate's key runs to
-// about 18 KB: it is assembled in a pooled buffer, each distinct
-// program encoded straight into it, so the string is its one
-// allocation.
-func traceKey(rc RunConfig, tail []byte) (string, bool) {
+// traceAddr is a trace's one address. The trace cache, the
+// finished-measurement memo, MeasureBatch's dedupe, the store (as hex)
+// and the tier all key a trace by it, so the maps, like the store, rely
+// on SHA-256 not colliding.
+type traceAddr [sha256.Size]byte
+
+// String is the address as the store names its record: lowercase hex.
+func (a traceAddr) String() string { return hex.EncodeToString(a[:]) }
+
+// traceAddr addresses everything phase 1 depends on. It streams into
+// SHA-256 the capture digest (captureDigest), then per thread the
+// length of its program's encoding, the encoding (asm.AppendEncode is
+// canonical: sorted init registers and labels), its placement,
+// instruction bound and start skew, then MaxCycles, the FP throttle and
+// the dither plan, each number as 8 little-endian bytes. A thread whose
+// program is the previous thread's reuses that encoding; any other
+// thread's program is encoded again. SupplyVolts and WarmupCycles
+// are deliberately absent — chip execution is supply-independent and
+// warmup only gates phase-2 statistics — which is why median-of-K
+// repeats, fault retries and the whole voltage-at-failure ladder replay
+// one cached trace. ok is false when the run has no trace: an OS model
+// injects interference the address does not cover, a run that is
+// unbounded or longer than traceMaxCycles is not recorded, and an
+// unencodable program has no address.
+func (cp *CompiledPlatform) traceAddr(rc RunConfig) (a traceAddr, ok bool) {
 	if rc.OS != nil || rc.MaxCycles == 0 || rc.MaxCycles > traceMaxCycles {
-		return "", false
+		return a, false
 	}
-	ks := keyScratches.Get().(*keyScratch)
-	b, encs := ks.b[:0], ks.encs[:0]
-	defer func() {
-		if cap(b) <= keyScratchMaxBytes {
-			ks.b, ks.encs = b, encs
-			keyScratches.Put(ks)
-		}
-	}()
-	put := func(vs ...uint64) {
-		for _, v := range vs {
-			b = binary.LittleEndian.AppendUint64(b, v)
-		}
-	}
+	s := addrScratches.Get().(*addrScratch)
+	defer addrScratches.Put(s)
+	b, n := s.b[:0], 0 // b[:n]: the last program's encoding, after its length
+	defer func() { s.b = b }()
+	s.h.Reset()
+	s.h.Write(cp.digest)
 	for i, ts := range rc.Threads {
-		put(0) // the encoding's length, set below
-		at := len(b)
-		if j := slices.IndexFunc(rc.Threads[:i], func(o ThreadSpec) bool { return o.Program == ts.Program }); j >= 0 {
-			b = append(b, b[encs[j][0]:encs[j][1]]...)
-		} else {
+		if i == 0 || ts.Program != rc.Threads[i-1].Program {
 			var err error
-			if b, err = asm.AppendEncode(b, ts.Program); err != nil {
-				return "", false
+			if b, err = asm.AppendEncode(binary.LittleEndian.AppendUint64(b[:0], 0), ts.Program); err != nil {
+				return a, false
 			}
+			binary.LittleEndian.PutUint64(b, uint64(len(b)-8))
+			n = len(b)
 		}
-		encs = append(encs, [2]int{at, len(b)})
-		binary.LittleEndian.PutUint64(b[at-8:], uint64(len(b)-at))
-		put(uint64(ts.Module), uint64(ts.Core), ts.MaxInstrs, ts.StartSkew)
+		b = appendWords(b[:n], uint64(ts.Module), uint64(ts.Core), ts.MaxInstrs, ts.StartSkew)
+		s.h.Write(b)
 	}
-	put(rc.MaxCycles, uint64(rc.FPThrottle), uint64(len(rc.Dither)))
+	b = appendWords(b[:0], rc.MaxCycles, uint64(rc.FPThrottle), uint64(len(rc.Dither)))
 	for _, d := range rc.Dither {
-		put(uint64(d.Core), d.PeriodCycles, d.PadCycles)
+		b = appendWords(b, uint64(d.Core), d.PeriodCycles, d.PadCycles)
 	}
-	b = append(b, tail...)
-	return string(b), true
+	s.h.Write(b)
+	copy(a[:], s.h.Sum(b[:0]))
+	return a, true
 }
 
-// keyScratch is the buffer traceKey assembles a key in, and where each
-// thread's program encoding lies in it.
-type keyScratch struct {
-	b    []byte
-	encs [][2]int
+// appendWords appends each of vs as 8 little-endian bytes.
+func appendWords(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
 }
 
-// keyScratchMaxBytes caps the buffer the pool keeps; a rare longer
-// key's is left to the collector.
-const keyScratchMaxBytes = 1 << 20
+// addrScratch is the SHA-256 state traceAddr streams into and the
+// buffer it encodes a program in.
+type addrScratch struct {
+	h hash.Hash
+	b []byte
+}
 
-var keyScratches = sync.Pool{New: func() any { return new(keyScratch) }}
+var addrScratches = sync.Pool{New: func() any { return &addrScratch{h: sha256.New()} }}
 
 // TraceStats reports trace-cache and fast-path activity.
 type TraceStats struct {
@@ -384,18 +391,39 @@ type TraceStats struct {
 	// nanoseconds summed across workers. Wall-clock derived: excluded
 	// from any deterministic output.
 	CaptureNS, ReplayNS uint64
-	// Bytes is the cache's current footprint.
+	// Bytes is what the trace cache counts against its budget: each
+	// resident trace's arrays (16 bytes a cycle) or stored bytes, plus
+	// 256 bytes (chipTrace.sizeBytes). It leaves out the 32-byte
+	// addresses the cache keys them by and the measurement memo.
 	Bytes int
 }
 
 // replayMemoEntries bounds the finished-measurement memo (FIFO). Each
-// entry is a couple hundred bytes, so the memo never rivals the trace
-// budget.
+// entry is a 48-byte memoKey and a 240-byte Measurement, so a full memo
+// holds about 1.2 MB beside the trace budget.
 const replayMemoEntries = 4096
 
+// memoKey keys the finished-measurement memo: a trace's address and the
+// replay-side parameters a Measurement with no sample consumers
+// depends on.
+type memoKey struct {
+	addr   traceAddr
+	supply uint64 // math.Float64bits(RunConfig.SupplyVolts)
+	warmup uint64
+}
+
+// memoKey returns the memo key of rc's replay of the trace at a; ok is
+// false when sample consumers rule out the memo.
+func (rc RunConfig) memoKey(a traceAddr) (memoKey, bool) {
+	if rc.sampleConsumers() {
+		return memoKey{}, false
+	}
+	return memoKey{a, math.Float64bits(rc.SupplyVolts), rc.WarmupCycles}, true
+}
+
 // traceCache is a byte-bounded FIFO cache of phase-1 traces. Entries
-// are immutable, so concurrent builders of the same key simply race to
-// insert identical traces (first wins). It also memoizes finished
+// are immutable, so concurrent builders of the same address simply race
+// to insert identical traces (first wins). It also memoizes finished
 // Measurements: a replay with no sample consumers is a pure function
 // of (trace, supply, warmup), so repeating it — median-of-K scoring,
 // fault-injected retries — returns a copy instead of re-running
@@ -404,11 +432,11 @@ type traceCache struct {
 	mu    sync.Mutex
 	limit int
 	used  int
-	m     map[string]*chipTrace
-	fifo  []string
+	m     map[traceAddr]*chipTrace
+	fifo  []traceAddr
 
-	results    map[string]Measurement
-	resultFifo []string
+	results    map[memoKey]Measurement
+	resultFifo []memoKey
 
 	// st holds the counters; Bytes is filled in by stats.
 	st TraceStats
@@ -421,10 +449,10 @@ func (tc *traceCache) count(f func(*TraceStats)) {
 	tc.mu.Unlock()
 }
 
-func (tc *traceCache) get(key string) *chipTrace {
+func (tc *traceCache) get(a traceAddr) *chipTrace {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if tr, ok := tc.m[key]; ok {
+	if tr, ok := tc.m[a]; ok {
 		tc.st.Hits++
 		return tr
 	}
@@ -432,14 +460,14 @@ func (tc *traceCache) get(key string) *chipTrace {
 	return nil
 }
 
-func (tc *traceCache) put(key string, tr *chipTrace) {
+func (tc *traceCache) put(a traceAddr, tr *chipTrace) {
 	sz := tr.sizeBytes()
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.m == nil {
-		tc.m = map[string]*chipTrace{}
+		tc.m = map[traceAddr]*chipTrace{}
 	}
-	if _, ok := tc.m[key]; ok {
+	if _, ok := tc.m[a]; ok {
 		return // lost a build race; the resident trace is identical
 	}
 	limit := tc.limit
@@ -457,8 +485,8 @@ func (tc *traceCache) put(key string, tr *chipTrace) {
 			delete(tc.m, old)
 		}
 	}
-	tc.m[key] = tr
-	tc.fifo = append(tc.fifo, key)
+	tc.m[a] = tr
+	tc.fifo = append(tc.fifo, a)
 	tc.used += sz
 }
 
@@ -467,7 +495,7 @@ func (tc *traceCache) put(key string, tr *chipTrace) {
 // pipeline than a trace hit). Measurement holds no reference types
 // once Waveform is excluded by eligibility, so the returned copy is
 // private to the caller.
-func (tc *traceCache) getResult(key string) (Measurement, bool) {
+func (tc *traceCache) getResult(key memoKey) (Measurement, bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if m, ok := tc.results[key]; ok {
@@ -478,11 +506,11 @@ func (tc *traceCache) getResult(key string) (Measurement, bool) {
 	return Measurement{}, false
 }
 
-func (tc *traceCache) putResult(key string, m Measurement) {
+func (tc *traceCache) putResult(key memoKey, m Measurement) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.results == nil {
-		tc.results = map[string]Measurement{}
+		tc.results = map[memoKey]Measurement{}
 	}
 	if _, ok := tc.results[key]; ok {
 		return // identical by determinism; keep the resident copy

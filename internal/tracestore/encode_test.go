@@ -338,13 +338,13 @@ func checkIsAMiss(t *testing.T, name string, blob []byte) {
 		t.Fatal(err)
 	}
 	key := []byte("old key")
-	if err := s.PutRaw(Addr(key), blob); err == nil {
+	if err := s.PutRaw(keyAddr(key), blob); err == nil {
 		t.Errorf("%s: PutRaw stored it", name)
 	}
-	p := s.addrPath(Addr(key))
+	p := s.addrPath(keyAddr(key))
 	for _, get := range []func() bool{
-		func() bool { _, ok := s.Get(Addr(key)); return ok },
-		func() bool { _, ok := s.GetRaw(Addr(key)); return ok },
+		func() bool { _, ok := s.Get(keyAddr(key)); return ok },
+		func() bool { _, ok := s.GetRaw(keyAddr(key)); return ok },
 	} {
 		if err := os.WriteFile(p, blob, 0o644); err != nil {
 			t.Fatal(err)
@@ -357,10 +357,10 @@ func checkIsAMiss(t *testing.T, name string, blob []byte) {
 		}
 	}
 	want := sampleRecord(64, 5)
-	if _, err := s.Put(Addr(key), want); err != nil {
+	if _, err := s.Put(keyAddr(key), want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(Addr(key))
+	got, ok := s.Get(keyAddr(key))
 	if !ok {
 		t.Fatalf("%s: miss after the recapture's Put", name)
 	}
@@ -466,14 +466,14 @@ func TestV3CorruptionIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := []byte("k")
-	if _, err := s.Put(Addr(key), rec); err != nil {
+	if _, err := s.Put(keyAddr(key), rec); err != nil {
 		t.Fatal(err)
 	}
-	p := s.addrPath(Addr(key))
+	p := s.addrPath(keyAddr(key))
 	if err := os.WriteFile(p, pristine[:len(pristine)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(Addr(key)); ok {
+	if _, ok := s.Get(keyAddr(key)); ok {
 		t.Fatal("truncated v3 record served as a hit")
 	}
 	if _, err := os.Stat(p); err == nil {
@@ -710,10 +710,10 @@ func TestRawBlobAPI(t *testing.T) {
 	key := []byte("raw key")
 	rec := sampleRecord(80, 11)
 	rec.CaptureNS = 42
-	if _, err := s.Put(Addr(key), rec); err != nil {
+	if _, err := s.Put(keyAddr(key), rec); err != nil {
 		t.Fatal(err)
 	}
-	addr := Addr(key)
+	addr := keyAddr(key)
 	blob, ok := s.GetRaw(addr)
 	if !ok {
 		t.Fatal("GetRaw miss after Put")
@@ -731,7 +731,7 @@ func TestRawBlobAPI(t *testing.T) {
 	if err := s2.PutRaw(addr, blob); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.Get(Addr(key))
+	got, ok := s2.Get(keyAddr(key))
 	if !ok {
 		t.Fatal("miss after PutRaw")
 	}
@@ -765,10 +765,10 @@ func TestRawBlobAPI(t *testing.T) {
 		if err := s2.PutRaw(addr, Encode(rec)); err == nil {
 			t.Errorf("PutRaw accepted mismatched record %s", name)
 		}
-		if enc, err := s2.Put(Addr([]byte(name)), rec); err == nil || enc != nil {
+		if enc, err := s2.Put(keyAddr([]byte(name)), rec); err == nil || enc != nil {
 			t.Errorf("Put accepted mismatched record %s", name)
 		}
-		if _, ok := s2.GetRaw(Addr([]byte(name))); ok {
+		if _, ok := s2.GetRaw(keyAddr([]byte(name))); ok {
 			t.Errorf("Put wrote mismatched record %s", name)
 		}
 	}
@@ -862,7 +862,7 @@ func BenchmarkStoreGet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	addr := Addr([]byte("search"))
+	addr := keyAddr([]byte("search"))
 	enc, err := s.Put(addr, searchRecord())
 	if err != nil {
 		b.Fatal(err)
@@ -953,7 +953,7 @@ func TestDeflateBombIsABoundedMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := Addr([]byte("bomb"))
+	addr := keyAddr([]byte("bomb"))
 	p := s.addrPath(addr)
 	for name, blob := range map[string][]byte{"deflate bomb": bomb, "short runs": short} {
 		var ok bool
@@ -1034,7 +1034,7 @@ func TestBoundsDeriveFromMaxCycles(t *testing.T) {
 		t.Fatal("a header of MaxCycles+1 cycles decoded")
 	}
 	long := &Record{Energy: make([]float64, MaxCycles+1), Issues: make([]uint64, MaxCycles+1)}
-	if _, err := (&Store{}).Put(Addr([]byte("k")), long); err == nil {
+	if _, err := (&Store{}).Put(keyAddr([]byte("k")), long); err == nil {
 		t.Fatal("Put accepted a record of MaxCycles+1 cycles")
 	}
 }

@@ -1,10 +1,10 @@
 // Package tracestore is a persistent, content-addressed store for
 // phase-1 chip traces. Each record lives in its own file named by its
-// address, the SHA-256 of the caller's key bytes (Addr), serialized in
-// a checksummed compact format (encode.go) and written atomically, so
-// concurrent processes can share one store directory: writers race
-// benignly (same key ⇒ same bytes; last rename wins) and readers only
-// ever see complete files. Records are not fsynced: a power cut may
+// address, a SHA-256 the caller computes, in lowercase hex (ValidAddr),
+// serialized in a checksummed compact format (encode.go) and written
+// atomically, so concurrent processes can share one store directory:
+// writers race benignly (same address ⇒ same bytes; last rename wins)
+// and readers only ever see complete files. Records are not fsynced: a power cut may
 // tear one, and a torn record fails its checksum.
 //
 // The store is an optimisation layer, never a source of truth: any
@@ -19,9 +19,7 @@
 package tracestore
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -115,15 +113,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Addr is the content address of a key: the hex SHA-256 of its bytes.
-// It is the record's filename stem in every store directory and the
-// form a key travels in over the distributed trace tier (keys embed
-// whole program encodings; the address is a fixed 64 characters).
-func Addr(key []byte) string {
-	sum := sha256.Sum256(key)
-	return hex.EncodeToString(sum[:])
-}
-
 // ValidAddr rejects anything that is not a lowercase hex SHA-256 —
 // addresses arrive over the network and become file names, so this is
 // also the path-traversal guard.
@@ -143,7 +132,7 @@ func (s *Store) addrPath(addr string) string {
 	return filepath.Join(s.dir, addr+recordExt)
 }
 
-// Get loads the record stored at addr (Addr of its key) as a view of
+// Get loads the record stored at addr as a view of
 // the bytes it read (Encoded), validated as Decode validates. Every
 // failure mode — an invalid address, absent, truncated, corrupt,
 // foreign version — returns (nil, false); the caller rebuilds and
@@ -218,7 +207,7 @@ func readRecordFile(p string) ([]byte, error) {
 	return blob, nil
 }
 
-// Put stores rec at addr (Addr of its key), atomically, then enforces
+// Put stores rec at addr, atomically, then enforces
 // the byte budget, and returns the view of the bytes it wrote. It
 // refuses an invalid address and a record that would not decode
 // (Energy and Issues of different lengths). Failures leave the store

@@ -2,6 +2,8 @@ package tracestore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
@@ -10,6 +12,13 @@ import (
 	"testing"
 	"time"
 )
+
+// keyAddr is a store address for a test's key: the hex SHA-256 of its
+// bytes.
+func keyAddr(key []byte) string {
+	sum := sha256.Sum256(key)
+	return hex.EncodeToString(sum[:])
+}
 
 func sampleRecord(n int, seed uint64) *Record {
 	rec := &Record{
@@ -64,18 +73,18 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := []byte("some trace key")
-	if _, ok := s.Get(Addr(key)); ok {
+	if _, ok := s.Get(keyAddr(key)); ok {
 		t.Fatal("hit on empty store")
 	}
 	want := sampleRecord(64, 9)
-	put, err := s.Put(Addr(key), want)
+	put, err := s.Put(keyAddr(key), want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !recordsEqual(put.record(), want) || put.Size() != len(Encode(want)) {
 		t.Fatal("Put's view is not the record it wrote")
 	}
-	got, ok := s.Get(Addr(key))
+	got, ok := s.Get(keyAddr(key))
 	if !ok {
 		t.Fatal("miss after Put")
 	}
@@ -83,15 +92,15 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal("record changed across the store round trip")
 	}
 	// A different key must not alias.
-	if _, ok := s.Get(Addr([]byte("some other key"))); ok {
+	if _, ok := s.Get(keyAddr([]byte("some other key"))); ok {
 		t.Fatal("foreign key hit")
 	}
 	// Unsupported verdicts round-trip with empty arrays.
 	ukey := []byte("unsupported")
-	if _, err := s.Put(Addr(ukey), &Record{Unsupported: true}); err != nil {
+	if _, err := s.Put(keyAddr(ukey), &Record{Unsupported: true}); err != nil {
 		t.Fatal(err)
 	}
-	if u, ok := s.Get(Addr(ukey)); !ok || !u.Header().Unsupported || u.Cycles() != 0 {
+	if u, ok := s.Get(keyAddr(ukey)); !ok || !u.Header().Unsupported || u.Cycles() != 0 {
 		t.Fatalf("unsupported verdict lost: %+v ok=%v", u, ok)
 	}
 }
@@ -107,10 +116,10 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	}
 	key := []byte("k")
 	rec := sampleRecord(32, 1)
-	if _, err := s.Put(Addr(key), rec); err != nil {
+	if _, err := s.Put(keyAddr(key), rec); err != nil {
 		t.Fatal(err)
 	}
-	p := s.addrPath(Addr(key))
+	p := s.addrPath(keyAddr(key))
 	pristine, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +146,7 @@ func TestCorruptionIsAMiss(t *testing.T) {
 		if err := os.WriteFile(p, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.Get(Addr(key)); ok {
+		if _, ok := s.Get(keyAddr(key)); ok {
 			t.Errorf("%s: corrupt record served as a hit", name)
 		}
 		if _, err := os.Stat(p); err == nil && len(blob) > 0 {
@@ -149,7 +158,7 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	// checksum must still fail (structural checks), or pass only by
 	// actually decoding to the written values — never panic.
 	restore()
-	if got, ok := s.Get(Addr(key)); !ok || !recordsEqual(got.record(), rec) {
+	if got, ok := s.Get(keyAddr(key)); !ok || !recordsEqual(got.record(), rec) {
 		t.Fatal("pristine record no longer reads back")
 	}
 }
@@ -170,32 +179,32 @@ func TestEvictionByMtime(t *testing.T) {
 		keys[i] = []byte{'a' + byte(i)}
 	}
 	for i, k := range keys[:8] {
-		if _, err := s.Put(Addr(k), one); err != nil {
+		if _, err := s.Put(keyAddr(k), one); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct, strictly increasing mtimes without sleeping.
 		mt := time.Now().Add(time.Duration(i-10) * time.Second)
-		os.Chtimes(s.addrPath(Addr(k)), mt, mt)
+		os.Chtimes(s.addrPath(keyAddr(k)), mt, mt)
 	}
 	// Touch "a" (oldest mtime) via Get so it becomes newest; then the
 	// overflowing Put must evict "b" and "c", the two oldest, down to
 	// the low-water mark.
-	if _, ok := s.Get(Addr(keys[0])); !ok {
+	if _, ok := s.Get(keyAddr(keys[0])); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	if _, err := s.Put(Addr(keys[8]), one); err != nil {
+	if _, err := s.Put(keyAddr(keys[8]), one); err != nil {
 		t.Fatal(err)
 	}
 	if sz := s.SizeBytes(); sz != 7*oneSize {
 		t.Fatalf("store holds %d bytes after eviction, want the low-water mark's %d", sz, 7*oneSize)
 	}
 	for _, k := range keys[1:3] {
-		if _, ok := s.Get(Addr(k)); ok {
+		if _, ok := s.Get(keyAddr(k)); ok {
 			t.Errorf("%q (oldest mtime) survived eviction", k)
 		}
 	}
 	for _, k := range append([][]byte{keys[0]}, keys[3:]...) {
-		if _, ok := s.Get(Addr(k)); !ok {
+		if _, ok := s.Get(keyAddr(k)); !ok {
 			t.Errorf("%q evicted despite newer mtime", k)
 		}
 	}
@@ -206,7 +215,7 @@ func TestOversizeRecordRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put(Addr([]byte("big")), sampleRecord(4096, 1)); err == nil {
+	if _, err := s.Put(keyAddr([]byte("big")), sampleRecord(4096, 1)); err == nil {
 		t.Fatal("oversize Put succeeded")
 	}
 	if s.Len() != 0 {
@@ -239,10 +248,10 @@ func TestConcurrentSharedDirectory(t *testing.T) {
 				k := []byte(fmt.Sprintf("key-%d", (g+i)%keys))
 				want := sampleRecord(32, uint64((g+i)%keys))
 				if i%3 == 0 {
-					s.Put(Addr(k), want)
+					s.Put(keyAddr(k), want)
 					continue
 				}
-				if got, ok := s.Get(Addr(k)); ok && !recordsEqual(got.record(), want) {
+				if got, ok := s.Get(keyAddr(k)); ok && !recordsEqual(got.record(), want) {
 					t.Errorf("goroutine %d: stale or foreign record under %s", g, k)
 				}
 			}
@@ -264,10 +273,10 @@ func TestStrayFilesIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put(Addr([]byte("k")), one); err != nil {
+	if _, err := s.Put(keyAddr([]byte("k")), one); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(Addr([]byte("k"))); !ok {
+	if _, ok := s.Get(keyAddr([]byte("k"))); !ok {
 		t.Fatal("record evicted to make room for a stray file")
 	}
 	if _, err := os.Stat(stray); err != nil {
@@ -293,11 +302,11 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 		keys[i] = []byte{'a' + byte(i)}
 	}
 	for i, k := range keys[:8] {
-		if _, err := s.Put(Addr(k), one); err != nil {
+		if _, err := s.Put(keyAddr(k), one); err != nil {
 			t.Fatal(err)
 		}
 		mt := time.Now().Add(time.Duration(i-10) * time.Second)
-		os.Chtimes(s.addrPath(Addr(k)), mt, mt)
+		os.Chtimes(s.addrPath(keyAddr(k)), mt, mt)
 	}
 
 	// The other process beats us to every unlink: the file is already
@@ -310,17 +319,17 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 
 	// The overflowing Put needs exactly two evictions ("a" and "b", the
 	// oldest) to reach the low-water mark.
-	if _, err := s.Put(Addr(keys[8]), one); err != nil {
+	if _, err := s.Put(keyAddr(keys[8]), one); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range keys[:2] {
-		if _, ok := s.Get(Addr(k)); ok {
+		if _, ok := s.Get(keyAddr(k)); ok {
 			t.Errorf("%q (oldest) survived eviction", k)
 		}
 	}
 	// The rest must survive: the ENOENTs freed their bytes.
 	for _, k := range keys[2:] {
-		if _, ok := s.Get(Addr(k)); !ok {
+		if _, ok := s.Get(keyAddr(k)); !ok {
 			t.Errorf("%q evicted to cover phantom bytes", k)
 		}
 	}
@@ -355,7 +364,7 @@ func TestPutScansOnlyNearBudget(t *testing.T) {
 	scans := countScans(t)
 	put := func(i int) {
 		t.Helper()
-		if _, err := s.Put(Addr([]byte(fmt.Sprintf("k%d", i))), one); err != nil {
+		if _, err := s.Put(keyAddr([]byte(fmt.Sprintf("k%d", i))), one); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,16 +421,16 @@ func TestRescanCountsOtherWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put(Addr([]byte("first")), one); err != nil {
+	if _, err := s1.Put(keyAddr([]byte("first")), one); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < budget/oneSize+10; i++ {
-		if _, err := s2.Put(Addr([]byte(fmt.Sprintf("other%d", i))), one); err != nil {
+		if _, err := s2.Put(keyAddr([]byte(fmt.Sprintf("other%d", i))), one); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < perRescan; i++ {
-		if _, err := s1.Put(Addr([]byte(fmt.Sprintf("mine%d", i))), one); err != nil {
+		if _, err := s1.Put(keyAddr([]byte(fmt.Sprintf("mine%d", i))), one); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -454,7 +463,7 @@ func TestTwoStoresRacingOnOneDir(t *testing.T) {
 	for n := 0; n < keys; n += 2 {
 		k := []byte(fmt.Sprintf("key-%d", n))
 		blob := append([]byte(v1Magic), bytes.Repeat([]byte{byte(n)}, 1500)...)
-		if err := os.WriteFile(s1.addrPath(Addr(k)), blob, 0o644); err != nil {
+		if err := os.WriteFile(s1.addrPath(keyAddr(k)), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -468,12 +477,12 @@ func TestTwoStoresRacingOnOneDir(t *testing.T) {
 				n := (g*7 + i) % keys
 				k := []byte(fmt.Sprintf("key-%d", n))
 				if i%2 == 0 {
-					if _, err := s.Put(Addr(k), sampleRecord(64, uint64(n))); err != nil {
+					if _, err := s.Put(keyAddr(k), sampleRecord(64, uint64(n))); err != nil {
 						t.Errorf("goroutine %d: Put: %v", g, err)
 					}
 					continue
 				}
-				if got, ok := s.Get(Addr(k)); ok && !recordsEqual(got.record(), sampleRecord(64, uint64(n))) {
+				if got, ok := s.Get(keyAddr(k)); ok && !recordsEqual(got.record(), sampleRecord(64, uint64(n))) {
 					t.Errorf("goroutine %d: foreign record under %s", g, k)
 				}
 			}
